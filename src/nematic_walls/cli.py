@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -72,7 +72,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        """Inverse of `to_json`; ValueError names the first unknown key."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
+        return cls(**data)
 
     def params(self) -> Params:
         return Params(L=self.L, eps=self.eps, H=self.H, T=max(self.T, 1e-12) if self.T > 0 else 1.0,
@@ -390,7 +398,7 @@ def dispatch(cfg: RunConfig) -> int:
     try:
         return _RUNNERS[cfg.subcommand](cfg)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
@@ -444,7 +452,11 @@ def main(argv=None) -> int:
     kw = {k.replace("-", "_"): v for k, v in vars(args).items()
           if k not in ("config",) and v is not None}
     if getattr(args, "config", ""):
-        cfg = RunConfig.from_json(Path(args.config).read_text())
+        try:
+            cfg = RunConfig.from_json(Path(args.config).read_text())
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         cfg.subcommand = args.subcommand
     else:
         cfg = RunConfig(**kw)

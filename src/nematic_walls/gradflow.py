@@ -9,12 +9,12 @@ pointwise reaction term explicitly, with the step halved whenever the
 energy fails to decrease.
 
 The implicit system (W + dt(eps K + L D)) u = rhs is symmetric positive
-definite, constant while dt is unchanged, and solved by preconditioned
-conjugate gradients to 1e-10.  The preferred preconditioner is a sparse LU
-factorization of the full system (factored once per dt, so CG converges
-immediately); when memory does not allow it, the exact inverse of the
-pure-Laplacian part (W + dt eps K) -- FFT along the periodic direction and
-a batched Thomas solve across it -- is used instead.
+definite, constant while dt is unchanged, and shift-invariant along the
+periodic axis (x on the rectangle; theta on polar grids once the node
+values are written as (u_r, u_theta)).  It is solved directly: an rfft
+along that axis, then one Hermitian block-tridiagonal system per Fourier
+mode across it, all modes held in a single banded Cholesky factor built
+once per dt.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import stencils
 from .contours import marching_squares
@@ -150,7 +149,7 @@ class _Operators:
             if rs[0] <= 0:
                 raise ValueError("polar flow needs r_in > 0")
             dr, dt = grid.spacing
-            self.rs, self.ts = rs, ts
+            self.cos_t, self.sin_t = np.cos(ts)[None, :], np.sin(ts)[None, :]
             self.W = stencils.polar_node_weights(rs, dr, dt)
             self.K = lambda u: stencils.polar_grad_op(u, rs, dr, dt)
             self.D = lambda u: stencils.polar_div_op(u, rs, ts, dr, dt)
@@ -159,91 +158,25 @@ class _Operators:
         mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
         return (2.0 / eps) * (mod2 - 1.0)[..., None] * u
 
-    def assemble_sparse(self):
-        """Sparse K and D matching the stencil operators exactly, in the
-        node-major component-minor flat ordering."""
-        g = self.grid
-        n1, n2 = g.shape
-        N = n1 * n2 * 2
+    def to_modal(self, u: np.ndarray) -> np.ndarray:
+        """Node values in the frame where K and D commute with shifts along
+        the periodic axis, that axis first: Cartesian components on the
+        rectangle, (u_r, u_theta) indexed (theta, r) on polar grids."""
+        if self.grid.kind == RECTANGLE:
+            return u
+        c, s = self.cos_t, self.sin_t
+        v = np.stack([c * u[..., 0] + s * u[..., 1],
+                      c * u[..., 1] - s * u[..., 0]], axis=-1)
+        return v.swapaxes(0, 1)
 
-        def nid(i, j, c):
-            return 2 * (i * n2 + j) + c
-
-        I, J = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        rows, cols, vals = [], [], []
-        if g.kind == RECTANGLE:
-            hx, hy = g.spacing
-            wy = np.ones(n2)
-            wy[0] = wy[-1] = 0.5
-            cx = np.broadcast_to(((hy / hx) * wy)[None, :], (n1, n2))
-            for c in range(2):
-                a = nid(I, J, c).ravel()
-                b = nid((I + 1) % n1, J, c).ravel()
-                ce = cx.ravel()
-                rows += [a, a, b, b]
-                cols += [a, b, b, a]
-                vals += [ce, -ce, ce, -ce]
-                a = nid(I[:, :-1], J[:, :-1], c).ravel()
-                b = nid(I[:, :-1], J[:, :-1] + 1, c).ravel()
-                ce = np.full(a.shape, hx / hy)
-                rows += [a, a, b, b]
-                cols += [a, b, b, a]
-                vals += [ce, -ce, ce, -ce]
-            n_cells = n1 * (n2 - 1)
-            Ic, Jc = np.meshgrid(np.arange(n1), np.arange(n2 - 1), indexing="ij")
-            cellid = np.arange(n_cells).reshape(n1, n2 - 1)
-            gr, gc, gv = [], [], []
-            one = np.ones(n_cells)
-            for (di, dj, sx, sy) in [(0, 0, -1, -1), (1, 0, 1, -1),
-                                     (0, 1, -1, 1), (1, 1, 1, 1)]:
-                ii = (Ic + di) % n1
-                jj = Jc + dj
-                gr += [cellid.ravel(), cellid.ravel()]
-                gc += [nid(ii, jj, 0).ravel(), nid(ii, jj, 1).ravel()]
-                gv += [one * (sx / (2 * hx)), one * (sy / (2 * hy))]
-            m_c = np.full(n_cells, hx * hy)
-        else:
-            rs, ts = self.rs, self.ts
-            dr, dt_ = g.spacing
-            r_mid = 0.5 * (rs[:-1] + rs[1:])
-            wr = np.ones(n1)
-            wr[0] = wr[-1] = 0.5
-            for c in range(2):
-                a = nid(I[:-1], J[:-1], c).ravel()
-                b = nid(I[:-1] + 1, J[:-1], c).ravel()
-                ce = np.broadcast_to((r_mid * dt_ / dr)[:, None], (n1 - 1, n2)).ravel()
-                rows += [a, a, b, b]
-                cols += [a, b, b, a]
-                vals += [ce, -ce, ce, -ce]
-                a = nid(I, J, c).ravel()
-                b = nid(I, (J + 1) % n2, c).ravel()
-                ce = np.broadcast_to((wr * dr / (rs * dt_))[:, None], (n1, n2)).ravel()
-                rows += [a, a, b, b]
-                cols += [a, b, b, a]
-                vals += [ce, -ce, ce, -ce]
-            n_cells = (n1 - 1) * n2
-            Ic, Jc = np.meshgrid(np.arange(n1 - 1), np.arange(n2), indexing="ij")
-            cellid = np.arange(n_cells).reshape(n1 - 1, n2)
-            tc = np.broadcast_to((ts[None, :] + 0.5 * dt_), (n1 - 1, n2))
-            ct, st = np.cos(tc), np.sin(tc)
-            rc = np.broadcast_to(r_mid[:, None], (n1 - 1, n2))
-            gr, gc, gv = [], [], []
-            for (di, dj, sr, st_) in [(0, 0, -1, -1), (1, 0, 1, -1),
-                                      (0, 1, -1, 1), (1, 1, 1, 1)]:
-                jj = (Jc + dj) % n2
-                gr += [cellid.ravel(), cellid.ravel()]
-                gc += [nid(Ic + di, jj, 0).ravel(), nid(Ic + di, jj, 1).ravel()]
-                gv += [(ct * sr / (2 * dr) - st * st_ / (2 * dt_ * rc)).ravel(),
-                       (st * sr / (2 * dr) + ct * st_ / (2 * dt_ * rc)).ravel()]
-            m_c = (rc * dr * dt_).ravel()
-        K = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(N, N)).tocsr()
-        G = sp.coo_matrix((np.concatenate(gv),
-                           (np.concatenate(gr), np.concatenate(gc))),
-                          shape=(len(m_c), N)).tocsr()
-        D = (G.T @ sp.diags(m_c) @ G).tocsr()
-        return K, D
+    def from_modal(self, v: np.ndarray) -> np.ndarray:
+        """Inverse of `to_modal`."""
+        if self.grid.kind == RECTANGLE:
+            return v
+        v = v.swapaxes(0, 1)
+        c, s = self.cos_t, self.sin_t
+        return np.stack([c * v[..., 0] - s * v[..., 1],
+                         s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
 def rhs(field: Field2D, params: Params, bc: BCSpec,
@@ -259,120 +192,65 @@ def rhs(field: Field2D, params: Params, bc: BCSpec,
     return Field2D(field.grid, r)
 
 
-# --- preconditioner: exact solve of (W + c K) ----------------------------------
+# --- implicit solver: FFT along the periodic axis, banded Cholesky across ---
 
-class _LaplacianSolver:
-    """FFT along the periodic axis + batched Thomas across it."""
+class _ModalSolver:
+    """Exact inverse of a shift-invariant SPD operator on the free rows.
 
-    def __init__(self, ops: _Operators, c: float):
-        g = ops.grid
+    `apply_A` must be symmetric positive definite on the free rows, couple
+    only neighbouring rows across the periodic axis, and commute with shifts
+    along it in the modal frame of `ops`.  An rfft along the periodic axis
+    then leaves one Hermitian positive-definite block-tridiagonal system
+    (2x2 blocks, one per free row) per Fourier mode, as in the fast Poisson
+    solvers of Hockney (1965) and Buzbee, Golub & Nielson (1970).
+
+    The blocks are read off `apply_A` itself, so the operator keeps one
+    definition: an impulse at periodic index 0 on every third free row
+    answers, after an rfft, with one block column per probed row (its
+    neighbours are never probed together).  All modes are stacked into one
+    banded matrix with three superdiagonals and Cholesky-factored once.
+    """
+
+    BAND = 3  # 2x2 blocks on the tri-diagonal: |p - q| <= 3
+
+    def __init__(self, ops: _Operators, apply_A: Callable):
         self.ops = ops
-        self.c = c
-        if g.kind == RECTANGLE:
-            hx, hy = g.spacing
-            n1, n2 = g.shape
-            k = np.arange(n1 // 2 + 1)
-            lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n1)
-            cx = hy / hx          # interior-row x-edge coefficient
-            cy = hx / hy
-            jj = np.arange(1, n2 - 1)
-            W_int = hx * hy
-            diag = W_int + c * (cx * lam[None, :] + 2.0 * cy)
-            diag = np.broadcast_to(diag, (len(jj), len(k))).copy()
-            lower = np.full((len(jj) - 1, len(k)), -c * cy)
-            self.rows = jj
-            self.axis = 0  # FFT over axis 0 (x), solve along axis 1 (y)
-            self._prep(diag, lower)
+        if ops.grid.kind == RECTANGLE:
+            line_mask, (n_per, n_line) = ops.mask[0, :], ops.grid.shape
         else:
-            rs, ts = ops.rs, ops.ts
-            dr, dt = g.spacing
-            n1, n2 = g.shape
-            m = np.arange(n2 // 2 + 1)
-            lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * m / n2)
-            wr = np.ones(n1)
-            wr[0] = wr[-1] = 0.5
-            ct = wr * dr / (rs * dt)
-            cr = 0.5 * (rs[:-1] + rs[1:]) * dt / dr  # edge i..i+1
-            W = (dr * dt) * rs * wr
-            rows = np.arange(n1)
-            free = ~ops.mask[:, 0]
-            rows = rows[free]
-            self.rows = rows
-            diag = np.empty((len(rows), len(m)))
-            lower = np.zeros((max(len(rows) - 1, 0), len(m)))
-            for a, i in enumerate(rows):
-                d = W[i] + c * ct[i] * lam
-                if i > 0:
-                    d = d + c * cr[i - 1]
-                if i < n1 - 1:
-                    d = d + c * cr[i]
-                diag[a] = d
-                if a + 1 < len(rows) and rows[a + 1] == i + 1:
-                    lower[a] = -c * cr[i]
-            self.axis = 1  # FFT over axis 1 (theta), solve along axis 0 (r)
-            self._prep(diag, lower)
+            line_mask, (n_line, n_per) = ops.mask[:, 0], ops.grid.shape
+        self.free = np.flatnonzero(~line_mask)
+        self.modal_shape = (n_per, n_line, 2)
+        nf = len(self.free)
+        rows = np.arange(nf)
+        ab = np.zeros((self.BAND + 1, n_per // 2 + 1, 2 * nf), dtype=complex)
+        for colour in range(3):
+            # the probed row within one step of each response row
+            src = rows + (colour - rows + 1) % 3 - 1
+            valid = (src >= 0) & (src < nf)
+            for c in range(2):
+                e = np.zeros(self.modal_shape)
+                e[0, self.free[colour::3], c] = 1.0
+                resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, self.free]
+                spec = np.fft.rfft(resp, axis=0)
+                for c2 in range(2):
+                    p, q = 2 * rows + c2, 2 * src + c
+                    keep = valid & (p <= q)  # upper triangle, row p column q
+                    ab[self.BAND + p[keep] - q[keep], :, q[keep]] = \
+                        spec[:, rows[keep], c2].T
+        self.cb = cholesky_banded(ab.reshape(self.BAND + 1, -1),
+                                  check_finite=False)
 
-    def _prep(self, diag, lower):
-        # precompute the LU sweep of the symmetric tridiagonal batch
-        n = diag.shape[0]
-        w = np.empty_like(diag)
-        fac = np.empty_like(lower) if n > 1 else np.zeros((0, diag.shape[1]))
-        w[0] = diag[0]
-        for a in range(1, n):
-            fac[a - 1] = lower[a - 1] / w[a - 1]
-            w[a] = diag[a] - fac[a - 1] * lower[a - 1]
-        self._w = w
-        self._fac = fac
-        self._lower = lower
-
-    def _thomas(self, B):
-        # B: (rows, modes) complex; solve tridiag per mode
-        n = B.shape[0]
-        y = B.copy()
-        for a in range(1, n):
-            y[a] -= self._fac[a - 1] * y[a - 1]
-        x = y
-        x[n - 1] = y[n - 1] / self._w[n - 1]
-        for a in range(n - 2, -1, -1):
-            x[a] = (y[a] - self._lower[a] * x[a + 1]) / self._w[a]
-        return x
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """(W + c K)^-1 r on free rows (r zero on Dirichlet rows)."""
-        g = self.ops.grid
-        out = np.zeros_like(r)
-        for comp in (0, 1):
-            rc = r[..., comp]
-            if g.kind == RECTANGLE:
-                spec = np.fft.rfft(rc[:, self.rows], axis=0)   # (kx, rows)
-                sol = self._thomas(spec.T).T
-                out[:, self.rows, comp] = np.fft.irfft(sol, n=g.n1, axis=0)
-            else:
-                spec = np.fft.rfft(rc[self.rows, :], axis=1)   # (rows, m)
-                sol = self._thomas(spec)
-                out[self.rows, :, comp] = np.fft.irfft(sol, n=g.n2, axis=1)
-        return out
-
-
-def _cg(matvec, b, precond, tol=1e-10, max_iter=500):
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    bnorm = math.sqrt(float(np.sum(b * b))) or 1.0
-    for it in range(max_iter):
-        Ap = matvec(p)
-        alpha = rz / float(np.sum(p * Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        if math.sqrt(float(np.sum(r * r))) <= tol * bnorm:
-            return x, it + 1
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, max_iter
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b on the free rows (b zero on Dirichlet rows; so is the
+        result)."""
+        spec = np.fft.rfft(self.ops.to_modal(b)[:, self.free], axis=0)
+        x = cho_solve_banded((self.cb, False), spec.reshape(-1),
+                             check_finite=False)
+        w = np.zeros(self.modal_shape)
+        w[:, self.free] = np.fft.irfft(x.reshape(spec.shape),
+                                       n=self.modal_shape[0], axis=0)
+        return self.ops.from_modal(w)
 
 
 # --- the flow -------------------------------------------------------------------
@@ -389,62 +267,35 @@ class FlowState:
 
 
 class FlowSolver:
-    """Holds the operators and preconditioner for repeated steps.
+    """Holds the operators and, per dt, the implicit factorization.
 
-    preconditioner: "lu" factorizes the full implicit matrix once per dt
-    (CG converges immediately), "laplacian" uses the FFT/Thomas inverse of
-    the pure-Laplacian part, "auto" tries lu and falls back on MemoryError.
+    Every trial step solves (W + dt(eps K + L D)) u = W u_expl exactly with
+    a `_ModalSolver`.  The factorization and the Dirichlet shift
+    A uD = W uD + dt(eps K uD + L D uD) are built once per dt and kept for
+    the three most recent dts.
     """
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
-                 dt: Optional[float] = None, cg_tol: float = 1e-10,
-                 preconditioner: str = "auto"):
+                 dt: Optional[float] = None):
         self.params = params
         self.bc = bc
         self.ops = _Operators(grid, bc)
         self.dt = dt if dt is not None else params.eps / 4.0
-        self.cg_tol = cg_tol
-        self.preconditioner = preconditioner
-        self._precond_cache = {}
-        self._sparse_KD = None
+        self._factor_cache = {}
         self.uD = bc.boundary_values(grid)
         self.mask = self.ops.mask
 
-    def _precond(self, dt: float):
-        if dt in self._precond_cache:
-            return self._precond_cache[dt]
-        made = None
-        if self.preconditioner in ("lu", "auto"):
-            try:
-                if self._sparse_KD is None:
-                    self._sparse_KD = self.ops.assemble_sparse()
-                K, D = self._sparse_KD
-                g = self.ops.grid
-                n1, n2 = g.shape
-                Wfull = np.broadcast_to(self.ops.W, (n1, n2))
-                A = sp.diags(np.repeat(Wfull.ravel(), 2)) \
-                    + dt * self.params.eps * K + dt * self.params.L * D
-                fixed = np.repeat(self.mask.ravel(), 2)
-                keep = sp.diags(np.where(fixed, 0.0, 1.0))
-                A = keep @ A @ keep + sp.diags(np.where(fixed, 1.0, 0.0))
-                lu = splu(A.tocsc())
-                shape = (*g.shape, 2)
-
-                def solve(r, lu=lu, shape=shape):
-                    return lu.solve(r.ravel()).reshape(shape)
-
-                made = solve
-            except MemoryError:
-                if self.preconditioner == "lu":
-                    raise
-                made = None
-        if made is None:
-            lap = _LaplacianSolver(self.ops, dt * self.params.eps)
-            made = lap.solve
-        self._precond_cache[dt] = made
-        if len(self._precond_cache) > 3:
-            self._precond_cache.pop(next(iter(self._precond_cache)))
-        return made
+    def _factor(self, dt: float) -> Tuple[_ModalSolver, np.ndarray]:
+        if dt not in self._factor_cache:
+            uD = self.uD
+            aD = self.ops.W[..., None] * uD \
+                + dt * (self.params.eps * self.ops.K(uD)
+                        + self.params.L * self.ops.D(uD))
+            solver = _ModalSolver(self.ops, lambda w: self._apply_A(w, dt))
+            self._factor_cache[dt] = (solver, aD)
+            if len(self._factor_cache) > 3:
+                self._factor_cache.pop(next(iter(self._factor_cache)))
+        return self._factor_cache[dt]
 
     def _apply_A(self, w: np.ndarray, dt: float) -> np.ndarray:
         z = self.ops.W[..., None] * w \
@@ -453,21 +304,17 @@ class FlowSolver:
         return z
 
     def implicit_solve(self, u_expl: np.ndarray, dt: float) -> Tuple[np.ndarray, int]:
-        """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows."""
-        b = self.ops.W[..., None] * u_expl
-        # affine shift for Dirichlet data
-        aD = self.ops.W[..., None] * self.uD \
-            + dt * (self.params.eps * self.ops.K(self.uD)
-                    + self.params.L * self.ops.D(self.uD))
-        b = b - aD
+        """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows.
+
+        Returns u and the number of linear solves, always 1."""
+        solver, aD = self._factor(dt)
+        b = self.ops.W[..., None] * u_expl - aD
         b[self.mask] = 0.0
-        w, iters = _cg(lambda v: self._apply_A(v, dt), b, self._precond(dt),
-                       tol=self.cg_tol)
-        u = w + self.uD
-        return u, iters
+        return solver.solve(b) + self.uD, 1
 
     def step(self, state: FlowState, max_halvings: int = 40) -> FlowState:
-        """One accepted IMEX step (dt halved until the energy decreases)."""
+        """One accepted IMEX step.  dt is halved while the trial state is
+        non-finite or its energy does not decrease."""
         u = state.field.values
         if not state.energy_trace:
             e0 = eval_E_eps(state.field, self.params)
@@ -477,14 +324,15 @@ class FlowSolver:
         for _ in range(max_halvings):
             u_expl = u - dt * self.ops.reaction(u, self.params.eps)
             u_new, _ = self.implicit_solve(u_expl, dt)
-            new_field = Field2D(state.field.grid, u_new)
-            eb = eval_E_eps(new_field, self.params)
-            if eb.total <= E_old + 1e-12 * max(1.0, abs(E_old)):
-                state.field = new_field
-                state.time += dt
-                state.dt = dt
-                state.energy_trace.append((state.time, eb))
-                return state
+            if np.isfinite(u_new).all():
+                new_field = Field2D(state.field.grid, u_new)
+                eb = eval_E_eps(new_field, self.params)
+                if eb.total <= E_old + 1e-12 * max(1.0, abs(E_old)):
+                    state.field = new_field
+                    state.time += dt
+                    state.dt = dt
+                    state.energy_trace.append((state.time, eb))
+                    return state
             dt *= 0.5
             if dt < 1e-12 * self.params.eps:
                 raise RuntimeError("dt underflow: the configuration diverges")

@@ -145,3 +145,23 @@ def test_gradflow_construction_seeded_disc(tmp_path):
     assert rc == 0
     flow = json.loads((out / "flow.json").read_text())
     assert flow["final_energy"] > 0
+
+
+def test_malformed_config_exits_2(tmp_path, capsys):
+    cfg = json.loads(RunConfig(subcommand="rect-1d").to_json())
+    cfg["xyz"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["rect-1d", "--config", str(path)]) == 2
+    assert "error: unknown config key 'xyz'" in capsys.readouterr().err
+    path.write_text(json.dumps({"L": 1.0}))
+    assert main(["rect-1d", "--config", str(path)]) == 2
+    assert "'subcommand'" in capsys.readouterr().err
+
+
+def test_dispatch_reports_exception_type(tmp_path, capsys):
+    cfg = RunConfig(subcommand="energy-eval", domain="rect",
+                    field_csv=str(tmp_path / "missing.csv"),
+                    out=str(tmp_path / "e"))
+    assert dispatch(cfg) == 1
+    assert "error: FileNotFoundError: " in capsys.readouterr().err

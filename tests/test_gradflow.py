@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
-from nematic_walls.core import Field2D, Params, make_grid, sample_analytic
+from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
+                                sample_analytic)
 from nematic_walls.energy import eval_E_eps
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
-                                    _LaplacianSolver, _Operators, annulus_bc,
-                                    angle_field, disc_bc, divergence_field,
+                                    _Operators, annulus_bc, angle_field,
+                                    disc_bc, divergence_field,
                                     random_unit_field, rect_bc, rhs)
 
 
@@ -86,37 +88,68 @@ class TestDiscreteGradient:
         assert np.abs(dr - lin).max() / np.abs(lin).max() < 1e-5
 
 
-class TestImplicitSolver:
-    @pytest.mark.parametrize("kind", ["rect", "polar"])
-    def test_laplacian_preconditioner_exact(self, kind):
-        if kind == "rect":
-            g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 16, 12, periodic_x=True)
-            bc = rect_bc(0.2)
-        else:
-            g = make_grid("polar", (0.01, 0.6), 12, 16)
-            bc = disc_bc("tangential", 0.6)
-        ops = _Operators(g, bc)
-        solver = _LaplacianSolver(ops, 0.037)
-        rng = np.random.default_rng(0)
-        r = rng.normal(size=(*g.shape, 2))
-        r[ops.mask] = 0.0
-        x = solver.solve(r)
-        back = ops.W[..., None] * x + 0.037 * ops.K(x)
-        back[ops.mask] = 0.0
-        assert np.abs(back - r).max() < 1e-12 * np.abs(r).max() * 100
+def flow_case(kind, n_per, n_line):
+    """Grid and Dirichlet data with n_per nodes along the periodic axis and
+    n_line cells across it."""
+    if kind == "rect":
+        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), n_per, n_line,
+                      periodic_x=True)
+        return g, rect_bc(0.2)
+    if kind == "disc":
+        g = make_grid("polar", (disc_inner_cutoff(0.6), 0.6), n_line, n_per)
+        return g, disc_bc("degminusone", 0.6)
+    return make_grid("polar", (1.0, 2.0), n_line, n_per), annulus_bc()
 
-    def test_sparse_assembly_matches_stencils(self):
-        for g, bc in [
-            (make_grid("rectangle", (-0.4, 0.6, -0.5, 0.5), 12, 10, periodic_x=True),
-             rect_bc(0.1)),
-            (make_grid("polar", (0.5, 1.5), 10, 14), annulus_bc()),
-        ]:
-            ops = _Operators(g, bc)
-            K, D = ops.assemble_sparse()
-            rng = np.random.default_rng(1)
-            u = rng.normal(size=(*g.shape, 2))
-            assert np.abs((K @ u.ravel()).reshape(u.shape) - ops.K(u)).max() < 1e-12
-            assert np.abs((D @ u.ravel()).reshape(u.shape) - ops.D(u)).max() < 1e-12
+
+def solve_residual(solver, dt, seed=0):
+    """||A solve(b) - b|| / ||b|| for a random b that vanishes on the
+    Dirichlet rows, where the solution must vanish too."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(*solver.ops.grid.shape, 2))
+    b[solver.mask] = 0.0
+    w = solver._factor(dt)[0].solve(b)
+    assert not w[solver.mask].any()
+    return np.linalg.norm(solver._apply_A(w, dt) - b) / np.linalg.norm(b)
+
+
+class TestImplicitSolver:
+    @pytest.mark.parametrize("n_per", [16, 17])
+    @pytest.mark.parametrize("kind", ["rect", "disc", "annulus"])
+    def test_direct_solve_exact(self, kind, n_per):
+        g, bc = flow_case(kind, n_per, 12)
+        p = Params(L=0.5, eps=0.05, R=2.0 if kind == "annulus" else 0.6)
+        solver = FlowSolver(g, p, bc)
+        for dt in (solver.dt, 8 * solver.dt):
+            assert solve_residual(solver, dt) <= 1e-12
+
+    def test_implicit_solve_is_one_solve_with_dirichlet_rows(self):
+        g, bc = flow_case("rect", 12, 10)
+        solver = FlowSolver(g, Params(L=0.5, eps=0.05), bc)
+        u, solves = solver.implicit_solve(random_unit_field(g, bc).values,
+                                          solver.dt)
+        assert solves == 1
+        assert np.array_equal(u[solver.mask], solver.uD[solver.mask])
+
+    @given(kind=hst.sampled_from(["rect", "disc", "annulus"]),
+           n_per=hst.integers(4, 21), n_line=hst.integers(4, 14),
+           eps=hst.floats(0.01, 0.2), L=hst.floats(0.05, 2.0),
+           dt_over_eps=hst.floats(0.05, 2.0), seed=hst.integers(0, 1000))
+    def test_solver_and_flow_properties(self, kind, n_per, n_line, eps, L,
+                                        dt_over_eps, seed):
+        g, bc = flow_case(kind, n_per, n_line)
+        p = Params(L=L, eps=eps, R=2.0 if kind == "annulus" else 0.6)
+        solver = FlowSolver(g, p, bc, dt=dt_over_eps * eps)
+        assert solve_residual(solver, solver.dt, seed) <= 1e-12
+        st = FlowState(field=random_unit_field(g, bc, seed=seed), bc=bc,
+                       dt=solver.dt)
+        for _ in range(3):
+            solver.step(st)
+        totals = [eb.total for _, eb in st.energy_trace]
+        assert all(b <= a + 1e-12 * max(1, abs(a))
+                   for a, b in zip(totals, totals[1:]))
+        mask = bc.dirichlet_mask(g)
+        assert np.array_equal(st.field.values[mask],
+                              bc.boundary_values(g)[mask])
 
 
 class TestStepping:
@@ -146,6 +179,27 @@ class TestStepping:
                    for a, b in zip(totals, totals[1:]))
         mask = bc.dirichlet_mask(g)
         assert np.array_equal(st.field.values[mask], bc.boundary_values(g)[mask])
+
+    def test_non_finite_trial_is_rejected(self, monkeypatch):
+        g, bc = flow_case("rect", 12, 10)
+        solver = FlowSolver(g, Params(L=0.5, eps=0.05), bc)
+        solve = solver.implicit_solve
+        calls = []
+
+        def nan_once(u_expl, dt):
+            calls.append(dt)
+            u, n = solve(u_expl, dt)
+            if len(calls) == 1:
+                u = np.full_like(u, np.nan)
+            return u, n
+
+        monkeypatch.setattr(solver, "implicit_solve", nan_once)
+        st = FlowState(field=random_unit_field(g, bc, seed=2), bc=bc,
+                       dt=solver.dt)
+        solver.step(st)
+        assert calls == [solver.dt, solver.dt / 2]
+        assert st.dt == solver.dt / 2 and st.time == solver.dt / 2
+        assert np.isfinite(st.field.values).all()
 
     def test_bc_check_raises(self):
         g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 8, 8, periodic_x=True)
