@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .characteristics import CharacteristicFamily, PiecewiseCriticalField
-from .core import EnergyBreakdown, JumpSegment, Params
-from .rootfind import scan_brackets
+from .core import EnergyBreakdown, JumpSegment
+from .rootfind import bracketed_root, scan_brackets
 
 EIGHT_PI_THIRDS = 8.0 * math.pi / 3.0
 
@@ -171,23 +170,14 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
 
         def f(t):
             x, y, _, _ = arc_point(arc, t)
-            return math.hypot(float(x), float(y)) - target
+            return np.hypot(x, y) - target
 
         ts = np.linspace(0.0, t_hi, 512)
-        vals = np.array([f(t) for t in ts])
+        vals = f(ts)
         sc = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
         if len(sc) == 0:
             raise RuntimeError("characteristic never reaches the wall radius")
-        lo, hi = ts[sc[0]], ts[sc[0] + 1]
-        flo = vals[sc[0]]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return bracketed_root(f, ts[sc[0]], ts[sc[0] + 1])
 
     t_in = _hit_radius(seed_in, c_in, rho, t_hi=4.0 * (rho - 1.0) + 2.0) \
         if a > 0 else rho - 1.0
@@ -294,9 +284,10 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
 def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
     """Interior critical wall, or None when no admissible root exists.
 
-    Scans g_{R,L} on (1, 2R^2/(1+R^2)) with 4096 points, Brent-solves each
-    bracket, keeps roots with a in (0, 1/2], and returns the lowest-energy
-    one; wall-balance and stationarity residuals are checked to 1e-10.
+    Scans g_{R,L} on (1, 2R^2/(1+R^2)) with 4096 points, solves all
+    brackets at once, keeps roots with a in (0, 1/2], and returns the
+    lowest-energy one; wall-balance and stationarity residuals are checked
+    to 1e-10.
     """
     if R <= 1.0 or L <= 0.0:
         raise ValueError("R > 1 and L > 0 required")
@@ -305,10 +296,12 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
     # (z = z_hi) is not lost to roundoff
     lo, hi = 1.0 + 1e-9, z_hi * (1.0 + 1e-9)
     brackets = scan_brackets(lambda z: g_poly(z, R, L), lo, hi, n=4096)
+    if not brackets:
+        return None
+    za, zb = np.array(brackets).T
     best = None
-    for (za, zb) in brackets:
-        z = za if za == zb else brentq(lambda zz: g_poly(zz, R, L), za, zb,
-                                       xtol=1e-15, rtol=8.9e-16)
+    for z in bracketed_root(g_poly, za, zb, args=(R, L)):
+        z = float(z)
         a2 = a_squared_of_z(z, R)
         if not (0.0 < a2 <= 0.25 + 1e-9):
             continue

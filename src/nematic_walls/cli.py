@@ -3,8 +3,7 @@
 Every construction, evaluator, solver, and sweep is a subcommand writing
 machine-readable artifacts (CSV/JSON, 17 significant digits) plus the
 resolved run configuration, so identical configurations (including the
-seed) reproduce bit-identical outputs.  Parallel sweep fan-out is capped
-by the NEMATIC_WALLS_THREADS environment variable.
+seed) reproduce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -31,13 +28,6 @@ from .core import (POLAR, RECTANGLE, Field2D, Params, disc_inner_cutoff,
 from .energy import eval_E0_piecewise, eval_E_eps, eval_E_eps_1d
 
 G17 = "{:.17g}".format
-
-
-def _threads() -> int:
-    env = os.environ.get("NEMATIC_WALLS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -279,29 +269,21 @@ def run_crosstie(cfg: RunConfig) -> int:
 
 def run_crosstie_sweep(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    n = int(round((cfg.lmax - cfg.lmin) / cfg.step))
-    grid = [cfg.lmin + k * cfg.step for k in range(n + 1)]
-
-    def one(lh: float):
-        sol = crosstie_mod.build_crosstie(lh * cfg.H, cfg.H)
-        e2 = crosstie_mod.crosstie_energy_per_length(sol)
-        e1 = rect1d.min_energy_1d(lh, 1.0, 0.0)
-        return (lh, e2, e1, e2 - e1)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(one, grid))
+    rows = []
+    L0, L1 = crosstie_mod.find_crossing(H=cfg.H, l_lo=cfg.lmin, l_hi=cfg.lmax,
+                                        step=cfg.step, samples=rows)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("L_over_H,E_crosstie,E_1d,gap\n")
         for r in rows:
             fh.write(",".join(G17(v) for v in r) + "\n")
-    L0, L1 = crosstie_mod.find_crossing(H=cfg.H, l_lo=cfg.lmin, l_hi=cfg.lmax,
-                                        step=cfg.step)
     (out / "crossing.json").write_text(json.dumps(
         {"L0": L0, "L1": L1, "step": cfg.step}, indent=2, sort_keys=True))
     return 0
 
 
 def run_gradflow(cfg: RunConfig) -> int:
+    """Flow to equilibrium or to max_time.  Exits 0 either way: the verdict
+    is flow.json's "converged" (with "stop_reason")."""
     from . import gradflow as gf
     out = _outdir(cfg)
     p = cfg.params()
@@ -354,7 +336,7 @@ def run_gradflow(cfg: RunConfig) -> int:
         "time": state.time, "dt": state.dt,
         "final_energy": state.energy_trace[-1][1].total,
     }, indent=2, sort_keys=True))
-    return 0 if (state.converged or state.stop_reason) else 1
+    return 0
 
 
 def run_energy_eval(cfg: RunConfig) -> int:

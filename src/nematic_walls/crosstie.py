@@ -29,16 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .characteristics import CharacteristicFamily, PiecewiseCriticalField
 from .core import EnergyBreakdown, JumpSegment, Params
-from .energy import eval_E0_piecewise, wall_energy
-from .rect1d import min_energy_1d
+from . import rect1d
+from .energy import eval_E0_piecewise
+from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
+                       bracketed_root)
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -55,23 +56,12 @@ def period_equation_residual(t_tilde, l_over_h: float):
 def solve_Ttilde(l_over_h: float) -> float:
     """Scaled half-period T/H solving the tangency relation.
 
-    The root lies in (sqrt(2)-1, 1) for every positive L/H; Brent plus a
-    Newton polish leaves the residual at roundoff.
+    The root lies in (sqrt(2)-1, 1) for every positive L/H.
     """
     if l_over_h <= 0:
         raise ValueError("L/H > 0 required")
-    lo, hi = SQRT2M1 + 1e-14, 1.0 - 1e-14
-    f = lambda t: float(period_equation_residual(t, l_over_h))
-    t = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(3):
-        h = 1e-7
-        d = (f(t + h) - f(t - h)) / (2 * h)
-        if d == 0:
-            break
-        t_new = t - f(t) / d
-        if lo < t_new < hi:
-            t = t_new
-    return t
+    return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
+                          1.0 - 1e-14, args=(l_over_h,))
 
 
 def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:
@@ -110,49 +100,28 @@ def region3_v(s, L: float):
 
 def region2_theta_star(s2, alpha: float, L: float):
     """Root of (1-cos(alpha s)) sin(2 beta) - L alpha (cos beta - cos(alpha s))
-    on (0, beta*); vectorized bisection + Newton."""
-    s2 = np.asarray(s2, dtype=float)
-    shape = s2.shape
-    s = np.atleast_1d(s2).astype(float)
+    on (0, min(alpha s, beta*)]; vectorized, beta = 0 at s = 0."""
+    s = np.asarray(s2, dtype=float)
     # stable forms: 1 - cos x = 2 sin^2(x/2);
     # cos b - cos a = -2 sin((b+a)/2) sin((b-a)/2)
-    half = 0.5 * alpha * s
-    c = 2.0 * np.sin(half) ** 2
+    a_s = alpha * s
+    c = 2.0 * np.sin(0.5 * a_s) ** 2
     k = L * alpha
 
-    def f(beta):
+    def f(beta, c, a_s):
         return c * np.sin(2.0 * beta) \
-            + 2.0 * k * np.sin(0.5 * (beta + alpha * s)) \
-            * np.sin(0.5 * (beta - alpha * s))
-
-    def df(beta):
-        return 2.0 * c * np.cos(2.0 * beta) + k * np.sin(beta)
+            + 2.0 * k * np.sin(0.5 * (beta + a_s)) * np.sin(0.5 * (beta - a_s))
 
     sin_bstar = np.where(c > 0.5 * k, 0.5 * k / np.maximum(c, 1e-300), 1.0)
     beta_star = np.arcsin(np.clip(sin_bstar, 0.0, 1.0))
-    lo = np.zeros_like(s)
-    hi = beta_star
-    flo = f(lo)
-    degenerate = s <= 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    beta = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = df(beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f(beta) / d
-        bn = beta - step
-        good = np.isfinite(bn) & (bn > 0.0) & (bn <= beta_star)
-        beta = np.where(good, bn, beta)
-    beta = np.where(degenerate, 0.0, beta)
-    if shape == ():
-        return float(beta[0])
-    return beta.reshape(shape)
+    # where alpha s < beta* (<= pi/2), f(alpha s) = c sin(2 alpha s) >= 0,
+    # so the root lies below alpha s; this bracket stays tight as s -> 0
+    hi = np.minimum(a_s, beta_star)
+    beta = np.zeros(s.shape)
+    solve = s > 0.0
+    beta[solve] = bracketed_root(f, 0.0, hi[solve],
+                                 args=(c[solve], a_s[solve]))
+    return float(beta) if beta.ndim == 0 else beta
 
 
 @dataclass
@@ -372,45 +341,52 @@ def crosstie_energy_breakdown(sol: CrossTieSolution, **kw) -> EnergyBreakdown:
 def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
                   step: float = 0.01, s_panels: int = 128, t_panels: int = 128,
                   order: int = 4, refine_tol: float = 1e-6,
-                  sweep_hook=None) -> Tuple[Optional[float], Optional[float]]:
+                  samples: Optional[list] = None
+                  ) -> Tuple[Optional[float], Optional[float]]:
     """Sign changes of (cross-tie energy per length) - (1D minimum).
 
-    Scans L/H on a uniform grid, bisects each sign change to refine_tol,
-    and returns (L0, L1); either may be None when no crossing shows up in
-    the window.  sweep_hook(l, e2d, e1d) is called per sample for CSV dumps.
+    Scans L/H on a uniform grid, refines every sign change at once with
+    the bracketed root solver to refine_tol, and returns (L0, L1); either
+    may be None when no crossing shows up in the window.  When samples is
+    a list it receives one (L/H, E_crosstie, E_1d, gap) row per grid point.
     """
-    def gap(lh: float) -> float:
+    def sample(lh: float):
         sol = build_crosstie(lh * H, H)
         e2 = crosstie_energy_per_length(sol, s_panels, t_panels, order)
-        e1 = min_energy_1d(lh, 1.0, 0.0)
-        if sweep_hook is not None:
-            sweep_hook(lh, e2, e1)
-        return e2 - e1
+        e1 = rect1d.min_energy_1d(lh, 1.0, 0.0)
+        return lh, e2, e1, e2 - e1
 
     n = int(round((l_hi - l_lo) / step))
-    grid = [l_lo + k * step for k in range(n + 1)]
-    vals = [gap(l) for l in grid]
-    crossings = []
-    for k in range(n):
-        if vals[k] == 0.0:
-            crossings.append(grid[k])
-        elif (vals[k] < 0) != (vals[k + 1] < 0):
-            lo, hi = grid[k], grid[k + 1]
-            flo = vals[k]
-            while hi - lo > refine_tol:
-                mid = 0.5 * (lo + hi)
-                fm = gap(mid)
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            crossings.append(0.5 * (lo + hi))
-    L0 = crossings[0] if crossings else None
-    L1 = crossings[1] if len(crossings) > 1 else None
-    return L0, L1
+    rows = [sample(l_lo + k * step) for k in range(n + 1)]
+    if samples is not None:
+        samples.extend(rows)
+    cells = [k for k in range(n) if (rows[k][3] < 0) != (rows[k + 1][3] < 0)]
+    if not cells:
+        return None, None
+    known = {row[0]: row[3] for row in rows}
+
+    def gap(lhs):
+        # the solver starts at the bracket ends, which the scan already knows
+        return np.array([known[x] if x in known else sample(x)[3]
+                         for x in lhs])
+
+    roots = bracketed_root(gap, np.array([rows[k][0] for k in cells]),
+                           np.array([rows[k + 1][0] for k in cells]),
+                           xtol=refine_tol)
+    return float(roots[0]), (float(roots[1]) if len(roots) > 1 else None)
 
 
 # --- pointwise evaluation on the period cell ----------------------------------
+
+def _arc_root_or_end(circle, lo, hi, x, y):
+    """Arc parameter in [lo, hi] of the circle through each point, solved
+    on the whole interval; a point whose residual keeps its sign there (the
+    corner at the origin, which no region-III arc with s >= lo reaches)
+    takes the end arc s = hi, whose angle is pi/4 there as in the s -> 0
+    limit."""
+    s = bracketed_arc_solve(circle, lo, hi, x, y, n_scan=2)
+    return np.where(np.isnan(s), hi, s)
+
 
 def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     """(theta, v) arrays for points in the closed quarter cell."""
@@ -438,27 +414,17 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     if mI.any():
         xi, yi = x[mI], y[mI]
 
-        def residI(s):
+        def circleI(s):
             d = T - s
             R = 0.5 * d + H * H / (2.0 * np.maximum(d, 1e-300))
             cx = 0.5 * (T + s) + H * H / (2.0 * np.maximum(d, 1e-300))
-            return (xi - cx) ** 2 + (yi - H) ** 2 - R * R
+            return cx, H, R * R
 
-        lo = np.zeros_like(xi)
-        hi = np.full_like(xi, T * (1.0 - 1e-12))
-        flo = residI(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = residI(mid)
-            take = np.sign(fm) == np.sign(flo)
-            lo = np.where(take, mid, lo)
-            flo = np.where(take, fm, flo)
-            hi = np.where(take, hi, mid)
-        s1 = 0.5 * (lo + hi)
+        s1 = _arc_root_or_end(circleI, 0.0, T * (1.0 - 1e-12), xi, yi)
         d = T - s1
         vv = -2.0 * d / (d * d + H * H)
         g = -1.0 / np.where(vv != 0, vv, -1e-300)
-        cx = 0.5 * (T + s1) + H * H / (2.0 * np.maximum(d, 1e-300))
+        cx, _, _ = circleI(s1)
         theta[mI] = np.arctan2((H - yi) / g, (cx - xi) / g)
         v[mI] = vv
 
@@ -476,36 +442,22 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
         if m3.any():
             x3, y3 = xr[m3], yr[m3]
 
-            def resid3(s):
+            def circle3(s):
                 thb = region3_seed_angle(s, L)
                 v3 = region3_v(s, L)
-                cx = s - np.cos(thb) / v3
-                cy = -np.sin(thb) / v3
-                return (x3 - cx) ** 2 + (y3 - cy) ** 2 - 1.0 / (v3 * v3)
+                return s - np.cos(thb) / v3, -np.sin(thb) / v3, 1.0 / (v3 * v3)
 
-            lo = np.full_like(x3, 1e-9 * T)
-            hi = np.full_like(x3, T)
-            flo = resid3(lo)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = resid3(mid)
-                take = np.sign(fm) == np.sign(flo)
-                lo = np.where(take, mid, lo)
-                flo = np.where(take, fm, flo)
-                hi = np.where(take, hi, mid)
-            s3 = 0.5 * (lo + hi)
-            thb = region3_seed_angle(s3, L)
+            s3 = _arc_root_or_end(circle3, 1e-9 * T, T, x3, y3)
             v3 = region3_v(s3, L)
             g = -1.0 / v3
-            cx = s3 - np.cos(thb) / v3
-            cy = -np.sin(thb) / v3
+            cx, cy, _ = circle3(s3)
             th_r[m3] = np.arctan2((cy - y3) / g, (cx - x3) / g)
             v_r[m3] = v3
         m2 = ~m3
         if m2.any():
             x2, y2 = xr[m2], yr[m2]
 
-            def resid2(s):
+            def arc2(s):
                 th2 = region2_theta_star(s, alpha, L)
                 v2 = -np.sin(2.0 * th2) / L
                 v2 = np.where(v2 != 0, v2, -1e-300)
@@ -513,29 +465,21 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
                 y0 = H - np.sin(alpha * s) / alpha
                 cx = x0 - np.cos(alpha * s) / v2
                 cy = y0 - np.sin(alpha * s) / v2
-                return (x2 - cx) ** 2 + (y2 - cy) ** 2 - 1.0 / (v2 * v2)
+                return cx, cy, 1.0 / (v2 * v2), th2, v2
 
             # the tangentially seeded circles can pass a point twice; keep
             # the root whose recovered arc parameter lies in [0, t*]
-            from .disc import _bracketed_arc_solve_both
-
             def recover(s):
-                th2 = region2_theta_star(s, alpha, L)
-                v2 = -np.sin(2.0 * th2) / L
-                v2 = np.where(v2 != 0, v2, -1e-300)
+                cx, cy, _, th2, v2 = arc2(s)
                 g = -1.0 / v2
-                x0 = (1.0 - np.cos(alpha * s)) / alpha
-                y0 = H - np.sin(alpha * s) / alpha
-                cx = x0 - np.cos(alpha * s) / v2
-                cy = y0 - np.sin(alpha * s) / v2
                 th = np.arctan2((cy - y2) / g, (cx - x2) / g)
                 t = (th - alpha * s) / v2
                 ts = (th2 - alpha * s) / v2
                 return th, v2, t, ts
 
-            s_a, s_b = _bracketed_arc_solve_both(resid2, 1e-7 * t1,
-                                                 t1 * (1 - 1e-9),
-                                                 geometric=True)
+            s_a, s_b = bracketed_arc_solve_both(lambda s: arc2(s)[:3],
+                                                1e-7 * t1, t1 * (1 - 1e-9),
+                                                x2, y2, geometric=True)
             th_a, v_a, t_a, ts_a = recover(np.nan_to_num(s_a))
             th_b, v_b, t_b, ts_b = recover(np.nan_to_num(s_b))
             # reject the degenerate corner root (clamped v) outright: its

@@ -34,7 +34,8 @@ from scipy.interpolate import PchipInterpolator
 
 from .characteristics import CharacteristicFamily, PiecewiseCriticalField
 from .core import JumpSegment, Params
-from .rootfind import bisect_newton
+from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
+                       bracketed_root)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -103,54 +104,19 @@ def hedgehog_energy(L: float) -> float:
 
 # --- degree -1 construction ---------------------------------------------------
 
-def _vector_bisect(F, lo, hi, iters=64, newton=None, newton_steps=3):
-    """Array bisection of F on [lo, hi] (F(lo) >= 0 >= F(hi) elementwise)."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    flo = F(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    x = 0.5 * (lo + hi)
-    if newton is not None:
-        for _ in range(newton_steps):
-            fx, dfx = newton(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = fx / dfx
-            xn = x - step
-            good = np.isfinite(xn) & (xn >= np.minimum(lo, hi)) & (xn <= np.maximum(lo, hi))
-            x = np.where(good, xn, x)
-    return x
-
-
 def region3_v0(s, L: float):
     """Curvature of the family joining the x-axis to the diagonal wall.
 
-    Root of (1 - s p)^2 - sqrt(1 - L^2 p^2) - 1 on [-1/L, 0]; vectorized.
+    Root p of (1 - s p)^2 - sqrt(1 - L^2 p^2) - 1 in [-1/L, 0], solved as
+    p = -cos(phi) / L with phi in [0, pi/2], where the square root is
+    sin(phi): exact at the s = 0 root phi = 0 and smooth there; vectorized.
     """
-    s_arr = np.asarray(s, dtype=float)
-    shape = s_arr.shape
-    sf = np.atleast_1d(s_arr).astype(float)
+    def F(phi, s_):
+        return (1.0 + s_ * np.cos(phi) / L) ** 2 - np.sin(phi) - 1.0
 
-    def F(p):
-        return (1.0 - sf * p) ** 2 \
-            - np.sqrt(np.maximum(1.0 - (L * p) ** 2, 0.0)) - 1.0
-
-    def newton(p):
-        root = np.sqrt(np.maximum(1.0 - (L * p) ** 2, 1e-300))
-        return F(p), -2.0 * sf * (1.0 - sf * p) + (L * L * p) / root
-
-    lo = np.full_like(sf, -1.0 / L)
-    hi = np.zeros_like(sf)
-    out = _vector_bisect(F, lo, hi, newton=newton)
-    out = np.where(sf == 0.0, -1.0 / L, out)
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+    phi = bracketed_root(F, 0.0, 0.5 * np.pi,
+                         args=(np.asarray(s, dtype=float),))
+    return -np.cos(phi) / L
 
 
 def region2_A(s, v0, R: float):
@@ -165,35 +131,25 @@ def region2_v0(s, R: float, L: float):
     s = pi R / 4 the root collapses to v = 0.
     """
     s_arr = np.asarray(s, dtype=float)
-    shape = s_arr.shape
-    sf = np.atleast_1d(s_arr).astype(float)
     q = min(1.0 / R, 1.0 / L)
-    sinf = np.sin(sf / R + 0.25 * np.pi)
 
-    def F(p):
+    def F(p, sinf):
         A = SQRT2 * ((R * p + 1.0) * sinf - R * p)
         return A * A - np.sqrt(np.maximum(1.0 - (L * p) ** 2, 0.0)) - 1.0
 
-    def newton(p):
-        A = SQRT2 * ((R * p + 1.0) * sinf - R * p)
-        dA = SQRT2 * R * (sinf - 1.0)
-        root = np.sqrt(np.maximum(1.0 - (L * p) ** 2, 1e-300))
-        return F(p), 2.0 * A * dA + (L * L * p) / root
-
-    f0 = F(np.zeros_like(sf))
-    fq = F(np.full_like(sf, -q))
+    sinf = np.sin(s_arr / R + 0.25 * np.pi)
+    f0 = F(0.0, sinf)
+    fq = F(-q, sinf)
     at_corner = f0 >= -1e-15
     if not np.all(fq[~at_corner] >= 0.0):
         k = int(np.argmin(fq))
-        raise RuntimeError(f"bracket failure in region II at s={sf.ravel()[k]}: "
-                           f"f(-q)={fq.ravel()[k]}, f(0)={f0.ravel()[k]}")
-    lo = np.full_like(sf, -q)
-    hi = np.zeros_like(sf)
-    out = _vector_bisect(F, lo, hi, newton=newton)
-    out = np.where(at_corner, 0.0, out)
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+        raise RuntimeError(f"bracket failure in region II at "
+                           f"s={s_arr.ravel()[k]}: f(-q)={fq.ravel()[k]}, "
+                           f"f(0)={f0.ravel()[k]}")
+    out = np.zeros(s_arr.shape)
+    solve = ~at_corner
+    out[solve] = bracketed_root(F, -q, 0.0, args=(sinf[solve],))
+    return float(out) if out.ndim == 0 else out
 
 
 def _theta_star_from_cosminussin(val):
@@ -383,61 +339,6 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     return sol
 
 
-def _bisect_bracket(resid, lo_s, hi_s, flo, iters=60):
-    for _ in range(iters):
-        mid = 0.5 * (lo_s + hi_s)
-        fm = resid(mid)
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo_s = np.where(take_lo, mid, lo_s)
-        flo = np.where(take_lo, fm, flo)
-        hi_s = np.where(take_lo, hi_s, mid)
-    return 0.5 * (lo_s + hi_s)
-
-
-def _bracketed_arc_solve(resid, lo, hi, n_scan=64, iters=60):
-    """Vectorized per-point root of resid(s) on [lo, hi] (first sign change
-    scanning upward).  Points without a sign change get s = nan."""
-    ss = np.linspace(lo, hi, n_scan)
-    V = np.stack([resid(s_) for s_ in ss], axis=0)  # (n_scan, npts)
-    sgn = np.sign(V)
-    change = (sgn[:-1] * sgn[1:]) <= 0
-    any_change = change.any(axis=0)
-    first = np.argmax(change, axis=0)
-    flo = np.take_along_axis(V, first[None, :], axis=0)[0]
-    s = _bisect_bracket(resid, ss[first], ss[first + 1], flo, iters)
-    return np.where(any_change, s, np.nan)
-
-
-def _bracketed_arc_solve_both(resid, lo, hi, n_scan=96, iters=60,
-                              geometric=False):
-    """Roots from the lowest and highest sign-change brackets of resid(s).
-
-    Families whose arcs depart a curve tangentially fold their full circles
-    over the covered region, so a point can see two circle roots with only
-    one lying on the actual arc (t in range); the caller picks by the
-    recovered arc parameter.  Returns (s_low, s_high) with nan where no
-    sign change exists.  With geometric=True the scan adds nodes clustered
-    at the lower end (the roots coalesce toward degenerate corner arcs).
-    """
-    ss = np.linspace(lo, hi, n_scan)
-    if geometric:
-        gg = lo * (hi / lo) ** np.linspace(0.0, 1.0, n_scan)
-        ss = np.unique(np.concatenate([ss, gg]))
-    V = np.stack([resid(s_) for s_ in ss], axis=0)
-    sgn = np.sign(V)
-    change = (sgn[:-1] * sgn[1:]) <= 0
-    any_change = change.any(axis=0)
-    first = np.argmax(change, axis=0)
-    last = len(ss) - 2 - np.argmax(change[::-1], axis=0)
-    flo = np.take_along_axis(V, first[None, :], axis=0)[0]
-    s_lo_root = _bisect_bracket(resid, ss[first], ss[first + 1], flo, iters)
-    flo2 = np.take_along_axis(V, last[None, :], axis=0)[0]
-    s_hi_root = _bisect_bracket(resid, ss[last], ss[last + 1], flo2, iters)
-    s_lo_root = np.where(any_change, s_lo_root, np.nan)
-    s_hi_root = np.where(any_change, s_hi_root, np.nan)
-    return s_lo_root, s_hi_root
-
-
 def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     """(u1, u2, v) arrays for points in the octant 0 <= y <= x <= ... r <= R."""
     R, L, s0 = sol.R, sol.L, sol.s0
@@ -470,11 +371,11 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
         if m3.any():
             x3, y3 = xr[m3], yr[m3]
 
-            def resid3(s):
+            def circle3(s):
                 g = -1.0 / sol.v3_of_s(s)
-                return (x3 - (s + g)) ** 2 + y3 ** 2 - g * g
+                return s + g, 0.0, g * g
 
-            s = _bracketed_arc_solve(resid3, 1e-12 * R, s0)
+            s = bracketed_arc_solve(circle3, 1e-12 * R, s0, x3, y3)
             vv = np.asarray(sol.v3_of_s(s), dtype=float)
             g = -1.0 / vv
             th = np.arctan2(-y3 / g, (s + g - x3) / g)
@@ -484,20 +385,17 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
         if m2.any():
             x2, y2 = xr[m2], yr[m2]
 
-            def resid2(s):
+            def circle2(s):
                 vv = np.asarray(sol.v2_of_s(s), dtype=float)
                 x0 = SQRT2 * R - R * np.cos(s / R)
                 y0 = R * np.sin(s / R)
                 cx = x0 - np.cos(-s / R) / vv
                 cy = y0 - np.sin(-s / R) / vv
-                return (x2 - cx) ** 2 + (y2 - cy) ** 2 - 1.0 / (vv * vv)
+                return cx, cy, 1.0 / (vv * vv)
 
             def recover(s):
                 vv = np.asarray(sol.v2_of_s(s), dtype=float)
-                x0 = SQRT2 * R - R * np.cos(s / R)
-                y0 = R * np.sin(s / R)
-                cx = x0 - np.cos(-s / R) / vv
-                cy = y0 - np.sin(-s / R) / vv
+                cx, cy, _ = circle2(s)
                 g = -1.0 / vv
                 th = np.arctan2((cy - y2) / g, (cx - x2) / g)
                 t = (th + s / R) / vv
@@ -513,9 +411,9 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     return np.where(vv != 0, (th_star + s / R) / vv, 0.0)
 
-            s_a, s_b = _bracketed_arc_solve_both(resid2, 1e-9 * R,
-                                                 sol.s2_max - 1e-5 * R,
-                                                 geometric=True)
+            s_a, s_b = bracketed_arc_solve_both(circle2, 1e-9 * R,
+                                                sol.s2_max - 1e-5 * R,
+                                                x2, y2, geometric=True)
             th_a, v_a, t_a = recover(np.nan_to_num(s_a))
             th_b, v_b, t_b = recover(np.nan_to_num(s_b))
             ts_a = t_star_interp(np.nan_to_num(s_a))

@@ -20,14 +20,12 @@ profile over a second eps^(5/6) band, which realizes the wall cost
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .core import Params
 from .energy import GridProfile1D
-from .rootfind import bisect_newton
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
 

@@ -1,36 +1,221 @@
-"""Kernel backend selection.
+"""Stencil kernels: discrete quadratic forms of the eps-level energy and
+their exact half-gradients, in numpy.  The forms are
 
-The compiled extension (_stencils, built from _stencils.pyx) is preferred;
-the pure-numpy module (_stencils_py) is the drop-in fallback.  Set
-NEMATIC_WALLS_PURE_PYTHON=1 to force the fallback, e.g. for benchmarking.
+  grad form   Q_K(u) = sum over edges  c_e |u_b - u_a|^2
+  div  form   Q_D(u) = sum over cells  m_c (div_c u)^2
+
+with midpoint-edge differences and cell-centred divergences (trapezoid
+weights transversally), second-order accurate on smooth fields and, on
+polar grids, metric-aware with Cartesian components throughout.  The ops
+return K u := (1/2) dQ_K/du and D u := (1/2) dQ_D/du, so the discrete
+energy gradient is exact, not merely consistent.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from . import _stencils_py as _py
+BACKEND = "python"  # recorded as the stencils backend by perfbench/worker.py
 
-_compiled = None
-if not os.environ.get("NEMATIC_WALLS_PURE_PYTHON"):
-    try:
-        from . import _stencils as _compiled  # type: ignore
-    except ImportError:
-        _compiled = None
 
-_impl = _compiled if _compiled is not None else _py
-BACKEND = "compiled" if _compiled is not None else "python"
+# --- rectangle ------------------------------------------------------------
 
-rect_node_weights = _py.rect_node_weights
-polar_node_weights = _py.polar_node_weights
-rect_grad_form = _impl.rect_grad_form
-rect_grad_op = _impl.rect_grad_op
-rect_div_form = _impl.rect_div_form
-rect_div_op = _impl.rect_div_op
-polar_grad_form = _impl.polar_grad_form
-polar_grad_op = _impl.polar_grad_op
-polar_div_form = _impl.polar_div_form
-polar_div_op = _impl.polar_div_op
+def _rect_weights(n1, n2, hx, hy, periodic_x):
+    wy = np.ones(n2)
+    wy[0] = wy[-1] = 0.5
+    wx = np.ones(n1)
+    if not periodic_x:
+        wx[0] = wx[-1] = 0.5
+    return wx, wy
 
-python_impl = _py
-compiled_impl = _compiled
+
+def rect_node_weights(n1, n2, hx, hy, periodic_x):
+    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
+    return (hx * hy) * wx[:, None] * wy[None, :]
+
+
+def rect_grad_form(u, hx, hy, periodic_x):
+    n1, n2 = u.shape[:2]
+    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
+    total = 0.0
+    cx = (hy / hx) * wy
+    if periodic_x:
+        d = np.roll(u, -1, axis=0) - u
+        total += float(np.einsum("j,ijk->", cx, d * d))
+    else:
+        d = u[1:] - u[:-1]
+        total += float(np.einsum("j,ijk->", cx, d * d))
+    cy = (hx / hy) * wx
+    d = u[:, 1:] - u[:, :-1]
+    total += float(np.einsum("i,ijk->", cy, d * d))
+    return total
+
+
+def rect_grad_op(u, hx, hy, periodic_x):
+    n1, n2 = u.shape[:2]
+    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
+    out = np.zeros_like(u)
+    cx = ((hy / hx) * wy)[None, :, None]
+    if periodic_x:
+        d = cx * (np.roll(u, -1, axis=0) - u)
+        out -= d
+        out += np.roll(d, 1, axis=0)
+    else:
+        d = cx * (u[1:] - u[:-1])
+        out[:-1] -= d
+        out[1:] += d
+    cy = ((hx / hy) * wx)[:, None, None]
+    d = cy * (u[:, 1:] - u[:, :-1])
+    out[:, :-1] -= d
+    out[:, 1:] += d
+    return out
+
+
+def _rect_cell_div(u, hx, hy, periodic_x):
+    ul = u
+    ur = np.roll(u, -1, axis=0) if periodic_x else u[1:]
+    if not periodic_x:
+        ul = u[:-1]
+    u1l, u1r = ul[..., 0], ur[..., 0]
+    u2l, u2r = ul[..., 1], ur[..., 1]
+    ddx = ((u1r[:, :-1] + u1r[:, 1:]) - (u1l[:, :-1] + u1l[:, 1:])) / (2.0 * hx)
+    ddy = ((u2l[:, 1:] + u2r[:, 1:]) - (u2l[:, :-1] + u2r[:, :-1])) / (2.0 * hy)
+    return ddx + ddy
+
+
+def rect_div_form(u, hx, hy, periodic_x):
+    div = _rect_cell_div(u, hx, hy, periodic_x)
+    return float(hx * hy * np.sum(div * div))
+
+
+def rect_div_op(u, hx, hy, periodic_x):
+    div = _rect_cell_div(u, hx, hy, periodic_x)
+    g = (hx * hy) * div
+    out = np.zeros_like(u)
+    gx = g / (2.0 * hx)
+    gy = g / (2.0 * hy)
+    if periodic_x:
+        out1 = np.zeros(u.shape[:2])
+        out2 = np.zeros(u.shape[:2])
+        # u1: right corners +, left corners -
+        rx = np.zeros_like(out1)
+        rx[:, :-1] += gx
+        rx[:, 1:] += gx
+        out1 += np.roll(rx, 1, axis=0)   # right corners are at i+1
+        out1 -= rx                        # left corners at i
+        # u2: top corners +, bottom corners -
+        ty = np.zeros_like(out2)
+        ty[:, 1:] += gy
+        ty[:, :-1] -= gy
+        out2 += ty
+        out2 += np.roll(ty, 1, axis=0)
+        out[..., 0] = out1
+        out[..., 1] = out2
+    else:
+        out1 = out[..., 0]
+        out2 = out[..., 1]
+        out1[1:, :-1] += gx
+        out1[1:, 1:] += gx
+        out1[:-1, :-1] -= gx
+        out1[:-1, 1:] -= gx
+        out2[:-1, 1:] += gy
+        out2[1:, 1:] += gy
+        out2[:-1, :-1] -= gy
+        out2[1:, :-1] -= gy
+    return out
+
+
+# --- polar ----------------------------------------------------------------
+
+def polar_node_weights(rs, dr, dt):
+    n1 = rs.shape[0]
+    wr = np.ones(n1)
+    wr[0] = wr[-1] = 0.5
+    return (dr * dt) * (rs * wr)[:, None]
+
+
+def polar_grad_form(u, rs, dr, dt):
+    r_mid = 0.5 * (rs[:-1] + rs[1:])
+    cr = (r_mid * dt / dr)[:, None, None]
+    d = u[1:] - u[:-1]
+    total = float(np.sum(cr * d * d))
+    n1 = rs.shape[0]
+    wr = np.ones(n1)
+    wr[0] = wr[-1] = 0.5
+    ct = (wr * dr / (rs * dt))[:, None, None]
+    d = np.roll(u, -1, axis=1) - u
+    total += float(np.sum(ct * d * d))
+    return total
+
+
+def polar_grad_op(u, rs, dr, dt):
+    out = np.zeros_like(u)
+    r_mid = 0.5 * (rs[:-1] + rs[1:])
+    cr = (r_mid * dt / dr)[:, None, None]
+    d = cr * (u[1:] - u[:-1])
+    out[:-1] -= d
+    out[1:] += d
+    n1 = rs.shape[0]
+    wr = np.ones(n1)
+    wr[0] = wr[-1] = 0.5
+    ct = (wr * dr / (rs * dt))[:, None, None]
+    d = ct * (np.roll(u, -1, axis=1) - u)
+    out -= d
+    out += np.roll(d, 1, axis=1)
+    return out
+
+
+def _polar_cell_div(u, rs, ts, dr, dt):
+    r_c = (0.5 * (rs[:-1] + rs[1:]))[:, None]
+    t_c = (ts + 0.5 * dt)[None, :]
+    uj = u
+    ujp = np.roll(u, -1, axis=1)
+    # corners: a = (i, j), b = (i+1, j), c = (i, j+1), d = (i+1, j+1)
+    a = uj[:-1]
+    b = uj[1:]
+    c = ujp[:-1]
+    d = ujp[1:]
+    Dr = (b + d - a - c) / (2.0 * dr)
+    Dt = (c + d - a - b) / (2.0 * dt)
+    cos_c, sin_c = np.cos(t_c), np.sin(t_c)
+    div = (cos_c * Dr[..., 0] + sin_c * Dr[..., 1]
+           + (-sin_c * Dt[..., 0] + cos_c * Dt[..., 1]) / r_c)
+    return div, r_c, cos_c, sin_c
+
+
+def polar_div_form(u, rs, ts, dr, dt):
+    div, r_c, _, _ = _polar_cell_div(u, rs, ts, dr, dt)
+    return float(np.sum(r_c * dr * dt * div * div))
+
+
+def polar_div_op(u, rs, ts, dr, dt):
+    div, r_c, cos_c, sin_c = _polar_cell_div(u, rs, ts, dr, dt)
+    g = (dr * dt) * r_c * div
+    # d(div)/d(corner): radial part +-cos/(2dr), +-sin/(2dr);
+    # angular part -+(-sin)/(2dt r_c), -+cos/(2dt r_c)
+    gr1 = g * cos_c / (2.0 * dr)
+    gr2 = g * sin_c / (2.0 * dr)
+    gt1 = g * (-sin_c) / (2.0 * dt * r_c)
+    gt2 = g * cos_c / (2.0 * dt * r_c)
+    out = np.zeros_like(u)
+    o1 = np.zeros(u.shape[:2])
+    o2 = np.zeros(u.shape[:2])
+    # corner a=(i,j): Dr -, Dt -
+    add1 = -gr1 - gt1
+    add2 = -gr2 - gt2
+    o1[:-1] += add1
+    o2[:-1] += add2
+    # corner b=(i+1,j): Dr +, Dt -
+    add1 = gr1 - gt1
+    add2 = gr2 - gt2
+    o1[1:] += add1
+    o2[1:] += add2
+    # corner c=(i,j+1): Dr -, Dt +   (j+1 wraps)
+    o1[:-1] += np.roll(-gr1 + gt1, 1, axis=1)
+    o2[:-1] += np.roll(-gr2 + gt2, 1, axis=1)
+    # corner d=(i+1,j+1): Dr +, Dt +
+    o1[1:] += np.roll(gr1 + gt1, 1, axis=1)
+    o2[1:] += np.roll(gr2 + gt2, 1, axis=1)
+    out[..., 0] = o1
+    out[..., 1] = o2
+    return out

@@ -113,6 +113,17 @@ def test_gradflow_small_run(tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(totals, totals[1:]))
 
 
+def test_gradflow_unconverged_exits_0(tmp_path):
+    # the exit code reports a finished run; flow.json carries the verdict
+    out = tmp_path / "gf"
+    rc = main(["gradflow", "--domain", "rect", "--nx", "16", "--ny", "16",
+               "--eps", "0.05", "--max-time", "0.01", "--out", str(out)])
+    assert rc == 0
+    flow = json.loads((out / "flow.json").read_text())
+    assert flow["converged"] is False
+    assert flow["stop_reason"] == "max_time reached"
+
+
 def test_rect1d_eps_ladder(tmp_path):
     out = tmp_path / "lad"
     rc = main(["rect-1d", "--L", "1.5", "--H", "1", "--a", "0",

@@ -1,50 +1,10 @@
 import numpy as np
-import pytest
 
 from nematic_walls import stencils
 
-py = stencils.python_impl
-cy = stencils.compiled_impl
 
-needs_compiled = pytest.mark.skipif(cy is None,
-                                    reason="compiled kernels not built")
-
-
-def _rel(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a))))
-
-
-@needs_compiled
-@pytest.mark.parametrize("periodic", [True, False])
-def test_rect_kernels_equivalent(periodic):
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=(33, 21, 2))
-    for fn in ("rect_grad_form", "rect_grad_op", "rect_div_form", "rect_div_op"):
-        a = getattr(py, fn)(u, 0.013, 0.021, periodic)
-        b = getattr(cy, fn)(u, 0.013, 0.021, periodic)
-        assert _rel(a, b) < 1e-13, fn
-
-
-@needs_compiled
-def test_polar_kernels_equivalent():
-    rng = np.random.default_rng(1)
-    rs = np.linspace(0.3, 1.7, 41)
-    ts = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    u = rng.normal(size=(41, 32, 2))
-    dr, dt = rs[1] - rs[0], ts[1]
-    for fn in ("polar_grad_form", "polar_grad_op"):
-        assert _rel(getattr(py, fn)(u, rs, dr, dt),
-                    getattr(cy, fn)(u, rs, dr, dt)) < 1e-13, fn
-    for fn in ("polar_div_form", "polar_div_op"):
-        assert _rel(getattr(py, fn)(u, rs, ts, dr, dt),
-                    getattr(cy, fn)(u, rs, ts, dr, dt)) < 1e-13, fn
-
-
-@pytest.mark.parametrize("impl", [py] + ([cy] if cy is not None else []))
-def test_ops_are_exact_half_gradients(impl):
-    """K u = (1/2) dQ_K/du and D u = (1/2) dQ_D/du for both backends."""
+def test_ops_are_exact_half_gradients():
+    """K u = (1/2) dQ_K/du and D u = (1/2) dQ_D/du."""
     rng = np.random.default_rng(2)
     u = rng.normal(size=(17, 13, 2))
     w = rng.normal(size=u.shape)
@@ -53,25 +13,19 @@ def test_ops_are_exact_half_gradients(impl):
         ("rect_grad_form", "rect_grad_op", (0.07, 0.11, True)),
         ("rect_div_form", "rect_div_op", (0.07, 0.11, True)),
     ]:
-        f = getattr(impl, form)
-        K = getattr(impl, op)(u, *args)
+        f = getattr(stencils, form)
+        K = getattr(stencils, op)(u, *args)
         dQ = (f(u + t * w, *args) - f(u - t * w, *args)) / (2 * t)
         assert abs(dQ - 2 * np.sum(K * w)) / max(abs(dQ), 1.0) < 1e-7
 
     rs = np.linspace(0.4, 1.2, 17)
     ts = np.linspace(0, 2 * np.pi, 13, endpoint=False)
     dr, dt = rs[1] - rs[0], ts[1]
-    K = impl.polar_grad_op(u, rs, dr, dt)
-    dQ = (impl.polar_grad_form(u + t * w, rs, dr, dt)
-          - impl.polar_grad_form(u - t * w, rs, dr, dt)) / (2 * t)
+    K = stencils.polar_grad_op(u, rs, dr, dt)
+    dQ = (stencils.polar_grad_form(u + t * w, rs, dr, dt)
+          - stencils.polar_grad_form(u - t * w, rs, dr, dt)) / (2 * t)
     assert abs(dQ - 2 * np.sum(K * w)) / abs(dQ) < 1e-7
-    D = impl.polar_div_op(u, rs, ts, dr, dt)
-    dQ = (impl.polar_div_form(u + t * w, rs, ts, dr, dt)
-          - impl.polar_div_form(u - t * w, rs, ts, dr, dt)) / (2 * t)
+    D = stencils.polar_div_op(u, rs, ts, dr, dt)
+    dQ = (stencils.polar_div_form(u + t * w, rs, ts, dr, dt)
+          - stencils.polar_div_form(u - t * w, rs, ts, dr, dt)) / (2 * t)
     assert abs(dQ - 2 * np.sum(D * w)) / abs(dQ) < 1e-7
-
-
-def test_backend_selected():
-    assert stencils.BACKEND in ("compiled", "python")
-    if cy is not None:
-        assert stencils.BACKEND == "compiled"
