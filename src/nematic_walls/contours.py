@@ -5,36 +5,38 @@ linearly interpolated along edges.  Saddle cells (cases 5 and 10) are
 disambiguated with the cell-centre average.  Segments are returned in
 physical coordinates via the supplied node coordinate arrays, chained
 into polylines.
+
+One level is one pass of array expressions over all cells; only the
+chaining of segments into polylines walks them one by one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import List
 
 import numpy as np
 
-# segment endpoints per case, as edge ids: 0 bottom, 1 right, 2 top, 3 left
-_CASES = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
+# Corner c of cell (i, j) is node (i + _DI[c], j + _DJ[c]); edge e runs
+# from corner e to corner e + 1 (mod 4): 0 bottom, 1 right, 2 top, 3 left.
+_DI = np.array([0, 1, 1, 0])
+_DJ = np.array([0, 0, 1, 1])
 
 
-def _edge_point(edge, i, j, F, X, Y, level):
-    if edge == 0:
-        a, b = (i, j), (i + 1, j)
-    elif edge == 1:
-        a, b = (i + 1, j), (i + 1, j + 1)
-    elif edge == 2:
-        a, b = (i + 1, j + 1), (i, j + 1)
-    else:
-        a, b = (i, j + 1), (i, j)
-    fa, fb = F[a], F[b]
-    t = 0.5 if fb == fa else (level - fa) / (fb - fa)
-    t = min(max(t, 0.0), 1.0)
-    return (X[a] + t * (X[b] - X[a]), Y[a] + t * (Y[b] - Y[a]))
+def _segment_table() -> np.ndarray:
+    """[case, centre > level, k] -> (first edge, second edge) of the
+    cell's k-th segment, or (-1, -1) when it has no k-th segment."""
+    single = {1: (3, 0), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
+              7: (3, 2), 8: (2, 3), 9: (2, 0), 11: (2, 1), 12: (1, 3),
+              13: (1, 0), 14: (0, 3)}
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for case, pair in single.items():
+        table[case, :, 0] = pair
+    table[5] = [[(3, 2), (1, 0)], [(3, 0), (1, 2)]]
+    table[10] = [[(0, 3), (2, 1)], [(0, 1), (2, 3)]]
+    return table
+
+
+_SEGMENTS = _segment_table()
 
 
 def marching_squares(F: np.ndarray, X: np.ndarray, Y: np.ndarray,
@@ -42,70 +44,77 @@ def marching_squares(F: np.ndarray, X: np.ndarray, Y: np.ndarray,
     """Polylines of the level set {F = level}; F, X, Y share a (n1, n2)
     node layout."""
     F = np.asarray(F, dtype=float)
-    n1, n2 = F.shape
-    segments = []
-    above = F > level
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            idx = (int(above[i, j]) | int(above[i + 1, j]) << 1
-                   | int(above[i + 1, j + 1]) << 2 | int(above[i, j + 1]) << 3)
-            if idx in (0, 15):
-                continue
-            if idx in (5, 10):
-                center = 0.25 * (F[i, j] + F[i + 1, j]
-                                 + F[i + 1, j + 1] + F[i, j + 1])
-                if idx == 5:
-                    pairs = [(3, 0), (1, 2)] if center > level else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center > level else [(0, 3), (2, 1)]
-            else:
-                pairs = _CASES[idx]
-            for e1, e2 in pairs:
-                p = _edge_point(e1, i, j, F, X, Y, level)
-                q = _edge_point(e2, i, j, F, X, Y, level)
-                segments.append((p, q))
-    return _chain(segments)
-
-
-def _chain(segments, tol=1e-12):
-    """Join segments sharing endpoints into polylines."""
-    if not segments:
+    X, Y = np.asarray(X), np.asarray(Y)
+    a = (F > level).astype(np.uint8)
+    case = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
+    ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
+    if ci.size == 0:
         return []
+    centre = 0.25 * (F[ci, cj] + F[ci + 1, cj] + F[ci + 1, cj + 1]
+                     + F[ci, cj + 1])
+    edges = _SEGMENTS[case[ci, cj], (centre > level).astype(np.intp)]
+    cell, k = np.nonzero(edges[:, :, 0] >= 0)  # cell by cell, k within
+    edges = edges[cell, k]  # (n, 2): a segment's two edges
+    i, j = ci[cell, None], cj[cell, None]
+    ai, aj = i + _DI[edges], j + _DJ[edges]
+    bi, bj = i + _DI[(edges + 1) % 4], j + _DJ[(edges + 1) % 4]
+    fa, fb = F[ai, aj], F[bi, bj]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(fb == fa, 0.5, (level - fa) / (fb - fa))
+    # min(max(t, 0), 1) with Python's tie rules, which keep t = -0.0
+    t = np.where(t > 1.0, 1.0, np.where(0.0 > t, 0.0, t))
+    xa, ya = X[ai, aj], Y[ai, aj]
+    ends = np.stack([xa + t * (X[bi, bj] - xa), ya + t * (Y[bi, bj] - ya)],
+                    axis=-1)
+    return _chain(ends)
 
-    def key(p):
-        return (round(p[0] / max(tol, 1e-300)), round(p[1] / max(tol, 1e-300)))
 
-    by_end = defaultdict(list)
-    for k, (p, q) in enumerate(segments):
-        by_end[key(p)].append((k, 0))
-        by_end[key(q)].append((k, 1))
-    used = [False] * len(segments)
+def _chain(ends: np.ndarray) -> List[np.ndarray]:
+    """Join segments sharing endpoints into polylines.
+
+    ends is (n, 2, 2): segment, endpoint, coordinate.  Endpoints match
+    when their coordinates round to the same multiples of 1e-12.  Greedy:
+    each polyline starts from the first unused segment, grows forward from
+    its last point and then backward from its first, each time through the
+    lowest-numbered unused segment touching that point.
+    """
+    pts = ends.reshape(-1, 2)  # endpoint 2k + e is end e of segment k
+    keys = np.rint(pts / 1e-12) + 0.0  # + 0.0 maps -0.0 to 0.0
+    order = np.lexsort((keys[:, 1], keys[:, 0]))  # stable: ids ascend per key
+    sk = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    node = np.empty(len(order), dtype=np.intp)
+    node[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    node, order = node.tolist(), order.tolist()
+    nxt = starts.tolist()  # per point: entries of order before this are used
+    stop = starts[1:].tolist() + [len(order)]
+    used = [False] * len(ends)
+
+    def extend(e: int) -> List[int]:
+        """Endpoint ids reached from endpoint e through unused segments."""
+        path = []
+        while True:
+            n = node[e]
+            p, q = nxt[n], stop[n]
+            while p < q and used[order[p] >> 1]:
+                p += 1
+            nxt[n] = p
+            if p == q:
+                return path
+            e = order[p] ^ 1
+            used[e >> 1] = True
+            path.append(e)
+
     polys = []
-    for start in range(len(segments)):
-        if used[start]:
+    for s in range(len(ends)):
+        if used[s]:
             continue
-        used[start] = True
-        p, q = segments[start]
-        chain = [p, q]
-        # extend forward
-        while True:
-            candidates = [c for c in by_end[key(chain[-1])] if not used[c[0]]]
-            if not candidates:
-                break
-            k, end = candidates[0]
-            used[k] = True
-            seg = segments[k]
-            chain.append(seg[1 - end])
-        # extend backward
-        while True:
-            candidates = [c for c in by_end[key(chain[0])] if not used[c[0]]]
-            if not candidates:
-                break
-            k, end = candidates[0]
-            used[k] = True
-            seg = segments[k]
-            chain.insert(0, seg[1 - end])
-        polys.append(np.asarray(chain))
+        used[s] = True
+        forward = extend(2 * s + 1)
+        backward = extend(2 * s)
+        polys.append(pts[backward[::-1] + [2 * s, 2 * s + 1] + forward])
     return polys
 
 

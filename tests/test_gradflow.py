@@ -236,16 +236,3 @@ class TestDiagnostics:
         g = make_grid("rectangle", (-1, 1, -1, 1), 4, 4)
         fld = sample_analytic(g, lambda X, Y: (np.zeros_like(X), np.ones_like(Y)))
         assert np.allclose(angle_field(fld), math.pi / 2, atol=0)
-
-
-def test_marching_squares_circle():
-    from nematic_walls.contours import marching_squares
-    n = 200
-    xs = np.linspace(-1, 1, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    F = X ** 2 + Y ** 2
-    polys = marching_squares(F, X, Y, 0.25)
-    assert len(polys) >= 1
-    pts = np.vstack(polys)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    assert np.abs(r - 0.5).max() < 2e-3
