@@ -124,5 +124,5 @@ def contours_to_csv(levels_polys: dict, path) -> None:
         fh.write("level,poly_id,x,y\n")
         for level, polys in levels_polys.items():
             for pid, poly in enumerate(polys):
-                for x, y in poly:
-                    fh.write(f"{level:.17g},{pid},{x:.17g},{y:.17g}\n")
+                row = f"{level:.17g},{pid},%.17g,%.17g\n"
+                fh.write((row * len(poly)) % tuple(poly.ravel().tolist()))

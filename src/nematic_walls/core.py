@@ -188,16 +188,22 @@ def sample_analytic(grid: Grid2D, f: Callable[[float, float], tuple]) -> Field2D
     return Field2D(grid, out)
 
 
+# Nodes formatted per write: one format call per block instead of per row,
+# with the temporary strings bounded.
+_CSV_BLOCK = 4096
+
+
 def field_to_csv(field: Field2D, path) -> None:
     """Snapshot CSV: header x,y,u1,u2; row-major over nodes; 17 sig. digits."""
     X, Y = field.grid.nodes_xy()
-    u = field.values
+    rows = np.column_stack([X.ravel(), Y.ravel(),
+                            field.values.reshape(-1, 2)])
     with open(path, "w") as fh:
         fh.write("x,y,u1,u2\n")
-        for i in range(field.grid.n1):
-            for j in range(field.grid.n2):
-                fh.write(f"{X[i, j]:.17g},{Y[i, j]:.17g},"
-                         f"{u[i, j, 0]:.17g},{u[i, j, 1]:.17g}\n")
+        for k in range(0, len(rows), _CSV_BLOCK):
+            block = rows[k:k + _CSV_BLOCK]
+            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block))
+                     % tuple(block.ravel().tolist()))
 
 
 def field_from_csv(grid: Grid2D, path) -> Field2D:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nematic_walls import crosstie, disc
-from nematic_walls.contours import marching_squares
+from nematic_walls.contours import contours_to_csv, marching_squares
 from nematic_walls.core import POLAR, RECTANGLE, disc_inner_cutoff, make_grid
 
 # --- reference: the per-cell loop the array kernel replaced -------------------
@@ -221,6 +221,21 @@ def test_random_fields_match_reference(n1, n2, seed, kind, coords, level):
         F = np.round(F, 1)
         level = float(rng.choice(F.ravel()))
     assert_matches_reference(F, X, Y, level)
+
+
+def test_contours_csv_bytes_match_per_row_format(tmp_path):
+    awkward = np.array([0.0, -0.0, 5e-324, -1.5e-310, 0.1 + 0.2, 1 / 3,
+                        -2 / 3 * 1e-300, 1.7976931348623157e308])
+    rng = np.random.default_rng(2)
+    polys = [awkward.reshape(-1, 2), rng.normal(size=(7, 2)),
+             awkward[::-1].reshape(-1, 2)]
+    levels = {-0.0: polys, 1 / 3: polys[1:], 5e-324: []}
+    path = tmp_path / "c.csv"
+    contours_to_csv(levels, path)
+    expected = "level,poly_id,x,y\n" + "".join(
+        f"{lv:.17g},{pid},{x:.17g},{y:.17g}\n"
+        for lv, ps in levels.items() for pid, p in enumerate(ps) for x, y in p)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_marching_squares_circle():
