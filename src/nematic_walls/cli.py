@@ -22,9 +22,10 @@ from . import annulus as annulus_mod
 from . import crosstie as crosstie_mod
 from . import disc as disc_mod
 from . import rect1d
-from .contours import contours_to_csv
-from .core import (POLAR, RECTANGLE, Field2D, Params, disc_inner_cutoff,
-                   field_from_csv, field_to_csv, make_grid, sample_analytic)
+from .contours import contours_to_csv, level_curves
+from .core import (POLAR, RECTANGLE, Field2D, Grid2D, Params,
+                   disc_inner_cutoff, field_from_csv, field_to_csv, make_grid,
+                   sample_analytic)
 from .energy import eval_E0_piecewise, eval_E_eps, eval_E_eps_1d
 
 G17 = "{:.17g}".format
@@ -121,6 +122,20 @@ def _write_report(out: Path, name: str, breakdown, params: Params,
     return data
 
 
+def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
+                        theta: Optional[np.ndarray] = None) -> None:
+    """divergence_contours.csv: the 9 levels splitting [min v, max v] into
+    10 equal bins; angle_contours.csv, when the director angle theta is
+    given: 13 levels evenly spaced over 0.99 (-pi, pi)."""
+    div_levels = np.linspace(v.min(), v.max(), 11)[1:-1]
+    contours_to_csv(level_curves(grid, v, div_levels),
+                    out / "divergence_contours.csv")
+    if theta is not None:
+        ang_levels = np.linspace(-math.pi * 0.99, math.pi * 0.99, 13)
+        contours_to_csv(level_curves(grid, theta, ang_levels),
+                        out / "angle_contours.csv")
+
+
 # --- subcommand runners ---------------------------------------------------------
 
 def run_disc_tangential(cfg: RunConfig) -> int:
@@ -166,14 +181,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
     u1, u2, v = disc_mod.deg_minus_one_sample(sol, X, Y)
     f = Field2D(grid, np.stack([u1, u2], axis=-1))
     field_to_csv(f, out / "field.csv")
-    theta = np.arctan2(u2, u1)
-    from .contours import marching_squares
-    div_levels = np.linspace(v.min(), v.max(), 11)[1:-1]
-    ang_levels = np.linspace(-math.pi * 0.99, math.pi * 0.99, 13)
-    contours_to_csv({lv: marching_squares(v, X, Y, lv) for lv in div_levels},
-                    out / "divergence_contours.csv")
-    contours_to_csv({lv: marching_squares(theta, X, Y, lv) for lv in ang_levels},
-                    out / "angle_contours.csv")
+    _write_level_curves(out, grid, v, np.arctan2(u2, u1))
     return 0
 
 
@@ -256,14 +264,7 @@ def run_crosstie(cfg: RunConfig) -> int:
     X, Y = grid.nodes_xy()
     u1, u2, v = crosstie_mod.crosstie_field_sample(sol, X, Y)
     field_to_csv(Field2D(grid, np.stack([u1, u2], axis=-1)), out / "field.csv")
-    from .contours import marching_squares
-    theta = np.arctan2(u2, u1)
-    div_levels = np.linspace(v.min(), v.max(), 11)[1:-1]
-    contours_to_csv({lv: marching_squares(v, X, Y, lv) for lv in div_levels},
-                    out / "divergence_contours.csv")
-    ang_levels = np.linspace(-math.pi * 0.99, math.pi * 0.99, 13)
-    contours_to_csv({lv: marching_squares(theta, X, Y, lv) for lv in ang_levels},
-                    out / "angle_contours.csv")
+    _write_level_curves(out, grid, v, np.arctan2(u2, u1))
     return 0
 
 
@@ -324,13 +325,7 @@ def run_gradflow(cfg: RunConfig) -> int:
         for (t, eb) in state.energy_trace:
             fh.write(f"{G17(t)},{G17(eb.total)},{G17(eb.grad_term)},"
                      f"{G17(eb.potential_term)},{G17(eb.bulk_div)}\n")
-    diag = gf.diagnostics(state.field)
-    X, Y = grid.nodes_xy()
-    from .contours import marching_squares
-    v = diag["divergence_field"]
-    div_levels = np.linspace(v.min(), v.max(), 11)[1:-1]
-    contours_to_csv({lv: marching_squares(v, X, Y, lv) for lv in div_levels},
-                    out / "divergence_contours.csv")
+    _write_level_curves(out, grid, gf.divergence_field(state.field))
     (out / "flow.json").write_text(json.dumps({
         "converged": state.converged, "stop_reason": state.stop_reason,
         "time": state.time, "dt": state.dt,

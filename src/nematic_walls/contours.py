@@ -16,6 +16,8 @@ from typing import List
 
 import numpy as np
 
+from .core import POLAR, Grid2D
+
 # Corner c of cell (i, j) is node (i + _DI[c], j + _DJ[c]); edge e runs
 # from corner e to corner e + 1 (mod 4): 0 bottom, 1 right, 2 top, 3 left.
 _DI = np.array([0, 1, 1, 0])
@@ -116,6 +118,25 @@ def _chain(ends: np.ndarray) -> List[np.ndarray]:
         backward = extend(2 * s)
         polys.append(pts[backward[::-1] + [2 * s, 2 * s + 1] + forward])
     return polys
+
+
+def level_curves(grid: Grid2D, F: np.ndarray, levels) -> dict:
+    """{level: marching_squares polylines} of the nodal field F on grid.
+
+    Periodic grids get their seam cells: the first node column (theta = 0)
+    of a polar grid, or the first node row of a periodic_x rectangle, is
+    appended after the last one (at x = x_hi on the rectangle), so a curve
+    that crosses the seam stays one polyline and a closed curve comes back
+    closed.
+    """
+    X, Y = grid.nodes_xy()
+    F = np.asarray(F, dtype=float)
+    if grid.kind == POLAR:
+        F, X, Y = (np.concatenate([A, A[:, :1]], axis=1) for A in (F, X, Y))
+    elif grid.periodic_x:
+        F, Y = (np.concatenate([A, A[:1]], axis=0) for A in (F, Y))
+        X = np.concatenate([X, np.full_like(X[:1], grid.extents[1])], axis=0)
+    return {lv: marching_squares(F, X, Y, lv) for lv in levels}
 
 
 def contours_to_csv(levels_polys: dict, path) -> None:

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import stencils
-from .contours import marching_squares
 from .core import POLAR, RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
 from .energy import eval_E_eps
 
@@ -410,16 +409,3 @@ def divergence_field(field: Field2D) -> np.ndarray:
 def angle_field(field: Field2D) -> np.ndarray:
     return np.arctan2(field.values[..., 1], field.values[..., 0])
 
-
-def diagnostics(field: Field2D, div_levels=None, angle_levels=None) -> dict:
-    """Nodal divergence and angle plus marching-squares level curves."""
-    div = divergence_field(field)
-    ang = angle_field(field)
-    X, Y = field.grid.nodes_xy()
-    out = {"divergence_field": div, "angle_field": ang,
-           "div_contours": {}, "angle_contours": {}}
-    for lv in (div_levels if div_levels is not None else []):
-        out["div_contours"][lv] = marching_squares(div, X, Y, lv)
-    for lv in (angle_levels if angle_levels is not None else []):
-        out["angle_contours"][lv] = marching_squares(ang, X, Y, lv)
-    return out

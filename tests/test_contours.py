@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nematic_walls import crosstie, disc
-from nematic_walls.contours import contours_to_csv, marching_squares
+from nematic_walls.contours import (contours_to_csv, level_curves,
+                                   marching_squares)
 from nematic_walls.core import POLAR, RECTANGLE, disc_inner_cutoff, make_grid
 
 # --- reference: the per-cell loop the array kernel replaced -------------------
@@ -248,3 +249,30 @@ def test_marching_squares_circle():
     pts = np.vstack(polys)
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert np.abs(r - 0.5).max() < 2e-3
+
+
+# --- periodic seams -------------------------------------------------------------
+
+def test_level_curves_close_the_polar_seam():
+    grid = make_grid(POLAR, (0.1, 1.0), 32, 64)
+    X, Y = grid.nodes_xy()
+    (polys,) = level_curves(grid, X ** 2 + Y ** 2, [0.25]).values()
+    assert len(polys) == 1
+    (poly,) = polys
+    assert len(poly) == grid.n2 + 1
+    assert np.allclose(poly[0], poly[-1], rtol=0, atol=1e-15)
+    assert np.abs(np.hypot(poly[:, 0], poly[:, 1]) - 0.5).max() < 2e-3
+
+
+def test_level_curves_cross_the_periodic_x_seam():
+    grid = make_grid(RECTANGLE, (0.0, 1.0, 0.0, 1.0), 20, 20, periodic_x=True)
+    X, Y = grid.nodes_xy()
+    (polys,) = level_curves(grid, Y, [0.05]).values()
+    assert len(polys) == 1
+    assert polys[0][:, 0].min() == 0.0 and polys[0][:, 0].max() == 1.0
+    assert np.all(polys[0][:, 1] == 0.05)
+    closed = make_grid(RECTANGLE, (0.0, 1.0, 0.0, 1.0), 20, 20)
+    X, Y = closed.nodes_xy()
+    (polys,) = level_curves(closed, Y, [0.05]).values()
+    ref = marching_squares(Y, X, Y, 0.05)
+    assert len(polys) == len(ref) == 1 and np.array_equal(polys[0], ref[0])
