@@ -81,7 +81,7 @@ def _chain(ends: np.ndarray) -> List[np.ndarray]:
     lowest-numbered unused segment touching that point.
     """
     pts = ends.reshape(-1, 2)  # endpoint 2k + e is end e of segment k
-    keys = np.rint(pts / 1e-12) + 0.0  # + 0.0 maps -0.0 to 0.0
+    keys = np.rint(pts / 1e-12)
     order = np.lexsort((keys[:, 1], keys[:, 0]))  # stable: ids ascend per key
     sk = keys[order]
     first = np.ones(len(order), dtype=bool)
@@ -90,7 +90,7 @@ def _chain(ends: np.ndarray) -> List[np.ndarray]:
     node[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     node, order = node.tolist(), order.tolist()
-    nxt = starts.tolist()  # per point: entries of order before this are used
+    nxt = starts.tolist()  # per point: its first entry not known to be used
     stop = starts[1:].tolist() + [len(order)]
     used = [False] * len(ends)
 

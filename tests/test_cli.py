@@ -42,12 +42,20 @@ def test_unknown_subcommand_exit_code():
 
 
 def test_determinism(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert main(["annulus", "--R", "2", "--L", "0.4",
-                     "--out", str(out)]) == 0
-    for name in ("annulus.json", "profiles.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    contours = ("field.csv", "divergence_contours.csv", "angle_contours.csv")
+    runs = [
+        (["annulus", "--R", "2", "--L", "0.4"], ("annulus.json", "profiles.csv")),
+        (["disc-deg-minus-one", "--R", "0.6", "--L", "0.5", "--nx", "16",
+          "--ny", "32"], contours),
+        (["crosstie", "--L", "1", "--H", "1", "--nx", "16", "--ny", "16"],
+         contours),
+    ]
+    for k, (argv, names) in enumerate(runs):
+        a, b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        for out in (a, b):
+            assert main(argv + ["--out", str(out)]) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_config_roundtrip(tmp_path):
