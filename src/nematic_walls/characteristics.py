@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import JumpSegment
 
@@ -42,6 +41,59 @@ def arc_xy(x0, y0, theta0, v0, t):
     x = x0 - arclen * np.sin(theta0 + half)
     y = y0 + arclen * np.cos(theta0 + half)
     return x, y, theta
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y) -> Callable[[np.ndarray], np.ndarray]:
+    """Monotone piecewise-cubic Hermite interpolant of y(x) (PCHIP; Fritsch
+    and Carlson 1980), x strictly increasing.
+
+    Interior slopes are the weighted harmonic mean of the adjacent secant
+    slopes, or 0 where those differ in sign or vanish; end slopes use the
+    one-sided three-point rule; two points give the straight line.  The
+    returned function evaluates elementwise and extends the end cubics
+    beyond [x[0], x[-1]].  Every floating-point operation matches SciPy's
+    PchipInterpolator, so both give the same values bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = x[1:] - x[:-1]
+    if np.any(h <= 0):
+        raise ValueError("pchip: x must be strictly increasing")
+    m = (y[1:] - y[:-1]) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) \
+            | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                            np.where(flat, 0.0, inner),
+                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    # power-form coefficients of each interval, in the local s = x - x[i]
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0
+
+    def interp(xv):
+        xv = np.asarray(xv, dtype=float)
+        i = np.clip(np.searchsorted(x, xv, side="right") - 1, 0, len(x) - 2)
+        s = xv - x[i]
+        ss = s * s
+        return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+
+    return interp
 
 
 @dataclass(frozen=True)
@@ -115,17 +167,10 @@ class CharacteristicFamily:
         prove, so interpolated seeds cannot overshoot the proven brackets.
         """
         s = np.asarray(s, dtype=float)
-        interps = [PchipInterpolator(s, np.asarray(a, dtype=float))
-                   for a in (x0, y0, theta0, v0)]
-        t_interp = PchipInterpolator(s, np.asarray(t_star, dtype=float))
-
-        def seed(ss):
-            ss = np.asarray(ss, dtype=float)
-            return tuple(f(ss) for f in interps)
-
-        return cls(seed=seed, s_range=(float(s[0]), float(s[-1])),
-                   t_star=lambda ss: t_interp(np.asarray(ss, dtype=float)),
-                   label=label)
+        interps = [pchip(s, a) for a in (x0, y0, theta0, v0)]
+        return cls(seed=lambda ss: tuple(f(ss) for f in interps),
+                   s_range=(float(s[0]), float(s[-1])),
+                   t_star=pchip(s, t_star), label=label)
 
     def arc_at(self, s: float) -> CharacteristicArc:
         x0, y0, th0, v0 = (float(np.asarray(a)) for a in self.seed(np.asarray(s)))

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .characteristics import CharacteristicFamily, PiecewiseCriticalField
+from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
+                              pchip)
 from .core import EnergyBreakdown, JumpSegment, Params
 from . import rect1d
 from .energy import eval_E0_piecewise
@@ -234,15 +234,15 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     xs = np.linspace(0.0, T, n_w)
     thb = region3_seed_angle(xs, L)
     v3 = region3_v(xs, L)
-    theta_b_of_x = PchipInterpolator(xs, thb)
-    v3_of_x = PchipInterpolator(xs, v3)
+    theta_b_of_x = pchip(xs, thb)
+    v3_of_x = pchip(xs, v3)
 
     def bot_plus(arc):
-        th = theta_b_of_x(np.asarray(arc, dtype=float))
+        th = theta_b_of_x(arc)
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def bot_minus(arc):
-        th = theta_b_of_x(np.asarray(arc, dtype=float))
+        th = theta_b_of_x(arc)
         return np.stack([-np.cos(th), np.sin(th)], axis=-1)
 
     wall_bottom = JumpSegment(
@@ -252,8 +252,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         trace_minus=np.stack([-np.cos(thb), np.sin(thb)], axis=-1),
         div_plus=v3, div_minus=-v3,
         trace_fns=(bot_plus, bot_minus),
-        div_fns=(lambda s: v3_of_x(np.asarray(s, float)),
-                 lambda s: -v3_of_x(np.asarray(s, float))))
+        div_fns=(v3_of_x, lambda s: -v3_of_x(s)))
 
     # left wall x = 0, y in (0, H): arrivals of III (y < T) and II (y > T).
     # Stable arrival heights: region III collapses to
@@ -280,15 +279,15 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     yw, thw, vw = yw[order], thw[order], vw[order]
     keep = np.concatenate([[True], np.diff(yw) > 1e-14 * H])
     yw, thw, vw = yw[keep], thw[keep], vw[keep]
-    theta_of_y = PchipInterpolator(yw, thw)
-    v_of_y = PchipInterpolator(yw, vw)
+    theta_of_y = pchip(yw, thw)
+    v_of_y = pchip(yw, vw)
 
     def left_plus(arc):
-        th = theta_of_y(np.asarray(arc, dtype=float))
+        th = theta_of_y(arc)
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def left_minus(arc):
-        th = theta_of_y(np.asarray(arc, dtype=float))
+        th = theta_of_y(arc)
         return np.stack([np.cos(th), -np.sin(th)], axis=-1)
 
     wall_left = JumpSegment(
@@ -298,8 +297,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         trace_minus=np.stack([np.cos(thw), -np.sin(thw)], axis=-1),
         div_plus=vw, div_minus=-vw,
         trace_fns=(left_plus, left_minus),
-        div_fns=(lambda s: v_of_y(np.asarray(s, float)),
-                 lambda s: -v_of_y(np.asarray(s, float))))
+        div_fns=(v_of_y, lambda s: -v_of_y(s)))
 
     field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[wall_left, wall_bottom],

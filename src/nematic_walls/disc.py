@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .characteristics import CharacteristicFamily, PiecewiseCriticalField
+from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
+                              pchip)
 from .core import JumpSegment, Params
 from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
                        bracketed_root)
@@ -178,8 +178,8 @@ class DegMinusOneSolution:
 
     # dense curvature interpolants (4096 exact samples; interpolation error
     # is O(h^3) ~ 1e-13, below the root-solver tolerance)
-    v3_of_s: PchipInterpolator = None
-    v2_of_s: PchipInterpolator = None
+    v3_of_s: Optional[Callable] = None
+    v2_of_s: Optional[Callable] = None
     s2_max: float = 0.0
 
     def natural_bc_residual(self, n: int = 256) -> float:
@@ -292,8 +292,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     keep = np.concatenate([[True], np.diff(xw) > 1e-14 * R])
     xw, thw, vw = xw[keep], thw[keep], vw[keep]
     xi = SQRT2 * xw
-    theta_of_xi = PchipInterpolator(xi, thw)
-    v_of_xi = PchipInterpolator(xi, vw)
+    theta_of_xi = pchip(xi, thw)
+    v_of_xi = pchip(xi, vw)
 
     poly = np.stack([xw, xw], axis=-1)
     nu = np.tile(np.array([-1.0, 1.0]) / SQRT2, (len(xw), 1))
@@ -312,7 +312,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
         polyline=poly, normals=nu, trace_plus=tp, trace_minus=tm,
         div_plus=vw, div_minus=-vw,
         trace_fns=(trace_plus_fn, trace_minus_fn),
-        div_fns=(lambda a: v_of_xi(a), lambda a: -v_of_xi(a)),
+        div_fns=(v_of_xi, lambda a: -v_of_xi(a)),
     )
 
     s3_dense = np.linspace(0.0, s0, 4096)
@@ -322,8 +322,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
                               region3=fam3, jump=jump, field=None,
                               wall_xi=xi, wall_theta=thw, wall_v=vw,
-                              v3_of_s=PchipInterpolator(s3_dense, v3_dense),
-                              v2_of_s=PchipInterpolator(s2_dense, v2_dense),
+                              v3_of_s=pchip(s3_dense, v3_dense),
+                              v2_of_s=pchip(s2_dense, v2_dense),
                               s2_max=s2_max)
     field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[jump],

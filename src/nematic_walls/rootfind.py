@@ -1,21 +1,27 @@
 """Bracketed scalar root finding: the one solver behind every construction.
 
 Each construction equation comes with a sign bracket, so one solver serves
-them all.  `bracketed_root` runs SciPy's vectorized Chandrupatla method
-(inverse quadratic interpolation safeguarded by bisection; Chandrupatla
-1997) elementwise over arrays of brackets and refuses brackets without a
-sign change.  The scan helpers find brackets when only an interval is
-known: `scan_brackets` for a scalar function, `bracketed_arc_solve` and
-`bracketed_arc_solve_both` for the arc of a circle family through each of
-many points.
+them all.  `bracketed_root` is Chandrupatla's method (inverse quadratic
+interpolation safeguarded by bisection; Chandrupatla 1997, Adv. Eng.
+Softw. 28:145), run elementwise over arrays of brackets; it refuses
+brackets without a sign change.  It follows SciPy's `find_root` operation
+for operation, so both return the same floats.  The scan helpers find
+brackets when only an interval is known: `scan_brackets` for a scalar
+function, `bracketed_arc_solve` and `bracketed_arc_solve_both` for the arc
+of a circle family through each of many points.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
+
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+# SciPy's default iteration cap: the number of binades of float64
+_MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
 
 
 class BracketError(ValueError):
@@ -33,18 +39,90 @@ def bracketed_root(f: Callable, lo, hi, args=(), xtol: float = 0.0):
     f(hi) share a nonzero sign and RuntimeError on any other failure.
     Returns an array of the broadcast shape, or a float for scalar input.
     """
-    res = find_root(f, (lo, hi), args=args,
-                    tolerances={"xatol": xtol} if xtol > 0 else None)
-    status = np.atleast_1d(res.status)
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    shape = lo.shape
+    x1, x2 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    f1 = np.asarray(f(x1, *args), dtype=float).ravel()
+    f2 = np.asarray(f(x2, *args), dtype=float).ravel()
+    x1, x2 = x1.ravel(), x2.ravel()
+    args = [np.ravel(a).copy() for a in args]
+    xatol = xtol if xtol > 0 else 4 * _TINY
+    ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+
+    n = x1.size
+    active = np.arange(n)  # output index of each working element
+    x = np.zeros(n)
+    status = np.zeros(n, dtype=int)  # 0 converged, -1 no sign change,
+    fl, fr = np.zeros(n), np.zeros(n)  # -2 iteration cap, -3 NaN
+    x3 = f3 = None
+    t = 0.5
+    nit = 0
+    while True:
+        # stop tests in SciPy's order; a later test overrides an earlier
+        i = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(i, x1, x2), np.where(i, f1, f2)
+        st = np.ones(len(active), dtype=int)
+        stop = np.abs(fmin) <= ftol
+        st[stop] = 0
+        bad = (np.sign(f1) == np.sign(f2)) & ~stop
+        xmin[bad], st[bad] = np.nan, -1
+        stop |= bad
+        bad = ~(np.isfinite(x1) & np.isfinite(x2)) \
+            | (np.isnan(f1) & np.isnan(f2))
+        bad &= ~stop
+        xmin[bad], st[bad] = np.nan, -3
+        stop |= bad
+        dx = np.abs(x2 - x1)
+        tol = np.abs(xmin) * (4 * _EPS) + xatol
+        done = dx < tol
+        st[done] = 0
+        stop |= done
+        if nit >= _MAXITER:
+            st[~stop] = -2
+            stop[:] = True
+        if stop.any():
+            k = active[stop]
+            x[k], status[k] = xmin[stop], st[stop]
+            low = x1[stop] < x2[stop]
+            fl[k] = np.where(low, f1[stop], f2[stop])
+            fr[k] = np.where(low, f2[stop], f1[stop])
+            go = ~stop
+            active = active[go]
+            x1, f1, x2, f2, ftol, dx, tol = (
+                a[go] for a in (x1, f1, x2, f2, ftol, dx, tol))
+            if x3 is not None:
+                x3, f3 = x3[go], f3[go]
+            args = [a[go] for a in args]
+        if not active.size:
+            break
+        if x3 is not None:
+            # inverse quadratic interpolation where it is safe, else bisect
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1 = (x1 - x2) / (x3 - x2)
+                phi1 = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        xn = x1 + t * (x2 - x1)
+        fn = np.asarray(f(xn, *args), dtype=float)
+        keep = np.sign(fn) == np.sign(f1)
+        x3, f3 = np.where(keep, x1, x2), np.where(keep, f1, f2)
+        x2, f2 = np.where(keep, x2, x1), np.where(keep, f2, f1)
+        x1, f1 = xn, fn
+        nit += 1
+
     if np.any(status == -1):
         k = int(np.argmax(status == -1))
-        flo, fhi = (np.atleast_1d(v)[k] for v in res.f_bracket)
         raise BracketError(f"{int(np.sum(status == -1))} bracket(s) without "
-                           f"a sign change (first: f = {flo:.3e}, {fhi:.3e})")
+                           f"a sign change (first: f = {fl[k]:.3e}, "
+                           f"{fr[k]:.3e})")
     if np.any(status != 0):
         raise RuntimeError(f"root solve failed with status "
                            f"{int(status[np.argmax(status != 0)])}")
-    return float(res.x) if np.ndim(res.x) == 0 else res.x
+    return float(x[0]) if shape == () else x.reshape(shape)
 
 
 def scan_brackets(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

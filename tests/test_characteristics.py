@@ -7,7 +7,8 @@ from nematic_walls.characteristics import (CharacteristicArc,
                                            CharacteristicFamily, NoConvergence,
                                            arc_point, arc_tangent_normal,
                                            check_foliation, family_jacobian,
-                                           invert_family, invert_family_batch)
+                                           invert_family, invert_family_batch,
+                                           pchip)
 
 
 def rk4_arc(x0, y0, th0, v0, t_end, h=1e-4):
@@ -270,3 +271,55 @@ def test_family_from_samples_monotone_interp():
     _, _, _, vi = fam.point(ss, np.zeros_like(ss))
     assert np.all(np.diff(vi) > 0)  # monotonicity preserved by the interpolant
     assert float(fam.t_star(0.3)) == 0.5
+
+
+def _assert_pchip_matches_scipy(x, y):
+    from scipy.interpolate import PchipInterpolator
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    span = x[-1] - x[0]
+    mids = 0.5 * (x[1:] + x[:-1])
+    rng = np.random.default_rng(len(x))
+    xe = np.concatenate([x, mids, rng.uniform(x[0], x[-1], 257),
+                         x[0] - span * np.array([1e-12, 0.01, 0.5]),
+                         x[-1] + span * np.array([1e-12, 0.01, 0.5])])
+    got = pchip(x, y)(xe)
+    ref = PchipInterpolator(x, y)(xe)
+    assert got.tobytes() == ref.tobytes()
+    assert float(pchip(x, y)(x[1])) == float(PchipInterpolator(x, y)(x[1]))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [2.0, -1.0]),                           # two points: a line
+    ([0.0, 1.0, 3.0], [1.0, 1.0, 1.0]),                  # constant
+    ([0.0, 0.5, 2.0, 2.5, 4.0], [0.0, 1.0, 1.0, -2.0, 3.0]),  # flat, turns
+    ([-1.0, 0.0, 0.1, 3.0, 3.2, 7.0], [-0.0, 0.0, 5.0, -1e-3, 2.0, 2.0]),
+    (np.linspace(0.0, 1.0, 40) ** 2, np.sin(9.0 * np.linspace(0.0, 1.0, 40))),
+    # -0.0 at a knot where every coefficient is negative: SciPy returns +0.0
+    ([0.0, 0.25, 1.0, 4.0], [-0.0, -0.5, -3.0, -5.5]),
+])
+def test_pchip_matches_scipy_bitwise(x, y):
+    _assert_pchip_matches_scipy(x, y)
+
+
+def test_pchip_matches_scipy_on_wall_traces(monkeypatch):
+    """Every interpolant the cross-tie and degree -1 constructions build
+    (wall angle and divergence traces, dense curvature tables)."""
+    from nematic_walls import crosstie, disc
+    data = []
+
+    def recording(x, y):
+        data.append((x, y))
+        return pchip(x, y)
+
+    monkeypatch.setattr(crosstie, "pchip", recording)
+    monkeypatch.setattr(disc, "pchip", recording)
+    crosstie.build_crosstie(1.0, 1.0)
+    disc.build_deg_minus_one(0.6, 0.5)
+    assert len(data) == 8
+    for x, y in data:
+        _assert_pchip_matches_scipy(x, y)
+
+
+def test_pchip_rejects_unsorted_abscissae():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pchip([0.0, 2.0, 1.0], [0.0, 1.0, 2.0])

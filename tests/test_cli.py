@@ -1,11 +1,39 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nematic_walls
 from nematic_walls.cli import RunConfig, dispatch, main, validate
+
+SCIPY_PARTS = ("scipy.optimize", "scipy.interpolate", "scipy.special",
+               "scipy.linalg")
+
+
+def _loaded_after(module: str) -> set:
+    """Which of SCIPY_PARTS a fresh interpreter holds after importing module."""
+    src = str(Path(nematic_walls.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (f"import sys, {module}; "
+            f"print(' '.join(m for m in {SCIPY_PARTS!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    """The constructions need numpy only; SciPy's banded Cholesky loads with
+    the gradient flow."""
+    assert _loaded_after("nematic_walls.cli") == set()
+    flow = _loaded_after("nematic_walls.gradflow")
+    assert "scipy.linalg" in flow
+    assert not flow & {"scipy.optimize", "scipy.interpolate"}
 
 
 def test_rect1d_values(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize.elementwise import find_root
 
 from nematic_walls import crosstie, disc
 from nematic_walls.rootfind import BracketError, bracketed_root
@@ -37,6 +38,83 @@ def test_shifted_cubics(cases, layout):
         assert x.shape == np.shape(r)
     assert np.all((lo <= x) & (x <= hi))
     assert np.all(np.abs(x - r) <= 1e-14 * np.maximum(np.abs(r), 1.0))
+
+
+def _recording(f, calls):
+    def g(x, *args):
+        calls.append(np.array(x))
+        return f(x, *args)
+    return g
+
+
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0), _widths, _widths,
+                          st.sampled_from([-1.0, 1.0])),
+                min_size=1, max_size=12),
+       st.sampled_from(["scalar", "1d", "2d"]),
+       st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_matches_scipy_find_root_bitwise(cases, layout, xtol):
+    """Same roots to the bit, and f called on the same points in the same
+    order: the port keeps SciPy's tolerances, steps and stop order."""
+    r, dl, dr, c = (np.array(v) for v in zip(*cases))
+    dr = np.where((dl == 0.0) & (dr == 0.0), 1.0, dr)
+    lo, hi = r - dl, r + dr
+    if layout == "scalar":
+        r, lo, hi, c = r[0], lo[0], hi[0], c[0]
+    elif layout == "2d":
+        r, lo, hi, c = (np.stack([v, v[::-1]]) for v in (r, lo, hi, c))
+    ours, theirs = [], []
+    x = bracketed_root(_recording(_cubic, ours), lo, hi, args=(r, c),
+                       xtol=xtol)
+    res = find_root(_recording(_cubic, theirs), (lo, hi), args=(r, c),
+                    tolerances={"xatol": xtol} if xtol > 0 else None)
+    assert np.all(res.status == 0)
+    assert np.asarray(x).tobytes() == np.asarray(res.x).tobytes()
+    assert len(ours) == len(theirs)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: 1e-310 * (x - 0.3), 0.0, 1.0),      # |f| below tiny: stops
+    (lambda x: np.sign(x - 0.3), 0.0, 1.0),        # a jump, not a root
+    (lambda x: np.where(x > 0.5, np.nan, x - 0.25), 0.0, 1.0),  # NaN at hi
+    (lambda x: (x - 0.25) ** 3, 0.0, 1.0),         # flat at the root
+    (lambda x: x - 0.3, 1.0, 0.0),                 # reversed bracket
+    (lambda x: np.exp(x) - 2.0, -700.0, 700.0),    # wide range of |f|
+])
+def test_matches_scipy_find_root_on_hard_residuals(f, lo, hi):
+    """Same roots, or a RuntimeError where SciPy reports a failed status
+    (the NaN case: one bracket ends with NaN at both ends)."""
+    lo, hi = np.array([lo, lo + 1e-3]), np.array([hi, hi])
+    ours, theirs = [], []
+    res = find_root(_recording(f, theirs), (lo, hi))
+    if np.all(res.status == 0):
+        x = bracketed_root(_recording(f, ours), lo, hi)
+        assert x.tobytes() == res.x.tobytes()
+    else:
+        with pytest.raises(RuntimeError, match=f"status {min(res.status)}"):
+            bracketed_root(_recording(f, ours), lo, hi)
+    assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+
+
+def test_same_sign_bracket_matches_scipy_status():
+    lo = np.array([-1.0, 1.0, 2.0, -3.0])
+    hi = np.array([1.0, 2.0, 5.0, 3.0])
+    assert list(find_root(_cubic, (lo, hi), args=(0.0, 1.0)).status) \
+        == [0, -1, -1, 0]
+    with pytest.raises(BracketError, match=r"^2 bracket\(s\) without a sign "
+                       r"change \(first: f = 2\.000e\+00, 1\.000e\+01\)"):
+        bracketed_root(_cubic, lo, hi, args=(0.0, 1.0))
+
+
+def test_nan_residual_raises_runtime_error():
+    def nan(x):
+        return np.full(np.shape(x), np.nan)
+
+    assert find_root(nan, (0.0, 1.0)).status == -3
+    with pytest.raises(RuntimeError, match="status -3"):
+        bracketed_root(nan, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="status -3"):
+        bracketed_root(nan, np.zeros(3), np.ones(3))
 
 
 def test_endpoint_roots_are_exact():
