@@ -251,11 +251,10 @@ def run_crosstie(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
-    per_len = crosstie_mod.crosstie_energy_per_length(sol)
     eb = crosstie_mod.crosstie_energy_breakdown(sol)
     _write_report(out, "energy.json", eb, p.with_(T=sol.T), extra={
         "T_tilde": sol.T_tilde, "T": sol.T, "alpha": sol.alpha,
-        "t1_star": sol.t1_star, "energy_per_length": per_len,
+        "t1_star": sol.t1_star, "energy_per_length": eb.total / (2 * sol.T),
         "tangency_mismatch": sol.tangency_mismatch,
         "wall_residual": sol.wall_residual(),
     })

@@ -121,6 +121,8 @@ def test_crosstie_artifacts(tmp_path):
     data = json.loads((out / "energy.json").read_text())
     assert data["tangency_mismatch"] < 1e-9
     assert data["wall_residual"] < 1e-8
+    # one E0 per run: the per-length value is the reported total over 2T
+    assert data["energy_per_length"] == data["total"] / (2 * data["T"])
     assert (out / "field.csv").exists()
     assert (out / "divergence_contours.csv").exists()
 
