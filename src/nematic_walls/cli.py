@@ -126,13 +126,14 @@ def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
                         theta: Optional[np.ndarray] = None) -> None:
     """divergence_contours.csv: the 9 levels splitting [min v, max v] into
     10 equal bins; angle_contours.csv, when the director angle theta is
-    given: 13 levels evenly spaced over 0.99 (-pi, pi)."""
+    given: 13 levels evenly spaced over 0.99 (-pi, pi), off the branch cut
+    of theta."""
     div_levels = np.linspace(v.min(), v.max(), 11)[1:-1]
     contours_to_csv(level_curves(grid, v, div_levels),
                     out / "divergence_contours.csv")
     if theta is not None:
         ang_levels = np.linspace(-math.pi * 0.99, math.pi * 0.99, 13)
-        contours_to_csv(level_curves(grid, theta, ang_levels),
+        contours_to_csv(level_curves(grid, theta, ang_levels, angle=True),
                         out / "angle_contours.csv")
 
 

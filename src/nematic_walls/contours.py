@@ -12,7 +12,7 @@ chaining of segments into polylines walks them one by one.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,13 +42,17 @@ _SEGMENTS = _segment_table()
 
 
 def marching_squares(F: np.ndarray, X: np.ndarray, Y: np.ndarray,
-                     level: float) -> List[np.ndarray]:
+                     level: float, mask: Optional[np.ndarray] = None
+                     ) -> List[np.ndarray]:
     """Polylines of the level set {F = level}; F, X, Y share a (n1, n2)
-    node layout."""
+    node layout.  Cells where the (n1 - 1, n2 - 1) boolean mask is set
+    are skipped (case 0)."""
     F = np.asarray(F, dtype=float)
     X, Y = np.asarray(X), np.asarray(Y)
     a = (F > level).astype(np.uint8)
     case = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
+    if mask is not None:
+        case[mask] = 0
     ci, cj = np.nonzero((case != 0) & (case != 15))  # row-major cell order
     if ci.size == 0:
         return []
@@ -120,14 +124,17 @@ def _chain(ends: np.ndarray) -> List[np.ndarray]:
     return polys
 
 
-def level_curves(grid: Grid2D, F: np.ndarray, levels) -> dict:
+def level_curves(grid: Grid2D, F: np.ndarray, levels,
+                 angle: bool = False) -> dict:
     """{level: marching_squares polylines} of the nodal field F on grid.
 
     Periodic grids get their seam cells: the first node column (theta = 0)
     of a polar grid, or the first node row of a periodic_x rectangle, is
     appended after the last one (at x = x_hi on the rectangle), so a curve
     that crosses the seam stays one polyline and a closed curve comes back
-    closed.
+    closed.  With angle=True, F is an angle in [-pi, pi]: cells whose
+    corner values span more than pi straddle the branch cut, where F jumps
+    by 2 pi, and are skipped.
     """
     X, Y = grid.nodes_xy()
     F = np.asarray(F, dtype=float)
@@ -136,7 +143,11 @@ def level_curves(grid: Grid2D, F: np.ndarray, levels) -> dict:
     elif grid.periodic_x:
         F, Y = (np.concatenate([A, A[:1]], axis=0) for A in (F, Y))
         X = np.concatenate([X, np.full_like(X[:1], grid.extents[1])], axis=0)
-    return {lv: marching_squares(F, X, Y, lv) for lv in levels}
+    mask = None
+    if angle:
+        corners = np.stack([F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]])
+        mask = corners.max(axis=0) - corners.min(axis=0) > np.pi
+    return {lv: marching_squares(F, X, Y, lv, mask) for lv in levels}
 
 
 def contours_to_csv(levels_polys: dict, path) -> None:

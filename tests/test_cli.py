@@ -127,6 +127,17 @@ def test_crosstie_artifacts(tmp_path):
     assert (out / "divergence_contours.csv").exists()
 
 
+def test_crosstie_angle_contours_stay_off_the_branch_cut(tmp_path):
+    """On the bottom wall row u = (-1, +-0), so arctan2(u2, u1) flips
+    between pi and -pi there; no angle level curve may run along y = -H."""
+    out = tmp_path / "ct"
+    assert main(["crosstie", "--L", "1", "--H", "1", "--nx", "96", "--ny",
+                 "128", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "angle_contours.csv", delimiter=",", skiprows=1)
+    assert len(set(rows[:, 0])) == 13
+    assert not np.any(rows[:, 3] == -1.0)
+
+
 def test_crosstie_sweep_csv(tmp_path):
     out = tmp_path / "sw"
     assert main(["crosstie-sweep", "--lmin", "1.15", "--lmax", "1.35",

@@ -224,6 +224,51 @@ def test_random_fields_match_reference(n1, n2, seed, kind, coords, level):
     assert_matches_reference(F, X, Y, level)
 
 
+def _segments(polys):
+    """The polylines' segments, each as a sorted pair of endpoints rounded
+    to 1e-9 (a vertex shared by two cells is computed in each cell, with
+    the edge oriented either way, and chaining keeps one of the two)."""
+    return sorted(tuple(sorted((tuple(np.round(p[k], 9)),
+                                tuple(np.round(p[k + 1], 9)))))
+                  for p in polys for k in range(len(p) - 1))
+
+
+@given(st.integers(2, 10), st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
+       st.floats(-0.9, 0.9))
+def test_masked_cells_take_case_zero(n1, n2, seed, level):
+    """A mask drops exactly the masked cells' segments; an all-False mask
+    changes nothing."""
+    rng = np.random.default_rng(seed)
+    X, Y = _unit_square(n1, n2)
+    F = rng.uniform(-1.0, 1.0, size=(n1, n2))
+    mask = rng.random((n1 - 1, n2 - 1)) < 0.4
+    kept = []
+    for i, j in zip(*np.nonzero(~mask)):
+        cell = np.s_[i:i + 2, j:j + 2]
+        kept += _segments(marching_squares(F[cell], X[cell], Y[cell], level))
+    assert _segments(marching_squares(F, X, Y, level, mask)) == sorted(kept)
+    plain = marching_squares(F, X, Y, level)
+    unmasked = marching_squares(F, X, Y, level, np.zeros_like(mask))
+    assert len(plain) == len(unmasked)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, unmasked))
+
+
+def test_angle_level_curves_skip_the_branch_cut():
+    """An angle field that winds once around the polar grid jumps by 2 pi
+    across one ray; its level curves are the other rays only."""
+    grid = make_grid(POLAR, (0.1, 1.0), 8, 32)
+    X, Y = grid.nodes_xy()
+    theta = np.arctan2(Y, X)
+    levels = [-2.5, -1.0, 0.0, 1.0, 2.5, 3.0]
+    for lv, polys in level_curves(grid, theta, levels, angle=True).items():
+        (poly,) = polys
+        assert np.allclose(np.arctan2(poly[:, 1], poly[:, 0]), lv,
+                           rtol=0, atol=0.05)
+    # without the mask, 3.0 also runs along the cut, just below -x
+    plain = level_curves(grid, theta, [3.0])[3.0]
+    assert len(plain) == 2 and np.vstack(plain)[:, 1].min() < 0.0
+
+
 def test_contours_csv_bytes_match_per_row_format(tmp_path):
     awkward = np.array([0.0, -0.0, 5e-324, -1.5e-310, 0.1 + 0.2, 1 / 3,
                         -2 / 3 * 1e-300, 1.7976931348623157e308])
