@@ -47,13 +47,17 @@ def bracketed_root(f: Callable, lo, hi, args=(), xtol: float = 0.0):
     x1, x2 = x1.ravel(), x2.ravel()
     args = [np.ravel(a).copy() for a in args]
     xatol = xtol if xtol > 0 else 4 * _TINY
+    # fatol + frtol min |f(end)| with frtol = 0, as SciPy forms it: NaN
+    # where an end value is NaN or infinite, which turns the f test off
     ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
 
     n = x1.size
     active = np.arange(n)  # output index of each working element
-    x = np.zeros(n)
-    status = np.zeros(n, dtype=int)  # 0 converged, -1 no sign change,
-    fl, fr = np.zeros(n), np.zeros(n)  # -2 iteration cap, -3 NaN
+    # per element: the root, f at the low and high end of the final
+    # bracket, and the status: 0 converged, -1 no sign change, -2
+    # iteration cap, -3 NaN (1 while in progress)
+    x, fl, fr = np.zeros(n), np.zeros(n), np.zeros(n)
+    status = np.zeros(n, dtype=int)
     x3 = f3 = None
     t = 0.5
     nit = 0
