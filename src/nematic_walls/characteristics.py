@@ -11,6 +11,12 @@ Convention: arcs are marched along +u^perp, so the parameter t is arclength,
 d theta/dt = v0 and the stored v0 is the physical divergence carried by the
 arc.  Positions are evaluated in the cancellation-free sinc form, which is
 exact in the straight-line limit v0 -> 0.
+
+The coordinate Jacobian det d(x,y)/d(s,t), which weighs E0's bulk term and
+the foliation checks, is also closed-form along each arc (`arc_jacobian`):
+it needs the seed and its s-derivatives at the arc's foot, not the arc's
+positions.  `family_jacobian` takes those derivatives by central
+differences of the seed.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from .core import JumpSegment
 # form is continuous through the threshold, so this is documentation more
 # than a numerical necessity.
 STRAIGHT_LINE_THRESHOLD = 1e-8
+
+# Central-difference step of the seed derivatives in family_jacobian,
+# relative to max(s-span, 1).
+SEED_DIFF_STEP = 1e-6
 
 
 def _sinc(z):
@@ -185,28 +195,51 @@ class CharacteristicFamily:
         return x, y, theta, np.broadcast_to(v0, theta.shape)
 
 
-def family_jacobian(family: CharacteristicFamily, s, t, ds: Optional[float] = None):
-    """det d(x,y)/d(s,t): analytic t-derivatives, central FD in s.
+def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):
+    """det d(x,y)/d(s,t) = (dp/ds) . u along arcs, from the seed (theta0,
+    v0) and its s-derivatives (x0', y0', theta0', v0'); broadcasting.
 
-    One-sided differences are used at the ends of s_range.  Vectorized over
-    matching-shape s and t arrays.
+    Along an arc, J = x_s cos theta + y_s sin theta and K = -x_s sin theta
+    + y_s cos theta obey J' = -theta0' + v0 K and K' = -v0 J, so
+
+        J = J0 cos(v0 t) + K0 sin(v0 t) - theta0' t sinc(v0 t)
+            - v0' (t^2/2) sinc^2(v0 t/2),
+
+    with J0, K0 the values at t = 0.  In the half angle h = v0 t/2 and
+    S = t sinc(h): cos(v0 t) = 1 - v0 S sin h, sin(v0 t) = v0 S cos h and
+    (1 - cos(v0 t))/v0^2 = S^2/2, so a point costs one sin and one cos.
+    S = t where h = 0, which covers straight arcs (v0 = 0).
+    """
+    c0, s0 = np.cos(theta0), np.sin(theta0)
+    J0 = x0_s * c0 + y0_s * s0
+    K0 = y0_s * c0 - x0_s * s0
+    h = 0.5 * v0 * t
+    sh, ch = np.sin(h), np.cos(h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        S = t * np.where(h != 0.0, sh / h, 1.0)
+    return J0 + S * ((v0 * K0 - theta0_s) * ch - (v0 * J0) * sh
+                     - (0.5 * v0_s) * S)
+
+
+def family_jacobian(family: CharacteristicFamily, s, t):
+    """(J, v0): the Jacobian det d(x,y)/d(s,t) of `arc_jacobian` on the
+    broadcast shape of s and t, and the arcs' divergence on the shape of s.
+
+    The seed derivatives are central differences of family.seed over
+    SEED_DIFF_STEP (one-sided at the ends of s_range), taken on s alone:
+    pass s as a column against a t-grid to evaluate the seed three times
+    in all, once per arc at s and at s +- ds.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     s_lo, s_hi = family.s_range
-    if ds is None:
-        ds = 1e-6 * max(s_hi - s_lo, 1.0)
+    ds = SEED_DIFF_STEP * max(s_hi - s_lo, 1.0)
     sp = np.minimum(s + ds, s_hi)
     sm = np.maximum(s - ds, s_lo)
-    xp, yp, _, _ = family.point(sp, t)
-    xm, ym, _, _ = family.point(sm, t)
-    denom = sp - sm
-    x_s = (xp - xm) / denom
-    y_s = (yp - ym) / denom
-    _, _, theta, _ = family.point(s, t)
-    x_t = -np.sin(theta)
-    y_t = np.cos(theta)
-    return x_s * y_t - x_t * y_s
+    _, _, th0, v0 = (np.asarray(a, dtype=float) for a in family.seed(s))
+    derivs = ((np.asarray(p, dtype=float) - m) / (sp - sm)
+              for p, m in zip(family.seed(sp), family.seed(sm)))
+    return arc_jacobian(th0, v0, *derivs, t), v0
 
 
 def invert_family(family: CharacteristicFamily, x: float, y: float,
@@ -367,9 +400,8 @@ def check_foliation(family: CharacteristicFamily, ns: int = 16, nt: int = 16,
                                  + (1 - 2 * interior_margin)
                                  * np.linspace(0.0, 1.0, ns))
     taus = interior_margin + (1 - 2 * interior_margin) * np.linspace(0.0, 1.0, nt)
-    S, Tau = np.meshgrid(ss, taus, indexing="ij")
-    T_ = Tau * np.maximum(family.t_star(S), 0.0)
-    J = family_jacobian(family, S, T_)
+    T_ = taus * np.maximum(family.t_star(ss), 0.0)[:, None]
+    J, _ = family_jacobian(family, ss[:, None], T_)
     jmin, jmax = float(J.min()), float(J.max())
     sign_consistent = bool(jmin > 0.0 or jmax < 0.0)
 

@@ -376,6 +376,25 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
 
 # --- pointwise evaluation on the period cell ----------------------------------
 
+def region1_seed_offset(x, y, T: float, H: float):
+    """d = T - s of the region-I arc through each point with x <= T.
+
+    The arc seeded at s leaves the vortex (T, 0) on the circle of centre
+    (T + (H^2 - d^2)/(2d), H).  With X = x - T and Q = X^2 + (y-H)^2 - H^2,
+    its circle residual times d is X d^2 + Q d - H^2 X, whose positive root
+    is taken in the form free of cancellation: (Q + r)/(-2X) for Q >= 0 and
+    2 H^2 |X|/(r - Q) for Q < 0, with r = sqrt(Q^2 + 4 H^2 X^2).  Points on
+    x = T get d = 0 exactly.
+    """
+    X = np.asarray(x, dtype=float) - T
+    y = np.asarray(y, dtype=float)
+    Q = X * X + y * (y - 2.0 * H)
+    r = np.hypot(Q, 2.0 * H * X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(Q >= 0.0, (Q + r) / (-2.0 * X),
+                        2.0 * H * H * np.abs(X) / (r - Q))
+
+
 def _arc_root_or_end(circle, lo, hi, x, y):
     """Arc parameter in [lo, hi] of the circle through each point, solved
     on the whole interval; a point whose residual keeps its sign there (the
@@ -411,20 +430,11 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     mI = (dist <= 1.0 / alpha) & ~near_gamma
     if mI.any():
         xi, yi = x[mI], y[mI]
-
-        def circleI(s):
-            d = T - s
-            R = 0.5 * d + H * H / (2.0 * np.maximum(d, 1e-300))
-            cx = 0.5 * (T + s) + H * H / (2.0 * np.maximum(d, 1e-300))
-            return cx, H, R * R
-
-        s1 = _arc_root_or_end(circleI, 0.0, T * (1.0 - 1e-12), xi, yi)
-        d = T - s1
-        vv = -2.0 * d / (d * d + H * H)
-        g = -1.0 / np.where(vv != 0, vv, -1e-300)
-        cx, _, _ = circleI(s1)
-        theta[mI] = np.arctan2((H - yi) / g, (cx - xi) / g)
-        v[mI] = vv
+        d = region1_seed_offset(xi, yi, T, H)
+        # direction to the arc's centre, scaled by 2d > 0
+        theta[mI] = np.arctan2(2.0 * d * (H - yi),
+                               H * H - d * (2.0 * (xi - T) + d))
+        v[mI] = -2.0 * d / (d * d + H * H)
 
     rem = ~mI & ~near_gamma
     if rem.any():

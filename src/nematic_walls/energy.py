@@ -8,8 +8,12 @@ Three evaluators live here:
   exact gradient of this discrete energy.
 * eval_E0_piecewise: the limiting wall-energy functional on an assembled
   piecewise critical field.  Bulk divergence is integrated per family in
-  characteristic coordinates, sum over s-t panels of v0(s)^2 |J|; walls are
-  cubic-jump line integrals over the stored jump segments.
+  characteristic coordinates, sum over s-t panels of v0(s)^2 |J|, with the
+  Jacobian J in closed form along each arc
+  (`characteristics.family_jacobian`): the seed is evaluated three times
+  per family, at the s-nodes and at s +- ds, and a grid point costs one
+  sin and one cos.  Walls are cubic-jump line integrals over the stored
+  jump segments.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
 
 Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
@@ -118,56 +122,36 @@ def wall_energy(seg: JumpSegment, order: int = 8) -> float:
 
 # --- E0 on piecewise critical fields ---------------------------------------
 
-def _family_jacobian_grid(family: CharacteristicFamily, s_nodes, T, ds=None):
-    """|J| on the (s_nodes x tau) grid with seeds evaluated once per s-node
-    (the seed solves dominate the cost for root-defined families)."""
-    from .characteristics import arc_xy
-    s_lo, s_hi = family.s_range
-    if ds is None:
-        ds = 1e-6 * max(s_hi - s_lo, 1.0)
-    sp = np.minimum(s_nodes + ds, s_hi)
-    sm = np.maximum(s_nodes - ds, s_lo)
-    col = lambda a: np.asarray(a, dtype=float)[:, None]
-    x0, y0, th0, v0 = (col(a) for a in family.seed(s_nodes))
-    xp0, yp0, thp0, vp0 = (col(a) for a in family.seed(sp))
-    xm0, ym0, thm0, vm0 = (col(a) for a in family.seed(sm))
-    _, _, theta = arc_xy(x0, y0, th0, v0, T)
-    xp, yp, _ = arc_xy(xp0, yp0, thp0, vp0, T)
-    xm, ym, _ = arc_xy(xm0, ym0, thm0, vm0, T)
-    denom = (sp - sm)[:, None]
-    x_s = (xp - xm) / denom
-    y_s = (yp - ym) / denom
-    J = x_s * np.cos(theta) + y_s * np.sin(theta)
-    return J, np.broadcast_to(v0, J.shape)
+def _family_grid(family: CharacteristicFamily, s_panels: int, t_panels: int,
+                 order: int):
+    """|J| on the composite Gauss-Legendre rule over the family's (s, t)
+    region, with the s-weights times t_star(s), the tau-weights and v0 at
+    the s-nodes.
 
-
-def family_bulk_integral(family: CharacteristicFamily, s_panels: int = 64,
-                         t_panels: int = 64, order: int = 8) -> float:
-    """integral of v0(s)^2 |J(s,t)| over the family's (s, t) region.
-
-    t is mapped panel-wise onto [0, t_star(s)] per s-node, so the panel
-    layout follows the region.
+    t is mapped panel-wise onto [0, t_star(s)] per s-node (t = tau t*), so
+    the panel layout follows the region.
     """
     s_lo, s_hi = family.s_range
     s_nodes, s_w = composite_nodes(s_lo, s_hi, s_panels, order)
     tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
-    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)[:, None]
-    T = tau_nodes[None, :] * ts
-    J, V = _family_jacobian_grid(family, s_nodes, T)
-    integrand = (V ** 2) * np.abs(J) * ts
-    return float(s_w @ integrand @ tau_w)
+    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)
+    J, v0 = family_jacobian(family, s_nodes[:, None],
+                            tau_nodes * ts[:, None])
+    return np.abs(J), s_w * ts, tau_w, v0[:, 0]
+
+
+def family_bulk_integral(family: CharacteristicFamily, s_panels: int = 64,
+                         t_panels: int = 64, order: int = 8) -> float:
+    """integral of v0(s)^2 |J(s,t)| over the family's (s, t) region."""
+    absJ, s_w, tau_w, v0 = _family_grid(family, s_panels, t_panels, order)
+    return float((s_w * v0 ** 2) @ absJ @ tau_w)
 
 
 def family_area(family: CharacteristicFamily, s_panels: int = 64,
                 t_panels: int = 64, order: int = 8) -> float:
     """integral of |J| -- the area covered by the family (foliation check)."""
-    s_lo, s_hi = family.s_range
-    s_nodes, s_w = composite_nodes(s_lo, s_hi, s_panels, order)
-    tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
-    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)[:, None]
-    T = tau_nodes[None, :] * ts
-    J, _ = _family_jacobian_grid(family, s_nodes, T)
-    return float(s_w @ (np.abs(J) * ts) @ tau_w)
+    absJ, s_w, tau_w, _ = _family_grid(family, s_panels, t_panels, order)
+    return float(s_w @ absJ @ tau_w)
 
 
 class FoliationError(RuntimeError):

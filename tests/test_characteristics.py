@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nematic_walls.characteristics import (CharacteristicArc,
                                            CharacteristicFamily, NoConvergence,
-                                           arc_point, arc_tangent_normal,
+                                           arc_jacobian, arc_point,
+                                           arc_tangent_normal, arc_xy,
                                            check_foliation, family_jacobian,
                                            invert_family, invert_family_batch,
                                            pchip)
@@ -160,7 +163,8 @@ class TestInversion:
 
 class TestJacobian:
     def test_parallel_lines_unit(self):
-        assert family_jacobian(lines_family(), 0.5, 0.3) == pytest.approx(1.0, abs=1e-9)
+        J, v = family_jacobian(lines_family(), 0.5, 0.3)
+        assert J == pytest.approx(1.0, abs=1e-9) and v == 0.0
 
     def test_arclength_seed_unit_speed(self):
         # the wedge family's seed curve is arclength-parametrized
@@ -188,7 +192,51 @@ class TestJacobian:
         for _ in range(10):
             s = rng.uniform(0.25, 0.95)
             t = rng.uniform(0.05, 0.75)
-            assert abs(family_jacobian(fam, s, t) - fd_jac(s, t)) < 1e-6
+            assert abs(family_jacobian(fam, s, t)[0] - fd_jac(s, t)) < 1e-6
+
+    def test_column_s_broadcasts_against_t_grid(self):
+        fam = curved_family()
+        s = np.linspace(0.25, 0.95, 5)
+        t = np.linspace(0.05, 0.75, 7)
+        J, v = family_jacobian(fam, s[:, None], t[None, :])
+        S, T_ = np.meshgrid(s, t, indexing="ij")
+        J2, v2 = family_jacobian(fam, S, T_)
+        assert J.shape == (5, 7) and v.shape == (5, 1)
+        assert np.array_equal(J, J2) and np.array_equal(v[:, 0], v2[:, 0])
+
+
+# seeds quadratic in s: x0, y0, theta0, v0 = c0 + c1 s + c2 s^2
+_coef = st.floats(-2.0, 2.0)
+_quad = st.tuples(_coef, _coef, _coef)
+
+
+@given(x=_quad, y=_quad, th=_quad,
+       v=st.one_of(st.just((0.0, 0.0, 0.0)),      # straight lines
+                   st.tuples(st.just(0.0), _coef, _coef),  # v0 = 0 at s
+                   st.tuples(st.floats(-1e-9, 1e-9), _coef, _coef),
+                   _quad),
+       s=st.floats(-1.0, 1.0), frac=st.floats(0.0, 1.0))
+def test_arc_jacobian_matches_complex_step(x, y, th, v, s, frac):
+    """The closed form equals (d/ds of arc_xy) . u, the s-derivative by
+    complex step Im f(s + ih)/h (no subtractive error), to 1e-12 of the
+    size of its terms; |v0 t| ranges up to 2 pi, v0 may vanish, be tiny or
+    change sign along s."""
+    def seed(z):
+        return tuple(c[0] + c[1] * z + c[2] * z * z for c in (x, y, th, v))
+
+    def dseed(z):
+        return tuple(c[1] + 2.0 * c[2] * z for c in (x, y, th, v))
+
+    x0, y0, th0, v0 = seed(s)
+    t = frac * (2.0 * math.pi / abs(v0) if abs(v0) > 1.0 else 2.0)
+    h = 1e-20
+    xc, yc, _ = arc_xy(*seed(complex(s, h)), t)
+    _, _, theta = arc_xy(x0, y0, th0, v0, t)
+    J_cs = (xc.imag * math.cos(theta) + yc.imag * math.sin(theta)) / h
+    xs, ys, ths, vs = dseed(s)
+    J = arc_jacobian(th0, v0, xs, ys, ths, vs, t)
+    scale = abs(xs) + abs(ys) + abs(ths) * t + abs(vs) * t * t
+    assert abs(J - J_cs) <= 1e-12 * max(scale, 1.0)
 
 
 class TestFoliation:

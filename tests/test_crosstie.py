@@ -8,7 +8,7 @@ from nematic_walls.core import Params
 from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     crosstie_field_sample, find_crossing,
                                     period_equation_residual,
-                                    region2_theta_star, region3_seed_angle,
+                                    region1_seed_offset, region2_theta_star, region3_seed_angle,
                                     region3_v, remark_crosstie_energy,
                                     remark_crosstie_field, remark_crosstie_map,
                                     remark_tail_integral, solve_Ttilde,
@@ -183,6 +183,29 @@ class TestFieldSample:
         u1, u2, _ = crosstie_field_sample(s, x, np.full_like(x, 0.9999999))
         assert np.abs(u1 - 1.0).max() < 1e-3
         assert np.abs(u2).max() < 1e-3
+
+    @pytest.mark.parametrize("lh", [1.0, 1.25, 2.0])
+    def test_roundtrip_region1_near_vortex_line(self, lh):
+        """Arcs seeded d = T - s from x = T, mapped forward and back: the
+        seed offset, u and v come back to roundoff down to d = 1e-10, and
+        the line x = T itself is the arc s = T."""
+        s = build_crosstie(lh, 1.0)
+        fam = s.region1
+        for d in 10.0 ** -np.arange(2, 11):
+            ss = np.full(9, s.T - d)
+            tt = np.linspace(0.1, 0.9, 9) * fam.t_star(ss)
+            x, y, th, v = fam.point(ss, tt)
+            back = s.T - region1_seed_offset(x, y, s.T, s.H)
+            assert np.abs(back - ss).max() <= 1e-12
+            u1, u2, vv = crosstie_field_sample(s, x, y)
+            assert np.abs(u1 - np.cos(th)).max() <= 1e-12
+            assert np.abs(u2 - np.sin(th)).max() <= 1e-12
+            assert np.abs(vv - v).max() <= 1e-12
+        y = np.linspace(0.05, 0.95, 19) * s.H
+        x = np.full_like(y, s.T)
+        assert np.all(region1_seed_offset(x, y, s.T, s.H) == 0.0)
+        u1, u2, vv = crosstie_field_sample(s, x, y)
+        assert np.all(u1 == 1.0) and np.all(u2 == 0.0) and np.all(vv == 0.0)
 
     def test_forward_roundtrip_region2(self):
         s = build_crosstie(1.27, 1.0)

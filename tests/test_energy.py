@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nematic_walls import characteristics, crosstie, disc
 from nematic_walls.core import Field2D, Params, make_grid, sample_analytic
 from nematic_walls.disc import hedgehog_solution
 from nematic_walls.energy import (GridProfile1D, WallIntegrand,
                                   criticality_residuals, eval_E0_1d,
                                   eval_E0_piecewise, eval_E_eps, eval_E_eps_1d,
                                   wall_cost_density)
+from nematic_walls.quadrature import composite_nodes
 from nematic_walls.rect1d import OneDProfile, recovery_profile_1d
 
 
@@ -181,3 +183,104 @@ def test_foliation_failure_raises():
     bad = PiecewiseCriticalField(families=[crossing], jumps=[])
     with pytest.raises(FoliationError):
         eval_E0_piecewise(bad, Params(L=1.0), verify_foliation=True)
+
+
+# --- reference: the three-grid finite-difference bulk term the closed-form
+# Jacobian replaced ------------------------------------------------------------
+
+def reference_bulk_integral(family, s_panels, t_panels, order):
+    """integral of v0^2 |J| with J = x_s cos theta + y_s sin theta, x_s and
+    y_s central differences of arc positions on three full s x t grids."""
+    arc_xy = characteristics.arc_xy
+    s_lo, s_hi = family.s_range
+    s_nodes, s_w = composite_nodes(s_lo, s_hi, s_panels, order)
+    tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
+    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)[:, None]
+    T = tau_nodes[None, :] * ts
+    ds = 1e-6 * max(s_hi - s_lo, 1.0)
+    sp = np.minimum(s_nodes + ds, s_hi)
+    sm = np.maximum(s_nodes - ds, s_lo)
+    col = lambda a: np.asarray(a, dtype=float)[:, None]
+    x0, y0, th0, v0 = (col(a) for a in family.seed(s_nodes))
+    xp0, yp0, thp0, vp0 = (col(a) for a in family.seed(sp))
+    xm0, ym0, thm0, vm0 = (col(a) for a in family.seed(sm))
+    _, _, theta = arc_xy(x0, y0, th0, v0, T)
+    xp, yp, _ = arc_xy(xp0, yp0, thp0, vp0, T)
+    xm, ym, _ = arc_xy(xm0, ym0, thm0, vm0, T)
+    denom = (sp - sm)[:, None]
+    J = (xp - xm) / denom * np.cos(theta) + (yp - ym) / denom * np.sin(theta)
+    return float(s_w @ ((v0 ** 2) * np.abs(J) * ts) @ tau_w)
+
+
+def reference_E0(field, params, s_panels=64, t_panels=64, order=8):
+    eb = eval_E0_piecewise(field, params, s_panels, t_panels, order)
+    bulk = sum(reference_bulk_integral(f, s_panels, t_panels, order)
+               for f in field.families)
+    bulk *= 0.5 * params.L * field.symmetry_copies
+    return bulk + eb.wall_interior + eb.wall_boundary, bulk
+
+
+def _assert_matches_reference(field, params, rtol, **rule):
+    eb = eval_E0_piecewise(field, params, **rule)
+    total, bulk = reference_E0(field, params, **rule)
+    assert abs(eb.bulk_div - bulk) <= rtol * abs(bulk)
+    assert abs(eb.total - total) <= rtol * abs(total)
+
+
+@pytest.mark.parametrize("lh", [1.0, 1.2195, 2.0])
+@pytest.mark.parametrize("rule", [dict(s_panels=64, t_panels=64, order=8),
+                                  dict(s_panels=128, t_panels=128, order=4)])
+def test_crosstie_E0_matches_finite_difference_reference(lh, rule):
+    sol = crosstie.build_crosstie(lh, 1.0)
+    _assert_matches_reference(sol.field, Params(L=lh, H=1.0, T=sol.T),
+                              1e-12, **rule)
+
+
+@pytest.mark.parametrize("L", [0.1, 0.5])
+def test_deg_minus_one_E0_matches_finite_difference_reference(L):
+    sol = disc.build_deg_minus_one(0.6, L)
+    _assert_matches_reference(sol.field, Params(L=L, R=0.6), 1e-12,
+                              s_panels=48, t_panels=48)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_hedgehog_E0_matches_finite_difference_reference(sign):
+    """The seed s-range is 2 pi, so ds = 2 pi 1e-6 and the central
+    difference's truncation, a factor 1 - ds^2/6 = 1 - 6.6e-12 on every
+    rotation, is above roundoff.  The reference applies it to the whole
+    of J; the closed form to the seed's position derivative but not to
+    theta0' = 1, which is differenced exactly.  The two may differ by it,
+    and no more."""
+    ds = 2.0 * math.pi * characteristics.SEED_DIFF_STEP
+    _assert_matches_reference(hedgehog_solution(sign), Params(L=2.0),
+                              ds * ds / 6.0 + 1e-12)
+
+
+def test_tangential_E0_matches_finite_difference_reference():
+    field = disc.tangential_solution(1.0)
+    eb = eval_E0_piecewise(field, Params(L=2.0))
+    assert eb.total == reference_E0(field, Params(L=2.0))[0] == 0.0
+
+
+def test_E0_evaluates_no_arc_grid(monkeypatch):
+    """E0's bulk term takes the Jacobian in closed form: no arc positions,
+    and the seed of each family evaluated at most three times (at the
+    s-nodes and at s +- ds)."""
+    def no_arcs(*args):
+        raise AssertionError("arc_xy called during E0")
+
+    monkeypatch.setattr(characteristics, "arc_xy", no_arcs)
+    sol = crosstie.build_crosstie(1.5, 1.0)
+    fields = [(sol.field, Params(L=1.5, H=1.0, T=sol.T)),
+              (disc.build_deg_minus_one(0.6, 0.5).field, Params(L=0.5, R=0.6)),
+              (hedgehog_solution(+1), Params(L=1.0))]
+    for field, params in fields:
+        calls = {}
+        for fam in field.families:
+            def counted(s, seed=fam.seed, label=fam.label):
+                calls[label] = calls.get(label, 0) + 1
+                return seed(s)
+            monkeypatch.setattr(fam, "seed", counted)
+        eval_E0_piecewise(field, params)
+        assert len(calls) == len(field.families)
+        assert max(calls.values()) <= 3
