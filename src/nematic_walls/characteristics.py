@@ -227,8 +227,8 @@ def family_jacobian(family: CharacteristicFamily, s, t):
 
     The seed derivatives are central differences of family.seed over
     SEED_DIFF_STEP (one-sided at the ends of s_range), taken on s alone:
-    pass s as a column against a t-grid to evaluate the seed three times
-    in all, once per arc at s and at s +- ds.
+    pass s as a column against a t-grid to evaluate the seed twice in all,
+    once per arc at s and once on s + ds and s - ds stacked.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -237,8 +237,8 @@ def family_jacobian(family: CharacteristicFamily, s, t):
     sp = np.minimum(s + ds, s_hi)
     sm = np.maximum(s - ds, s_lo)
     _, _, th0, v0 = (np.asarray(a, dtype=float) for a in family.seed(s))
-    derivs = ((np.asarray(p, dtype=float) - m) / (sp - sm)
-              for p, m in zip(family.seed(sp), family.seed(sm)))
+    ends = (np.asarray(a, dtype=float) for a in family.seed(np.stack([sp, sm])))
+    derivs = ((p - m) / (sp - sm) for p, m in ends)
     return arc_jacobian(th0, v0, *derivs, t), v0
 
 

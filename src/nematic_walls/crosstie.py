@@ -206,19 +206,29 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, T), t_star=t_star3,
                                 label="crosstie region III")
 
-    # region II: seeded on Gamma (family I's terminal arc)
+    # region II: seeded on Gamma (family I's terminal arc).  E0's quadrature
+    # asks for t_star2 and seed2 on the same s-nodes, so the last theta* is
+    # kept: it is solved once per node array.
+    last = [np.empty(0), np.empty(0)]  # s-nodes (flat) and their theta*
+
+    def theta_star2(s):
+        flat = s.ravel()
+        if not np.array_equal(flat, last[0]):
+            last[:] = flat.copy(), region2_theta_star(flat, alpha, L)
+        return last[1].reshape(s.shape)
+
     def seed2(s):
         s = np.asarray(s, dtype=float)
         x0 = (1.0 - np.cos(alpha * s)) / alpha
         y0 = H - np.sin(alpha * s) / alpha
         th0 = alpha * s
-        th_star = region2_theta_star(s, alpha, L)
+        th_star = theta_star2(s)
         v = -np.sin(2.0 * th_star) / L
         return (x0, y0, th0, v)
 
     def t_star2(s):
         s = np.asarray(s, dtype=float)
-        th_star = region2_theta_star(s, alpha, L)
+        th_star = theta_star2(s)
         v = -np.sin(2.0 * th_star) / L
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (th_star - alpha * s) / np.where(v != 0.0, v, 1.0)

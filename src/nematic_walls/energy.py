@@ -10,9 +10,9 @@ Three evaluators live here:
   piecewise critical field.  Bulk divergence is integrated per family in
   characteristic coordinates, sum over s-t panels of v0(s)^2 |J|, with the
   Jacobian J in closed form along each arc
-  (`characteristics.family_jacobian`): the seed is evaluated three times
-  per family, at the s-nodes and at s +- ds, and a grid point costs one
-  sin and one cos.  Walls are cubic-jump line integrals over the stored
+  (`characteristics.family_jacobian`): the seed is evaluated twice per
+  family, at the s-nodes and on s +- ds stacked, and a grid point costs
+  one sin and one cos.  Walls are cubic-jump line integrals over the stored
   jump segments.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
 

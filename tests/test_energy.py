@@ -264,8 +264,8 @@ def test_tangential_E0_matches_finite_difference_reference():
 
 def test_E0_evaluates_no_arc_grid(monkeypatch):
     """E0's bulk term takes the Jacobian in closed form: no arc positions,
-    and the seed of each family evaluated at most three times (at the
-    s-nodes and at s +- ds)."""
+    and the seed of each family evaluated at most twice (at the s-nodes,
+    and on s + ds and s - ds stacked)."""
     def no_arcs(*args):
         raise AssertionError("arc_xy called during E0")
 
@@ -283,4 +283,4 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
             monkeypatch.setattr(fam, "seed", counted)
         eval_E0_piecewise(field, params)
         assert len(calls) == len(field.families)
-        assert max(calls.values()) <= 3
+        assert max(calls.values()) <= 2

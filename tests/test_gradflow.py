@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
                                 sample_analytic)
 from nematic_walls.energy import eval_E_eps
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
-                                    _Operators, annulus_bc, angle_field,
+                                    _BlockCyclicReduction, _Operators,
+                                    _free_rows, _probe_blocks, annulus_bc,
+                                    angle_field,
                                     disc_bc, divergence_field,
                                     random_unit_field, rect_bc, rhs)
 
@@ -152,6 +154,63 @@ class TestImplicitSolver:
                               bc.boundary_values(g)[mask])
 
 
+def banded_reference(D, U, b):
+    """Solve the block-tridiagonal systems of `_BlockCyclicReduction(D, U)`
+    for b (2, rows, systems) by SciPy's banded Cholesky: all systems in one
+    Hermitian band with three superdiagonals, upper triangle only."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    n, m = D.shape[2], D.shape[3]
+    ab = np.zeros((4, m, 2 * n), dtype=complex)
+    cols = 2 * np.arange(n)
+    for c2 in range(2):
+        for c in range(2):
+            if c2 <= c:   # row 2r + c2, column 2r + c
+                ab[3 + c2 - c][:, cols + c] = D[c2, c].T
+            # row 2r + c2, column 2r + 2 + c
+            ab[1 + c2 - c][:, cols[1:] + c] = U[c2, c].T
+    cb = cholesky_banded(ab.reshape(4, -1))
+    x = cho_solve_banded((cb, False), b.transpose(2, 1, 0).reshape(-1))
+    return x.reshape(m, n, 2).transpose(2, 1, 0)
+
+
+def block_apply(D, U, x):
+    """The block-tridiagonal matrix of (D, U) times x (2, rows, systems)."""
+    Uh = U.swapaxes(0, 1).conj()
+    y = np.einsum("ijrm,jrm->irm", D, x)
+    y[:, :-1] += np.einsum("ijrm,jrm->irm", U, x[:, 1:])
+    y[:, 1:] += np.einsum("ijrm,jrm->irm", Uh, x[:, :-1])
+    return y
+
+
+class TestBlockCyclicReduction:
+    """Cyclic reduction against LAPACK's banded Cholesky on the operator
+    probed from the flow, cut to row counts around powers of two."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31,
+                                      32, 33])
+    @pytest.mark.parametrize("kind", ["rect", "disc"])
+    @settings(max_examples=4)
+    @given(n_per=hst.integers(4, 21), eps=hst.floats(0.01, 0.2),
+           L=hst.floats(0.05, 2.0), dt_over_eps=hst.floats(0.05, 2.0),
+           seed=hst.integers(0, 1000))
+    def test_matches_banded_cholesky(self, kind, rows, n_per, eps, L,
+                                     dt_over_eps, seed):
+        g, bc = flow_case(kind, n_per, max(rows + 2, 4))
+        solver = FlowSolver(g, Params(L=L, eps=eps, R=0.6), bc,
+                            dt=dt_over_eps * eps)
+        D, U = _probe_blocks(solver.ops,
+                             lambda w: solver._apply_A(w, solver.dt),
+                             _free_rows(solver.ops))
+        D, U = D[:, :, :rows], U[:, :, :rows - 1]
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=D.shape[1:]) + 1j * rng.normal(size=D.shape[1:])
+        x = _BlockCyclicReduction(D, U).solve(b.copy())
+        ref = banded_reference(D, U, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert (np.linalg.norm(block_apply(D, U, x) - b)
+                <= 1e-12 * np.linalg.norm(b))
+
+
 class TestStepping:
     def test_equilibrium_input_fixed(self):
         g = make_grid("rectangle", (-1, 1, -1, 1), 12, 12, periodic_x=True)
@@ -208,6 +267,36 @@ class TestStepping:
         f.values[3, 0] = (0.3, 0.4)
         with pytest.raises(ValueError, match="Dirichlet"):
             bc.check(f)
+
+
+class TestConvergedExits:
+    """The two ways `run_to_equilibrium` reports convergence, on the
+    tangential disc from a random start."""
+
+    def run(self, tol):
+        R = 0.6
+        g = make_grid("polar", (disc_inner_cutoff(R), R), 8, 16)
+        bc = disc_bc("tangential", R)
+        p = Params(L=0.5, eps=0.1, R=R)
+        solver = FlowSolver(g, p, bc)
+        st = solver.run_to_equilibrium(random_unit_field(g, bc, seed=1),
+                                       tol=tol)
+        (_, e_prev), (_, e_new) = st.energy_trace[-2:]
+        rate = (e_prev.total - e_new.total) / st.dt
+        grad = np.abs(rhs(st.field, p, bc, solver.ops).values).max()
+        return st, rate, grad
+
+    def test_gradient_below_tolerance(self):
+        st, rate, grad = self.run(tol=1e-6)
+        assert st.converged and st.stop_reason == "gradient below tolerance"
+        assert rate < 1e-12 and grad < 1e-6
+
+    def test_energy_stationary(self):
+        """With a tolerance far below what the energy can resolve, the flow
+        stops because E no longer decreases while ||rhs|| is above tol."""
+        st, rate, grad = self.run(tol=1e-9)
+        assert st.converged and st.stop_reason == "energy stationary"
+        assert rate < 1e-4 * 1e-18 and grad >= 1e-9
 
 
 class TestDiagnostics:
