@@ -12,15 +12,17 @@ d theta/dt = v0 and the stored v0 is the physical divergence carried by the
 arc.  Positions are evaluated in the cancellation-free sinc form, which is
 exact in the straight-line limit v0 -> 0.
 
-The coordinate Jacobian det d(x,y)/d(s,t), which weighs E0's bulk term and
-the foliation checks, is also closed-form along each arc (`arc_jacobian`):
-it needs the seed and its s-derivatives at the arc's foot, not the arc's
-positions.  `family_jacobian` takes those derivatives by central
-differences of the seed.
+The coordinate Jacobian det d(x,y)/d(s,t), which the foliation checks
+sample, is also closed-form along each arc (`arc_jacobian`), and so is its
+integral over the arc (`arc_jacobian_integral`), which weighs E0's bulk
+term.  Both need the seed and its s-derivatives at the arc's foot, not the
+arc's positions; `family_jacobian` and `family_jacobian_integral` take
+those derivatives by central differences of the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -200,7 +202,8 @@ def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):
     v0) and its s-derivatives (x0', y0', theta0', v0'); broadcasting.
 
     Along an arc, J = x_s cos theta + y_s sin theta and K = -x_s sin theta
-    + y_s cos theta obey J' = -theta0' + v0 K and K' = -v0 J, so
+    + y_s cos theta obey J' = v0 K - theta_s and K' = -v0 J, where
+    theta_s = theta0' + v0' t, so
 
         J = J0 cos(v0 t) + K0 sin(v0 t) - theta0' t sinc(v0 t)
             - v0' (t^2/2) sinc^2(v0 t/2),
@@ -210,36 +213,88 @@ def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):
     (1 - cos(v0 t))/v0^2 = S^2/2, so a point costs one sin and one cos.
     S = t where h = 0, which covers straight arcs (v0 = 0).
     """
-    c0, s0 = np.cos(theta0), np.sin(theta0)
-    J0 = x0_s * c0 + y0_s * s0
-    K0 = y0_s * c0 - x0_s * s0
-    h = 0.5 * v0 * t
-    sh, ch = np.sin(h), np.cos(h)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        S = t * np.where(h != 0.0, sh / h, 1.0)
+    J0, K0, sh, ch, S = _foot_and_half_angle(theta0, v0, x0_s, y0_s, t)
     return J0 + S * ((v0 * K0 - theta0_s) * ch - (v0 * J0) * sh
                      - (0.5 * v0_s) * S)
 
 
-def family_jacobian(family: CharacteristicFamily, s, t):
-    """(J, v0): the Jacobian det d(x,y)/d(s,t) of `arc_jacobian` on the
-    broadcast shape of s and t, and the arcs' divergence on the shape of s.
+def _foot_and_half_angle(theta0, v0, x0_s, y0_s, t):
+    """J0 and K0 at the arc's foot, and sin h, cos h and S = t sinc(h) in
+    the half angle h = v0 t/2."""
+    c0, s0 = np.cos(theta0), np.sin(theta0)
+    h = 0.5 * v0 * t
+    sh, ch = np.sin(h), np.cos(h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        S = t * np.where(h != 0.0, sh / h, 1.0)
+    return x0_s * c0 + y0_s * s0, y0_s * c0 - x0_s * s0, sh, ch, S
 
-    The seed derivatives are central differences of family.seed over
-    SEED_DIFF_STEP (one-sided at the ends of s_range), taken on s alone:
-    pass s as a column against a t-grid to evaluate the seed twice in all,
-    once per arc at s and once on s + ds and s - ds stacked.
+
+# Taylor coefficients of G(x) = (x - sin x)/x^3 = sum_n (-1)^n x^2n/(2n+3)!,
+# enough terms for roundoff accuracy on |x| < 1
+_G_COEFFS = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(8))
+
+
+def _g_series(x):
+    z = x * x
+    g = 0.0
+    for c in reversed(_G_COEFFS):
+        g = g * z + c
+    return g
+
+
+def arc_jacobian_integral(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t_star):
+    """integral of `arc_jacobian` over t in [0, t_star]; broadcasting.
+
+    J solves J'' + v0^2 J = -v0' with J(0) = J0 and J'(0) = v0 K0 -
+    theta0', so with h = v0 t*/2, S = t* sinc(h) and G(x) = (x - sin x)/x^3
+
+        I = J0 S cos h + (v0 K0 - theta0') S^2/2 - v0' t*^3 G(2h),
+
+    two sines and a cosine per arc besides the foot's.  Below |x| = 1,
+    where x - sin x cancels, G is its Taylor series, accurate to roundoff
+    there.
     """
+    J0, K0, _, ch, S = _foot_and_half_angle(theta0, v0, x0_s, y0_s, t_star)
+    x = v0 * t_star
+    with np.errstate(invalid="ignore", divide="ignore"):
+        G = np.where(np.abs(x) < 1.0, _g_series(x), (x - np.sin(x)) / x ** 3)
+    return J0 * S * ch + (v0 * K0 - theta0_s) * (0.5 * S * S) \
+        - v0_s * t_star ** 3 * G
+
+
+def _seed_derivatives(family: CharacteristicFamily, s):
+    """(theta0, v0) at s and (x0', y0', theta0', v0'), the central
+    differences of family.seed over SEED_DIFF_STEP (one-sided at the ends
+    of s_range): two seed calls, one at s and one on s + ds and s - ds
+    stacked."""
     s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
     s_lo, s_hi = family.s_range
     ds = SEED_DIFF_STEP * max(s_hi - s_lo, 1.0)
     sp = np.minimum(s + ds, s_hi)
     sm = np.maximum(s - ds, s_lo)
     _, _, th0, v0 = (np.asarray(a, dtype=float) for a in family.seed(s))
     ends = (np.asarray(a, dtype=float) for a in family.seed(np.stack([sp, sm])))
-    derivs = ((p - m) / (sp - sm) for p, m in ends)
-    return arc_jacobian(th0, v0, *derivs, t), v0
+    return th0, v0, tuple((p - m) / (sp - sm) for p, m in ends)
+
+
+def family_jacobian(family: CharacteristicFamily, s, t):
+    """(J, v0): the Jacobian det d(x,y)/d(s,t) of `arc_jacobian` on the
+    broadcast shape of s and t, and the arcs' divergence on the shape of s.
+
+    The seed derivatives are taken on s alone: pass s as a column against
+    a t-grid to evaluate the seed twice in all.
+    """
+    th0, v0, derivs = _seed_derivatives(family, s)
+    return arc_jacobian(th0, v0, *derivs, np.asarray(t, dtype=float)), v0
+
+
+def family_jacobian_integral(family: CharacteristicFamily, s):
+    """(I, v0): `arc_jacobian_integral` over [0, max(t_star(s), 0)] of the
+    arc seeded at each s, and the arcs' divergence, both on the shape of
+    s.  The seed is evaluated twice."""
+    th0, v0, derivs = _seed_derivatives(family, s)
+    ts = np.maximum(np.asarray(family.t_star(s), dtype=float), 0.0)
+    return arc_jacobian_integral(th0, v0, *derivs, ts), v0
 
 
 def invert_family(family: CharacteristicFamily, x: float, y: float,

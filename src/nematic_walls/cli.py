@@ -156,7 +156,7 @@ def run_disc_hedgehog(cfg: RunConfig) -> int:
     p = cfg.params()
     sol = disc_mod.hedgehog_solution(+1)
     closed = disc_mod.hedgehog_energy(cfg.L)
-    eb = eval_E0_piecewise(sol, p, s_panels=32, t_panels=32, order=16)
+    eb = eval_E0_piecewise(sol, p, s_panels=32, order=16)
     _write_report(out, "energy.json", eb, p,
                   extra={"closed_form": closed,
                          "quadrature_error": abs(eb.total - closed)})
@@ -172,7 +172,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     sol = disc_mod.build_deg_minus_one(cfg.R, cfg.L)
-    eb = eval_E0_piecewise(sol.field, p, s_panels=48, t_panels=48)
+    eb = eval_E0_piecewise(sol.field, p, s_panels=48)
     _write_report(out, "energy.json", eb, p,
                   extra={"natural_bc_residual": sol.natural_bc_residual(),
                          "s0": sol.s0})
@@ -284,7 +284,8 @@ def run_crosstie_sweep(cfg: RunConfig) -> int:
 
 def run_gradflow(cfg: RunConfig) -> int:
     """Flow to equilibrium or to max_time.  Exits 0 either way: the verdict
-    is flow.json's "converged" (with "stop_reason")."""
+    is flow.json's "converged" (with "stop_reason", and "residual", the
+    final ||rhs||_inf, or null where the flow did not compute it)."""
     from . import gradflow as gf
     out = _outdir(cfg)
     p = cfg.params()
@@ -328,7 +329,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     _write_level_curves(out, grid, gf.divergence_field(state.field))
     (out / "flow.json").write_text(json.dumps({
         "converged": state.converged, "stop_reason": state.stop_reason,
-        "time": state.time, "dt": state.dt,
+        "residual": state.residual, "time": state.time, "dt": state.dt,
         "final_energy": state.energy_trace[-1][1].total,
     }, indent=2, sort_keys=True))
     return 0

@@ -332,12 +332,12 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     return sol
 
 
-def crosstie_energy_per_length(sol: CrossTieSolution, s_panels: int = 128,
-                               t_panels: int = 128, order: int = 4,
+def crosstie_energy_per_length(sol: CrossTieSolution, *,
+                               s_panels: int = 128, order: int = 4,
                                wall_order: int = 8) -> float:
     """(1/2T) E0 over one period cell (function of L/H only)."""
     eb = eval_E0_piecewise(sol.field, Params(L=sol.L, H=sol.H, T=sol.T),
-                           s_panels=s_panels, t_panels=t_panels, order=order,
+                           s_panels=s_panels, order=order,
                            wall_order=wall_order)
     return eb.total / (2.0 * sol.T)
 
@@ -347,8 +347,8 @@ def crosstie_energy_breakdown(sol: CrossTieSolution, **kw) -> EnergyBreakdown:
 
 
 def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
-                  step: float = 0.01, s_panels: int = 128, t_panels: int = 128,
-                  order: int = 4, refine_tol: float = 1e-6,
+                  step: float = 0.01, s_panels: int = 128, order: int = 4,
+                  refine_tol: float = 1e-6,
                   samples: Optional[list] = None
                   ) -> Tuple[Optional[float], Optional[float]]:
     """Sign changes of (cross-tie energy per length) - (1D minimum).
@@ -360,7 +360,7 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
     """
     def sample(lh: float):
         sol = build_crosstie(lh * H, H)
-        e2 = crosstie_energy_per_length(sol, s_panels, t_panels, order)
+        e2 = crosstie_energy_per_length(sol, s_panels=s_panels, order=order)
         e1 = rect1d.min_energy_1d(lh, 1.0, 0.0)
         return lh, e2, e1, e2 - e1
 

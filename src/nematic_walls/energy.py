@@ -8,12 +8,13 @@ Three evaluators live here:
   exact gradient of this discrete energy.
 * eval_E0_piecewise: the limiting wall-energy functional on an assembled
   piecewise critical field.  Bulk divergence is integrated per family in
-  characteristic coordinates, sum over s-t panels of v0(s)^2 |J|, with the
-  Jacobian J in closed form along each arc
-  (`characteristics.family_jacobian`): the seed is evaluated twice per
-  family, at the s-nodes and on s +- ds stacked, and a grid point costs
-  one sin and one cos.  Walls are cubic-jump line integrals over the stored
-  jump segments.
+  characteristic coordinates: a composite Gauss-Legendre rule in s over
+  v0(s)^2 |integral of J dt|, the Jacobian integrated exactly along each
+  arc (`characteristics.family_jacobian_integral`).  J keeps one sign
+  along an arc of a foliation, so that is the integral of v0^2 |J|; there
+  is no t-rule.  The seed is evaluated twice per family, at the s-nodes
+  and on s +- ds stacked.  Walls are cubic-jump line integrals over the
+  stored jump segments.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
 
 Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
@@ -31,7 +32,7 @@ import numpy as np
 from . import stencils
 from .characteristics import (CharacteristicFamily, NoConvergence,
                               PiecewiseCriticalField, check_foliation,
-                              family_jacobian)
+                              family_jacobian_integral)
 from .core import (POLAR, RECTANGLE, EnergyBreakdown, Field2D, JumpSegment,
                    Params)
 from .quadrature import composite_nodes, gauss_legendre
@@ -122,44 +123,39 @@ def wall_energy(seg: JumpSegment, order: int = 8) -> float:
 
 # --- E0 on piecewise critical fields ---------------------------------------
 
-def _family_grid(family: CharacteristicFamily, s_panels: int, t_panels: int,
-                 order: int):
-    """|J| on the composite Gauss-Legendre rule over the family's (s, t)
-    region, with the s-weights times t_star(s), the tau-weights and v0 at
-    the s-nodes.
+def _family_arc_integrals(family: CharacteristicFamily, s_panels: int,
+                          order: int):
+    """Composite Gauss-Legendre s-weights, |integral of J dt| along each
+    s-node's arc, and v0 at the s-nodes.
 
-    t is mapped panel-wise onto [0, t_star(s)] per s-node (t = tau t*), so
-    the panel layout follows the region.
+    J keeps one sign along every arc of a foliation (what check_foliation
+    tests), so |integral of J| is the integral of |J|.
     """
-    s_lo, s_hi = family.s_range
-    s_nodes, s_w = composite_nodes(s_lo, s_hi, s_panels, order)
-    tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
-    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)
-    J, v0 = family_jacobian(family, s_nodes[:, None],
-                            tau_nodes * ts[:, None])
-    return np.abs(J), s_w * ts, tau_w, v0[:, 0]
+    s_nodes, s_w = composite_nodes(*family.s_range, s_panels, order)
+    I, v0 = family_jacobian_integral(family, s_nodes)
+    return s_w, np.abs(I), v0
 
 
-def family_bulk_integral(family: CharacteristicFamily, s_panels: int = 64,
-                         t_panels: int = 64, order: int = 8) -> float:
+def family_bulk_integral(family: CharacteristicFamily, *,
+                         s_panels: int = 64, order: int = 8) -> float:
     """integral of v0(s)^2 |J(s,t)| over the family's (s, t) region."""
-    absJ, s_w, tau_w, v0 = _family_grid(family, s_panels, t_panels, order)
-    return float((s_w * v0 ** 2) @ absJ @ tau_w)
+    s_w, absI, v0 = _family_arc_integrals(family, s_panels, order)
+    return float((s_w * v0 ** 2) @ absI)
 
 
-def family_area(family: CharacteristicFamily, s_panels: int = 64,
-                t_panels: int = 64, order: int = 8) -> float:
+def family_area(family: CharacteristicFamily, *, s_panels: int = 64,
+                order: int = 8) -> float:
     """integral of |J| -- the area covered by the family (foliation check)."""
-    absJ, s_w, tau_w, _ = _family_grid(family, s_panels, t_panels, order)
-    return float(s_w @ absJ @ tau_w)
+    s_w, absI, _ = _family_arc_integrals(family, s_panels, order)
+    return float(s_w @ absI)
 
 
 class FoliationError(RuntimeError):
     pass
 
 
-def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params,
-                      s_panels: int = 64, t_panels: int = 64, order: int = 8,
+def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
+                      s_panels: int = 64, order: int = 8,
                       wall_order: int = 8,
                       verify_foliation: bool = False) -> EnergyBreakdown:
     """Limiting energy of an assembled critical field.
@@ -178,7 +174,7 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params,
                 )
     bulk = 0.0
     for fam in field.families:
-        bulk += family_bulk_integral(fam, s_panels, t_panels, order)
+        bulk += family_bulk_integral(fam, s_panels=s_panels, order=order)
     bulk *= 0.5 * params.L * field.symmetry_copies
 
     wall_int = 0.0

@@ -352,6 +352,8 @@ class FlowState:
     energy_trace: List[Tuple[float, EnergyBreakdown]] = dc_field(default_factory=list)
     converged: bool = False
     stop_reason: str = ""
+    # ||rhs||_inf of the current field, when the stop test computed it
+    residual: Optional[float] = None
 
 
 class FlowSolver:
@@ -444,6 +446,9 @@ class FlowSolver:
           energy no longer measurably decreases (in practice its drop is
           at the roundoff of E) although the pointwise gradient is not
           below tol.
+
+        state.residual is that ||rhs||_inf on both exits; it is None
+        wherever the last step did not compute it (e.g. at max_time).
         """
         fld = init.copy()
         self.bc.impose(fld)
@@ -456,9 +461,11 @@ class FlowSolver:
             if callback is not None:
                 callback(state)
             rate = (E_prev - E_new) / state.dt
+            state.residual = None
             if rate < tol * tol:
                 r = rhs(state.field, self.params, self.bc, self.ops)
-                if np.abs(r.values).max() < tol:
+                state.residual = float(np.abs(r.values).max())
+                if state.residual < tol:
                     state.converged = True
                     state.stop_reason = "gradient below tolerance"
                     return state

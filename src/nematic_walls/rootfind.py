@@ -144,21 +144,43 @@ def scan_brackets(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return out
 
 
+# Elements of the (nodes x points) residual sign block that the arc scan
+# forms at a time: all nodes at once for a few points, one node at a time
+# for a field's worth
+_SCAN_BLOCK = 1 << 14
+
+
 def _arc_roots(circle, nodes, x, y, both):
     """Scan the circle residual on nodes and solve in the first (and, with
-    both, the last) sign-change cell of each point; nan without a change."""
+    both, the last) sign-change cell of each point; nan without a change.
+
+    The circles are computed once for all nodes; the residual's sign is
+    formed on blocks of consecutive nodes (sharing their end node), so the
+    scan never holds a (nodes x points) matrix of a large point set.
+    """
     def resid(s, x, y):
         cx, cy, r2 = circle(s)
         return (x - cx) ** 2 + (y - cy) ** 2 - r2
 
-    sgn = np.sign(resid(nodes[:, None], x, y))
-    change = (sgn[:-1] * sgn[1:]) <= 0
-    ok = change.any(axis=0)
-    cells = [np.argmax(change, axis=0)]
-    if both:
-        cells.append(len(nodes) - 2 - np.argmax(change[::-1], axis=0))
+    col = (-1,) + (1,) * x.ndim
+    cx, cy, r2 = (np.broadcast_to(a, nodes.shape).reshape(col)
+                  for a in circle(nodes))
+    first = np.full(x.shape, -1)
+    last = np.full(x.shape, -1)
+    step = max(1, _SCAN_BLOCK // max(x.size, 1))
+    for k0 in range(0, len(nodes) - 1, step):
+        blk = slice(k0, k0 + step + 1)
+        sgn = np.sign((x - cx[blk]) ** 2 + (y - cy[blk]) ** 2 - r2[blk])
+        change = (sgn[:-1] * sgn[1:]) <= 0
+        seen = change.any(axis=0)
+        fresh = seen & (first < 0)
+        first[fresh] = k0 + np.argmax(change, axis=0)[fresh]
+        if both:
+            last[seen] = (k0 + len(change) - 1
+                          - np.argmax(change[::-1], axis=0)[seen])
+    ok = first >= 0
     roots = []
-    for cell in cells:
+    for cell in ((first, last) if both else (first,)):
         s = np.full(x.shape, np.nan)
         if ok.any():
             c = cell[ok]
@@ -173,8 +195,8 @@ def bracketed_arc_solve(circle, lo, hi, x, y, n_scan=64):
 
     circle(s) -> (cx, cy, r^2) is the elementwise circle of the arc seeded
     at s.  The residual |p - c(s)|^2 - r(s)^2 is scanned upward on n_scan
-    nodes, with the circles computed once per node, and solved in its first
-    sign-change cell.  Points without a sign change get s = nan.
+    nodes, with the circles computed once for all nodes, and solved in its
+    first sign-change cell.  Points without a sign change get s = nan.
     """
     return _arc_roots(circle, np.linspace(lo, hi, n_scan), x, y, False)[0]
 

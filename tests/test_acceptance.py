@@ -42,7 +42,7 @@ def test_criterion_01_hedgehog_energy():
         closed = disc.hedgehog_energy(L)
         ok &= closed == 2 * math.pi * L
         eb = eval_E0_piecewise(disc.hedgehog_solution(+1), Params(L=L),
-                               s_panels=32, t_panels=32, order=16)
+                               s_panels=32, order=16)
         err = abs(eb.total - closed)
         details.append(f"L={L}: quad err {err:.1e}")
         ok &= err < 1e-8
@@ -174,7 +174,7 @@ def test_criterion_07_crosstie_invariants():
 def crossing():
     t0 = time.time()
     L0, L1 = ct.find_crossing(H=1.0, l_lo=0.5, l_hi=3.0, step=0.01,
-                              s_panels=128, t_panels=128, order=4)
+                              s_panels=128, order=4)
     return L0, L1, time.time() - t0
 
 
@@ -182,7 +182,7 @@ def test_criterion_08a_crossing_interval(crossing):
     L0, L1, elapsed = crossing
     mid = 0.5 * (L0 + L1)
     sol = ct.build_crosstie(mid, 1.0)
-    gap_mid = ct.crosstie_energy_per_length(sol, 128, 128, 4) \
+    gap_mid = ct.crosstie_energy_per_length(sol, s_panels=128, order=4) \
         - rect1d.min_energy_1d(mid, 1.0, 0.0)
     ok = (L0 is not None and L1 is not None
           and abs(L1 - 2.14) <= 0.05
@@ -226,7 +226,7 @@ def test_criterion_09_degree_minus_one():
     for Lval in np.linspace(0.1, 0.7, 7):
         s = disc.build_deg_minus_one(R, Lval, n_wall=256)
         Es.append(eval_E0_piecewise(s.field, Params(L=Lval, R=R),
-                                    s_panels=24, t_panels=24).total)
+                                    s_panels=24).total)
     increasing = all(a < b for a, b in zip(Es, Es[1:]))
     elapsed = time.time() - t0
     ok = (region1_const and lim < 1e-3 and nbc < 1e-8 and mono3 and mono2

@@ -65,7 +65,7 @@ class TestClosedFormEnergy:
             L = rng.uniform(0.2, 2.0)
             field = _assemble_field(rho, a, R)
             eb = eval_E0_piecewise(field, Params(L=L, R=R),
-                                   s_panels=32, t_panels=32)
+                                   s_panels=32)
             assert eb.total == pytest.approx(annulus_energy(rho, a, R, L),
                                              abs=1e-8)
 

@@ -167,6 +167,7 @@ def test_gradflow_unconverged_exits_0(tmp_path):
     flow = json.loads((out / "flow.json").read_text())
     assert flow["converged"] is False
     assert flow["stop_reason"] == "max_time reached"
+    assert flow["residual"] is None
 
 
 def test_rect1d_eps_ladder(tmp_path):

@@ -74,7 +74,7 @@ class TestConstruction:
             assert rep.crossings == 0, fam.label
 
     def test_quarter_cell_area(self, sol):
-        total = sum(family_area(f, s_panels=48, t_panels=48, order=6)
+        total = sum(family_area(f, s_panels=48, order=6)
                     for f in (sol.region1, sol.region2, sol.region3))
         assert total == pytest.approx(sol.T * sol.H, rel=1e-8)
 
@@ -93,32 +93,37 @@ class TestConstruction:
 
 class TestEnergy:
     def test_scale_invariance(self):
-        eA = crosstie_energy_per_length(build_crosstie(1.0, 0.5), 64, 64, 4)
-        eB = crosstie_energy_per_length(build_crosstie(2.0, 1.0), 64, 64, 4)
+        eA = crosstie_energy_per_length(build_crosstie(1.0, 0.5),
+                                        s_panels=64, order=4)
+        eB = crosstie_energy_per_length(build_crosstie(2.0, 1.0),
+                                        s_panels=64, order=4)
         assert abs(eA - eB) < 1e-8
 
     def test_panel_doubling_converged(self):
         s = build_crosstie(1.5, 1.0)
-        e1 = crosstie_energy_per_length(s, 64, 64, 4)
-        e2 = crosstie_energy_per_length(s, 128, 128, 4)
+        e1 = crosstie_energy_per_length(s, s_panels=64, order=4)
+        e2 = crosstie_energy_per_length(s, s_panels=128, order=4)
         assert abs(e1 - e2) < 1e-7
 
     def test_crossing_interval_exists(self):
         # gap changes sign twice: the cross-tie beats the 1D branch on an
         # interval; at L/H = 0.5 the 1D profile wins
         s = build_crosstie(0.5, 1.0)
-        gap_low = crosstie_energy_per_length(s, 64, 64, 4) - min_energy_1d(0.5, 1, 0)
+        gap_low = crosstie_energy_per_length(s, s_panels=64, order=4) \
+            - min_energy_1d(0.5, 1, 0)
         assert gap_low > 0
         s = build_crosstie(1.5, 1.0)
-        gap_mid = crosstie_energy_per_length(s, 64, 64, 4) - min_energy_1d(1.5, 1, 0)
+        gap_mid = crosstie_energy_per_length(s, s_panels=64, order=4) \
+            - min_energy_1d(1.5, 1, 0)
         assert gap_mid < 0
         s = build_crosstie(2.5, 1.0)
-        gap_high = crosstie_energy_per_length(s, 64, 64, 4) - min_energy_1d(2.5, 1, 0)
+        gap_high = crosstie_energy_per_length(s, s_panels=64, order=4) \
+            - min_energy_1d(2.5, 1, 0)
         assert gap_high > 0
 
     def test_find_crossing_coarse(self):
         L0, L1 = find_crossing(H=1.0, l_lo=1.1, l_hi=2.3, step=0.1,
-                               s_panels=48, t_panels=48, order=4,
+                               s_panels=48, order=4,
                                refine_tol=1e-4)
         assert L0 is not None and L1 is not None
         assert 1.15 < L0 < 1.35

@@ -46,7 +46,7 @@ class TestHedgehog:
             closed = hedgehog_energy(Lval)
             assert closed == 2 * math.pi * Lval
             eb = eval_E0_piecewise(hedgehog_solution(+1), Params(L=Lval),
-                                   s_panels=32, t_panels=32, order=16)
+                                   s_panels=32, order=16)
             assert abs(eb.total - closed) < 1e-8
 
     def test_unit_modulus(self):
@@ -172,7 +172,7 @@ class TestConstruction:
             assert rep.crossings == 0, fam.label
 
     def test_octant_area(self, sol):
-        total = sum(family_area(f, s_panels=32, t_panels=32)
+        total = sum(family_area(f, s_panels=32)
                     for f in (sol.region1, sol.region2, sol.region3))
         assert total == pytest.approx(math.pi * R * R / 8, abs=2e-6)
 
@@ -181,7 +181,7 @@ class TestConstruction:
         for Lval in np.linspace(0.1, 0.7, 7):
             s = build_deg_minus_one(R, Lval, n_wall=256)
             eb = eval_E0_piecewise(s.field, Params(L=Lval, R=R),
-                                   s_panels=24, t_panels=24)
+                                   s_panels=24)
             Es.append(eb.total)
         assert all(a < b for a, b in zip(Es, Es[1:]))
 
@@ -190,7 +190,7 @@ class TestConstruction:
         # dispatch vs the characteristic-coordinate quadrature
         quad = 0.0
         for fam in (sol.region1, sol.region2, sol.region3):
-            quad += family_bulk_integral(fam, s_panels=48, t_panels=48, order=6)
+            quad += family_bulk_integral(fam, s_panels=48, order=6)
         r = np.sqrt(np.random.default_rng(0).uniform(0, R * R, 200000))
         phi = np.random.default_rng(1).uniform(0, math.pi / 4, 200000)
         _, _, vmc = _octant_eval_batch(sol, r * np.cos(phi) * (1 - 1e-12),

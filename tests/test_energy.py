@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nematic_walls import characteristics, crosstie, disc
@@ -11,7 +11,7 @@ from nematic_walls.disc import hedgehog_solution
 from nematic_walls.energy import (GridProfile1D, WallIntegrand,
                                   criticality_residuals, eval_E0_1d,
                                   eval_E0_piecewise, eval_E_eps, eval_E_eps_1d,
-                                  wall_cost_density)
+                                  family_bulk_integral, wall_cost_density)
 from nematic_walls.quadrature import composite_nodes
 from nematic_walls.rect1d import OneDProfile, recovery_profile_1d
 
@@ -141,17 +141,27 @@ class TestE0Piecewise:
     def test_hedgehog_quadrature_order16(self):
         sol = hedgehog_solution(+1)
         for L in (0.5, 1.0, 2.0):
-            eb = eval_E0_piecewise(sol, Params(L=L), s_panels=32, t_panels=32,
-                                   order=16)
+            eb = eval_E0_piecewise(sol, Params(L=L), s_panels=32, order=16)
             assert abs(eb.total - 2 * math.pi * L) < 1e-8
 
-    def test_panel_halving_reduces_error(self):
-        sol = hedgehog_solution(+1)
-        errs = []
-        for panels in (4, 8):
-            eb = eval_E0_piecewise(sol, Params(L=1.0), s_panels=panels,
-                                   t_panels=panels, order=2)
-            errs.append(abs(eb.total - 2 * math.pi))
+    @pytest.mark.parametrize("s_panels, order",
+                             [(1, 1), (4, 2), (8, 2), (32, 16)])
+    def test_hedgehog_exact_under_every_rule(self, s_panels, order):
+        """The hedgehog's arc integral is the same at every s, so the
+        s-rule integrates it exactly; what is left is the seed
+        difference's ds^2/6 truncation, about 8e-11."""
+        eb = eval_E0_piecewise(hedgehog_solution(+1), Params(L=1.0),
+                               s_panels=s_panels, order=order)
+        assert abs(eb.total - 2 * math.pi) < 1e-10
+
+    def test_s_halving_reduces_error(self):
+        """Cross-tie region I varies in s: halving the s-panels of the
+        two-point rule cuts the error at least fourfold (it is fourth
+        order)."""
+        fam = crosstie.build_crosstie(1.5, 1.0).region1
+        ref = family_bulk_integral(fam, s_panels=256, order=8)
+        errs = [abs(family_bulk_integral(fam, s_panels=n, order=2) - ref)
+                for n in (4, 8)]
         assert errs[1] < errs[0] / 4.0
 
     def test_nonnegative_terms(self):
@@ -185,8 +195,9 @@ def test_foliation_failure_raises():
         eval_E0_piecewise(bad, Params(L=1.0), verify_foliation=True)
 
 
-# --- reference: the three-grid finite-difference bulk term the closed-form
-# Jacobian replaced ------------------------------------------------------------
+# --- references on s x t grids: the three-grid finite-difference bulk term
+# the closed-form Jacobian replaced, and the closed-form Jacobian under a
+# t-rule, which the exact arc integral replaced -------------------------------
 
 def reference_bulk_integral(family, s_panels, t_panels, order):
     """integral of v0^2 |J| with J = x_s cos theta + y_s sin theta, x_s and
@@ -212,17 +223,28 @@ def reference_bulk_integral(family, s_panels, t_panels, order):
     return float(s_w @ ((v0 ** 2) * np.abs(J) * ts) @ tau_w)
 
 
+def grid_bulk_integral(family, s_panels, t_panels, order):
+    """integral of v0^2 |J| with the closed-form J on an s x t Gauss grid,
+    t mapped panel-wise onto [0, t_star(s)] per s-node."""
+    s_nodes, s_w = composite_nodes(*family.s_range, s_panels, order)
+    tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
+    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)
+    J, v0 = characteristics.family_jacobian(family, s_nodes[:, None],
+                                            tau_nodes * ts[:, None])
+    return float((s_w * ts * v0[:, 0] ** 2) @ np.abs(J) @ tau_w)
+
+
 def reference_E0(field, params, s_panels=64, t_panels=64, order=8):
-    eb = eval_E0_piecewise(field, params, s_panels, t_panels, order)
+    eb = eval_E0_piecewise(field, params, s_panels=s_panels, order=order)
     bulk = sum(reference_bulk_integral(f, s_panels, t_panels, order)
                for f in field.families)
     bulk *= 0.5 * params.L * field.symmetry_copies
     return bulk + eb.wall_interior + eb.wall_boundary, bulk
 
 
-def _assert_matches_reference(field, params, rtol, **rule):
+def _assert_matches_reference(field, params, rtol, t_panels=64, **rule):
     eb = eval_E0_piecewise(field, params, **rule)
-    total, bulk = reference_E0(field, params, **rule)
+    total, bulk = reference_E0(field, params, t_panels=t_panels, **rule)
     assert abs(eb.bulk_div - bulk) <= rtol * abs(bulk)
     assert abs(eb.total - total) <= rtol * abs(total)
 
@@ -262,14 +284,109 @@ def test_tangential_E0_matches_finite_difference_reference():
     assert eb.total == reference_E0(field, Params(L=2.0))[0] == 0.0
 
 
+# the shipped constructions, each with its production E0 rule
+CONSTRUCTIONS = ([("crosstie", lh) for lh in (0.6, 1.0, 1.2195, 2.0, 2.1333)]
+                 + [("deg_minus_one", L) for L in (0.1, 0.5, 0.7)]
+                 + [("hedgehog", +1), ("hedgehog", -1)])
+
+
+def _construction(kind, value):
+    if kind == "crosstie":
+        sol = crosstie.build_crosstie(value, 1.0)
+        return (sol.field, Params(L=value, H=1.0, T=sol.T),
+                dict(s_panels=128, order=4))
+    if kind == "deg_minus_one":
+        return (disc.build_deg_minus_one(0.6, value).field,
+                Params(L=value, R=0.6), dict(s_panels=48, order=8))
+    if kind == "hedgehog":
+        return hedgehog_solution(value), Params(L=2.0), {}
+    return disc.tangential_solution(value), Params(L=2.0), {}
+
+
+@pytest.mark.parametrize("kind, value", CONSTRUCTIONS)
+def test_E0_matches_grid_quadrature(kind, value):
+    """The exact arc integral reproduces the s x t grid it replaced (t-rule
+    as fine as the s-rule) to roundoff."""
+    field, params, rule = _construction(kind, value)
+    s_panels, order = rule.get("s_panels", 64), rule.get("order", 8)
+    eb = eval_E0_piecewise(field, params, **rule)
+    bulk = sum(grid_bulk_integral(f, s_panels, s_panels, order)
+               for f in field.families)
+    bulk *= 0.5 * params.L * field.symmetry_copies
+    total = bulk + eb.wall_interior + eb.wall_boundary
+    assert abs(eb.bulk_div - bulk) <= 1e-13 * abs(bulk)
+    assert abs(eb.total - total) <= 1e-13 * abs(total)
+
+
+@pytest.mark.parametrize("kind, value",
+                         CONSTRUCTIONS + [("tangential", 1.0)])
+def test_jacobian_one_sign_per_arc(kind, value):
+    """|integral of J| is the integral of |J| because J keeps one sign
+    along every arc.  Checked at the E0 rule's s-nodes on 255 interior
+    points of each arc.  At the arc ends J vanishes where arcs leave a
+    vortex or focus, and there the computed value is seed-difference
+    noise of either sign, far below the family's scale."""
+    field, _, rule = _construction(kind, value)
+    s_panels, order = rule.get("s_panels", 64), rule.get("order", 8)
+    tau = np.linspace(0.0, 1.0, 257)
+    for fam in field.families:
+        s_nodes, _ = composite_nodes(*fam.s_range, s_panels, order)
+        ts = np.maximum(np.asarray(fam.t_star(s_nodes), dtype=float), 0.0)
+        J, _ = characteristics.family_jacobian(fam, s_nodes[:, None],
+                                               tau * ts[:, None])
+        inner = J[:, 1:-1]
+        assert not np.any((inner.max(axis=1) > 0) & (inner.min(axis=1) < 0)), \
+            fam.label
+        sign = np.sign(inner.sum(axis=1))[:, None]
+        ends = J[:, [0, -1]] * sign
+        assert ends.min() >= -1e-7 * np.abs(J).max(), fam.label
+
+
+_TWO_PI = 2.0 * math.pi
+_coef = st.floats(-3.0, 3.0)
+
+
+@given(theta0=st.floats(-math.pi, math.pi), t_star=st.floats(1e-3, 4.0),
+       vt=st.one_of(st.sampled_from([0.0, 1e-6, -1e-3, 1e-2, 0.1, -0.5,
+                                     1.0 - 1e-9, 1.0 + 1e-9, -1.0 + 1e-9,
+                                     -1.0 - 1e-9, _TWO_PI, -_TWO_PI]),
+                    st.floats(-1.0, 1.0), st.floats(-_TWO_PI, _TWO_PI)),
+       x0_s=_coef, y0_s=_coef, theta0_s=_coef, v0_s=_coef)
+@example(theta0=0.3, t_star=1.0, vt=1e-9, x0_s=1.0, y0_s=-0.5,
+         theta0_s=0.7, v0_s=2.0)
+def test_arc_jacobian_integral_matches_gauss_rule(theta0, t_star, vt, x0_s,
+                                                  y0_s, theta0_s, v0_s):
+    """The closed-form arc integral against a 64 x 16 Gauss rule of
+    arc_jacobian, for v0 t* in [-2 pi, 2 pi]: zero, v0 = 1e-9, small
+    products where the direct form of G would cancel, both sides of the
+    series threshold |v0 t*| = 1, and negative v0.  The bound is relative
+    to the size of the three terms."""
+    v0 = vt / t_star
+    I = characteristics.arc_jacobian_integral(theta0, v0, x0_s, y0_s,
+                                              theta0_s, v0_s, t_star)
+    t, w = composite_nodes(0.0, t_star, 64, 16)
+    Q = float(w @ characteristics.arc_jacobian(theta0, v0, x0_s, y0_s,
+                                               theta0_s, v0_s, t))
+    J0 = x0_s * math.cos(theta0) + y0_s * math.sin(theta0)
+    K0 = y0_s * math.cos(theta0) - x0_s * math.sin(theta0)
+    size = (abs(J0) * t_star + abs(v0 * K0 - theta0_s) * t_star ** 2 / 2
+            + abs(v0_s) * t_star ** 3 / 6)
+    assert abs(float(I) - Q) <= 1e-14 * size
+
+
 def test_E0_evaluates_no_arc_grid(monkeypatch):
-    """E0's bulk term takes the Jacobian in closed form: no arc positions,
-    and the seed of each family evaluated at most twice (at the s-nodes,
-    and on s + ds and s - ds stacked)."""
+    """E0's bulk term integrates the Jacobian along each arc in closed
+    form: no arc positions, no Jacobian on an s x t grid, and the seed of
+    each family evaluated at most twice (at the s-nodes, and on s + ds and
+    s - ds stacked)."""
     def no_arcs(*args):
         raise AssertionError("arc_xy called during E0")
 
+    def no_jacobian(*args):
+        raise AssertionError("arc_jacobian called during E0")
+
     monkeypatch.setattr(characteristics, "arc_xy", no_arcs)
+    monkeypatch.setattr(characteristics, "arc_jacobian", no_jacobian)
     sol = crosstie.build_crosstie(1.5, 1.0)
     fields = [(sol.field, Params(L=1.5, H=1.0, T=sol.T)),
               (disc.build_deg_minus_one(0.6, 0.5).field, Params(L=0.5, R=0.6)),

@@ -273,14 +273,14 @@ class TestConvergedExits:
     """The two ways `run_to_equilibrium` reports convergence, on the
     tangential disc from a random start."""
 
-    def run(self, tol):
+    def run(self, tol, **kw):
         R = 0.6
         g = make_grid("polar", (disc_inner_cutoff(R), R), 8, 16)
         bc = disc_bc("tangential", R)
         p = Params(L=0.5, eps=0.1, R=R)
         solver = FlowSolver(g, p, bc)
         st = solver.run_to_equilibrium(random_unit_field(g, bc, seed=1),
-                                       tol=tol)
+                                       tol=tol, **kw)
         (_, e_prev), (_, e_new) = st.energy_trace[-2:]
         rate = (e_prev.total - e_new.total) / st.dt
         grad = np.abs(rhs(st.field, p, bc, solver.ops).values).max()
@@ -290,6 +290,7 @@ class TestConvergedExits:
         st, rate, grad = self.run(tol=1e-6)
         assert st.converged and st.stop_reason == "gradient below tolerance"
         assert rate < 1e-12 and grad < 1e-6
+        assert st.residual == grad and st.residual < 1e-6
 
     def test_energy_stationary(self):
         """With a tolerance far below what the energy can resolve, the flow
@@ -297,6 +298,14 @@ class TestConvergedExits:
         st, rate, grad = self.run(tol=1e-9)
         assert st.converged and st.stop_reason == "energy stationary"
         assert rate < 1e-4 * 1e-18 and grad >= 1e-9
+        assert st.residual == grad and st.residual >= 1e-9
+
+    def test_unconverged_exit_reports_a_computed_residual(self):
+        """Once the energy rate falls below tol^2 every step computes
+        ||rhs||_inf, and an exit at max_steps reports the final field's."""
+        st, _, grad = self.run(tol=1e-6, max_steps=230)
+        assert not st.converged and st.stop_reason == "max_steps reached"
+        assert st.residual == grad and st.residual >= 1e-6
 
 
 class TestDiagnostics:

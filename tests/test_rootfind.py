@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize.elementwise import find_root
 
-from nematic_walls import crosstie, disc
+from nematic_walls import crosstie, disc, rootfind
 from nematic_walls.rootfind import BracketError, bracketed_root
 
 
@@ -192,3 +192,75 @@ def test_region2_theta_star_matches_bisection(lh):
     assert np.max(np.abs(got - ref)) <= 1e-14
     assert isinstance(crosstie.region2_theta_star(0.5 * sol.t1_star, a, sol.L),
                       float)
+
+
+# --- arc scan ------------------------------------------------------------------
+
+def _matrix_arc_roots(circle, nodes, x, y, both):
+    """Reference arc scan: the residual's sign on the whole (nodes x
+    points) matrix, then the first (and last) sign-change cell per point."""
+    def resid(s, x, y):
+        cx, cy, r2 = circle(s)
+        return (x - cx) ** 2 + (y - cy) ** 2 - r2
+
+    sgn = np.sign(resid(nodes[:, None], x, y))
+    change = (sgn[:-1] * sgn[1:]) <= 0
+    ok = change.any(axis=0)
+    cells = [np.argmax(change, axis=0)]
+    if both:
+        cells.append(len(nodes) - 2 - np.argmax(change[::-1], axis=0))
+    roots = []
+    for cell in cells:
+        s = np.full(x.shape, np.nan)
+        if ok.any():
+            c = cell[ok]
+            s[ok] = bracketed_root(resid, nodes[c], nodes[c + 1],
+                                   args=(x[ok], y[ok]))
+        roots.append(s)
+    return roots
+
+
+def _disc_sample(n):
+    sol = disc.build_deg_minus_one(0.6, 0.5)
+    r = np.linspace(0.01, 0.6 * (1 - 1e-12), n)
+    phi = np.linspace(0.0, 2 * math.pi, 2 * n)
+    X = r[:, None] * np.cos(phi)
+    Y = r[:, None] * np.sin(phi)
+    return disc, lambda: disc.deg_minus_one_sample(sol, X, Y)
+
+
+def _crosstie_sample(n):
+    sol = crosstie.build_crosstie(1.0, 1.0)
+    X, Y = np.meshgrid(np.linspace(0.0, 2 * sol.T, 2 * n),
+                       np.linspace(-1.0, 1.0, n), indexing="ij")
+    return crosstie, lambda: crosstie.crosstie_field_sample(sol, X, Y)
+
+
+@pytest.mark.parametrize("setup, n", [(_disc_sample, 8), (_disc_sample, 40),
+                                      (_crosstie_sample, 40)])
+def test_arc_scan_matches_matrix_scan(setup, n, monkeypatch):
+    """Every bracketed_arc_solve(_both) call of a field sample returns the
+    roots of the (nodes x points) matrix scan bit for bit, and so does the
+    sampled field: with few points the scan takes all nodes in one block,
+    with many a few nodes (or one) per block."""
+    module, sample = setup(n)
+    calls = []
+    for name in ("bracketed_arc_solve", "bracketed_arc_solve_both"):
+        solve = getattr(rootfind, name)
+
+        def checked(*args, solve=solve, name=name, **kw):
+            got = solve(*args, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(rootfind, "_arc_roots", _matrix_arc_roots)
+                want = solve(*args, **kw)
+            assert np.array_equal(np.asarray(got), np.asarray(want),
+                                  equal_nan=True), name
+            calls.append(name)
+            return got
+
+        monkeypatch.setattr(module, name, checked)
+    fast = sample()
+    assert set(calls) == {"bracketed_arc_solve", "bracketed_arc_solve_both"}
+    monkeypatch.setattr(rootfind, "_arc_roots", _matrix_arc_roots)
+    for a, b in zip(fast, sample()):
+        assert np.array_equal(a, b, equal_nan=True)
