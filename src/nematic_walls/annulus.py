@@ -196,24 +196,17 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     nv = 512
     phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
     pts = rho * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    e_r = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
     b = math.sqrt(max(1.0 - a * a, 0.0))
-    tr_out = a * e_r + b * e_t   # trace from r > rho
-    tr_in = a * e_r - b * e_t    # trace from r < rho
-    normals = -e_r               # from + (outer) to - (inner)
 
-    def fn_plus(arc):
-        ph = np.asarray(arc, dtype=float) / rho
+    def traces(ph):
+        # traces from r > rho and from r < rho at polar angle ph
         er = np.stack([np.cos(ph), np.sin(ph)], axis=-1)
         et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
-        return a * er + b * et
+        return a * er + b * et, a * er - b * et
 
-    def fn_minus(arc):
-        ph = np.asarray(arc, dtype=float) / rho
-        er = np.stack([np.cos(ph), np.sin(ph)], axis=-1)
-        et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
-        return a * er - b * et
+    tr_out, tr_in = traces(phi)
+    # from + (outer) to - (inner)
+    normals = -np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
     dphi = phi[1] - phi[0]
     arc_over_chord = (0.5 * dphi) / math.sin(0.5 * dphi)
@@ -221,7 +214,7 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         polyline=pts, normals=normals,
         trace_plus=tr_out, trace_minus=tr_in,
         div_plus=np.full(nv + 1, c_out), div_minus=np.full(nv + 1, c_in),
-        trace_fns=(fn_plus, fn_minus),
+        trace_fn=lambda arc: traces(np.asarray(arc, dtype=float) / rho),
         div_fns=(lambda s: np.full_like(np.asarray(s, float), c_out),
                  lambda s: np.full_like(np.asarray(s, float), c_in)),
         length_scale=np.full(nv, arc_over_chord),
@@ -255,22 +248,20 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
     nv = 512
     phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
 
-    def fn_plus(arc):
+    def traces(arc):
+        # on the unit circle arclength is the polar angle
         ph = np.asarray(arc, dtype=float)
-        return np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
+        et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
+        return et, -et
 
-    def fn_minus(arc):
-        ph = np.asarray(arc, dtype=float)
-        return -np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
-
+    tp, tm = traces(phi)
     dphi = phi[1] - phi[0]
     wall = JumpSegment(
         polyline=pts, normals=np.stack([np.cos(phi), np.sin(phi)], axis=-1),
-        trace_plus=e_t, trace_minus=-e_t,
+        trace_plus=tp, trace_minus=tm,
         div_plus=np.zeros(nv + 1), div_minus=np.zeros(nv + 1),
-        trace_fns=(fn_plus, fn_minus),
+        trace_fn=traces,
         length_scale=np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)),
         boundary=True)
     field = PiecewiseCriticalField(

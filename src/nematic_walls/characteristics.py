@@ -291,9 +291,11 @@ def family_jacobian(family: CharacteristicFamily, s, t):
 def family_jacobian_integral(family: CharacteristicFamily, s):
     """(I, v0): `arc_jacobian_integral` over [0, max(t_star(s), 0)] of the
     arc seeded at each s, and the arcs' divergence, both on the shape of
-    s.  The seed is evaluated twice."""
-    th0, v0, derivs = _seed_derivatives(family, s)
+    s.  The seed is evaluated twice.  t_star(s) is called right before
+    seed(s), so a family that derives both from one solve on the s-nodes
+    (cross-tie region II) can keep that solve for the second call."""
     ts = np.maximum(np.asarray(family.t_star(s), dtype=float), 0.0)
+    th0, v0, derivs = _seed_derivatives(family, s)
     return arc_jacobian_integral(th0, v0, *derivs, ts), v0
 
 

@@ -4,6 +4,12 @@ Every construction, evaluator, solver, and sweep is a subcommand writing
 machine-readable artifacts (CSV/JSON, 17 significant digits) plus the
 resolved run configuration, so identical configurations (including the
 seed) reproduce bit-identical outputs.
+
+Each runner imports the modules it uses itself, before it builds any large
+array, so a subcommand loads only its own part of the package.  `contours`,
+which runners call last, is imported here, so that its import (and
+compilation, where no bytecode cache is written) never runs while a
+runner's arrays are alive and cannot add to the peak RSS.
 """
 
 from __future__ import annotations
@@ -18,15 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import annulus as annulus_mod
-from . import crosstie as crosstie_mod
-from . import disc as disc_mod
-from . import rect1d
 from .contours import contours_to_csv, level_curves
 from .core import (POLAR, RECTANGLE, Field2D, Grid2D, Params,
                    disc_inner_cutoff, field_from_csv, field_to_csv, make_grid,
                    sample_analytic)
-from .energy import eval_E0_piecewise, eval_E_eps, eval_E_eps_1d
 
 G17 = "{:.17g}".format
 
@@ -140,6 +141,8 @@ def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
 # --- subcommand runners ---------------------------------------------------------
 
 def run_disc_tangential(cfg: RunConfig) -> int:
+    from . import disc as disc_mod
+    from .energy import eval_E0_piecewise
     out = _outdir(cfg)
     p = cfg.params()
     sol = disc_mod.tangential_solution(cfg.R)
@@ -152,6 +155,8 @@ def run_disc_tangential(cfg: RunConfig) -> int:
 
 
 def run_disc_hedgehog(cfg: RunConfig) -> int:
+    from . import disc as disc_mod
+    from .energy import eval_E0_piecewise
     out = _outdir(cfg)
     p = cfg.params()
     sol = disc_mod.hedgehog_solution(+1)
@@ -169,6 +174,8 @@ def run_disc_hedgehog(cfg: RunConfig) -> int:
 
 
 def run_disc_deg_minus_one(cfg: RunConfig) -> int:
+    from . import disc as disc_mod
+    from .energy import eval_E0_piecewise
     out = _outdir(cfg)
     p = cfg.params()
     sol = disc_mod.build_deg_minus_one(cfg.R, cfg.L)
@@ -187,6 +194,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
 
 
 def run_annulus(cfg: RunConfig) -> int:
+    from . import annulus as annulus_mod
     out = _outdir(cfg)
     p = cfg.params()
     sol = annulus_mod.solve_annulus(cfg.R, cfg.L)
@@ -218,6 +226,8 @@ def run_annulus(cfg: RunConfig) -> int:
 
 
 def run_rect_1d(cfg: RunConfig) -> int:
+    from . import rect1d
+    from .energy import eval_E_eps_1d
     out = _outdir(cfg)
     p = cfg.params()
     M = rect1d.solve_M(cfg.L, cfg.H, cfg.a)
@@ -249,6 +259,7 @@ def run_rect_1d(cfg: RunConfig) -> int:
 
 
 def run_crosstie(cfg: RunConfig) -> int:
+    from . import crosstie as crosstie_mod
     out = _outdir(cfg)
     p = cfg.params()
     sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
@@ -269,6 +280,7 @@ def run_crosstie(cfg: RunConfig) -> int:
 
 
 def run_crosstie_sweep(cfg: RunConfig) -> int:
+    from . import crosstie as crosstie_mod
     out = _outdir(cfg)
     rows = []
     L0, L1 = crosstie_mod.find_crossing(H=cfg.H, l_lo=cfg.lmin, l_hi=cfg.lmax,
@@ -290,6 +302,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     if cfg.domain == "rect":
+        from . import crosstie as crosstie_mod
         T = cfg.T if cfg.T > 0 else cfg.H * crosstie_mod.solve_Ttilde(cfg.L / cfg.H)
         grid = make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
                          cfg.nx, cfg.ny, periodic_x=True)
@@ -302,6 +315,7 @@ def run_gradflow(cfg: RunConfig) -> int:
         else:
             init = gf.random_unit_field(grid, bc, seed=cfg.seed)
     elif cfg.domain == "disc":
+        from . import disc as disc_mod
         grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
         bc = gf.disc_bc(cfg.bc or "degminusone", cfg.R)
         if cfg.init == "construction":
@@ -336,6 +350,7 @@ def run_gradflow(cfg: RunConfig) -> int:
 
 
 def run_energy_eval(cfg: RunConfig) -> int:
+    from .energy import eval_E_eps
     out = _outdir(cfg)
     p = cfg.params()
     if cfg.domain == "rect":

@@ -229,9 +229,11 @@ class JumpSegment:
     trace_minus  (N, 2) unit trace on the - side
     div_plus/div_minus   optional divergence traces per vertex (used by the
                  wall criticality residuals)
-    trace_fns    optional (f_plus, f_minus): arclength -> (2,) exact traces,
-                 evaluated at quadrature nodes instead of interpolating the
-                 vertex traces (needed for tight tolerances on curved walls)
+    trace_fn     optional callable: arclength array (M,) -> (u_plus, u_minus),
+                 the exact (M, 2) traces on both sides from one evaluation
+                 of the wall's angle, used at the quadrature nodes instead
+                 of interpolating the vertex traces (needed for tight
+                 tolerances on curved walls)
     length_scale optional per-segment arc/chord ratio, so quadrature uses
                  the true curve measure on curved walls
     boundary     True when the segment lies on the domain boundary; it is
@@ -245,7 +247,7 @@ class JumpSegment:
     trace_minus: np.ndarray
     div_plus: Optional[np.ndarray] = None
     div_minus: Optional[np.ndarray] = None
-    trace_fns: Optional[tuple] = None
+    trace_fn: Optional[Callable] = None
     div_fns: Optional[tuple] = None
     length_scale: Optional[np.ndarray] = None
     boundary: bool = False

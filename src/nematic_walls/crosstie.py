@@ -148,19 +148,15 @@ class CrossTieSolution:
         theta_b = float(region3_seed_angle(self.T, self.L))
         return abs(theta_e - theta_b)
 
-    def wall_residual(self, n: int = 512) -> float:
-        """sup |L v + sin 2 theta| over both walls' construction traces."""
-        s3 = np.linspace(0.0, self.T, n)
-        th = region3_seed_angle(s3, self.L)
-        v = region3_v(s3, self.L)
-        r_b = np.abs(self.L * v + np.sin(2.0 * th)).max()
-        s2 = np.linspace(1e-9, self.t1_star, n)
-        th2 = region2_theta_star(s2, self.alpha, self.L)
-        v2 = -np.sin(2.0 * th2) / self.L
-        r_l2 = np.abs(self.L * v2 + np.sin(2.0 * th2)).max()
-        th3s = 0.5 * math.pi - th  # arrival angle on the left wall
-        r_l3 = np.abs(self.L * v + np.sin(2.0 * th3s)).max()
-        return float(max(r_b, r_l2, r_l3))
+    def wall_residual(self) -> float:
+        """sup |L v + sin 2 theta| over the vertices both walls store, with
+        theta the angle of trace_plus (sin 2 theta = 2 u1 u2) and v its
+        div_plus: the bottom wall's region-III seeds and the left wall's
+        region-III and region-II arrivals."""
+        return float(max(
+            np.abs(self.L * w.div_plus
+                   + 2.0 * w.trace_plus[:, 0] * w.trace_plus[:, 1]).max()
+            for w in (self.wall_bottom, self.wall_left)))
 
 
 def build_crosstie(L: float, H: float) -> CrossTieSolution:
@@ -207,8 +203,8 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
                                 label="crosstie region III")
 
     # region II: seeded on Gamma (family I's terminal arc).  E0's quadrature
-    # asks for t_star2 and seed2 on the same s-nodes, so the last theta* is
-    # kept: it is solved once per node array.
+    # calls t_star2(s) and then seed2(s) on the same s-nodes (before the
+    # seed on s +- ds), so the last theta* is kept: one solve serves both.
     last = [np.empty(0), np.empty(0)]  # s-nodes (flat) and their theta*
 
     def theta_star2(s):
@@ -247,21 +243,16 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     theta_b_of_x = pchip(xs, thb)
     v3_of_x = pchip(xs, v3)
 
-    def bot_plus(arc):
-        th = theta_b_of_x(arc)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    def bottom_traces(th):
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([c, s], axis=-1), np.stack([-c, s], axis=-1)
 
-    def bot_minus(arc):
-        th = theta_b_of_x(arc)
-        return np.stack([-np.cos(th), np.sin(th)], axis=-1)
-
+    tp, tm = bottom_traces(thb)
     wall_bottom = JumpSegment(
         polyline=np.stack([xs, np.zeros_like(xs)], axis=-1),
         normals=np.tile([0.0, -1.0], (n_w, 1)),
-        trace_plus=np.stack([np.cos(thb), np.sin(thb)], axis=-1),
-        trace_minus=np.stack([-np.cos(thb), np.sin(thb)], axis=-1),
-        div_plus=v3, div_minus=-v3,
-        trace_fns=(bot_plus, bot_minus),
+        trace_plus=tp, trace_minus=tm, div_plus=v3, div_minus=-v3,
+        trace_fn=lambda arc: bottom_traces(theta_b_of_x(arc)),
         div_fns=(v3_of_x, lambda s: -v3_of_x(s)))
 
     # left wall x = 0, y in (0, H): arrivals of III (y < T) and II (y > T).
@@ -292,21 +283,16 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     theta_of_y = pchip(yw, thw)
     v_of_y = pchip(yw, vw)
 
-    def left_plus(arc):
-        th = theta_of_y(arc)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    def left_traces(th):
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([c, s], axis=-1), np.stack([c, -s], axis=-1)
 
-    def left_minus(arc):
-        th = theta_of_y(arc)
-        return np.stack([np.cos(th), -np.sin(th)], axis=-1)
-
+    tp, tm = left_traces(thw)
     wall_left = JumpSegment(
         polyline=np.stack([np.zeros_like(yw), yw], axis=-1),
         normals=np.tile([-1.0, 0.0], (len(yw), 1)),
-        trace_plus=np.stack([np.cos(thw), np.sin(thw)], axis=-1),
-        trace_minus=np.stack([np.cos(thw), -np.sin(thw)], axis=-1),
-        div_plus=vw, div_minus=-vw,
-        trace_fns=(left_plus, left_minus),
+        trace_plus=tp, trace_minus=tm, div_plus=vw, div_minus=-vw,
+        trace_fn=lambda arc: left_traces(theta_of_y(arc)),
         div_fns=(v_of_y, lambda s: -v_of_y(s)))
 
     field = PiecewiseCriticalField(
@@ -570,6 +556,14 @@ def remark_crosstie_map(x, y):
     return u1, u2
 
 
+def _tail_traces(y):
+    """(left, right) traces of the explicit map on the tail wall x = 1/2 at
+    ordinate y, |y| > 1/2."""
+    th_l, th_r = np.arctan2(y, 0.5), np.arctan2(y, -0.5)
+    return (np.stack([np.sin(th_l), -np.cos(th_l)], axis=-1),
+            np.stack([np.sin(th_r), -np.cos(th_r)], axis=-1))
+
+
 def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseCriticalField:
     """Jump segments of the explicit map on one period (tails truncated at
     |y| = y_split; the remainder is analytic, see remark_tail_integral)."""
@@ -577,62 +571,45 @@ def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseC
     segs = []
     # horizontal wall y = 0, |x| < 1/2 (trace pairs differ per half)
     xs = np.linspace(-0.5, 0.5, 257)
-    above = np.where(xs[:, None] >= 0, [[s2, -s2]], [[s2, s2]])
-    below = np.where(xs[:, None] >= 0, [[-s2, -s2]], [[-s2, s2]])
 
-    def h_plus(arc):
-        xx = np.asarray(arc, dtype=float) - 0.5
-        return np.where(xx[..., None] >= 0, [s2, -s2], [s2, s2])
+    def h_traces(x):
+        # (above, below) at abscissa x
+        right = x[..., None] >= 0
+        return (np.where(right, [s2, -s2], [s2, s2]),
+                np.where(right, [-s2, -s2], [-s2, s2]))
 
-    def h_minus(arc):
-        xx = np.asarray(arc, dtype=float) - 0.5
-        return np.where(xx[..., None] >= 0, [-s2, -s2], [-s2, s2])
-
+    above, below = h_traces(xs)
     segs.append(JumpSegment(
         polyline=np.stack([xs, np.zeros_like(xs)], axis=-1),
         normals=np.tile([0.0, 1.0], (len(xs), 1)),
         trace_plus=above, trace_minus=below,
-        trace_fns=(h_plus, h_minus)))
+        trace_fn=lambda arc: h_traces(np.asarray(arc, dtype=float) - 0.5)))
     # vertical wall x = 1/2, |y| < 1/2
     ys = np.linspace(-0.5, 0.5, 257)
-    left = np.where(ys[:, None] >= 0, [[s2, -s2]], [[-s2, -s2]])
-    right = np.where(ys[:, None] >= 0, [[s2, s2]], [[-s2, s2]])
 
-    def v_plus(arc):
-        yy = np.asarray(arc, dtype=float) - 0.5
-        return np.where(yy[..., None] >= 0, [s2, -s2], [-s2, -s2])
+    def v_traces(y):
+        # (left, right) at ordinate y
+        upper = y[..., None] >= 0
+        return (np.where(upper, [s2, -s2], [-s2, -s2]),
+                np.where(upper, [s2, s2], [-s2, s2]))
 
-    def v_minus(arc):
-        yy = np.asarray(arc, dtype=float) - 0.5
-        return np.where(yy[..., None] >= 0, [s2, s2], [-s2, s2])
-
+    left, right = v_traces(ys)
     segs.append(JumpSegment(
         polyline=np.stack([np.full_like(ys, 0.5), ys], axis=-1),
         normals=np.tile([1.0, 0.0], (len(ys), 1)),
         trace_plus=left, trace_minus=right,
-        trace_fns=(v_plus, v_minus)))
+        trace_fn=lambda arc: v_traces(np.asarray(arc, dtype=float) - 0.5)))
     # tails x = 1/2, 1/2 < |y| < y_split
     for sgn in (+1.0, -1.0):
         yy = sgn * np.linspace(0.5, y_split, n_tail)
 
-        def t_plus(arc, sgn=sgn):
-            y_ = sgn * (0.5 + np.asarray(arc, dtype=float))
-            th = np.arctan2(y_, 0.5)
-            return np.stack([np.sin(th), -np.cos(th)], axis=-1)
-
-        def t_minus(arc, sgn=sgn):
-            y_ = sgn * (0.5 + np.asarray(arc, dtype=float))
-            th = np.arctan2(y_, -0.5)
-            return np.stack([np.sin(th), -np.cos(th)], axis=-1)
-
-        th_l = np.arctan2(yy, 0.5)
-        th_r = np.arctan2(yy, -0.5)
+        tp, tm = _tail_traces(yy)
         segs.append(JumpSegment(
             polyline=np.stack([np.full_like(yy, 0.5), yy], axis=-1),
             normals=np.tile([1.0, 0.0], (len(yy), 1)),
-            trace_plus=np.stack([np.sin(th_l), -np.cos(th_l)], axis=-1),
-            trace_minus=np.stack([np.sin(th_r), -np.cos(th_r)], axis=-1),
-            trace_fns=(t_plus, t_minus)))
+            trace_plus=tp, trace_minus=tm,
+            trace_fn=lambda arc, sgn=sgn: _tail_traces(
+                sgn * (0.5 + np.asarray(arc, dtype=float)))))
     return PiecewiseCriticalField(families=[], jumps=segs,
                                   domain="strip |x|<1/2, one period")
 

@@ -297,21 +297,16 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
 
     poly = np.stack([xw, xw], axis=-1)
     nu = np.tile(np.array([-1.0, 1.0]) / SQRT2, (len(xw), 1))
-    tp = np.stack([np.cos(thw), np.sin(thw)], axis=-1)
-    tm = np.stack([-np.sin(thw), -np.cos(thw)], axis=-1)
 
-    def trace_plus_fn(arc):
-        th = theta_of_xi(arc)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    def traces(th):
+        c, s = np.cos(th), np.sin(th)
+        return np.stack([c, s], axis=-1), np.stack([-s, -c], axis=-1)
 
-    def trace_minus_fn(arc):
-        th = theta_of_xi(arc)
-        return np.stack([-np.sin(th), -np.cos(th)], axis=-1)
-
+    tp, tm = traces(thw)
     jump = JumpSegment(
         polyline=poly, normals=nu, trace_plus=tp, trace_minus=tm,
         div_plus=vw, div_minus=-vw,
-        trace_fns=(trace_plus_fn, trace_minus_fn),
+        trace_fn=lambda arc: traces(theta_of_xi(arc)),
         div_fns=(v_of_xi, lambda a: -v_of_xi(a)),
     )
 

@@ -83,32 +83,38 @@ def wall_cost_density(trace_plus, trace_minus, normal=None) -> float:
 
 # --- wall line integrals ----------------------------------------------------
 
-def _segment_quadrature(seg: JumpSegment, order: int):
-    """Gauss-Legendre nodes along the polyline with traces at the nodes.
+def wall_nodes(seg: JumpSegment, order: int):
+    """Gauss-Legendre nodes along the polyline, segment by segment.
 
-    Returns (weights, u_plus, u_minus) with weights carrying the arclength
-    measure.  Traces come from seg.trace_fns when available (exact), else
-    from renormalized linear interpolation of the vertex traces.
+    Returns (arcs, weights, lam): the nodes' arclengths and weights (the
+    weights carry the arclength measure), flat, and the (order,) node
+    fractions in (0, 1) shared by every segment.
     """
     gl_x, gl_w = gauss_legendre(order)
     seg_len = seg.segment_lengths
     arc0 = seg.arclengths[:-1]
-    # nodes per segment: lam in (0, 1)
     lam = 0.5 * (gl_x + 1.0)
-    w = 0.5 * gl_w
-    lam_full = lam[None, :]
-    weights = (seg_len[:, None] * w[None, :]).ravel()
-    arcs = (arc0[:, None] + seg_len[:, None] * lam_full).ravel()
-    if seg.trace_fns is not None:
-        fp, fm = seg.trace_fns
-        up = np.asarray(fp(arcs), dtype=float)
-        um = np.asarray(fm(arcs), dtype=float)
+    weights = (seg_len[:, None] * (0.5 * gl_w)[None, :]).ravel()
+    arcs = (arc0[:, None] + seg_len[:, None] * lam[None, :]).ravel()
+    return arcs, weights, lam
+
+
+def _segment_quadrature(seg: JumpSegment, order: int):
+    """(weights, u_plus, u_minus) at the `wall_nodes` of a segment.
+
+    Traces come from one seg.trace_fn call when available (exact), else
+    from renormalized linear interpolation of the vertex traces.
+    """
+    arcs, weights, lam = wall_nodes(seg, order)
+    if seg.trace_fn is not None:
+        up, um = (np.asarray(u, dtype=float) for u in seg.trace_fn(arcs))
     else:
+        lam_full = lam[None, :, None]
         tp, tm = seg.trace_plus, seg.trace_minus
-        up = (tp[:-1, None, :] * (1 - lam_full[..., None])
-              + tp[1:, None, :] * lam_full[..., None]).reshape(-1, 2)
-        um = (tm[:-1, None, :] * (1 - lam_full[..., None])
-              + tm[1:, None, :] * lam_full[..., None]).reshape(-1, 2)
+        up = (tp[:-1, None, :] * (1 - lam_full)
+              + tp[1:, None, :] * lam_full).reshape(-1, 2)
+        um = (tm[:-1, None, :] * (1 - lam_full)
+              + tm[1:, None, :] * lam_full).reshape(-1, 2)
         up /= np.linalg.norm(up, axis=1, keepdims=True)
         um /= np.linalg.norm(um, axis=1, keepdims=True)
     return weights, up, um

@@ -11,18 +11,22 @@ import pytest
 import nematic_walls
 from nematic_walls.cli import RunConfig, dispatch, main, validate
 
-def _scipy_loaded_after(module: str) -> set:
-    """The modules named scipy or scipy.* that a fresh interpreter holds
-    after importing module."""
+def _modules_after(code: str) -> set:
+    """The names in sys.modules of a fresh interpreter that has run code."""
     src = str(Path(nematic_walls.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (f"import sys, {module}; "
-            "print(' '.join(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code += "\nimport sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return set(out.split())
+
+
+def _scipy_loaded_after(module: str) -> set:
+    """The modules named scipy or scipy.* that a fresh interpreter holds
+    after importing module."""
+    return {m for m in _modules_after(f"import {module}")
+            if m.split(".")[0] == "scipy"}
 
 
 def test_cli_import_loads_no_scipy_submodule():
@@ -30,6 +34,18 @@ def test_cli_import_loads_no_scipy_submodule():
     flow loads SciPy or any part of it."""
     assert _scipy_loaded_after("nematic_walls.cli") == set()
     assert _scipy_loaded_after("nematic_walls.gradflow") == set()
+
+
+def test_sweep_imports_only_what_it_runs(tmp_path):
+    """A cross-tie sweep never imports the annulus or disc constructions or
+    the gradient flow: the CLI imports each runner's modules inside it."""
+    argv = ["crosstie-sweep", "--lmin", "1.3", "--lmax", "1.4", "--step",
+            "0.1", "--out", str(tmp_path / "s")]
+    loaded = _modules_after("from nematic_walls import cli\n"
+                            f"assert cli.main({argv!r}) == 0")
+    assert "nematic_walls.crosstie" in loaded
+    for name in ("annulus", "disc", "gradflow"):
+        assert f"nematic_walls.{name}" not in loaded
 
 
 def test_rect1d_values(tmp_path):

@@ -91,6 +91,35 @@ class TestConstruction:
         assert np.all(region3_v(s3, sol.L) < 0)
 
 
+# crosstie_energy_per_length at its default rule, recorded with repr from
+# the construction that solved region II's terminal angle five times per
+# evaluation; one solve per node array must give the same floats exactly
+RECORDED_E0_PER_LENGTH = {
+    1.0: 0.9715722202228105,
+    1.2195: 1.0683670539500556,
+    1.3: 1.0991311456421042,
+    2.0: 1.3026329278791111,
+}
+
+
+@pytest.mark.parametrize("lh", sorted(RECORDED_E0_PER_LENGTH))
+def test_gap_evaluation_solves_theta_star_three_times(lh, monkeypatch):
+    """Building the cross-tie and taking E0 solves region II's terminal
+    angle at most 3 times (the left wall's nodes, E0's s-nodes, and s +- ds
+    stacked) and reproduces the recorded energy bit for bit."""
+    from nematic_walls import crosstie
+    sizes = []
+
+    def counted(s2, alpha, L):
+        sizes.append(np.size(s2))
+        return region2_theta_star(s2, alpha, L)
+
+    monkeypatch.setattr(crosstie, "region2_theta_star", counted)
+    e = crosstie_energy_per_length(build_crosstie(lh, 1.0))
+    assert len(sizes) <= 3, sizes
+    assert e == RECORDED_E0_PER_LENGTH[lh]
+
+
 class TestEnergy:
     def test_scale_invariance(self):
         eA = crosstie_energy_per_length(build_crosstie(1.0, 0.5),

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nematic_walls import characteristics, crosstie, disc
-from nematic_walls.core import Field2D, Params, make_grid, sample_analytic
+from nematic_walls import annulus, characteristics, crosstie, disc
+from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, Field2D, Params,
+                                make_grid, sample_analytic)
 from nematic_walls.disc import hedgehog_solution
 from nematic_walls.energy import (GridProfile1D, WallIntegrand,
                                   criticality_residuals, eval_E0_1d,
                                   eval_E0_piecewise, eval_E_eps, eval_E_eps_1d,
-                                  family_bulk_integral, wall_cost_density)
+                                  family_bulk_integral, wall_cost_density,
+                                  wall_nodes)
 from nematic_walls.quadrature import composite_nodes
 from nematic_walls.rect1d import OneDProfile, recovery_profile_1d
 
@@ -401,3 +403,48 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
         eval_E0_piecewise(field, params)
         assert len(calls) == len(field.families)
         assert max(calls.values()) <= 2
+
+
+def _circle_normal(radius, sign):
+    def normal(arcs):
+        ph = np.asarray(arcs) / radius
+        return sign * np.stack([np.cos(ph), np.sin(ph)], axis=-1)
+    return normal
+
+
+def _walls(kind):
+    """(segment, normal as a function of arclength) for every wall of a
+    construction; None stands for a straight wall's constant normal."""
+    if kind == "annulus_interior":
+        sol = annulus.solve_interior_wall(2.0,
+                                          annulus.critical_L_for_a_half(2.0))
+        return [(seg, _circle_normal(sol.rho, -1.0))
+                for seg in sol.field.jumps]
+    if kind == "annulus_boundary":
+        sol = annulus.boundary_wall_solution(2.0, 1.0)
+        return [(seg, _circle_normal(1.0, 1.0)) for seg in sol.field.jumps]
+    field = {"crosstie": lambda: crosstie.build_crosstie(1.2195, 1.0).field,
+             "deg_minus_one": lambda: disc.build_deg_minus_one(0.6, 0.5).field,
+             "remark": crosstie.remark_crosstie_field}[kind]()
+    return [(seg, None) for seg in field.jumps]
+
+
+@pytest.mark.parametrize("kind", ["crosstie", "deg_minus_one", "remark",
+                                  "annulus_interior", "annulus_boundary"])
+def test_trace_fn_at_wall_quadrature_nodes(kind):
+    """One trace_fn call gives both traces at every wall quadrature node:
+    unit vectors whose normal components agree to NORMAL_JUMP_TOL.
+    JumpSegment.validate checks the vertex traces only."""
+    for seg, normal in _walls(kind):
+        arcs, _, _ = wall_nodes(seg, 8)
+        up, um = seg.trace_fn(arcs)
+        assert up.shape == um.shape == (arcs.size, 2)
+        if normal is None:
+            assert np.all(seg.normals == seg.normals[0])
+            nu = seg.normals[0]
+        else:
+            assert np.abs(normal(seg.arclengths) - seg.normals).max() < 1e-12
+            nu = normal(arcs)
+        for u in (up, um):
+            assert np.abs(np.hypot(u[:, 0], u[:, 1]) - 1.0).max() <= UNIT_TOL
+        assert np.abs(((up - um) * nu).sum(axis=-1)).max() <= NORMAL_JUMP_TOL
