@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import CharacteristicFamily, PiecewiseCriticalField
+from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
+                              arc_xy)
 from .core import EnergyBreakdown, JumpSegment
 from .rootfind import bracketed_root, scan_brackets
 
@@ -143,6 +144,17 @@ class AnnulusRadialSolution:
     jump_residual: float = 0.0
 
 
+def _annulus_radius(x, y, R: float):
+    """x, y broadcast to float arrays and r = hypot(x, y); ValueError where
+    a point lies outside 1 <= r <= R (to 1e-12)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    r = np.hypot(x, y)
+    if np.any((r < 1.0 - 1e-12) | (r > R + 1e-12)):
+        raise ValueError("point outside the annulus")
+    return x, y, r
+
+
 def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     """Characteristic families + wall circle for the interior-wall field."""
     c_in, c_out = radial_div(rho, a, R)
@@ -162,14 +174,12 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     def _hit_radius(seed, v0, target, t_hi):
         # first arrival time at |pos(t)| = target along the phi = 0 arc
         # (every phi gives the same time by rotational symmetry)
-        from .characteristics import CharacteristicArc, arc_point
         x0, y0, th0, _ = (float(np.asarray(q)) for q in seed(np.asarray(0.0)))
         if abs(v0) > 1e-12:
             t_hi = min(t_hi, math.pi / abs(v0))  # at most half the circle
-        arc = CharacteristicArc(x0, y0, th0, v0, t_max=t_hi)
 
         def f(t):
-            x, y, _, _ = arc_point(arc, t)
+            x, y, _ = arc_xy(x0, y0, th0, v0, np.asarray(t, dtype=float))
             return np.hypot(x, y) - target
 
         ts = np.linspace(0.0, t_hi, 512)
@@ -220,19 +230,18 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         length_scale=np.full(nv, arc_over_chord),
     )
 
-    def eval_fn(x, y):
-        r = math.hypot(x, y)
-        if not (1.0 - 1e-12 <= r <= R + 1e-12):
-            raise ValueError("point outside the annulus")
-        pr = float(p(np.asarray(r)))
-        q_ = math.sqrt(max(1.0 - pr * pr, 0.0)) * (1.0 if r > rho else -1.0)
+    def sample(x, y):
+        x, y, r = _annulus_radius(x, y, R)
+        pr = p(r)
+        q_ = np.sqrt(np.maximum(1.0 - pr * pr, 0.0)) \
+            * np.where(r > rho, 1.0, -1.0)
         u1 = pr * x / r - q_ * y / r
         u2 = pr * y / r + q_ * x / r
-        return u1, u2, (c_in if r < rho else c_out)
+        return u1, u2, np.where(r < rho, c_in, c_out)
 
     return PiecewiseCriticalField(
-        families=[fam_in, fam_out], jumps=[wall],
-        domain=f"annulus 1..{R}", eval_fn=eval_fn)
+        families=[fam_in, fam_out], jumps=[wall], sample=sample,
+        domain=f"annulus 1..{R}")
 
 
 def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
@@ -264,9 +273,13 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
         trace_fn=traces,
         length_scale=np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)),
         boundary=True)
+
+    def sample(x, y):
+        x, y, r = _annulus_radius(x, y, R)
+        return -y / r, x / r, np.zeros(r.shape)
+
     field = PiecewiseCriticalField(
-        families=[fam], jumps=[wall], domain=f"annulus 1..{R}",
-        eval_fn=lambda x, y: (-y / math.hypot(x, y), x / math.hypot(x, y), 0.0))
+        families=[fam], jumps=[wall], sample=sample, domain=f"annulus 1..{R}")
     eb = EnergyBreakdown(wall_boundary=EIGHT_PI_THIRDS)
     return AnnulusRadialSolution(R=R, L=L, rho=1.0, a=0.0, wall_at_boundary=True,
                                  energy=eb, field=field)

@@ -9,8 +9,8 @@ one-parameter families of such arcs plus an explicit jump set.
 
 Convention: arcs are marched along +u^perp, so the parameter t is arclength,
 d theta/dt = v0 and the stored v0 is the physical divergence carried by the
-arc.  Positions are evaluated in the cancellation-free sinc form, which is
-exact in the straight-line limit v0 -> 0.
+arc.  Positions have one formula, `arc_xy`, in the cancellation-free sinc
+form, which is exact in the straight-line limit v0 -> 0.
 
 The coordinate Jacobian det d(x,y)/d(s,t), which the foliation checks
 sample, is also closed-form along each arc (`arc_jacobian`), and so is its
@@ -18,26 +18,29 @@ integral over the arc (`arc_jacobian_integral`), which weighs E0's bulk
 term.  Both need the seed and its s-derivatives at the arc's foot, not the
 arc's positions; `family_jacobian` and `family_jacobian_integral` take
 those derivatives by central differences of the seed.
+
+A `PiecewiseCriticalField` holds the families, the jump set and the one
+vectorized pointwise sampler of its construction, `sample(x, y) -> (u1,
+u2, v)`, which every point evaluation goes through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List
 
 import numpy as np
 
 from .core import JumpSegment
 
-# Below this curvature the arc is evaluated as a straight line.  The sinc
-# form is continuous through the threshold, so this is documentation more
-# than a numerical necessity.
-STRAIGHT_LINE_THRESHOLD = 1e-8
-
 # Central-difference step of the seed derivatives in family_jacobian,
 # relative to max(s-span, 1).
 SEED_DIFF_STEP = 1e-6
+
+# check_foliation samples the Jacobian this fraction of the (s, t) box in
+# from its edges
+FOLIATION_MARGIN = 1e-3
 
 
 def _sinc(z):
@@ -108,52 +111,6 @@ def pchip(x, y) -> Callable[[np.ndarray], np.ndarray]:
     return interp
 
 
-@dataclass(frozen=True)
-class CharacteristicArc:
-    x0: float
-    y0: float
-    theta0: float
-    v0: float
-    t_max: float = np.inf
-
-    def __post_init__(self):
-        vals = (self.x0, self.y0, self.theta0, self.v0, self.t_max)
-        if not all(np.isfinite(v) or v == np.inf for v in vals):
-            raise ValueError("non-finite arc data")
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
-
-
-def arc_point(arc: CharacteristicArc, t):
-    """(x, y, theta, v) at parameter t in [0, t_max]; t may be an array."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-15) or np.any(t > arc.t_max * (1 + 1e-15) + 1e-300):
-        raise ValueError(f"t out of range [0, {arc.t_max}]")
-    theta = arc.theta0 + arc.v0 * t
-    half = 0.5 * arc.v0 * t
-    s = t * _sinc(half)
-    x = arc.x0 - s * np.sin(arc.theta0 + half)
-    y = arc.y0 + s * np.cos(arc.theta0 + half)
-    v = np.broadcast_to(np.asarray(arc.v0, dtype=float), theta.shape).copy() \
-        if theta.shape else float(arc.v0)
-    return x, y, theta, v
-
-
-def arc_tangent_normal(arc: CharacteristicArc, t):
-    """Unit tangent tau = (-sin theta, cos theta) and normal nu = tau^perp.
-
-    nu equals the director u itself, so u . tau = 0 holds exactly.
-    """
-    _, _, theta, _ = arc_point(arc, t)
-    tau = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    nu = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return tau, nu
-
-
-class NoConvergence(RuntimeError):
-    """Point inversion failed; the point is outside the family's region."""
-
-
 @dataclass
 class CharacteristicFamily:
     """One-parameter family of arcs.
@@ -168,25 +125,6 @@ class CharacteristicFamily:
     s_range: tuple
     t_star: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-
-    @classmethod
-    def from_samples(cls, s: np.ndarray, x0: np.ndarray, y0: np.ndarray,
-                     theta0: np.ndarray, v0: np.ndarray, t_star: np.ndarray,
-                     label: str = "") -> "CharacteristicFamily":
-        """Monotone-cubic interpolation of sampled seed data.
-
-        PCHIP preserves the monotonicity of v0(s) that the constructions
-        prove, so interpolated seeds cannot overshoot the proven brackets.
-        """
-        s = np.asarray(s, dtype=float)
-        interps = [pchip(s, a) for a in (x0, y0, theta0, v0)]
-        return cls(seed=lambda ss: tuple(f(ss) for f in interps),
-                   s_range=(float(s[0]), float(s[-1])),
-                   t_star=pchip(s, t_star), label=label)
-
-    def arc_at(self, s: float) -> CharacteristicArc:
-        x0, y0, th0, v0 = (float(np.asarray(a)) for a in self.seed(np.asarray(s)))
-        return CharacteristicArc(x0, y0, th0, v0, t_max=float(self.t_star(s)))
 
     def point(self, s, t):
         """Vectorized forward map (s, t) -> (x, y, theta, v)."""
@@ -299,124 +237,6 @@ def family_jacobian_integral(family: CharacteristicFamily, s):
     return arc_jacobian_integral(th0, v0, *derivs, ts), v0
 
 
-def invert_family(family: CharacteristicFamily, x: float, y: float,
-                  guess: Optional[tuple] = None, tol: float = 1e-12,
-                  max_iter: int = 50):
-    """Solve family.point(s, t) = (x, y) by damped Newton with FD Jacobian.
-
-    The initial guess comes from a coarse lattice scan unless supplied.
-    Raises NoConvergence when the point is outside the covered region, so
-    callers can try the next family.
-    """
-    s_lo, s_hi = family.s_range
-
-    if guess is None:
-        ns, nt = 24, 24
-        ss = np.linspace(s_lo, s_hi, ns)
-        tt = np.linspace(0.0, 1.0, nt)
-        S, T_ = np.meshgrid(ss, tt, indexing="ij")
-        Tt = T_ * np.maximum(family.t_star(S), 0.0)
-        X, Y, _, _ = family.point(S, Tt)
-        k = np.argmin((X - x) ** 2 + (Y - y) ** 2)
-        s, t = float(S.ravel()[k]), float(Tt.ravel()[k])
-    else:
-        s, t = float(guess[0]), float(guess[1])
-
-    span = max(s_hi - s_lo, 1.0)
-    for _ in range(max_iter):
-        px, py, _, _ = family.point(s, t)
-        rx, ry = px - x, py - y
-        if max(abs(rx), abs(ry)) < tol:
-            ts = float(family.t_star(s))
-            pad_s = 1e-9 * span
-            pad_t = 1e-9 * max(ts, 1.0)
-            if (s_lo - pad_s <= s <= s_hi + pad_s) and (-pad_t <= t <= ts + pad_t):
-                return (min(max(s, s_lo), s_hi), min(max(t, 0.0), ts))
-            raise NoConvergence(f"converged outside range: s={s}, t={t}")
-        hs = 1e-7 * span
-        ht = 1e-7 * max(abs(t), 1.0)
-        xs, ys, _, _ = family.point(s + hs, t)
-        xm, ym, _, _ = family.point(s - hs, t)
-        x_s, y_s = (xs - xm) / (2 * hs), (ys - ym) / (2 * hs)
-        xt, yt, _, _ = family.point(s, t + ht)
-        xtm, ytm, _, _ = family.point(s, t - ht)
-        x_t, y_t = (xt - xtm) / (2 * ht), (yt - ytm) / (2 * ht)
-        det = x_s * y_t - x_t * y_s
-        if abs(det) < 1e-300:
-            raise NoConvergence("singular Jacobian during inversion")
-        d_s = (-rx * y_t + ry * x_t) / det
-        d_t = (-ry * x_s + rx * y_s) / det
-        # damping: never jump more than a quarter of the s-range at once
-        lim = 0.25 * span
-        fac = min(1.0, lim / max(abs(d_s), 1e-300))
-        s_new = s + fac * d_s
-        t_new = t + fac * d_t
-        s = min(max(s_new, s_lo - 0.05 * span), s_hi + 0.05 * span)
-        t = t_new
-    raise NoConvergence(f"no convergence inverting at ({x}, {y})")
-
-
-def invert_family_batch(family: CharacteristicFamily, x: np.ndarray, y: np.ndarray,
-                        tol: float = 1e-12, max_iter: int = 60,
-                        scan: tuple = (48, 48)):
-    """Batched Newton inversion; returns (s, t, ok) arrays.
-
-    ok is False where the iteration left the family's (s, t) box or failed
-    to converge.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    s_lo, s_hi = family.s_range
-    span = max(s_hi - s_lo, 1.0)
-
-    ns, nt = scan
-    ss = np.linspace(s_lo, s_hi, ns)
-    tt = np.linspace(0.0, 1.0, nt)
-    S, T_ = np.meshgrid(ss, tt, indexing="ij")
-    Tt = T_ * np.maximum(family.t_star(S), 0.0)
-    X, Y, _, _ = family.point(S, Tt)
-    Xf, Yf, Sf, Tf = X.ravel(), Y.ravel(), S.ravel(), Tt.ravel()
-    # nearest scan point per query
-    d2 = (Xf[None, :] - x[:, None]) ** 2 + (Yf[None, :] - y[:, None]) ** 2
-    k = np.argmin(d2, axis=1)
-    s = Sf[k].copy()
-    t = Tf[k].copy()
-
-    hs = 1e-7 * span
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(max_iter):
-        px, py, _, _ = family.point(s, t)
-        rx, ry = px - x, py - y
-        done = np.maximum(np.abs(rx), np.abs(ry)) < tol
-        active &= ~done
-        if not active.any():
-            break
-        sa, ta = s[active], t[active]
-        xs, ys, _, _ = family.point(sa + hs, ta)
-        xm, ym, _, _ = family.point(sa - hs, ta)
-        x_s, y_s = (xs - xm) / (2 * hs), (ys - ym) / (2 * hs)
-        _, _, theta_a, _ = family.point(sa, ta)
-        x_t, y_t = -np.sin(theta_a), np.cos(theta_a)
-        det = x_s * y_t - x_t * y_s
-        det = np.where(np.abs(det) < 1e-300, np.nan, det)
-        rxa, rya = rx[active], ry[active]
-        d_s = (-rxa * y_t + rya * x_t) / det
-        d_t = (-rya * x_s + rxa * y_s) / det
-        lim = 0.25 * span
-        mag = np.abs(d_s)
-        fac = np.where(mag > lim, lim / mag, 1.0)
-        s[active] = np.clip(sa + fac * d_s, s_lo - 0.05 * span, s_hi + 0.05 * span)
-        t[active] = ta + fac * d_t
-
-    px, py, _, _ = family.point(s, t)
-    resid = np.maximum(np.abs(px - x), np.abs(py - y))
-    ts = np.maximum(family.t_star(np.clip(s, s_lo, s_hi)), 0.0)
-    pad_s = 1e-9 * span
-    ok = (resid < 10 * tol) & (s >= s_lo - pad_s) & (s <= s_hi + pad_s) \
-        & (t >= -1e-9 * np.maximum(ts, 1.0)) & (t <= ts * (1 + 1e-9) + 1e-12)
-    return np.clip(s, s_lo, s_hi), np.clip(t, 0.0, ts), ok
-
-
 @dataclass
 class FoliationReport:
     min_jacobian: float
@@ -441,22 +261,22 @@ def _segments_intersect(p, p2, q, q2, eps=1e-12):
     return hit, tt, uu
 
 
-def check_foliation(family: CharacteristicFamily, ns: int = 16, nt: int = 16,
-                    interior_margin: float = 1e-3) -> FoliationReport:
+def check_foliation(family: CharacteristicFamily, ns: int = 16,
+                    nt: int = 16) -> FoliationReport:
     """Sample the coordinate Jacobian on an ns x nt lattice and count arc
     crossings at the sampled resolution.
 
-    The Jacobian is sampled slightly inside the (s, t) box: the families of
-    interest focus at vortices where J -> 0 by construction, which is not a
-    foliation failure.  Crossings at shared seed or focus points are ignored.
+    The Jacobian is sampled FOLIATION_MARGIN inside the (s, t) box: the
+    families of interest focus at vortices where J -> 0 by construction,
+    which is not a foliation failure.  Crossings at shared seed or focus
+    points are ignored.
     """
     if ns < 8 or nt < 8:
         raise ValueError("ns, nt must be >= 8")
     s_lo, s_hi = family.s_range
-    ss = s_lo + (s_hi - s_lo) * (interior_margin
-                                 + (1 - 2 * interior_margin)
-                                 * np.linspace(0.0, 1.0, ns))
-    taus = interior_margin + (1 - 2 * interior_margin) * np.linspace(0.0, 1.0, nt)
+    m = FOLIATION_MARGIN
+    ss = s_lo + (s_hi - s_lo) * (m + (1 - 2 * m) * np.linspace(0.0, 1.0, ns))
+    taus = m + (1 - 2 * m) * np.linspace(0.0, 1.0, nt)
     T_ = taus * np.maximum(family.t_star(ss), 0.0)[:, None]
     J, _ = family_jacobian(family, ss[:, None], T_)
     jmin, jmax = float(J.min()), float(J.max())
@@ -494,42 +314,14 @@ class PiecewiseCriticalField:
     """Critical point of the wall-energy functional: characteristic families
     plus an explicit jump set.
 
-    eval_fn: optional (x, y) -> (u1, u2, v) closed-form evaluation.  When
-    absent, evaluation falls back to family inversion.
+    sample: vectorized (x, y) -> (u1, u2, v) arrays of the broadcast shape
+    of x and y, the one pointwise evaluation of the field; the disc and
+    annulus samplers raise ValueError off their domains.
     """
 
     families: List[CharacteristicFamily]
     jumps: List[JumpSegment]
+    sample: Callable
     domain: str = ""
-    eval_fn: Optional[Callable] = None
     symmetry_copies: int = 1  # bulk integral multiplier (reflection copies)
     wall_multiplier: float = 1.0
-
-    def eval(self, x: float, y: float):
-        """(u1, u2, v) at a point; NoConvergence if no family covers it."""
-        if self.eval_fn is not None:
-            return self.eval_fn(x, y)
-        last = None
-        for fam in self.families:
-            try:
-                s, t = invert_family(fam, x, y)
-            except NoConvergence as exc:
-                last = exc
-                continue
-            _, _, theta, v = fam.point(s, t)
-            return float(np.cos(theta)), float(np.sin(theta)), float(v)
-        raise NoConvergence(f"no family covers ({x}, {y})") from last
-
-
-def family_to_csv(family: CharacteristicFamily, path, ns: int = 64, nt: int = 32):
-    """Dump the family on its sampling lattice: s,t,x,y,theta,v."""
-    ss = np.linspace(*family.s_range, ns)
-    with open(path, "w") as fh:
-        fh.write("s,t,x,y,theta,v\n")
-        for s in ss:
-            ts = max(float(family.t_star(s)), 0.0)
-            tt = np.linspace(0.0, ts, nt)
-            x, y, th, v = family.point(np.full(nt, s), tt)
-            for k in range(nt):
-                fh.write(f"{s:.17g},{tt[k]:.17g},{x[k]:.17g},{y[k]:.17g},"
-                         f"{th[k]:.17g},{v[k]:.17g}\n")

@@ -28,7 +28,7 @@ divergence, negative throughout the quarter cell):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -98,6 +98,14 @@ def region3_v(s, L: float):
 
 # --- region II terminal angle ---------------------------------------------------
 
+def _region2_equation(beta, c, a_s, k):
+    """theta*'s equation with c = 1 - cos(alpha s) = 2 sin^2(alpha s/2),
+    a_s = alpha s and k = L alpha, in the stable form
+    c sin(2 beta) + 2 k sin((beta + a_s)/2) sin((beta - a_s)/2)."""
+    return c * np.sin(2.0 * beta) \
+        + 2.0 * k * np.sin(0.5 * (beta + a_s)) * np.sin(0.5 * (beta - a_s))
+
+
 def region2_theta_star(s2, alpha: float, L: float):
     """Root of (1-cos(alpha s)) sin(2 beta) - L alpha (cos beta - cos(alpha s))
     on (0, min(alpha s, beta*)]; vectorized, beta = 0 at s = 0."""
@@ -107,11 +115,6 @@ def region2_theta_star(s2, alpha: float, L: float):
     a_s = alpha * s
     c = 2.0 * np.sin(0.5 * a_s) ** 2
     k = L * alpha
-
-    def f(beta, c, a_s):
-        return c * np.sin(2.0 * beta) \
-            + 2.0 * k * np.sin(0.5 * (beta + a_s)) * np.sin(0.5 * (beta - a_s))
-
     sin_bstar = np.where(c > 0.5 * k, 0.5 * k / np.maximum(c, 1e-300), 1.0)
     beta_star = np.arcsin(np.clip(sin_bstar, 0.0, 1.0))
     # where alpha s < beta* (<= pi/2), f(alpha s) = c sin(2 alpha s) >= 0,
@@ -119,9 +122,18 @@ def region2_theta_star(s2, alpha: float, L: float):
     hi = np.minimum(a_s, beta_star)
     beta = np.zeros(s.shape)
     solve = s > 0.0
-    beta[solve] = bracketed_root(f, 0.0, hi[solve],
-                                 args=(c[solve], a_s[solve]))
+    beta[solve] = bracketed_root(_region2_equation, 0.0, hi[solve],
+                                 args=(c[solve], a_s[solve], k))
     return float(beta) if beta.ndim == 0 else beta
+
+
+def region2_theta_star_residual(s2, theta_star, alpha: float, L: float):
+    """sup |(1-cos(alpha s)) sin(2 theta*) - L alpha (cos theta* -
+    cos(alpha s))| in the stable form `region2_theta_star` solves."""
+    a_s = alpha * np.asarray(s2, dtype=float)
+    f = _region2_equation(np.asarray(theta_star, dtype=float),
+                          2.0 * np.sin(0.5 * a_s) ** 2, a_s, L * alpha)
+    return float(np.abs(f).max())
 
 
 @dataclass
@@ -295,16 +307,20 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         trace_fn=lambda arc: left_traces(theta_of_y(arc)),
         div_fns=(v_of_y, lambda s: -v_of_y(s)))
 
-    field = PiecewiseCriticalField(
-        families=[fam1, fam2, fam3], jumps=[wall_left, wall_bottom],
-        domain=f"period cell (0,{2*T})x(-{H},{H})",
-        symmetry_copies=4, wall_multiplier=2.0)
-
     sol = CrossTieSolution(L=L, H=H, L_over_H=lh, T_tilde=t_tilde, T=T,
                            alpha=alpha, t1_star=t1_star,
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
-                           field=field)
+                           field=None)
+    # the sampler holds a copy of sol without the field: sol -> field ->
+    # sampler -> sol would be a reference cycle, which keeps every
+    # solution a sweep builds alive until the cyclic collector runs
+    cell = replace(sol)
+    sol.field = PiecewiseCriticalField(
+        families=[fam1, fam2, fam3], jumps=[wall_left, wall_bottom],
+        sample=lambda x, y: crosstie_field_sample(cell, x, y),
+        domain=f"period cell (0,{2*T})x(-{H},{H})",
+        symmetry_copies=4, wall_multiplier=2.0)
 
     if sol.tangency_mismatch > 1e-9:
         raise RuntimeError(f"tangency mismatch {sol.tangency_mismatch:.3e} "
@@ -312,6 +328,11 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     res = sol.wall_residual()
     if res > 1e-8:
         raise RuntimeError(f"wall residual {res:.3e} exceeds 1e-8")
+    # wall_residual holds on region II whatever theta* is (v is defined
+    # from it), so theta*'s own equation is checked on the left-wall nodes
+    res = region2_theta_star_residual(s2, th2s, alpha, L)
+    if res > 1e-8:
+        raise RuntimeError(f"region-II theta* residual {res:.3e} exceeds 1e-8")
     # terminal region III characteristic must arrive at (0, T)
     if abs(float(y3[-1]) - T) > 1e-8 * max(T, 1.0):
         raise RuntimeError(f"terminal arrival y = {y3[-1]} != T = {T}")
@@ -509,11 +530,11 @@ def crosstie_field_sample(sol: CrossTieSolution, x, y):
     reflections: u1 flips across y = 0, u2 flips across x = T (both flip
     the divergence sign); x is reduced modulo the period 2T."""
     T, H = sol.T, sol.H
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     shape = x.shape
     x = np.mod(x.ravel(), 2.0 * T)
-    y = y.ravel().copy()
+    y = y.ravel()
     f1 = np.where(y < 0, -1.0, 1.0)
     y = np.abs(y)
     f2 = np.where(x > T, -1.0, 1.0)
@@ -610,7 +631,11 @@ def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseC
             trace_plus=tp, trace_minus=tm,
             trace_fn=lambda arc, sgn=sgn: _tail_traces(
                 sgn * (0.5 + np.asarray(arc, dtype=float)))))
-    return PiecewiseCriticalField(families=[], jumps=segs,
+    def sample(x, y):
+        u1, u2 = remark_crosstie_map(x, y)
+        return u1, u2, np.zeros(np.shape(u1))
+
+    return PiecewiseCriticalField(families=[], jumps=segs, sample=sample,
                                   domain="strip |x|<1/2, one period")
 
 

@@ -42,6 +42,17 @@ SQRT2 = math.sqrt(2.0)
 
 # --- simple closed-form solutions -------------------------------------------
 
+def _polar_radius(x, y, what: str):
+    """x, y broadcast to float arrays and r = hypot(x, y); ValueError where
+    r = 0, at which `what` is undefined."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    r = np.hypot(x, y)
+    if np.any(r == 0.0):
+        raise ValueError(f"{what} is undefined at the origin")
+    return x, y, r
+
+
 def tangential_solution(R: float) -> PiecewiseCriticalField:
     """u = e_theta: divergence-free, no walls, zero limiting energy."""
     if R <= 0:
@@ -56,14 +67,12 @@ def tangential_solution(R: float) -> PiecewiseCriticalField:
         t_star=lambda s: np.full_like(np.asarray(s, dtype=float), R),
         label="radii")
 
-    def eval_fn(x, y):
-        r = math.hypot(x, y)
-        if r == 0.0:
-            raise ZeroDivisionError("e_theta undefined at the origin")
-        return -y / r, x / r, 0.0
+    def sample(x, y):
+        x, y, r = _polar_radius(x, y, "e_theta")
+        return -y / r, x / r, np.zeros(r.shape)
 
-    return PiecewiseCriticalField(families=[fam], jumps=[], domain=f"disc R={R}",
-                                  eval_fn=eval_fn)
+    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample,
+                                  domain=f"disc R={R}")
 
 
 def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
@@ -85,16 +94,14 @@ def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
         t_star=lambda s: np.full_like(np.asarray(s, dtype=float), 0.5 * np.pi),
         label="hedgehog")
 
-    def eval_fn(x, y):
+    def sample(x, y):
         # u = r e_r + q e_theta with e_r = (x,y)/r, e_theta = (-y,x)/r
-        r = math.hypot(x, y)
-        if r == 0.0:
-            raise ZeroDivisionError("angular part undefined at the origin")
-        q = sign * math.sqrt(max(1.0 - r * r, 0.0))
-        return x + q * (-y / r), y + q * (x / r), 2.0
+        x, y, r = _polar_radius(x, y, "the angular part")
+        q = sign * np.sqrt(np.maximum(1.0 - r * r, 0.0))
+        return x + q * (-y / r), y + q * (x / r), np.full(r.shape, 2.0)
 
-    return PiecewiseCriticalField(families=[fam], jumps=[],
-                                  domain="unit disc", eval_fn=eval_fn)
+    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample,
+                                  domain="unit disc")
 
 
 def hedgehog_energy(L: float) -> float:
@@ -197,17 +204,6 @@ class DegMinusOneSolution:
         th2 = _theta_star_from_cosminussin(region2_A(s2, v2, self.R))
         r2 = np.abs(self.L * v2 + np.cos(2.0 * th2)).max()
         return float(max(r3, r2))
-
-
-class PointOnJumpSet(Exception):
-    """Evaluation hit the jump set; carries both traces."""
-
-    def __init__(self, u_plus, u_minus, v_plus, v_minus):
-        super().__init__("point lies on the jump set")
-        self.u_plus = u_plus
-        self.u_minus = u_minus
-        self.v_plus = v_plus
-        self.v_minus = v_minus
 
 
 def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSolution:
@@ -322,8 +318,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
                               s2_max=s2_max)
     field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[jump],
+        sample=lambda x, y: deg_minus_one_sample(sol, x, y),
         domain=f"disc R={R}, degree -1",
-        eval_fn=lambda x, y: deg_minus_one_field_eval(sol, x, y),
         symmetry_copies=8, wall_multiplier=4.0)
     sol.field = field
 
@@ -451,8 +447,8 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     the wall rule u -> (2 nu x nu - I) u and flips the sign of v.  Points
     exactly on a diagonal get the trace of the octant side they round into.
     """
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     shape = x.shape
     x, y = x.ravel(), y.ravel()
     sx = np.where(y < 0, -1.0, 1.0)      # mirror about x-axis: u2 flips
@@ -471,27 +467,6 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     u1 *= sy
     u2 *= sx
     return u1.reshape(shape), u2.reshape(shape), v.reshape(shape)
-
-
-def deg_minus_one_field_eval(sol: DegMinusOneSolution, x: float, y: float,
-                             jump_tol: float = 0.0):
-    """Scalar (u1, u2, v); on the jump set raises PointOnJumpSet with both
-    traces when jump_tol > 0."""
-    if jump_tol and abs(abs(float(y)) - abs(float(x))) <= jump_tol:
-        eps_off = max(jump_tol, 1e-13)
-        # nudge to either side of the diagonal to collect both traces
-        sgn = 1.0 if abs(y) <= abs(x) else -1.0
-        xp, yp = float(x) * (1 + 0), float(y)
-        u1p, u2p, vp = deg_minus_one_sample(sol, np.array([xp]),
-                                            np.array([yp - sgn * eps_off]))
-        u1m, u2m, vm = deg_minus_one_sample(sol, np.array([xp]),
-                                            np.array([yp + sgn * eps_off]))
-        raise PointOnJumpSet(u_plus=np.array([u1p[0], u2p[0]]),
-                             u_minus=np.array([u1m[0], u2m[0]]),
-                             v_plus=float(vp[0]), v_minus=float(vm[0]))
-    u1, u2, v = deg_minus_one_sample(sol, np.array([float(x)]),
-                                     np.array([float(y)]))
-    return float(u1[0]), float(u2[0]), float(v[0])
 
 
 def deg_minus_one_E0(sol: DegMinusOneSolution, params: Optional[Params] = None,

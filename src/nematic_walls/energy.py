@@ -1,6 +1,6 @@
 """Energy evaluation.
 
-Three evaluators live here:
+The evaluators here:
 
 * eval_E_eps: the eps-level energy of a sampled field on a rectangle or
   polar grid (gradient, potential and divergence terms), via the discrete
@@ -14,8 +14,13 @@ Three evaluators live here:
   along an arc of a foliation, so that is the integral of v0^2 |J|; there
   is no t-rule.  The seed is evaluated twice per family, at the s-nodes
   and on s +- ds stacked.  Walls are cubic-jump line integrals over the
-  stored jump segments.
+  stored jump segments, with the traces at the quadrature nodes from each
+  segment's trace_fn.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
+* criticality_residuals: the free-boundary criticality conditions of a
+  piecewise critical field.  The bulk-transport residual differences the
+  divergence from one `field.sample` call per family; the wall residuals
+  use the stored traces of each jump segment.
 
 Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
 (4/3) (1 - (u.nu)^2)^(3/2); both are exposed for cross-checking.
@@ -30,8 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import stencils
-from .characteristics import (CharacteristicFamily, NoConvergence,
-                              PiecewiseCriticalField, check_foliation,
+from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               family_jacobian_integral)
 from .core import (POLAR, RECTANGLE, EnergyBreakdown, Field2D, JumpSegment,
                    Params)
@@ -39,6 +43,12 @@ from .quadrature import composite_nodes, gauss_legendre
 
 TRACE_UNIT_TOL = 1e-8
 TRACE_NORMAL_TOL = 1e-8
+
+# bulk-transport residual: a lattice of RESIDUAL_NS arcs per family by
+# RESIDUAL_NT points per arc, central differences over RESIDUAL_FD_STEP
+RESIDUAL_NS = 12
+RESIDUAL_NT = 12
+RESIDUAL_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,23 +110,10 @@ def wall_nodes(seg: JumpSegment, order: int):
 
 
 def _segment_quadrature(seg: JumpSegment, order: int):
-    """(weights, u_plus, u_minus) at the `wall_nodes` of a segment.
-
-    Traces come from one seg.trace_fn call when available (exact), else
-    from renormalized linear interpolation of the vertex traces.
-    """
-    arcs, weights, lam = wall_nodes(seg, order)
-    if seg.trace_fn is not None:
-        up, um = (np.asarray(u, dtype=float) for u in seg.trace_fn(arcs))
-    else:
-        lam_full = lam[None, :, None]
-        tp, tm = seg.trace_plus, seg.trace_minus
-        up = (tp[:-1, None, :] * (1 - lam_full)
-              + tp[1:, None, :] * lam_full).reshape(-1, 2)
-        um = (tm[:-1, None, :] * (1 - lam_full)
-              + tm[1:, None, :] * lam_full).reshape(-1, 2)
-        up /= np.linalg.norm(up, axis=1, keepdims=True)
-        um /= np.linalg.norm(um, axis=1, keepdims=True)
+    """(weights, u_plus, u_minus) at the `wall_nodes` of a segment, the
+    traces from one seg.trace_fn call."""
+    arcs, weights, _ = wall_nodes(seg, order)
+    up, um = (np.asarray(u, dtype=float) for u in seg.trace_fn(arcs))
     return weights, up, um
 
 
@@ -156,28 +153,15 @@ def family_area(family: CharacteristicFamily, *, s_panels: int = 64,
     return float(s_w @ absI)
 
 
-class FoliationError(RuntimeError):
-    pass
-
-
 def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
                       s_panels: int = 64, order: int = 8,
-                      wall_order: int = 8,
-                      verify_foliation: bool = False) -> EnergyBreakdown:
+                      wall_order: int = 8) -> EnergyBreakdown:
     """Limiting energy of an assembled critical field.
 
     bulk = (L/2) * symmetry_copies * sum_f integral v0^2 |J|
     walls = wall_multiplier * cubic jump integrals (interior), plus the
     boundary term for segments flagged boundary (trace_minus = g there).
     """
-    if verify_foliation:
-        for fam in field.families:
-            rep = check_foliation(fam, ns=12, nt=12)
-            if not rep.sign_consistent or rep.crossings:
-                raise FoliationError(
-                    f"family {fam.label!r}: sign_consistent={rep.sign_consistent}, "
-                    f"crossings={rep.crossings}"
-                )
     bulk = 0.0
     for fam in field.families:
         bulk += family_bulk_integral(fam, s_panels=s_panels, order=order)
@@ -351,40 +335,40 @@ def _seg_geometry(seg: JumpSegment):
     return tau, kappa
 
 
-def criticality_residuals(field: PiecewiseCriticalField, params: Params,
-                          ns: int = 12, nt: int = 12,
-                          fd_step: float = 1e-6) -> CriticalityReport:
-    rep = CriticalityReport()
-
-    # bulk transport residual via central differences of the divergence
+def _bulk_transport_residual(field: PiecewiseCriticalField):
+    """sup |u^perp . grad v| over a RESIDUAL_NS x RESIDUAL_NT lattice of
+    each family, grad v by central differences over RESIDUAL_FD_STEP; one
+    field.sample call per family takes all four stencil points of every
+    lattice point.  Stencils straddling an admissible divergence jump are
+    skipped (jumps are O(1); smooth variation over the step is far
+    smaller).  None when no stencil qualifies."""
+    h = RESIDUAL_FD_STEP
+    taus = np.linspace(0.15, 0.85, RESIDUAL_NT)
     worst = None
     for fam in field.families:
         s_lo, s_hi = fam.s_range
-        ss = np.linspace(s_lo + 0.05 * (s_hi - s_lo), s_hi - 0.05 * (s_hi - s_lo), ns)
-        for s in ss:
-            ts = float(fam.t_star(s))
-            if ts <= 0:
-                continue
-            for tau_ in np.linspace(0.15, 0.85, nt):
-                x, y, theta, vc = fam.point(s, tau_ * ts)
-                h = fd_step
-                try:
-                    vxp = field.eval(x + h, y)[2]
-                    vxm = field.eval(x - h, y)[2]
-                    vyp = field.eval(x, y + h)[2]
-                    vym = field.eval(x, y - h)[2]
-                except (NoConvergence, ValueError):
-                    continue
-                # skip stencils straddling an admissible divergence jump
-                # (jumps are O(1); smooth variation over h is far smaller)
-                lim = 0.05 * (1.0 + abs(float(vc)))
-                if max(abs(vxp - vc), abs(vxm - vc),
-                       abs(vyp - vc), abs(vym - vc)) > lim:
-                    continue
-                res = abs(-math.sin(theta) * (vxp - vxm) / (2 * h)
-                          + math.cos(theta) * (vyp - vym) / (2 * h))
-                worst = res if worst is None else max(worst, res)
-    rep.bulk_transport = worst
+        ss = np.linspace(s_lo + 0.05 * (s_hi - s_lo),
+                         s_hi - 0.05 * (s_hi - s_lo), RESIDUAL_NS)
+        ts = np.asarray(fam.t_star(ss), dtype=float)
+        ss, ts = ss[ts > 0], ts[ts > 0]
+        x, y, theta, vc = fam.point(np.repeat(ss, taus.size),
+                                    np.outer(ts, taus).ravel())
+        _, _, v = field.sample(np.concatenate([x + h, x - h, x, x]),
+                               np.concatenate([y, y, y + h, y - h]))
+        vxp, vxm, vyp, vym = np.split(np.asarray(v, dtype=float), 4)
+        jump = np.max(np.abs([vxp - vc, vxm - vc, vyp - vc, vym - vc]), axis=0)
+        res = np.abs(-np.sin(theta) * (vxp - vxm) / (2 * h)
+                     + np.cos(theta) * (vyp - vym) / (2 * h))
+        res = res[jump <= 0.05 * (1.0 + np.abs(vc))]
+        if res.size:
+            m = float(res.max())
+            worst = m if worst is None else max(worst, m)
+    return worst
+
+
+def criticality_residuals(field: PiecewiseCriticalField,
+                          params: Params) -> CriticalityReport:
+    rep = CriticalityReport(bulk_transport=_bulk_transport_residual(field))
 
     # wall residuals
     wb = None

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nematic_walls.characteristics import (CharacteristicArc,
-                                           CharacteristicFamily, NoConvergence,
-                                           arc_jacobian, arc_point,
-                                           arc_tangent_normal, arc_xy,
+from nematic_walls.characteristics import (CharacteristicFamily,
+                                           arc_jacobian, arc_xy,
                                            check_foliation, family_jacobian,
-                                           invert_family, invert_family_batch,
                                            pchip)
 
 
@@ -34,17 +31,13 @@ def rk4_arc(x0, y0, th0, v0, t_end, h=1e-4):
 
 class TestArcPoint:
     def test_identity_at_t0(self):
-        arc = CharacteristicArc(0.3, -0.2, 0.7, -1.3, t_max=2.0)
-        assert arc_point(arc, 0.0) == (0.3, -0.2, 0.7, -1.3)
+        assert arc_xy(0.3, -0.2, 0.7, -1.3, 0.0) == (0.3, -0.2, 0.7)
 
     def test_straight_line(self):
-        arc = CharacteristicArc(0.0, 0.0, 0.0, 0.0, t_max=2.0)
-        x, y, th, v = arc_point(arc, 1.0)
-        assert (x, y, th, v) == (0.0, 1.0, 0.0, 0.0)
+        assert arc_xy(0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, 1.0, 0.0)
 
     def test_rk4_oracle(self):
-        arc = CharacteristicArc(0.0, 0.0, 0.0, -0.5, t_max=math.pi)
-        x, y, th, _ = arc_point(arc, math.pi)
+        x, y, th = arc_xy(0.0, 0.0, 0.0, -0.5, math.pi)
         ox, oy, oth = rk4_arc(0.0, 0.0, 0.0, -0.5, math.pi)
         assert abs(x - ox) < 1e-10
         assert abs(y - oy) < 1e-10
@@ -55,55 +48,55 @@ class TestArcPoint:
         # (deviation |v0| t^2 / 2; the sinc evaluation is cancellation-free
         # so there is no loss approaching v0 = 0)
         t = 0.4
-        arc = CharacteristicArc(0.1, 0.2, 0.5, 1e-8, t_max=1.0)
-        x, y, _, _ = arc_point(arc, t)
+        x, y, _ = arc_xy(0.1, 0.2, 0.5, 1e-8, t)
         assert abs(x - (0.1 - t * math.sin(0.5))) < 1e-9
         assert abs(y - (0.2 + t * math.cos(0.5))) < 1e-9
-        arc0 = CharacteristicArc(0.1, 0.2, 0.5, 0.0, t_max=1.0)
-        x0, y0, _, _ = arc_point(arc0, t)
+        x0, y0, _ = arc_xy(0.1, 0.2, 0.5, 0.0, t)
         assert x0 == 0.1 - t * math.sin(0.5)
         assert y0 == 0.2 + t * math.cos(0.5)
 
-    def test_range_checked(self):
-        arc = CharacteristicArc(0, 0, 0, 1.0, t_max=1.0)
-        with pytest.raises(ValueError, match="range"):
-            arc_point(arc, 1.5)
-
     def test_conservation_along_arc(self):
-        # theta - theta0 = v0 t and v = v0 exactly at sampled t
-        arc = CharacteristicArc(0.2, 0.1, -0.4, 0.83, t_max=3.0)
+        # theta - theta0 = v0 t exactly at sampled t
         t = np.linspace(0, 3, 17)
-        _, _, th, v = arc_point(arc, t)
+        _, _, th = arc_xy(0.2, 0.1, -0.4, 0.83, t)
         assert np.array_equal(th, -0.4 + 0.83 * t)
-        assert np.all(v == 0.83)
+
+
+def _arc_tangent(x0, y0, theta0, v0, t):
+    """d/dt of arc_xy's position by complex step, and the angle at t."""
+    h = 1e-20
+    xc, yc, _ = arc_xy(x0, y0, theta0, v0, complex(t, h))
+    _, _, theta = arc_xy(x0, y0, theta0, v0, t)
+    return np.array([xc.imag, yc.imag]) / h, theta
 
 
 class TestTangentNormal:
+    """Arcs are integral curves of u^perp: arc_xy moves along
+    (-sin theta, cos theta), normal to the director."""
+
     def test_vertical_at_zero(self):
-        arc = CharacteristicArc(0, 0, 0.0, 0.7, t_max=1.0)
-        tau, nu = arc_tangent_normal(arc, 0.0)
-        assert np.allclose(tau, [0.0, 1.0], atol=0)
-        assert np.allclose(nu, [1.0, 0.0], atol=0)
+        tau, _ = _arc_tangent(0.0, 0.0, 0.0, 0.7, 0.0)
+        assert np.array_equal(tau, [0.0, 1.0])
 
     def test_orthogonal_to_director(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            arc = CharacteristicArc(*rng.normal(size=2), rng.uniform(-3, 3),
-                                    rng.uniform(-2, 2), t_max=2.0)
-            t = rng.uniform(0, 2)
-            tau, nu = arc_tangent_normal(arc, t)
-            _, _, th, _ = arc_point(arc, t)
+            x0, y0 = rng.normal(size=2)
+            tau, th = _arc_tangent(x0, y0, rng.uniform(-3, 3),
+                                   rng.uniform(-2, 2), rng.uniform(0, 2))
             u = np.array([math.cos(th), math.sin(th)])
             assert abs(float(tau @ u)) < 1e-15
-            assert np.allclose(nu, u, atol=0)
+            assert np.allclose(tau, [-u[1], u[0]], atol=1e-15, rtol=0)
 
     def test_deg_minus_one_axis_foot_perpendicular(self):
         # arcs seeded on the x-axis leave it orthogonally
         from nematic_walls.disc import build_deg_minus_one
         sol = build_deg_minus_one(0.6, 0.5)
-        arc = sol.region1.arc_at(0.3)
-        tau, _ = arc_tangent_normal(arc, 0.0)
-        assert abs(tau[0]) < 1e-14 and abs(abs(tau[1]) - 1.0) < 1e-14
+        for fam, s in ((sol.region1, 0.3), (sol.region3, 0.1)):
+            x0, y0, th0, v0 = (float(a) for a in fam.seed(np.asarray(s)))
+            assert y0 == 0.0
+            tau, _ = _arc_tangent(x0, y0, th0, v0, 0.0)
+            assert abs(tau[0]) < 1e-14 and abs(abs(tau[1]) - 1.0) < 1e-14
 
 
 def lines_family():
@@ -127,38 +120,6 @@ def curved_family():
     return CharacteristicFamily(
         seed=seed, s_range=(0.2, 1.0),
         t_star=lambda s: 0.8 * np.ones_like(np.asarray(s, dtype=float)))
-
-
-class TestInversion:
-    def test_seed_point(self):
-        fam = lines_family()
-        s, t = invert_family(fam, 0.4, 0.0)
-        assert abs(s - 0.4) < 1e-10 and abs(t) < 1e-10
-
-    def test_roundtrip(self):
-        fam = curved_family()
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            s0 = rng.uniform(0.25, 0.95)
-            t0 = rng.uniform(0.05, 0.75)
-            x, y, _, _ = fam.point(np.asarray(s0), np.asarray(t0))
-            s, t = invert_family(fam, float(x), float(y))
-            assert abs(s - s0) < 1e-9 and abs(t - t0) < 1e-9
-
-    def test_outside_region_raises(self):
-        fam = lines_family()
-        with pytest.raises(NoConvergence):
-            invert_family(fam, 5.0, -3.0)
-
-    def test_batch(self):
-        fam = curved_family()
-        rng = np.random.default_rng(2)
-        s0 = rng.uniform(0.25, 0.95, 50)
-        t0 = rng.uniform(0.05, 0.75, 50)
-        x, y, _, _ = fam.point(s0, t0)
-        s, t, ok = invert_family_batch(fam, x, y)
-        assert ok.all()
-        assert np.abs(s - s0).max() < 1e-9
 
 
 class TestJacobian:
@@ -263,62 +224,6 @@ class TestFoliation:
             t_star=lambda s: 1.5 * np.ones_like(np.asarray(s, dtype=float)))
         rep = check_foliation(fam, 12, 12)
         assert rep.crossings > 0
-
-
-def test_pde_residual_refines():
-    """Reconstruct theta and v on a grid by inversion; the transport
-    residuals under central differences shrink under refinement."""
-    fam = curved_family()
-
-    def sup_residual(h):
-        xs = np.arange(0.45, 0.75, h)
-        ys = np.arange(0.15, 0.45, h)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        s, t, ok = invert_family_batch(fam, X.ravel(), Y.ravel())
-        assert ok.all()
-        _, _, TH, V = fam.point(s, t)
-        TH = TH.reshape(X.shape)
-        V = V.reshape(X.shape)
-        thx = (TH[2:, 1:-1] - TH[:-2, 1:-1]) / (2 * h)
-        thy = (TH[1:-1, 2:] - TH[1:-1, :-2]) / (2 * h)
-        vx = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * h)
-        vy = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * h)
-        th_c = TH[1:-1, 1:-1]
-        v_c = V[1:-1, 1:-1]
-        r1 = np.abs(-np.sin(th_c) * thx + np.cos(th_c) * thy - v_c).max()
-        r2 = np.abs(-np.sin(th_c) * vx + np.cos(th_c) * vy).max()
-        return max(r1, r2)
-
-    r_coarse = sup_residual(0.02)
-    r_fine = sup_residual(0.01)
-    assert r_fine < r_coarse
-    assert r_fine < 1e-3
-
-
-def test_family_dump_csv(tmp_path):
-    from nematic_walls.characteristics import family_to_csv
-    fam = curved_family()
-    path = tmp_path / "fam.csv"
-    family_to_csv(fam, path, ns=8, nt=5)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,t,x,y,theta,v"
-    assert len(lines) == 1 + 8 * 5
-    s, t, x, y, th, v = (float(c) for c in lines[1].split(","))
-    assert (s, t) == (0.2, 0.0)
-    assert (x, y) == (0.2, 0.0)
-
-
-def test_family_from_samples_monotone_interp():
-    from nematic_walls.characteristics import CharacteristicFamily
-    s = np.linspace(0.0, 1.0, 9)
-    v0 = -1.0 + 0.5 * s ** 2  # strictly increasing
-    fam = CharacteristicFamily.from_samples(
-        s, x0=s, y0=np.zeros_like(s), theta0=np.zeros_like(s), v0=v0,
-        t_star=np.full_like(s, 0.5))
-    ss = np.linspace(0.0, 1.0, 200)
-    _, _, _, vi = fam.point(ss, np.zeros_like(ss))
-    assert np.all(np.diff(vi) > 0)  # monotonicity preserved by the interpolant
-    assert float(fam.t_star(0.3)) == 0.5
 
 
 def _assert_pchip_matches_scipy(x, y):

@@ -82,7 +82,8 @@ class TestSampleAnalytic:
 
     def test_nonfinite_rejected(self):
         g = make_grid("rectangle", (-1, 1, -1, 1), 4, 4)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(divide="ignore"):
             sample_analytic(g, lambda X, Y: (1.0 / (X - X), Y))
 
 
@@ -96,21 +97,27 @@ class TestJumpSegment:
         um = np.tile([-math.sqrt(0.5), math.sqrt(0.5)], (n, 1))
         return poly, nu, up, um
 
+    @staticmethod
+    def _traces(arc):
+        n = np.size(arc)
+        return (np.tile([math.sqrt(0.5), math.sqrt(0.5)], (n, 1)),
+                np.tile([-math.sqrt(0.5), math.sqrt(0.5)], (n, 1)))
+
     def test_valid_segment(self):
         poly, nu, up, um = self._valid()
-        seg = JumpSegment(poly, nu, up, um)
+        seg = JumpSegment(poly, nu, up, um, self._traces)
         assert seg.length == pytest.approx(1.0)
 
     def test_nonunit_trace_rejected(self):
         poly, nu, up, um = self._valid()
         with pytest.raises(ValueError, match="unit"):
-            JumpSegment(poly, nu, 1.1 * up, um)
+            JumpSegment(poly, nu, 1.1 * up, um, self._traces)
 
     def test_normal_jump_rejected(self):
         poly, nu, up, um = self._valid()
         um = np.tile([0.0, -1.0], (poly.shape[0], 1))  # normal comp flips
         with pytest.raises(ValueError, match="normal"):
-            JumpSegment(poly, nu, up, um)
+            JumpSegment(poly, nu, up, um, self._traces)
 
 
 class TestEnergyBreakdown:

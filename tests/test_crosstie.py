@@ -8,7 +8,9 @@ from nematic_walls.core import Params
 from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     crosstie_field_sample, find_crossing,
                                     period_equation_residual,
-                                    region1_seed_offset, region2_theta_star, region3_seed_angle,
+                                    region1_seed_offset, region2_theta_star,
+                                    region2_theta_star_residual,
+                                    region3_seed_angle,
                                     region3_v, remark_crosstie_energy,
                                     remark_crosstie_field, remark_crosstie_map,
                                     remark_tail_integral, solve_Ttilde,
@@ -55,6 +57,12 @@ class TestConstruction:
     def test_alpha_t1_range(self, sol):
         assert math.pi / 4 - 1e-12 <= sol.alpha * sol.t1_star <= math.pi / 2 + 1e-12
 
+    def test_theta2_star_residual_at_roundoff(self, sol):
+        # build_crosstie checks the same residual against 1e-8
+        s2 = np.linspace(1e-9 * sol.T, sol.t1_star, 513)
+        th = region2_theta_star(s2, sol.alpha, sol.L)
+        assert region2_theta_star_residual(s2, th, sol.alpha, sol.L) < 1e-14
+
     def test_theta2_star_monotone(self, sol):
         s2 = np.linspace(1e-6, sol.t1_star * (1 - 1e-9), 512)
         th = region2_theta_star(s2, sol.alpha, sol.L)
@@ -89,6 +97,19 @@ class TestConstruction:
     def test_divergence_negative_in_quarter(self, sol):
         s3 = np.linspace(1e-6, sol.T, 128)
         assert np.all(region3_v(s3, sol.L) < 0)
+
+
+def test_wrong_theta_star_fails_the_build(monkeypatch):
+    """A theta* off by 1e-6 relative leaves wall_residual at roundoff (v is
+    defined from theta*) but breaks theta*'s equation past 1e-8."""
+    from nematic_walls import crosstie
+
+    def perturbed(s2, alpha, L):
+        return region2_theta_star(s2, alpha, L) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(crosstie, "region2_theta_star", perturbed)
+    with pytest.raises(RuntimeError, match="theta\\* residual"):
+        build_crosstie(1.2195, 1.0)
 
 
 # crosstie_energy_per_length at its default rule, recorded with repr from

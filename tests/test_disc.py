@@ -5,8 +5,7 @@ import pytest
 
 from nematic_walls.characteristics import check_foliation
 from nematic_walls.core import Params, make_grid, sample_analytic
-from nematic_walls.disc import (PointOnJumpSet, _octant_eval_batch,
-                                build_deg_minus_one, deg_minus_one_field_eval,
+from nematic_walls.disc import (_octant_eval_batch, build_deg_minus_one,
                                 deg_minus_one_sample, hedgehog_energy,
                                 hedgehog_solution, region2_v0, region3_v0,
                                 tangential_solution)
@@ -52,12 +51,11 @@ class TestHedgehog:
     def test_unit_modulus(self):
         sol = hedgehog_solution(-1)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            r = math.sqrt(rng.uniform(1e-4, 1.0))
-            phi = rng.uniform(0, 2 * math.pi)
-            u1, u2, v = sol.eval(r * math.cos(phi), r * math.sin(phi))
-            assert math.hypot(u1, u2) == pytest.approx(1.0, abs=1e-14)
-            assert v == 2.0
+        r = np.sqrt(rng.uniform(1e-4, 1.0, 50))
+        phi = rng.uniform(0, 2 * math.pi, 50)
+        u1, u2, v = sol.sample(r * np.cos(phi), r * np.sin(phi))
+        assert np.abs(np.hypot(u1, u2) - 1.0).max() <= 1e-14
+        assert np.all(v == 2.0)
 
     @pytest.mark.parametrize("nr,ny", [(384, 1536), (768, 3072)])
     def test_numerical_divergence_two(self, nr, ny):
@@ -202,14 +200,14 @@ class TestConstruction:
 
 class TestFieldEval:
     def test_positive_x_axis(self, sol):
-        u1, u2, v = deg_minus_one_field_eval(sol, 0.3, 0.0)
+        u1, u2, v = sol.field.sample(0.3, 0.0)
         assert (u1, u2) == (1.0, 0.0)
 
     def test_boundary_data(self, sol):
         for psi in (0.1, 0.7, 2.0, -1.2):
             x = R * math.cos(psi) * (1 - 1e-13)
             y = R * math.sin(psi) * (1 - 1e-13)
-            u1, u2, _ = deg_minus_one_field_eval(sol, x, y)
+            u1, u2, _ = sol.field.sample(x, y)
             assert u1 == pytest.approx(math.cos(psi), abs=1e-9)
             assert u2 == pytest.approx(-math.sin(psi), abs=1e-9)
 
@@ -224,22 +222,20 @@ class TestFieldEval:
 
     def test_symmetries(self, sol):
         x, y = 0.31, 0.17
-        u = deg_minus_one_field_eval(sol, x, y)
-        um = deg_minus_one_field_eval(sol, x, -y)
-        uy = deg_minus_one_field_eval(sol, -x, y)
-        ud = deg_minus_one_field_eval(sol, y, x)
+        u, um, uy, ud = np.transpose(sol.field.sample(np.array([x, x, -x, y]),
+                                                      np.array([y, -y, y, x])))
         # mirrors about the axes keep v; the wall reflection flips it
         assert np.allclose(um, (u[0], -u[1], u[2]), atol=1e-9)
         assert np.allclose(uy, (-u[0], u[1], u[2]), atol=1e-9)
         assert np.allclose(ud, (-u[1], -u[0], -u[2]), atol=1e-9)
 
     def test_jump_traces(self, sol):
-        with pytest.raises(PointOnJumpSet) as exc:
-            deg_minus_one_field_eval(sol, 0.2, 0.2, jump_tol=1e-11)
-        e = exc.value
+        # samples 1e-11 either side of the wall y = x: the octant side (+)
+        # and its reflection (-) share the normal component, and v flips
+        u1, u2, v = sol.field.sample(0.2, np.array([0.2 - 1e-11, 0.2 + 1e-11]))
         nu = np.array([-1.0, 1.0]) / math.sqrt(2)
-        assert abs(float((e.u_plus - e.u_minus) @ nu)) < 1e-8
-        assert e.v_plus == pytest.approx(-e.v_minus, abs=1e-8)
+        assert abs((u1[0] - u1[1]) * nu[0] + (u2[0] - u2[1]) * nu[1]) < 1e-8
+        assert v[0] == pytest.approx(-v[1], abs=1e-8)
 
     def test_forward_map_roundtrip(self, sol):
         rng = np.random.default_rng(5)

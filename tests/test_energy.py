@@ -180,23 +180,6 @@ def test_criticality_hedgehog_clean():
     assert rep.wall_balance is None
 
 
-def test_foliation_failure_raises():
-    from nematic_walls.characteristics import CharacteristicFamily, PiecewiseCriticalField
-    from nematic_walls.energy import FoliationError, eval_E0_piecewise
-
-    def seed(s):
-        s = np.asarray(s, dtype=float)
-        z = np.zeros_like(s)
-        return (s, z, z, -3.0 + 2.5 * s)
-
-    crossing = CharacteristicFamily(
-        seed=seed, s_range=(0.0, 1.0),
-        t_star=lambda s: 1.5 * np.ones_like(np.asarray(s, dtype=float)))
-    bad = PiecewiseCriticalField(families=[crossing], jumps=[])
-    with pytest.raises(FoliationError):
-        eval_E0_piecewise(bad, Params(L=1.0), verify_foliation=True)
-
-
 # --- references on s x t grids: the three-grid finite-difference bulk term
 # the closed-form Jacobian replaced, and the closed-form Jacobian under a
 # t-rule, which the exact arc integral replaced -------------------------------
@@ -448,3 +431,59 @@ def test_trace_fn_at_wall_quadrature_nodes(kind):
         for u in (up, um):
             assert np.abs(np.hypot(u[:, 0], u[:, 1]) - 1.0).max() <= UNIT_TOL
         assert np.abs(((up - um) * nu).sum(axis=-1)).max() <= NORMAL_JUMP_TOL
+
+
+def _lattice(kind):
+    """A construction's field and a 4 x 5 lattice of points in its domain."""
+    if kind == "crosstie":
+        sol = crosstie.build_crosstie(1.2195, 1.0)
+        return sol.field, *np.meshgrid(np.linspace(0.1, 2 * sol.T - 0.1, 5),
+                                       np.linspace(-0.9, 0.9, 4))
+    if kind == "deg_minus_one":
+        field, r = disc.build_deg_minus_one(0.6, 0.5).field, (0.05, 0.55)
+    elif kind == "annulus":
+        field, r = annulus.solve_annulus(
+            2.0, annulus.critical_L_for_a_half(2.0)).field, (1.0, 2.0)
+    elif kind == "annulus_boundary":
+        field, r = annulus.boundary_wall_solution(2.0, 1.0).field, (1.0, 2.0)
+    elif kind == "tangential":
+        field, r = disc.tangential_solution(1.0), (0.05, 1.0)
+    else:
+        field, r = hedgehog_solution(+1), (0.05, 1.0)
+    rr, phi = np.meshgrid(np.linspace(*r, 5), np.linspace(0.1, 6.0, 4))
+    return field, rr * np.cos(phi), rr * np.sin(phi)
+
+
+@pytest.mark.parametrize("kind", ["crosstie", "deg_minus_one", "annulus",
+                                  "annulus_boundary", "tangential",
+                                  "hedgehog"])
+def test_sample_returns_unit_directors_of_the_input_shape(kind):
+    field, X, Y = _lattice(kind)
+    u1, u2, v = field.sample(X, Y)
+    for a in (u1, u2, v):
+        assert np.shape(a) == X.shape
+        assert np.all(np.isfinite(a))
+    assert np.abs(np.hypot(u1, u2) - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("field", [disc.tangential_solution(1.0),
+                                   hedgehog_solution(+1),
+                                   hedgehog_solution(-1)])
+def test_sample_rejects_the_origin(field):
+    with pytest.raises(ValueError, match="origin"):
+        field.sample(np.array([0.5, 0.0]), np.array([0.1, 0.0]))
+
+
+def test_deg_minus_one_sample_rejects_points_off_the_disc():
+    field = disc.build_deg_minus_one(0.6, 0.5).field
+    with pytest.raises(ValueError, match="outside the disc"):
+        field.sample(np.array([0.3, 0.0]), np.array([0.1, 0.6 + 1e-9]))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0 - 1e-9, 2.0 + 1e-9, 2.5])
+@pytest.mark.parametrize("field", [
+    annulus.solve_annulus(2.0, annulus.critical_L_for_a_half(2.0)).field,
+    annulus.boundary_wall_solution(2.0, 1.0).field])
+def test_annulus_sample_rejects_points_off_the_annulus(field, r):
+    with pytest.raises(ValueError, match="outside the annulus"):
+        field.sample(np.array([1.5, r * 0.6]), np.array([0.0, r * 0.8]))
