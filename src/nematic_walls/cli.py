@@ -149,8 +149,8 @@ def run_disc_tangential(cfg: RunConfig) -> int:
     eb = eval_E0_piecewise(sol, p)
     _write_report(out, "energy.json", eb, p)
     grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
-    f = sample_analytic(grid, lambda X, Y: (-Y / np.hypot(X, Y), X / np.hypot(X, Y)))
-    field_to_csv(f, out / "field.csv")
+    field_to_csv(sample_analytic(grid, lambda X, Y: sol.sample(X, Y)[:2]),
+                 out / "field.csv")
     return 0
 
 
@@ -166,10 +166,8 @@ def run_disc_hedgehog(cfg: RunConfig) -> int:
                   extra={"closed_form": closed,
                          "quadrature_error": abs(eb.total - closed)})
     grid = make_grid(POLAR, (disc_inner_cutoff(1.0), 1.0), cfg.nx, cfg.ny)
-    f = sample_analytic(grid, lambda X, Y: (
-        X + np.sqrt(np.maximum(1 - X**2 - Y**2, 0.0)) * (-Y / np.hypot(X, Y)),
-        Y + np.sqrt(np.maximum(1 - X**2 - Y**2, 0.0)) * (X / np.hypot(X, Y))))
-    field_to_csv(f, out / "field.csv")
+    field_to_csv(sample_analytic(grid, lambda X, Y: sol.sample(X, Y)[:2]),
+                 out / "field.csv")
     return 0
 
 
@@ -302,12 +300,13 @@ def run_gradflow(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     if cfg.domain == "rect":
-        from . import crosstie as crosstie_mod
-        T = cfg.T if cfg.T > 0 else cfg.H * crosstie_mod.solve_Ttilde(cfg.L / cfg.H)
+        from .rect1d import solve_Ttilde
+        T = cfg.T if cfg.T > 0 else cfg.H * solve_Ttilde(cfg.L / cfg.H)
         grid = make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
                          cfg.nx, cfg.ny, periodic_x=True)
         bc = gf.rect_bc(cfg.a)
         if cfg.init == "construction":
+            from . import crosstie as crosstie_mod
             sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
             X, Y = grid.nodes_xy()
             u1, u2, _ = crosstie_mod.crosstie_field_sample(sol, X, Y)

@@ -188,18 +188,29 @@ def sample_analytic(grid: Grid2D, f: Callable[[float, float], tuple]) -> Field2D
     return Field2D(grid, out)
 
 
-# Nodes formatted per write: one format call per block instead of per row,
-# with the temporary strings bounded.
+# Polar nodes formatted per write: one format call per block instead of
+# per row, with the temporary strings bounded.
 _CSV_BLOCK = 4096
 
 
 def field_to_csv(field: Field2D, path) -> None:
-    """Snapshot CSV: header x,y,u1,u2; row-major over nodes; 17 sig. digits."""
-    X, Y = field.grid.nodes_xy()
-    rows = np.column_stack([X.ravel(), Y.ravel(),
-                            field.values.reshape(-1, 2)])
+    """Snapshot CSV: header x,y,u1,u2; row-major over nodes; 17 sig. digits.
+
+    On rectangle grids each x and each y is formatted once: every x-row is
+    one format string holding its coordinates, into which only u1 and u2
+    are formatted."""
+    grid = field.grid
     with open(path, "w") as fh:
         fh.write("x,y,u1,u2\n")
+        if grid.kind == RECTANGLE:
+            xs, ys = grid.axes()
+            tail = ["", *("%.17g,%%.17g,%%.17g\n" % y for y in ys.tolist())]
+            for x, u in zip(xs.tolist(), field.values):
+                fh.write(("%.17g," % x).join(tail) % tuple(u.ravel().tolist()))
+            return
+        X, Y = grid.nodes_xy()
+        rows = np.column_stack([X.ravel(), Y.ravel(),
+                                field.values.reshape(-1, 2)])
         for k in range(0, len(rows), _CSV_BLOCK):
             block = rows[k:k + _CSV_BLOCK]
             fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block))

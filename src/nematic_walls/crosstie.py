@@ -8,9 +8,10 @@ the tangency relation
     (L/H) (sqrt((L/H)^2 + 4 Tt^2) - L/H) = 8 Tt^3 (1 - Tt^2)/(Tt^2+1)^2,
 
 which makes the terminal characteristics of families I and III meet
-tangentially at the (T, 0) vortex.  The energy per unit length depends on
-L/H only; compared against the one-dimensional minimum it is lower exactly
-on an interval (L0, L1) ~ (1.27, 2.14).
+tangentially at the (T, 0) vortex (solved by `rect1d.solve_Ttilde`).  The
+energy per unit length depends on L/H only; compared against the
+one-dimensional minimum it is lower exactly on an interval
+(L0, L1) ~ (1.27, 2.14).
 
 Family conventions (arcs marched along u^perp, stored v = physical
 divergence, negative throughout the quarter cell):
@@ -38,40 +39,12 @@ from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
 from .core import EnergyBreakdown, JumpSegment, Params
 from . import rect1d
 from .energy import eval_E0_piecewise
+# the period equation lives in rect1d, which the flow imports without this
+# module; its names stay importable from here
+from .rect1d import (SQRT2M1, period_equation_residual, solve_Ttilde,
+                     ttilde_closed_form_check)
 from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
                        bracketed_root)
-
-SQRT2M1 = math.sqrt(2.0) - 1.0
-
-
-# --- the period equation -----------------------------------------------------
-
-def period_equation_residual(t_tilde, l_over_h: float):
-    t = np.asarray(t_tilde, dtype=float)
-    lh = l_over_h
-    return lh * (np.sqrt(lh * lh + 4.0 * t * t) - lh) \
-        - 8.0 * t ** 3 * (1.0 - t * t) / (t * t + 1.0) ** 2
-
-
-def solve_Ttilde(l_over_h: float) -> float:
-    """Scaled half-period T/H solving the tangency relation.
-
-    The root lies in (sqrt(2)-1, 1) for every positive L/H.
-    """
-    if l_over_h <= 0:
-        raise ValueError("L/H > 0 required")
-    return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
-                          1.0 - 1e-14, args=(l_over_h,))
-
-
-def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:
-    """|L/T - 2/sqrt(Lambda)| for the solved half-period, with
-    zeta = 2x(x^2-1)/(x^2+1)^2, Lambda = (1-2 zeta)/zeta^2, x = H/T."""
-    x = 1.0 / t_tilde
-    zeta = 2.0 * x * (x * x - 1.0) / (x * x + 1.0) ** 2
-    lam = (1.0 - 2.0 * zeta) / (zeta * zeta)
-    return abs(l_over_h / t_tilde - 2.0 / math.sqrt(lam))
-
 
 # --- region III seed relations ------------------------------------------------
 

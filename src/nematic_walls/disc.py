@@ -26,7 +26,7 @@ condition under the diagonal's reflection symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -316,12 +316,15 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
                               v3_of_s=pchip(s3_dense, v3_dense),
                               v2_of_s=pchip(s2_dense, v2_dense),
                               s2_max=s2_max)
-    field = PiecewiseCriticalField(
+    # the sampler holds a copy of sol without the field: sol -> field ->
+    # sampler -> sol would be a reference cycle, which keeps every
+    # solution alive until the cyclic collector runs
+    cell = replace(sol)
+    sol.field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[jump],
-        sample=lambda x, y: deg_minus_one_sample(sol, x, y),
+        sample=lambda x, y: deg_minus_one_sample(cell, x, y),
         domain=f"disc R={R}, degree -1",
         symmetry_copies=8, wall_multiplier=4.0)
-    sol.field = field
 
     # construction sanity: traces satisfy the operative natural condition
     res = sol.natural_bc_residual()

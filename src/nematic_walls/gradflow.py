@@ -228,9 +228,17 @@ def _free_rows(ops: _Operators) -> slice:
 
 def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     """Per-mode 2x2 blocks of `apply_A` on the free rows, read off the
-    operator itself: an impulse at periodic index 0 on every third free row
-    answers, after an rfft, with one block column per probed row (its
-    neighbours are never probed together).
+    operator itself.
+
+    A probe is an impulse in one component on every third free row (one
+    colour) at one periodic index p: it answers on the periodic columns
+    p - 1, p, p + 1 only, and on each probed row and its two neighbours
+    across, which no other row of its colour shares.  The six probes (3
+    colours x 2 components) sit at p = 0, 3, 6, ..., so one `apply_A`
+    call answers n_per // 3 of them without overlap.  Each probe's three
+    columns, moved to -1, 0, 1 of an otherwise zero array, are its
+    response to the impulse at p = 0, and after an rfft they give one
+    block column per probed row.
 
     Returns the diagonal blocks D[:, :, r, k] = A_k(r, r) and the
     super-diagonal blocks U[:, :, r, k] = A_k(r, r + 1), laid out
@@ -241,11 +249,18 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     nf = free.stop - free.start
     D = np.empty((2, 2, nf, n_per // 2 + 1), dtype=complex)
     U = np.empty((2, 2, nf - 1, n_per // 2 + 1), dtype=complex)
-    for colour in range(3):
-        for c in range(2):
-            e = np.zeros((n_per, n_line, 2))
-            e[0, free][colour::3, c] = 1.0
-            spec = _rfft_lines(ops.to_modal(apply_A(ops.from_modal(e)))[:, free])
+    probes = [(colour, c) for colour in range(3) for c in range(2)]
+    per_call = n_per // 3
+    for k0 in range(0, len(probes), per_call):
+        batch = probes[k0:k0 + per_call]
+        e = np.zeros((n_per, n_line, 2))
+        for j, (colour, c) in enumerate(batch):
+            e[3 * j, free][colour::3, c] = 1.0
+        resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, free]
+        for j, (colour, c) in enumerate(batch):
+            z = np.zeros((n_per, nf, 2))
+            z[[-1, 0, 1]] = resp[[3 * j - 1, 3 * j, 3 * j + 1]]
+            spec = _rfft_lines(z)
             D[:, c, colour::3] = spec[:, colour::3]
             above = (colour - 1) % 3  # rows whose next row was probed
             U[:, c, above::3] = spec[:, above:nf - 1:3]

@@ -15,6 +15,10 @@ The recovery profile replaces the u1 sign flip with a tanh heteroclinic of
 width eps inside an eps^(5/6) window, linearly interpolated to the sharp
 profile over a second eps^(5/6) band, which realizes the wall cost
 (4/3)(1 - M^2)^(3/2) in the eps-level energy as eps -> 0.
+
+The period equation of the cross-tie, whose root T~ = T/H sets the
+half-period of the periodic rectangle, is solved here too (`solve_Ttilde`),
+so the gradient flow on that rectangle need not import the construction.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from typing import List, Optional
 import numpy as np
 
 from .energy import GridProfile1D
+from .rootfind import bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
+SQRT2M1 = math.sqrt(2.0) - 1.0
 
 
 @dataclass
@@ -182,3 +188,32 @@ def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
     u1[-1] = math.sqrt(1.0 - a * a)
     u2[0] = u2[-1] = a
     return GridProfile1D(ys=ys, values=np.stack([u1, u2], axis=-1))
+
+
+# --- the cross-tie's period equation (see `crosstie`) ------------------------
+
+def period_equation_residual(t_tilde, l_over_h: float):
+    t = np.asarray(t_tilde, dtype=float)
+    lh = l_over_h
+    return lh * (np.sqrt(lh * lh + 4.0 * t * t) - lh) \
+        - 8.0 * t ** 3 * (1.0 - t * t) / (t * t + 1.0) ** 2
+
+
+def solve_Ttilde(l_over_h: float) -> float:
+    """Scaled half-period T/H solving the tangency relation.
+
+    The root lies in (sqrt(2)-1, 1) for every positive L/H.
+    """
+    if l_over_h <= 0:
+        raise ValueError("L/H > 0 required")
+    return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
+                          1.0 - 1e-14, args=(l_over_h,))
+
+
+def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:
+    """|L/T - 2/sqrt(Lambda)| for the solved half-period, with
+    zeta = 2x(x^2-1)/(x^2+1)^2, Lambda = (1-2 zeta)/zeta^2, x = H/T."""
+    x = 1.0 / t_tilde
+    zeta = 2.0 * x * (x * x - 1.0) / (x * x + 1.0) ** 2
+    lam = (1.0 - 2.0 * zeta) / (zeta * zeta)
+    return abs(l_over_h / t_tilde - 2.0 / math.sqrt(lam))

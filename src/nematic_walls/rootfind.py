@@ -215,6 +215,9 @@ def bracketed_arc_solve_both(circle, lo, hi, x, y, n_scan=96,
     """
     nodes = np.linspace(lo, hi, n_scan)
     if geometric:
-        nodes = np.unique(np.concatenate(
+        # sorted and without repeats, as np.unique would give, which would
+        # also import numpy.ma
+        nodes = np.sort(np.concatenate(
             [nodes, lo * (hi / lo) ** np.linspace(0.0, 1.0, n_scan)]))
+        nodes = nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
     return tuple(_arc_roots(circle, nodes, x, y, True))

@@ -35,20 +35,22 @@ def rect_node_weights(n1, n2, hx, hy, periodic_x):
 
 
 def rect_grad_form(u, hx, hy, periodic_x):
+    # the squared differences are summed over contiguous axes before the
+    # weights apply; the wrap difference u[0] - u[-1] goes into the last
+    # row, so u is never copied rolled
     n1, n2 = u.shape[:2]
     wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
-    total = 0.0
-    cx = (hy / hx) * wy
     if periodic_x:
-        d = np.roll(u, -1, axis=0) - u
-        total += float(np.einsum("j,ijk->", cx, d * d))
+        d = np.empty_like(u)
+        np.subtract(u[1:], u[:-1], out=d[:-1])
+        np.subtract(u[0], u[-1], out=d[-1])
     else:
         d = u[1:] - u[:-1]
-        total += float(np.einsum("j,ijk->", cx, d * d))
-    cy = (hx / hy) * wx
+    d *= d
+    total = float(((hy / hx) * wy) @ d.sum(axis=0).sum(axis=1))
     d = u[:, 1:] - u[:, :-1]
-    total += float(np.einsum("i,ijk->", cy, d * d))
-    return total
+    d *= d
+    return total + float(((hx / hy) * wx) @ d.sum(axis=(1, 2)))
 
 
 def rect_grad_op(u, hx, hy, periodic_x):
@@ -71,16 +73,20 @@ def rect_grad_op(u, hx, hy, periodic_x):
     return out
 
 
-def _rect_cell_div(u, hx, hy, periodic_x):
-    ul = u
-    ur = np.roll(u, -1, axis=0) if periodic_x else u[1:]
-    if not periodic_x:
-        ul = u[:-1]
+def _cell_div(ul, ur, hx, hy):
+    """Divergence of the cells between node columns ul (left) and ur."""
     u1l, u1r = ul[..., 0], ur[..., 0]
     u2l, u2r = ul[..., 1], ur[..., 1]
     ddx = ((u1r[:, :-1] + u1r[:, 1:]) - (u1l[:, :-1] + u1l[:, 1:])) / (2.0 * hx)
     ddy = ((u2l[:, 1:] + u2r[:, 1:]) - (u2l[:, :-1] + u2r[:, :-1])) / (2.0 * hy)
     return ddx + ddy
+
+
+def _rect_cell_div(u, hx, hy, periodic_x):
+    div = _cell_div(u[:-1], u[1:], hx, hy)
+    if periodic_x:  # the wrap cells, between the last column and the first
+        div = np.concatenate([div, _cell_div(u[-1:], u[:1], hx, hy)])
+    return div
 
 
 def rect_div_form(u, hx, hy, periodic_x):

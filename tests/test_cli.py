@@ -48,6 +48,30 @@ def test_sweep_imports_only_what_it_runs(tmp_path):
         assert f"nematic_walls.{name}" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["disc-deg-minus-one", "--nx", "8", "--ny", "16"],
+    ["crosstie", "--nx", "8", "--ny", "8"],
+], ids=["disc-deg-minus-one", "crosstie"])
+def test_constructions_do_not_load_numpy_ma(tmp_path, argv):
+    """The arc scans dedupe their nodes without np.unique, whose import of
+    numpy.ma every construction run would pay."""
+    argv = argv + ["--out", str(tmp_path / "c")]
+    loaded = _modules_after("from nematic_walls import cli\n"
+                            f"assert cli.main({argv!r}) == 0")
+    assert "numpy.ma" not in loaded
+
+
+def test_random_rect_flow_does_not_load_crosstie(tmp_path):
+    """A rectangle flow from a random start takes its period from rect1d
+    and never imports the cross-tie construction."""
+    argv = ["gradflow", "--domain", "rect", "--nx", "8", "--ny", "8",
+            "--max-time", "0.01", "--out", str(tmp_path / "g")]
+    loaded = _modules_after("from nematic_walls import cli\n"
+                            f"assert cli.main({argv!r}) == 0")
+    assert "nematic_walls.gradflow" in loaded
+    assert "nematic_walls.crosstie" not in loaded
+
+
 def test_rect1d_values(tmp_path):
     rc = main(["rect-1d", "--L", "1", "--H", "1", "--a", "0",
                "--out", str(tmp_path / "r")])

@@ -150,17 +150,25 @@ _AWKWARD = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
 
 
 def test_field_csv_bytes_match_per_row_format(tmp_path):
-    g = make_grid("rectangle", (0.0, 1.0, -1.0, 1.0), 70, 60)  # > one block
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=(*g.shape, 2)) * 10.0 ** rng.integers(
-        -300, 300, size=(*g.shape, 2))
-    vals.ravel()[:len(_AWKWARD)] = _AWKWARD
-    vals.ravel()[-len(_AWKWARD):] = _AWKWARD
-    f = Field2D(g, vals)
-    path = tmp_path / "f.csv"
-    field_to_csv(f, path)
-    X, Y = g.nodes_xy()
-    expected = "x,y,u1,u2\n" + "".join(
-        f"{X[i, j]:.17g},{Y[i, j]:.17g},{vals[i, j, 0]:.17g},{vals[i, j, 1]:.17g}\n"
-        for i in range(g.n1) for j in range(g.n2))
-    assert path.read_bytes() == expected.encode()
+    """Rectangle grids (one format string per x-row) and polar grids (one
+    per block of nodes) both write what per-node formatting writes."""
+    grids = [
+        make_grid("rectangle", (0.0, 1.0, -1.0, 1.0), 70, 60),  # > one block
+        make_grid("rectangle", (0.0, 2.0 * 0.6180339887498949, -0.5, 0.5),
+                  175, 224, periodic_x=True),
+        make_grid("polar", (1e-3, 0.6), 96, 128),
+    ]
+    for k, g in enumerate(grids):
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=(*g.shape, 2)) * 10.0 ** rng.integers(
+            -300, 300, size=(*g.shape, 2))
+        vals.ravel()[:len(_AWKWARD)] = _AWKWARD
+        vals.ravel()[-len(_AWKWARD):] = _AWKWARD
+        f = Field2D(g, vals)
+        path = tmp_path / f"f{k}.csv"
+        field_to_csv(f, path)
+        X, Y = g.nodes_xy()
+        expected = "x,y,u1,u2\n" + "".join(
+            f"{X[i, j]:.17g},{Y[i, j]:.17g},{vals[i, j, 0]:.17g},{vals[i, j, 1]:.17g}\n"
+            for i in range(g.n1) for j in range(g.n2))
+        assert path.read_bytes() == expected.encode(), g

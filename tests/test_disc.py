@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -251,3 +253,18 @@ class TestFieldEval:
             ok &= np.abs(sI - sol.s0) > 3e-5 * R  # documented seam sliver
             u1, u2, vv = _octant_eval_batch(sol, x[ok], y[ok])
             assert np.abs(vv - v[ok]).max() < 1e-8
+
+
+def test_built_solution_is_freed_without_the_cyclic_collector():
+    """The sampler holds a copy of the solution, not the solution itself,
+    so a built solution sits in no reference cycle and dies on del."""
+    gc.disable()
+    try:
+        built = build_deg_minus_one(R, L)
+        ref = weakref.ref(built)
+        u1, _, _ = built.field.sample(np.array([0.3]), np.array([0.1]))
+        assert np.isfinite(u1).all()
+        del built
+        assert ref() is None
+    finally:
+        gc.enable()

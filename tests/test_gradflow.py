@@ -211,6 +211,56 @@ class TestBlockCyclicReduction:
                 <= 1e-12 * np.linalg.norm(b))
 
 
+def probe_blocks_reference(ops, apply_A, free):
+    """The blocks of `_probe_blocks`, one `apply_A` call per impulse set:
+    an impulse at periodic index 0 on every third free row, one component
+    at a time, and the rfft of the whole response."""
+    n_per, n_line = (ops.grid.shape if ops.grid.kind == "rectangle"
+                     else ops.grid.shape[::-1])
+    nf = free.stop - free.start
+    D = np.empty((2, 2, nf, n_per // 2 + 1), dtype=complex)
+    U = np.empty((2, 2, nf - 1, n_per // 2 + 1), dtype=complex)
+    for colour in range(3):
+        for c in range(2):
+            e = np.zeros((n_per, n_line, 2))
+            e[0, free][colour::3, c] = 1.0
+            resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, free]
+            spec = np.fft.rfft(resp.transpose(2, 1, 0))
+            D[:, c, colour::3] = spec[:, colour::3]
+            above = (colour - 1) % 3
+            U[:, c, above::3] = spec[:, above:nf - 1:3]
+    return D, U
+
+
+class TestPackedProbe:
+    """`_probe_blocks` answers up to six impulse sets with one operator
+    application; its blocks are the per-impulse ones."""
+
+    @pytest.mark.parametrize("n_per", [4, 5, 6, 7, 8, 9, 11, 12, 17, 18,
+                                       19, 24, 40])
+    @pytest.mark.parametrize("kind", ["rect", "disc", "annulus"])
+    def test_matches_per_impulse_probe(self, kind, n_per):
+        g, bc = flow_case(kind, n_per, 13)
+        p = Params(L=0.7, eps=0.03, R=2.0 if kind == "annulus" else 0.6)
+        solver = FlowSolver(g, p, bc)
+        calls = []
+
+        def apply_A(w):
+            calls.append(1)
+            return solver._apply_A(w, solver.dt)
+
+        free = _free_rows(solver.ops)
+        D, U = _probe_blocks(solver.ops, apply_A, free)
+        assert len(calls) == -(-6 // (n_per // 3))
+        D0, U0 = probe_blocks_reference(solver.ops, apply_A, free)
+        if kind == "rect":
+            assert np.array_equal(D, D0) and np.array_equal(U, U0)
+        else:
+            scale = np.abs(D0).max()
+            assert np.abs(D - D0).max() <= 1e-15 * scale
+            assert np.abs(U - U0).max() <= 1e-15 * scale
+
+
 class TestStepping:
     def test_equilibrium_input_fixed(self):
         g = make_grid("rectangle", (-1, 1, -1, 1), 12, 12, periodic_x=True)

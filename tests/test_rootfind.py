@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,3 +265,25 @@ def test_arc_scan_matches_matrix_scan(setup, n, monkeypatch):
     monkeypatch.setattr(rootfind, "_arc_roots", _matrix_arc_roots)
     for a, b in zip(fast, sample()):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@given(st.floats(1e-9, 1.0), st.floats(1.0 + 1e-9, 1e3),
+       st.integers(2, 200))
+def test_geometric_scan_nodes_match_unique(lo, ratio, n_scan):
+    """The geometric scan nodes are np.unique of the uniform and the
+    geometric nodes, bit for bit: sorted, each value once."""
+    hi = lo * ratio
+    seen = []
+
+    def capture(circle, nodes, x, y, both):
+        seen.append(nodes)
+        return [x, y]
+
+    with mock.patch.object(rootfind, "_arc_roots", capture):
+        rootfind.bracketed_arc_solve_both(None, lo, hi, np.zeros(1),
+                                          np.zeros(1), n_scan=n_scan,
+                                          geometric=True)
+    want = np.unique(np.concatenate(
+        [np.linspace(lo, hi, n_scan),
+         lo * (hi / lo) ** np.linspace(0.0, 1.0, n_scan)]))
+    assert seen[0].tobytes() == want.tobytes()
