@@ -43,8 +43,7 @@ from .energy import eval_E0_piecewise
 # module; its names stay importable from here
 from .rect1d import (SQRT2M1, period_equation_residual, solve_Ttilde,
                      ttilde_closed_form_check)
-from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
-                       bracketed_root)
+from .rootfind import arc_root, bracketed_root
 
 # --- region III seed relations ------------------------------------------------
 
@@ -98,6 +97,23 @@ def region2_theta_star(s2, alpha: float, L: float):
     beta[solve] = bracketed_root(_region2_equation, 0.0, hi[solve],
                                  args=(c[solve], a_s[solve], k))
     return float(beta) if beta.ndim == 0 else beta
+
+
+def region2_seed_of_theta_star(beta, alpha: float, L: float, H: float):
+    """Region II's seed (x0, y0, theta0, v0) in its terminal angle beta.
+
+    theta*'s equation is linear in sin^2(alpha s/2): with k = L alpha it
+    gives sin(alpha s/2) = m = sin(beta/2) sqrt(k/(k - sin 2 beta)), so the
+    foot ((1 - cos alpha s)/alpha, H - sin(alpha s)/alpha) = (2 m^2/alpha,
+    H - 2 m sqrt(1 - m^2)/alpha), theta0 = alpha s = 2 asin(m) and v0 =
+    -sin(2 beta)/L are closed-form in beta.  Inverts `region2_theta_star`
+    to roundoff.
+    """
+    beta = np.asarray(beta, dtype=float)
+    k = L * alpha
+    m = np.sin(0.5 * beta) * np.sqrt(k / (k - np.sin(2.0 * beta)))
+    return (2.0 * m * m / alpha, H - 2.0 * m * np.sqrt(1.0 - m * m) / alpha,
+            2.0 * np.arcsin(m), -np.sin(2.0 * beta) / L)
 
 
 def region2_theta_star_residual(s2, theta_star, alpha: float, L: float):
@@ -374,127 +390,62 @@ def region1_seed_offset(x, y, T: float, H: float):
     its circle residual times d is X d^2 + Q d - H^2 X, whose positive root
     is taken in the form free of cancellation: (Q + r)/(-2X) for Q >= 0 and
     2 H^2 |X|/(r - Q) for Q < 0, with r = sqrt(Q^2 + 4 H^2 X^2).  Points on
-    x = T get d = 0 exactly.
+    x = T, the vortex (T, 0) included, get d = 0 exactly.
     """
     X = np.asarray(x, dtype=float) - T
     y = np.asarray(y, dtype=float)
     Q = X * X + y * (y - 2.0 * H)
     r = np.hypot(Q, 2.0 * H * X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(Q >= 0.0, (Q + r) / (-2.0 * X),
-                        2.0 * H * H * np.abs(X) / (r - Q))
-
-
-def _arc_root_or_end(circle, lo, hi, x, y):
-    """Arc parameter in [lo, hi] of the circle through each point, solved
-    on the whole interval; a point whose residual keeps its sign there (the
-    corner at the origin, which no region-III arc with s >= lo reaches)
-    takes the end arc s = hi, whose angle is pi/4 there as in the s -> 0
-    limit."""
-    s = bracketed_arc_solve(circle, lo, hi, x, y, n_scan=2)
-    return np.where(np.isnan(s), hi, s)
+        d = np.where(Q >= 0.0, (Q + r) / (-2.0 * X),
+                     2.0 * H * H * np.abs(X) / (r - Q))
+    return np.where(X == 0.0, 0.0, d)
 
 
 def _quarter_eval_batch(sol: CrossTieSolution, x, y):
-    """(theta, v) arrays for points in the closed quarter cell."""
-    L, H, T, alpha, t1 = sol.L, sol.H, sol.T, sol.alpha, sol.t1_star
+    """(theta, v) arrays for points in the closed quarter cell.
+
+    Region I (inside Gamma, d = T - s <= T) is closed-form.  The other two
+    families are inverted by `rootfind.arc_root` on a bracket known from
+    the point: region III in s on [0, T]; region II in its terminal angle
+    beta = theta*, from the arc seeded at the point's foot on Gamma to the
+    last arc, seeded at the vortex.  Region III's bracket holds one root
+    for L/H above 0.5426, where every region-III circle meets the bottom
+    wall a second time beyond x = T; below that, points near (T, 0) raise
+    BracketError.
+    """
+    L, H, T, alpha = sol.L, sol.H, sol.T, sol.alpha
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    theta = np.full(x.shape, np.nan)
-    v = np.full(x.shape, np.nan)
+    theta = np.empty(x.shape)
+    v = np.empty(x.shape)
 
-    # Points within a hair of Gamma get the Gamma angle directly: theta is
-    # continuous across it and the circle-root solves of region II degrade
-    # exactly there (grazing double roots).  The v assignment on the sliver
-    # is the region-I side of the admissible jump.
-    sliver = 1e-4 * max(T, H)
-    dist = np.hypot(x - 1.0 / alpha, y - H)
-    near_gamma = np.abs(dist - 1.0 / alpha) <= sliver
-    if near_gamma.any():
-        g = 1.0 / alpha
-        theta[near_gamma] = np.arctan2((H - y[near_gamma]) / g,
-                                       (1.0 / alpha - x[near_gamma]) / g)
-        v[near_gamma] = -alpha
+    # region I: the arc through the vortex with seed offset d <= T
+    d = region1_seed_offset(x, y, T, H)
+    mI = d <= T
+    xi, yi, d = x[mI], y[mI], d[mI]
+    # direction to the arc's centre, scaled by 2d > 0
+    theta[mI] = np.arctan2(2.0 * d * (H - yi), H * H - d * (2.0 * (xi - T) + d))
+    v[mI] = -2.0 * d / (d * d + H * H)
 
-    # region I: inside the Gamma circle |p - (1/alpha, H)| <= 1/alpha
-    mI = (dist <= 1.0 / alpha) & ~near_gamma
-    if mI.any():
-        xi, yi = x[mI], y[mI]
-        d = region1_seed_offset(xi, yi, T, H)
-        # direction to the arc's centre, scaled by 2d > 0
-        theta[mI] = np.arctan2(2.0 * d * (H - yi),
-                               H * H - d * (2.0 * (xi - T) + d))
-        v[mI] = -2.0 * d / (d * d + H * H)
+    # region III: outside the circle of its terminal arc, seeded at s = T
+    thbT = float(region3_seed_angle(T, L))
+    v3T = float(region3_v(T, L))
+    m3 = ~mI & ((x - T + math.cos(thbT) / v3T) ** 2
+                + (y + math.sin(thbT) / v3T) ** 2 >= 1.0 / (v3T * v3T))
+    if m3.any():
+        theta[m3], v[m3] = arc_root(sol.region3.seed, 0.0, T, x[m3], y[m3])
 
-    rem = ~mI & ~near_gamma
-    if rem.any():
-        thbT = float(region3_seed_angle(T, L))
-        v3T = float(region3_v(T, L))
-        c3x = T - math.cos(thbT) / v3T
-        c3y = -math.sin(thbT) / v3T
-        R3 = 1.0 / abs(v3T)
-        xr, yr = x[rem], y[rem]
-        m3 = (xr - c3x) ** 2 + (yr - c3y) ** 2 >= R3 * R3
-        th_r = np.full(xr.shape, np.nan)
-        v_r = np.full(xr.shape, np.nan)
-        if m3.any():
-            x3, y3 = xr[m3], yr[m3]
-
-            def circle3(s):
-                thb = region3_seed_angle(s, L)
-                v3 = region3_v(s, L)
-                return s - np.cos(thb) / v3, -np.sin(thb) / v3, 1.0 / (v3 * v3)
-
-            s3 = _arc_root_or_end(circle3, 1e-9 * T, T, x3, y3)
-            v3 = region3_v(s3, L)
-            g = -1.0 / v3
-            cx, cy, _ = circle3(s3)
-            th_r[m3] = np.arctan2((cy - y3) / g, (cx - x3) / g)
-            v_r[m3] = v3
-        m2 = ~m3
-        if m2.any():
-            x2, y2 = xr[m2], yr[m2]
-
-            def arc2(s):
-                th2 = region2_theta_star(s, alpha, L)
-                v2 = -np.sin(2.0 * th2) / L
-                v2 = np.where(v2 != 0, v2, -1e-300)
-                x0 = (1.0 - np.cos(alpha * s)) / alpha
-                y0 = H - np.sin(alpha * s) / alpha
-                cx = x0 - np.cos(alpha * s) / v2
-                cy = y0 - np.sin(alpha * s) / v2
-                return cx, cy, 1.0 / (v2 * v2), th2, v2
-
-            # the tangentially seeded circles can pass a point twice; keep
-            # the root whose recovered arc parameter lies in [0, t*]
-            def recover(s):
-                cx, cy, _, th2, v2 = arc2(s)
-                g = -1.0 / v2
-                th = np.arctan2((cy - y2) / g, (cx - x2) / g)
-                t = (th - alpha * s) / v2
-                ts = (th2 - alpha * s) / v2
-                return th, v2, t, ts
-
-            s_a, s_b = bracketed_arc_solve_both(lambda s: arc2(s)[:3],
-                                                1e-7 * t1, t1 * (1 - 1e-9),
-                                                x2, y2, geometric=True)
-            th_a, v_a, t_a, ts_a = recover(np.nan_to_num(s_a))
-            th_b, v_b, t_b, ts_b = recover(np.nan_to_num(s_b))
-            # reject the degenerate corner root (clamped v) outright: its
-            # recovered arc parameter is meaningless
-            ok_a = np.isfinite(s_a) & (np.abs(v_a) > 1e-10) \
-                & (t_a >= -1e-9) & (t_a <= ts_a * (1 + 1e-9) + 1e-12)
-            ok_b = np.isfinite(s_b) & (np.abs(v_b) > 1e-10) \
-                & (t_b >= -1e-9) & (t_b <= ts_b * (1 + 1e-9) + 1e-12)
-            pick_b = ~ok_a & ok_b
-            th_r[m2] = np.where(pick_b, th_b, th_a)
-            v_r[m2] = np.where(pick_b, v_b, v_a)
-        theta[rem] = th_r
-        v[rem] = v_r
-    if np.any(~np.isfinite(theta)):
-        bad = np.nonzero(~np.isfinite(theta))
-        raise ValueError(f"{len(bad[0])} quarter-cell points not covered "
-                         f"(first: {x[bad][0]}, {y[bad][0]})")
+    # region II: p's foot sigma on Gamma; the arc through p is seeded
+    # beyond it, up to the vortex
+    m2 = ~mI & ~m3
+    if m2.any():
+        x2, y2 = x[m2], y[m2]
+        sigma = np.arctan2(H - y2, 1.0 / alpha - x2) / alpha
+        theta[m2], v[m2] = arc_root(
+            lambda b: region2_seed_of_theta_star(b, alpha, L, H),
+            region2_theta_star(sigma, alpha, L),
+            region2_theta_star(sol.t1_star, alpha, L), x2, y2)
     return theta, v
 
 

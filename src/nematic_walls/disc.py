@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               pchip)
-from .core import JumpSegment, Params
-from .rootfind import (bracketed_arc_solve, bracketed_arc_solve_both,
-                       bracketed_root)
+from .core import JumpSegment
+from .rootfind import arc_root, bracketed_root
 
 SQRT2 = math.sqrt(2.0)
+# wall nodes per family at which natural_bc_residual checks the seeds
+NBC_NODES = 256
 
 
 # --- simple closed-form solutions -------------------------------------------
@@ -111,6 +111,15 @@ def hedgehog_energy(L: float) -> float:
 
 # --- degree -1 construction ---------------------------------------------------
 
+def _region3_phi(s, L: float):
+    """phi in [0, pi/2] of `region3_v0`'s root p = -cos(phi)/L."""
+    def F(phi, s_):
+        return (1.0 + s_ * np.cos(phi) / L) ** 2 - np.sin(phi) - 1.0
+
+    return bracketed_root(F, 0.0, 0.5 * np.pi,
+                          args=(np.asarray(s, dtype=float),))
+
+
 def region3_v0(s, L: float):
     """Curvature of the family joining the x-axis to the diagonal wall.
 
@@ -118,12 +127,20 @@ def region3_v0(s, L: float):
     p = -cos(phi) / L with phi in [0, pi/2], where the square root is
     sin(phi): exact at the s = 0 root phi = 0 and smooth there; vectorized.
     """
-    def F(phi, s_):
-        return (1.0 + s_ * np.cos(phi) / L) ** 2 - np.sin(phi) - 1.0
+    return -np.cos(_region3_phi(s, L)) / L
 
-    phi = bracketed_root(F, 0.0, 0.5 * np.pi,
-                         args=(np.asarray(s, dtype=float),))
-    return -np.cos(phi) / L
+
+def region3_seed_of_mu(mu, L: float):
+    """Region III's seed (x0, y0, theta0, v0) in mu = sin(phi).
+
+    `region3_v0`'s equation solved for s: 1 + s cos(phi)/L = sqrt(1 + mu)
+    gives s = L mu / ((1 + sqrt(1 + mu)) sqrt(1 - mu^2)), and v0 =
+    -sqrt(1 - mu^2)/L.  The arc's centre s - 1/v0 is L/sqrt(1 - mu).
+    """
+    mu = np.asarray(mu, dtype=float)
+    c = np.sqrt((1.0 - mu) * (1.0 + mu))
+    z = np.zeros_like(mu)
+    return (L * mu / ((1.0 + np.sqrt(1.0 + mu)) * c), z, z, -c / L)
 
 
 def region2_A(s, v0, R: float):
@@ -159,6 +176,25 @@ def region2_v0(s, R: float, L: float):
     return float(out) if out.ndim == 0 else out
 
 
+def region2_seed_of_v(p, R: float, L: float):
+    """Region II's seed (x0, y0, theta0, v0) in its curvature p.
+
+    `region2_v0`'s equation solved for s: with q = sqrt(1 - L^2 p^2) and
+    A = sqrt((1 + q)/2), 1 - sin(s/R + pi/4) = delta = L^2 p^2 / (2 (1 + A)
+    (1 + q) (1 + R p)), so phi = s/R + pi/4 = pi/2 - 2 asin(sqrt(delta/2))
+    and the foot (sqrt2 R - R cos(s/R), R sin(s/R)) on the terminal
+    region-I arc is (R/sqrt2) (1 + delta - cos phi, 1 - delta - cos phi).
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.sqrt((1.0 - L * p) * (1.0 + L * p))
+    A = np.sqrt(0.5 * (1.0 + q))
+    delta = (L * p) ** 2 / (2.0 * (1.0 + A) * (1.0 + q) * (1.0 + R * p))
+    cos_phi = np.sqrt(delta * (2.0 - delta))
+    k = R / SQRT2
+    return (k * (1.0 + delta - cos_phi), k * (1.0 - delta - cos_phi),
+            2.0 * np.arcsin(np.sqrt(0.5 * delta)) - 0.25 * np.pi, p)
+
+
 def _theta_star_from_cosminussin(val):
     """theta in [-pi/4, 0] with cos(theta) - sin(theta) = val."""
     return np.arccos(np.clip(np.asarray(val, dtype=float) / SQRT2, -1.0, 1.0)) \
@@ -178,23 +214,14 @@ class DegMinusOneSolution:
     jump: JumpSegment
     field: PiecewiseCriticalField
 
-    # wall data in arclength xi along y=x, from the origin
-    wall_xi: np.ndarray = None
-    wall_theta: np.ndarray = None
-    wall_v: np.ndarray = None
-
-    # dense curvature interpolants (4096 exact samples; interpolation error
-    # is O(h^3) ~ 1e-13, below the root-solver tolerance)
-    v3_of_s: Optional[Callable] = None
-    v2_of_s: Optional[Callable] = None
-    s2_max: float = 0.0
-
-    def natural_bc_residual(self, n: int = 256) -> float:
-        """sup |L v + cos 2 theta| along the wall (operative natural BC).
+    def natural_bc_residual(self) -> float:
+        """sup |L v + cos 2 theta| along the wall (operative natural BC),
+        on NBC_NODES seeds of each family.
 
         Evaluated in the exact seed parametrization of each family, so the
         value reflects the root-solver tolerance, not interpolation error.
         """
+        n = NBC_NODES
         s3 = np.linspace(1e-9 * self.R, self.s0, n)
         v3 = region3_v0(s3, self.L)
         th3 = _theta_star_from_cosminussin(1.0 - s3 * v3)
@@ -306,16 +333,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
         div_fns=(v_of_xi, lambda a: -v_of_xi(a)),
     )
 
-    s3_dense = np.linspace(0.0, s0, 4096)
-    v3_dense = region3_v0(s3_dense, L)
-    s2_dense = np.linspace(0.0, s2_max, 4096)
-    v2_dense = region2_v0(s2_dense, R, L)
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
-                              region3=fam3, jump=jump, field=None,
-                              wall_xi=xi, wall_theta=thw, wall_v=vw,
-                              v3_of_s=pchip(s3_dense, v3_dense),
-                              v2_of_s=pchip(s2_dense, v2_dense),
-                              s2_max=s2_max)
+                              region3=fam3, jump=jump, field=None)
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
     # solution alive until the cyclic collector runs
@@ -334,107 +353,50 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
 
 
 def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
-    """(u1, u2, v) arrays for points in the octant 0 <= y <= x <= ... r <= R."""
+    """(u1, u2, v) arrays for points in the octant 0 <= y <= x, r <= R.
+
+    Region I (arcs of radius R centred on the x-axis, seeded at s >= s0)
+    is closed-form.  The other two families are inverted by
+    `rootfind.arc_root` on a bracket known from the point: region III in
+    mu = sin(phi), from the arc whose angle at the point is -pi/4 to the
+    terminal arc mu(s0); region II in its curvature, from the first arc
+    (the terminal region-III arc) to the arc seeded at the point's foot on
+    the terminal region-I arc.
+    """
     R, L, s0 = sol.R, sol.L, sol.s0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x * x + y * y > R * R * (1 + 1e-10)):
         raise ValueError("point outside the disc")
-    theta = np.full(x.shape, np.nan)
-    v = np.full(x.shape, np.nan)
+    theta = np.empty(x.shape)
+    v = np.empty(x.shape)
 
-    # region I: circles of radius R centred on the x-axis; the seam with
-    # region II is x_r itself, where theta is continuous, so a hair of
-    # tolerance toward region II only perturbs the v assignment on a
-    # 1e-5 R-wide strip
+    # region I: the circle of radius R through the point, centred on the
+    # x-axis at sI + R
     sI = x - R + np.sqrt(np.maximum(R * R - y * y, 0.0))
-    mask1 = (sI >= s0 - 1e-5 * R) & (sI <= R + 1e-12 * R)
-    theta[mask1] = -np.arcsin(np.clip(y[mask1] / R, -1.0, 1.0))
-    v[mask1] = -1.0 / R
+    m1 = sI >= s0
+    theta[m1] = -np.arcsin(np.clip(y[m1] / R, -1.0, 1.0))
+    v[m1] = -1.0 / R
 
-    rem = ~mask1
-    if rem.any():
-        xr, yr = x[rem], y[rem]
-        # region III: outside the terminal arc's circle x_l
-        vL = float(sol.v3_of_s(s0))
-        gL = -1.0 / vL
-        m3 = (xr - (s0 + gL)) ** 2 + yr ** 2 > gL * gL
+    # region III: outside the circle of its terminal arc, which region
+    # II's first arc continues; an arc's centre is L/sqrt(1 - mu), and
+    # the arc centred at x + y has angle -pi/4 at the point
+    mu0 = math.sin(float(_region3_phi(s0, L)))
+    s_end, _, _, v_end = (float(a) for a in region3_seed_of_mu(mu0, L))
+    g = -1.0 / v_end
+    m3 = ~m1 & ((x - s_end - g) ** 2 + y * y > g * g)
+    if m3.any():
+        x3, y3 = x[m3], y[m3]
+        theta[m3], v[m3] = arc_root(
+            lambda mu: region3_seed_of_mu(mu, L),
+            1.0 - (L / np.maximum(x3 + y3, L)) ** 2, mu0, x3, y3)
 
-        th_r = np.full(xr.shape, np.nan)
-        v_r = np.full(xr.shape, np.nan)
-        if m3.any():
-            x3, y3 = xr[m3], yr[m3]
-
-            def circle3(s):
-                g = -1.0 / sol.v3_of_s(s)
-                return s + g, 0.0, g * g
-
-            s = bracketed_arc_solve(circle3, 1e-12 * R, s0, x3, y3)
-            vv = np.asarray(sol.v3_of_s(s), dtype=float)
-            g = -1.0 / vv
-            th = np.arctan2(-y3 / g, (s + g - x3) / g)
-            th_r[m3] = th
-            v_r[m3] = vv
-        m2 = ~m3
-        if m2.any():
-            x2, y2 = xr[m2], yr[m2]
-
-            def circle2(s):
-                vv = np.asarray(sol.v2_of_s(s), dtype=float)
-                x0 = SQRT2 * R - R * np.cos(s / R)
-                y0 = R * np.sin(s / R)
-                cx = x0 - np.cos(-s / R) / vv
-                cy = y0 - np.sin(-s / R) / vv
-                return cx, cy, 1.0 / (vv * vv)
-
-            def recover(s):
-                vv = np.asarray(sol.v2_of_s(s), dtype=float)
-                cx, cy, _ = circle2(s)
-                g = -1.0 / vv
-                th = np.arctan2((cy - y2) / g, (cx - x2) / g)
-                t = (th + s / R) / vv
-                return th, vv, t
-
-            # keep clear of the degenerate corner arc (v -> 0); the circle
-            # of a tangentially seeded arc can pass a point twice, so keep
-            # the root whose arc parameter is in range
-            def t_star_interp(s):
-                vv = np.asarray(sol.v2_of_s(s), dtype=float)
-                A = region2_A(s, vv, R)
-                th_star = _theta_star_from_cosminussin(A)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.where(vv != 0, (th_star + s / R) / vv, 0.0)
-
-            s_a, s_b = bracketed_arc_solve_both(circle2, 1e-9 * R,
-                                                sol.s2_max - 1e-5 * R,
-                                                x2, y2, geometric=True)
-            th_a, v_a, t_a = recover(np.nan_to_num(s_a))
-            th_b, v_b, t_b = recover(np.nan_to_num(s_b))
-            ts_a = t_star_interp(np.nan_to_num(s_a))
-            ok_a = np.isfinite(s_a) & (t_a >= -1e-9) \
-                & (t_a <= ts_a * (1 + 1e-9) + 1e-12)
-            th_r[m2] = np.where(ok_a, th_a, th_b)
-            v_r[m2] = np.where(ok_a, v_a, v_b)
-            bad2 = ~ok_a & ~np.isfinite(s_b)
-            if bad2.any():
-                tmp = th_r[m2]
-                tmp[bad2] = np.nan
-                th_r[m2] = tmp
-        theta[rem] = th_r
-        v[rem] = v_r
-
-    # region II pinches to a cusp where the wall meets the boundary; points
-    # the arc solves miss there sit within O(1e-4 R) of the region-I seam,
-    # where theta is continuous, so the region-I formula is the right limit
-    miss = ~np.isfinite(theta)
-    if miss.any():
-        nearI = miss & (sI >= s0 - 1e-3 * R)
-        theta[nearI] = -np.arcsin(np.clip(y[nearI] / R, -1.0, 1.0))
-        v[nearI] = -1.0 / R
-    if np.any(~np.isfinite(theta)):
-        bad = np.nonzero(~np.isfinite(theta))
-        raise ValueError(f"{len(bad[0])} points not covered by any region "
-                         f"(first: {x[bad][0]}, {y[bad][0]})")
+    m2 = ~m1 & ~m3
+    if m2.any():
+        x2, y2 = x[m2], y[m2]
+        sigma = R * np.arctan2(y2, SQRT2 * R - x2)
+        theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, R, L),
+                                    v_end, region2_v0(sigma, R, L), x2, y2)
     return np.cos(theta), np.sin(theta), v
 
 
@@ -470,10 +432,3 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     u1 *= sy
     u2 *= sx
     return u1.reshape(shape), u2.reshape(shape), v.reshape(shape)
-
-
-def deg_minus_one_E0(sol: DegMinusOneSolution, params: Optional[Params] = None,
-                     **quad_kw):
-    from .energy import eval_E0_piecewise
-    p = params if params is not None else Params(L=sol.L, R=sol.R)
-    return eval_E0_piecewise(sol.field, p.with_(L=sol.L), **quad_kw)

@@ -5,10 +5,12 @@ them all.  `bracketed_root` is Chandrupatla's method (inverse quadratic
 interpolation safeguarded by bisection; Chandrupatla 1997, Adv. Eng.
 Softw. 28:145), run elementwise over arrays of brackets; it refuses
 brackets without a sign change.  It follows SciPy's `find_root` operation
-for operation, so both return the same floats.  The scan helpers find
-brackets when only an interval is known: `scan_brackets` for a scalar
-function, `bracketed_arc_solve` and `bracketed_arc_solve_both` for the arc
-of a circle family through each of many points.
+for operation, so both return the same floats.  `scan_brackets` finds
+brackets of a scalar function when only an interval is known.
+
+`arc_root` inverts a one-parameter family of circular arcs at many points
+at once: the family's seed comes in a parameter with a closed form, and
+each point brings its own bracket, so no scan is needed.
 """
 
 from __future__ import annotations
@@ -144,80 +146,26 @@ def scan_brackets(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return out
 
 
-# Elements of the (nodes x points) residual sign block that the arc scan
-# forms at a time: all nodes at once for a few points, one node at a time
-# for a field's worth
-_SCAN_BLOCK = 1 << 14
+def arc_root(seed: Callable, lo, hi, x, y):
+    """Angle and curvature at (x, y) of the family arc through it.
 
-
-def _arc_roots(circle, nodes, x, y, both):
-    """Scan the circle residual on nodes and solve in the first (and, with
-    both, the last) sign-change cell of each point; nan without a change.
-
-    The circles are computed once for all nodes; the residual's sign is
-    formed on blocks of consecutive nodes (sharing their end node), so the
-    scan never holds a (nodes x points) matrix of a large point set.
+    seed(q) -> (x0, y0, theta0, v0) is the elementwise seed of the arc
+    with parameter q, and [lo, hi] brackets each point's arc.  The arc
+    through p = (x, y) has |w|^2 = 1 with w = v0 (p - P0) + e0, e0 = (cos
+    theta0, sin theta0), and w = (cos theta, sin theta) at p.  The root is
+    solved in q for (|w|^2 - 1)/v0 = v0 |d|^2 + 2 d.e0 with d = p - P0:
+    no 1/v0 and no cancellation of the 1, and at v0 = 0 it is the straight
+    arc's equation d.e0 = 0, so straight arcs need no clamp.  Returns
+    (theta, v0) at the roots, theta = atan2(w_y, w_x).
     """
-    def resid(s, x, y):
-        cx, cy, r2 = circle(s)
-        return (x - cx) ** 2 + (y - cy) ** 2 - r2
+    def parts(q, x, y):
+        x0, y0, th0, v0 = seed(q)
+        return x - x0, y - y0, np.cos(th0), np.sin(th0), v0
 
-    col = (-1,) + (1,) * x.ndim
-    cx, cy, r2 = (np.broadcast_to(a, nodes.shape).reshape(col)
-                  for a in circle(nodes))
-    first = np.full(x.shape, -1)
-    last = np.full(x.shape, -1)
-    step = max(1, _SCAN_BLOCK // max(x.size, 1))
-    for k0 in range(0, len(nodes) - 1, step):
-        blk = slice(k0, k0 + step + 1)
-        sgn = np.sign((x - cx[blk]) ** 2 + (y - cy[blk]) ** 2 - r2[blk])
-        change = (sgn[:-1] * sgn[1:]) <= 0
-        seen = change.any(axis=0)
-        fresh = seen & (first < 0)
-        first[fresh] = k0 + np.argmax(change, axis=0)[fresh]
-        if both:
-            last[seen] = (k0 + len(change) - 1
-                          - np.argmax(change[::-1], axis=0)[seen])
-    ok = first >= 0
-    roots = []
-    for cell in ((first, last) if both else (first,)):
-        s = np.full(x.shape, np.nan)
-        if ok.any():
-            c = cell[ok]
-            s[ok] = bracketed_root(resid, nodes[c], nodes[c + 1],
-                                   args=(x[ok], y[ok]))
-        roots.append(s)
-    return roots
+    def resid(q, x, y):
+        dx, dy, e0x, e0y, v0 = parts(q, x, y)
+        return v0 * (dx * dx + dy * dy) + 2.0 * (dx * e0x + dy * e0y)
 
-
-def bracketed_arc_solve(circle, lo, hi, x, y, n_scan=64):
-    """Per-point arc parameter s in [lo, hi] of the circle through (x, y).
-
-    circle(s) -> (cx, cy, r^2) is the elementwise circle of the arc seeded
-    at s.  The residual |p - c(s)|^2 - r(s)^2 is scanned upward on n_scan
-    nodes, with the circles computed once for all nodes, and solved in its
-    first sign-change cell.  Points without a sign change get s = nan.
-    """
-    return _arc_roots(circle, np.linspace(lo, hi, n_scan), x, y, False)[0]
-
-
-def bracketed_arc_solve_both(circle, lo, hi, x, y, n_scan=96,
-                             geometric=False):
-    """Roots from the lowest and highest sign-change cells of the
-    `bracketed_arc_solve` residual.
-
-    Families whose arcs depart a curve tangentially fold their full circles
-    over the covered region, so a point can see two circle roots with only
-    one lying on the actual arc (t in range); the caller picks by the
-    recovered arc parameter.  Returns (s_low, s_high) with nan where no
-    sign change exists.  With geometric=True the scan adds nodes clustered
-    at the lower end (the roots coalesce toward degenerate corner arcs).
-    """
-    nodes = np.linspace(lo, hi, n_scan)
-    if geometric:
-        # sorted and without repeats, as np.unique would give, which would
-        # also import numpy.ma
-        nodes = np.sort(np.concatenate(
-            [nodes, lo * (hi / lo) ** np.linspace(0.0, 1.0, n_scan)]))
-        nodes = nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
-    return tuple(_arc_roots(circle, nodes, x, y, True))
+    q = bracketed_root(resid, lo, hi, args=(x, y))
+    dx, dy, e0x, e0y, v0 = parts(q, x, y)
+    return np.arctan2(v0 * dy + e0y, v0 * dx + e0x), v0

@@ -255,8 +255,8 @@ def test_pchip_matches_scipy_bitwise(x, y):
 
 
 def test_pchip_matches_scipy_on_wall_traces(monkeypatch):
-    """Every interpolant the cross-tie and degree -1 constructions build
-    (wall angle and divergence traces, dense curvature tables)."""
+    """Every interpolant the cross-tie and degree -1 constructions build:
+    the wall angle and divergence traces of their three walls."""
     from nematic_walls import crosstie, disc
     data = []
 
@@ -268,7 +268,7 @@ def test_pchip_matches_scipy_on_wall_traces(monkeypatch):
     monkeypatch.setattr(disc, "pchip", recording)
     crosstie.build_crosstie(1.0, 1.0)
     disc.build_deg_minus_one(0.6, 0.5)
-    assert len(data) == 8
+    assert len(data) == 6
     for x, y in data:
         _assert_pchip_matches_scipy(x, y)
 

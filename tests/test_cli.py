@@ -53,8 +53,8 @@ def test_sweep_imports_only_what_it_runs(tmp_path):
     ["crosstie", "--nx", "8", "--ny", "8"],
 ], ids=["disc-deg-minus-one", "crosstie"])
 def test_constructions_do_not_load_numpy_ma(tmp_path, argv):
-    """The arc scans dedupe their nodes without np.unique, whose import of
-    numpy.ma every construction run would pay."""
+    """No construction run imports numpy.ma (np.unique would), an import
+    every run would pay."""
     argv = argv + ["--out", str(tmp_path / "c")]
     loaded = _modules_after("from nematic_walls import cli\n"
                             f"assert cli.main({argv!r}) == 0")
@@ -231,6 +231,25 @@ def test_disc_deg_minus_one_artifacts(tmp_path):
     assert (out / "field.csv").exists()
     assert (out / "divergence_contours.csv").exists()
     assert (out / "angle_contours.csv").exists()
+
+
+def test_disc_deg_minus_one_field_angles_stay_in_the_octant(tmp_path):
+    """Every field.csv node of the degree -1 disc at L = 0.1, folded into
+    the octant 0 <= y <= x by the construction's reflections, has its
+    angle in [-pi/4, 0]: no node takes a region-III circle past the end of
+    its arc."""
+    out = tmp_path / "deg"
+    assert main(["disc-deg-minus-one", "--R", "0.6", "--L", "0.1",
+                 "--nx", "24", "--ny", "48", "--out", str(out)]) == 0
+    x, y, u1, u2 = np.loadtxt(out / "field.csv", delimiter=",",
+                              skiprows=1).T
+    # undo the axis mirrors, then the diagonal rule (u1, u2) -> (-u2, -u1)
+    u1 = np.where(x < 0, -u1, u1)
+    u2 = np.where(y < 0, -u2, u2)
+    diag = np.abs(y) > np.abs(x)
+    theta = np.arctan2(np.where(diag, -u1, u2), np.where(diag, -u2, u1))
+    assert theta.min() >= -math.pi / 4 - 1e-9
+    assert theta.max() <= 1e-9
 
 
 def test_gradflow_construction_seeded_disc(tmp_path):

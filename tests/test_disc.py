@@ -214,13 +214,18 @@ class TestFieldEval:
             assert u2 == pytest.approx(-math.sin(psi), abs=1e-9)
 
     def test_theta_range_in_octant(self, sol):
+        """Octant points get angles in [-pi/4, 0], at L = 0.1 and 0.3 too,
+        where region-III circles also pass octant points past their arcs'
+        end, with angles below -pi/4, which the sampler must not pick."""
         rng = np.random.default_rng(1)
         r = np.sqrt(rng.uniform(1e-4, R * R * 0.9999, 500))
         psi = rng.uniform(1e-3, math.pi / 4 - 1e-3, 500)
-        u1, u2, _ = deg_minus_one_sample(sol, r * np.cos(psi), r * np.sin(psi))
-        th = np.arctan2(u2, u1)
-        assert th.min() >= -math.pi / 4 - 1e-9
-        assert th.max() <= 1e-9
+        for s in (sol, build_deg_minus_one(R, 0.1), build_deg_minus_one(R, 0.3)):
+            u1, u2, _ = deg_minus_one_sample(s, r * np.cos(psi),
+                                             r * np.sin(psi))
+            th = np.arctan2(u2, u1)
+            assert th.min() >= -math.pi / 4 - 1e-9, s.L
+            assert th.max() <= 1e-9, s.L
 
     def test_symmetries(self, sol):
         x, y = 0.31, 0.17
@@ -249,8 +254,6 @@ class TestFieldEval:
             x, y, th, v = fam.point(ss, tt)
             ok = (y >= 1e-9) & (y <= x * (1 - 1e-12)) \
                 & (x ** 2 + y ** 2 <= R * R * (1 - 1e-10))
-            sI = x - R + np.sqrt(np.maximum(R * R - y * y, 0))
-            ok &= np.abs(sI - sol.s0) > 3e-5 * R  # documented seam sliver
             u1, u2, vv = _octant_eval_batch(sol, x[ok], y[ok])
             assert np.abs(vv - v[ok]).max() < 1e-8
 

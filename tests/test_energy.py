@@ -10,6 +10,7 @@ from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, Field2D, Params,
                                 make_grid, sample_analytic)
 from nematic_walls.disc import hedgehog_solution
 from nematic_walls.energy import (GridProfile1D, WallIntegrand,
+                                  _bulk_transport_residual,
                                   criticality_residuals, eval_E0_1d,
                                   eval_E0_piecewise, eval_E_eps, eval_E_eps_1d,
                                   family_bulk_integral, wall_cost_density,
@@ -178,6 +179,22 @@ def test_criticality_hedgehog_clean():
     rep = criticality_residuals(hedgehog_solution(+1), Params(L=1.0))
     assert rep.bulk_transport == 0.0
     assert rep.wall_balance is None
+
+
+@pytest.mark.parametrize("kind, value", [("disc", 0.1), ("disc", 0.3),
+                                         ("disc", 0.5), ("disc", 0.7),
+                                         ("crosstie", 1.0),
+                                         ("crosstie", 1.3),
+                                         ("crosstie", 2.0)])
+def test_bulk_transport_residual_on_multi_family_constructions(kind, value):
+    """The sampled divergence is constant along every family's arcs: the
+    along-arc difference of v stays below 1e-5 on each family's lattice,
+    next to the degree -1 cusp (|grad v| ~ 2e3 at L = 0.1) too."""
+    if kind == "disc":
+        field = disc.build_deg_minus_one(0.6, value).field
+    else:
+        field = crosstie.build_crosstie(value, 1.0).field
+    assert _bulk_transport_residual(field) <= 1e-5
 
 
 # --- references on s x t grids: the three-grid finite-difference bulk term

@@ -1,6 +1,4 @@
 import math
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -195,95 +193,113 @@ def test_region2_theta_star_matches_bisection(lh):
                       float)
 
 
-# --- arc scan ------------------------------------------------------------------
+# --- arc inversion ---------------------------------------------------------------
 
-def _matrix_arc_roots(circle, nodes, x, y, both):
-    """Reference arc scan: the residual's sign on the whole (nodes x
-    points) matrix, then the first (and last) sign-change cell per point."""
-    def resid(s, x, y):
-        cx, cy, r2 = circle(s)
-        return (x - cx) ** 2 + (y - cy) ** 2 - r2
+@given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
+       st.floats(0.05, 0.95))
+def test_arc_root_inverts_a_family_with_straight_arcs(x0, k, th0, frac):
+    """A family of arcs from the points (x0 + q, 0) at angle th0 + q with
+    curvature k q, which is straight at q = 0: a point on the arc of q
+    (t up to one radian of turning) returns that arc's angle and curvature
+    from a bracket of half-width 1e-3 about q, straight arcs included."""
+    from nematic_walls.characteristics import arc_xy
 
-    sgn = np.sign(resid(nodes[:, None], x, y))
-    change = (sgn[:-1] * sgn[1:]) <= 0
-    ok = change.any(axis=0)
-    cells = [np.argmax(change, axis=0)]
-    if both:
-        cells.append(len(nodes) - 2 - np.argmax(change[::-1], axis=0))
-    roots = []
-    for cell in cells:
-        s = np.full(x.shape, np.nan)
-        if ok.any():
-            c = cell[ok]
-            s[ok] = bracketed_root(resid, nodes[c], nodes[c + 1],
-                                   args=(x[ok], y[ok]))
-        roots.append(s)
-    return roots
+    def seed(q):
+        q = np.asarray(q, dtype=float)
+        return x0 + q, np.zeros_like(q), th0 + q, k * q
+
+    q = np.array([-0.5, -1e-9, 0.0, 1e-9, 0.5])
+    t = frac * np.minimum(1.0, 1.0 / np.maximum(np.abs(k * q), 1e-300))
+    x, y, th = arc_xy(*seed(q), t)
+    got_th, got_v = rootfind.arc_root(seed, q - 1e-3, q + 1e-3, x, y)
+    assert np.abs(np.angle(np.exp(1j * (got_th - th)))).max() <= 1e-12
+    assert np.abs(got_v - k * q).max() <= 1e-12
 
 
-def _disc_sample(n):
-    sol = disc.build_deg_minus_one(0.6, 0.5)
-    r = np.linspace(0.01, 0.6 * (1 - 1e-12), n)
-    phi = np.linspace(0.0, 2 * math.pi, 2 * n)
-    X = r[:, None] * np.cos(phi)
-    Y = r[:, None] * np.sin(phi)
-    return disc, lambda: disc.deg_minus_one_sample(sol, X, Y)
+@pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 2.0, 2.8])
+def test_crosstie_region2_seed_inverts_theta_star(lh):
+    """The closed-form seed in beta = theta* returns the foot alpha s of
+    `region2_theta_star`'s root to 6e-15 relative, from s = 1e-12 t1*."""
+    sol = crosstie.build_crosstie(lh, 1.0)
+    s = sol.t1_star * np.geomspace(1e-12, 1.0, 400)
+    beta = crosstie.region2_theta_star(s, sol.alpha, sol.L)
+    x0, y0, th0, v0 = crosstie.region2_seed_of_theta_star(beta, sol.alpha,
+                                                          sol.L, sol.H)
+    as_ = sol.alpha * s
+    assert np.max(np.abs(th0 - as_) / as_) <= 6e-15
+    assert np.array_equal(v0, -np.sin(2.0 * beta) / sol.L)
 
 
-def _crosstie_sample(n):
-    sol = crosstie.build_crosstie(1.0, 1.0)
-    X, Y = np.meshgrid(np.linspace(0.0, 2 * sol.T, 2 * n),
-                       np.linspace(-1.0, 1.0, n), indexing="ij")
-    return crosstie, lambda: crosstie.crosstie_field_sample(sol, X, Y)
+@pytest.mark.parametrize("L", [0.1, 0.2, 0.3, 0.5, 0.7])
+def test_deg_minus_one_seeds_invert_their_curvatures(L):
+    """The closed-form seeds of regions III (in mu = sin phi) and II (in
+    v) return the seed parameter s of `region3_v0`'s and `region2_v0`'s
+    roots to 8e-13 R and 3.7e-12 R."""
+    R = 0.6
+    s0 = (math.sqrt(2.0) - 1.0) * R
+    s3 = np.linspace(0.0, s0, 513)
+    mu = np.sin(disc._region3_phi(s3, L))
+    x0, _, _, v0 = disc.region3_seed_of_mu(mu, L)
+    assert np.max(np.abs(x0 - s3)) <= 8e-13 * R
+    assert np.max(np.abs(v0 - disc.region3_v0(s3, L))) <= 1e-13 / L
+    s2 = np.linspace(0.0, 0.25 * math.pi * R, 513)
+    x0, y0, th0, _ = disc.region2_seed_of_v(disc.region2_v0(s2, R, L), R, L)
+    assert np.max(np.abs(th0 + s2 / R)) <= 3.7e-12  # theta0 = -s/R
+    assert np.max(np.hypot(x0 - (math.sqrt(2.0) * R - R * np.cos(s2 / R)),
+                           y0 - R * np.sin(s2 / R))) <= 3.7e-12 * R
 
 
-@pytest.mark.parametrize("setup, n", [(_disc_sample, 8), (_disc_sample, 40),
-                                      (_crosstie_sample, 40)])
-def test_arc_scan_matches_matrix_scan(setup, n, monkeypatch):
-    """Every bracketed_arc_solve(_both) call of a field sample returns the
-    roots of the (nodes x points) matrix scan bit for bit, and so does the
-    sampled field: with few points the scan takes all nodes in one block,
-    with many a few nodes (or one) per block."""
-    module, sample = setup(n)
-    calls = []
-    for name in ("bracketed_arc_solve", "bracketed_arc_solve_both"):
-        solve = getattr(rootfind, name)
-
-        def checked(*args, solve=solve, name=name, **kw):
-            got = solve(*args, **kw)
-            with monkeypatch.context() as m:
-                m.setattr(rootfind, "_arc_roots", _matrix_arc_roots)
-                want = solve(*args, **kw)
-            assert np.array_equal(np.asarray(got), np.asarray(want),
-                                  equal_nan=True), name
-            calls.append(name)
-            return got
-
-        monkeypatch.setattr(module, name, checked)
-    fast = sample()
-    assert set(calls) == {"bracketed_arc_solve", "bracketed_arc_solve_both"}
-    monkeypatch.setattr(rootfind, "_arc_roots", _matrix_arc_roots)
-    for a, b in zip(fast, sample()):
-        assert np.array_equal(a, b, equal_nan=True)
+def _lattice(fam, taus, n=24):
+    """Points of n x len(taus) arcs: s in [0.05, 0.95] of the family's
+    range, t = tau t*(s)."""
+    s_lo, s_hi = fam.s_range
+    ss = s_lo + (s_hi - s_lo) * np.linspace(0.05, 0.95, n)
+    ts = np.asarray(fam.t_star(ss), dtype=float)
+    return fam.point(np.repeat(ss, len(taus)), np.outer(ts, taus).ravel())
 
 
-@given(st.floats(1e-9, 1.0), st.floats(1.0 + 1e-9, 1e3),
-       st.integers(2, 200))
-def test_geometric_scan_nodes_match_unique(lo, ratio, n_scan):
-    """The geometric scan nodes are np.unique of the uniform and the
-    geometric nodes, bit for bit: sorted, each value once."""
-    hi = lo * ratio
-    seen = []
+# tau ranges of the lattice: the arcs' bulk, and the band next to the seam
+# each arc is seeded on, with their (theta, v) tolerances
+_TAU_BANDS = [(np.linspace(0.05, 0.95, 24), 5e-11),
+              (np.geomspace(5e-4, 0.05, 24), 2e-9)]
 
-    def capture(circle, nodes, x, y, both):
-        seen.append(nodes)
-        return [x, y]
 
-    with mock.patch.object(rootfind, "_arc_roots", capture):
-        rootfind.bracketed_arc_solve_both(None, lo, hi, np.zeros(1),
-                                          np.zeros(1), n_scan=n_scan,
-                                          geometric=True)
-    want = np.unique(np.concatenate(
-        [np.linspace(lo, hi, n_scan),
-         lo * (hi / lo) ** np.linspace(0.0, 1.0, n_scan)]))
-    assert seen[0].tobytes() == want.tobytes()
+def _assert_samples_arc(sample, fam, tol_of_band):
+    for taus, tol in _TAU_BANDS:
+        x, y, th, v = _lattice(fam, taus)
+        got_th, got_v = sample(x, y)
+        tol = tol_of_band(tol)
+        err_th = np.abs(np.angle(np.exp(1j * (got_th - th)))).max()
+        assert err_th <= tol, (fam.label, taus[0], err_th)
+        assert np.abs(got_v - v).max() <= tol, (fam.label, taus[0])
+
+
+@pytest.mark.parametrize("L", [0.1, 0.2, 0.3, 0.5, 0.7])
+def test_deg_minus_one_sampler_lattice_roundtrip(L):
+    """At points on every degree -1 family's arcs, the sampler returns the
+    arc's angle and curvature: 5e-11 on the arcs' bulk, 2e-9 within
+    tau < 0.05 of the seam they are seeded on."""
+    sol = disc.build_deg_minus_one(0.6, L)
+
+    def sample(x, y):
+        u1, u2, v = disc._octant_eval_batch(sol, x, y)
+        return np.arctan2(u2, u1), v
+
+    for fam in (sol.region1, sol.region2, sol.region3):
+        _assert_samples_arc(sample, fam, lambda tol: tol)
+
+
+@pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 2.0, 2.8])
+def test_crosstie_sampler_lattice_roundtrip(lh):
+    """The same on the cross-tie's quarter cell.  Region III's seed angle
+    carries the cancellation of `crosstie._w_of_lambda` at small s (ROADMAP
+    item 1), which both the arcs and their inversion see: up to 5e-11 rad
+    at L/H = 2.8, so region III is held to 6e-10."""
+    sol = crosstie.build_crosstie(lh, 1.0)
+
+    def sample(x, y):
+        return crosstie._quarter_eval_batch(sol, x, y)
+
+    for fam in (sol.region1, sol.region2):
+        _assert_samples_arc(sample, fam, lambda tol: tol)
+    _assert_samples_arc(sample, sol.region3, lambda tol: max(tol, 6e-10))
