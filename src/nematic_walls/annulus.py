@@ -161,25 +161,17 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     p = radial_p(rho, a, R) if a > 0 else (lambda r: np.zeros_like(np.asarray(r, float)))
 
     # inner family: seeds on r = 1 where u = -e_theta (theta0 = phi - pi/2),
-    # marched outward to the wall; v = c_in everywhere in 1 < r < rho
-    def seed_in(s):
-        s = np.asarray(s, dtype=float)
-        return (np.cos(s), np.sin(s), s - 0.5 * np.pi, np.full_like(s, c_in))
-
-    def seed_out(s):
-        s = np.asarray(s, dtype=float)
-        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
-                np.full_like(s, c_out))
-
-    def _hit_radius(seed, v0, target, t_hi):
-        # first arrival time at |pos(t)| = target along the phi = 0 arc
-        # (every phi gives the same time by rotational symmetry)
-        x0, y0, th0, _ = (float(np.asarray(q)) for q in seed(np.asarray(0.0)))
+    # marched outward to the wall; v = c_in everywhere in 1 < r < rho.  The
+    # outer family is seeded on r = R.  Each reaches the wall at one t* for
+    # every phi, by rotational symmetry.
+    def _hit_radius(x0, th0, v0, target, t_hi):
+        # first arrival time at |pos(t)| = target along the phi = 0 arc,
+        # seeded at (x0, 0) with angle th0
         if abs(v0) > 1e-12:
             t_hi = min(t_hi, math.pi / abs(v0))  # at most half the circle
 
         def f(t):
-            x, y, _ = arc_xy(x0, y0, th0, v0, np.asarray(t, dtype=float))
+            x, y, _ = arc_xy(x0, 0.0, th0, v0, np.asarray(t, dtype=float))
             return np.hypot(x, y) - target
 
         ts = np.linspace(0.0, t_hi, 512)
@@ -189,18 +181,25 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
             raise RuntimeError("characteristic never reaches the wall radius")
         return bracketed_root(f, ts[sc[0]], ts[sc[0] + 1])
 
-    t_in = _hit_radius(seed_in, c_in, rho, t_hi=4.0 * (rho - 1.0) + 2.0) \
-        if a > 0 else rho - 1.0
-    t_out = _hit_radius(seed_out, c_out, rho, t_hi=4.0 * (R - rho) + 2.0) \
-        if a > 0 else R - rho
-    fam_in = CharacteristicFamily(
-        seed=seed_in, s_range=(0.0, 2.0 * np.pi),
-        t_star=lambda s: np.full_like(np.asarray(s, dtype=float), t_in),
-        label="annulus inner")
-    fam_out = CharacteristicFamily(
-        seed=seed_out, s_range=(0.0, 2.0 * np.pi),
-        t_star=lambda s: np.full_like(np.asarray(s, dtype=float), t_out),
-        label="annulus outer")
+    t_in = _hit_radius(1.0, -0.5 * np.pi, c_in, rho,
+                       t_hi=4.0 * (rho - 1.0) + 2.0) if a > 0 else rho - 1.0
+    t_out = _hit_radius(R, 0.5 * np.pi, c_out, rho,
+                        t_hi=4.0 * (R - rho) + 2.0) if a > 0 else R - rho
+
+    def seed_in(s):
+        s = np.asarray(s, dtype=float)
+        return (np.cos(s), np.sin(s), s - 0.5 * np.pi, np.full_like(s, c_in),
+                np.full_like(s, t_in))
+
+    def seed_out(s):
+        s = np.asarray(s, dtype=float)
+        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
+                np.full_like(s, c_out), np.full_like(s, t_out))
+
+    fam_in = CharacteristicFamily(seed=seed_in, s_range=(0.0, 2.0 * np.pi),
+                                  label="annulus inner")
+    fam_out = CharacteristicFamily(seed=seed_out, s_range=(0.0, 2.0 * np.pi),
+                                   label="annulus outer")
 
     # wall circle with exact trace functions of arclength
     nv = 512
@@ -214,7 +213,6 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
         return a * er + b * et, a * er - b * et
 
-    tr_out, tr_in = traces(phi)
     # from + (outer) to - (inner)
     normals = -np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
@@ -222,11 +220,9 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     arc_over_chord = (0.5 * dphi) / math.sin(0.5 * dphi)
     wall = JumpSegment(
         polyline=pts, normals=normals,
-        trace_plus=tr_out, trace_minus=tr_in,
-        div_plus=np.full(nv + 1, c_out), div_minus=np.full(nv + 1, c_in),
         trace_fn=lambda arc: traces(np.asarray(arc, dtype=float) / rho),
-        div_fns=(lambda s: np.full_like(np.asarray(s, float), c_out),
-                 lambda s: np.full_like(np.asarray(s, float), c_in)),
+        div_fn=lambda arc: (np.full(np.shape(arc), c_out),
+                            np.full(np.shape(arc), c_in)),
         length_scale=np.full(nv, arc_over_chord),
     )
 
@@ -248,12 +244,11 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
     """u = e_theta everywhere; the wall sits on the inner boundary."""
     def seed(s):
         s = np.asarray(s, dtype=float)
-        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi, np.zeros_like(s))
+        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
+                np.zeros_like(s), np.full_like(s, R - 1.0))
 
-    fam = CharacteristicFamily(
-        seed=seed, s_range=(0.0, 2.0 * np.pi),
-        t_star=lambda s: np.full_like(np.asarray(s, dtype=float), R - 1.0),
-        label="annulus radii")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
+                               label="annulus radii")
     nv = 512
     phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
     pts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -264,13 +259,10 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
         et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
         return et, -et
 
-    tp, tm = traces(phi)
     dphi = phi[1] - phi[0]
     wall = JumpSegment(
         polyline=pts, normals=np.stack([np.cos(phi), np.sin(phi)], axis=-1),
-        trace_plus=tp, trace_minus=tm,
-        div_plus=np.zeros(nv + 1), div_minus=np.zeros(nv + 1),
-        trace_fn=traces,
+        trace_fn=traces, div_fn=lambda arc: (np.zeros(np.shape(arc)),) * 2,
         length_scale=np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)),
         boundary=True)
 

@@ -12,12 +12,18 @@ d theta/dt = v0 and the stored v0 is the physical divergence carried by the
 arc.  Positions have one formula, `arc_xy`, in the cancellation-free sinc
 form, which is exact in the straight-line limit v0 -> 0.
 
+A family is one function, its seed: s -> (x0, y0, theta0, v0, t*), the
+arc's foot, angle and divergence there, and its terminal parameter.  What
+a family derives (its points, its Jacobian, its terminal times) comes from
+that one call, so a family that solves for its seed once gets t* from the
+same solve.
+
 The coordinate Jacobian det d(x,y)/d(s,t), which the foliation checks
 sample, is also closed-form along each arc (`arc_jacobian`), and so is its
 integral over the arc (`arc_jacobian_integral`), which weighs E0's bulk
 term.  Both need the seed and its s-derivatives at the arc's foot, not the
 arc's positions; `family_jacobian` and `family_jacobian_integral` take
-those derivatives by central differences of the seed.
+those derivatives by central differences of the seed's first four entries.
 
 A `PiecewiseCriticalField` holds the families, the jump set and the one
 vectorized pointwise sampler of its construction, `sample(x, y) -> (u1,
@@ -115,22 +121,22 @@ def pchip(x, y) -> Callable[[np.ndarray], np.ndarray]:
 class CharacteristicFamily:
     """One-parameter family of arcs.
 
-    seed   vectorized s -> (x0, y0, theta0, v0) arrays
+    seed     vectorized s -> (x0, y0, theta0, v0, t_star) arrays: the foot,
+             angle and divergence of the arc seeded at s, and its terminal
+             parameter (> 0 inside the open range)
     s_range  (s_lo, s_hi)
-    t_star   vectorized s -> terminal parameter (> 0 inside the open range)
     label    region tag
     """
 
     seed: Callable[[np.ndarray], tuple]
     s_range: tuple
-    t_star: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
     def point(self, s, t):
         """Vectorized forward map (s, t) -> (x, y, theta, v)."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        x0, y0, th0, v0 = self.seed(s)
+        x0, y0, th0, v0, _ = self.seed(s)
         x, y, theta = arc_xy(x0, y0, th0, v0, t)
         return x, y, theta, np.broadcast_to(v0, theta.shape)
 
@@ -201,18 +207,19 @@ def arc_jacobian_integral(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t_star):
 
 
 def _seed_derivatives(family: CharacteristicFamily, s):
-    """(theta0, v0) at s and (x0', y0', theta0', v0'), the central
-    differences of family.seed over SEED_DIFF_STEP (one-sided at the ends
-    of s_range): two seed calls, one at s and one on s + ds and s - ds
-    stacked."""
+    """(theta0, v0, t_star) at s and (x0', y0', theta0', v0'), the central
+    differences of the seed's first four entries over SEED_DIFF_STEP
+    (one-sided at the ends of s_range): two seed calls, one at s and one on
+    s + ds and s - ds stacked."""
     s = np.asarray(s, dtype=float)
     s_lo, s_hi = family.s_range
     ds = SEED_DIFF_STEP * max(s_hi - s_lo, 1.0)
     sp = np.minimum(s + ds, s_hi)
     sm = np.maximum(s - ds, s_lo)
-    _, _, th0, v0 = (np.asarray(a, dtype=float) for a in family.seed(s))
-    ends = (np.asarray(a, dtype=float) for a in family.seed(np.stack([sp, sm])))
-    return th0, v0, tuple((p - m) / (sp - sm) for p, m in ends)
+    _, _, th0, v0, ts = (np.asarray(a, dtype=float) for a in family.seed(s))
+    ends = (np.asarray(a, dtype=float)
+            for a in family.seed(np.stack([sp, sm]))[:4])
+    return th0, v0, ts, tuple((p - m) / (sp - sm) for p, m in ends)
 
 
 def family_jacobian(family: CharacteristicFamily, s, t):
@@ -222,19 +229,16 @@ def family_jacobian(family: CharacteristicFamily, s, t):
     The seed derivatives are taken on s alone: pass s as a column against
     a t-grid to evaluate the seed twice in all.
     """
-    th0, v0, derivs = _seed_derivatives(family, s)
+    th0, v0, _, derivs = _seed_derivatives(family, s)
     return arc_jacobian(th0, v0, *derivs, np.asarray(t, dtype=float)), v0
 
 
 def family_jacobian_integral(family: CharacteristicFamily, s):
-    """(I, v0): `arc_jacobian_integral` over [0, max(t_star(s), 0)] of the
-    arc seeded at each s, and the arcs' divergence, both on the shape of
-    s.  The seed is evaluated twice.  t_star(s) is called right before
-    seed(s), so a family that derives both from one solve on the s-nodes
-    (cross-tie region II) can keep that solve for the second call."""
-    ts = np.maximum(np.asarray(family.t_star(s), dtype=float), 0.0)
-    th0, v0, derivs = _seed_derivatives(family, s)
-    return arc_jacobian_integral(th0, v0, *derivs, ts), v0
+    """(I, v0): `arc_jacobian_integral` over [0, max(t_star, 0)] of the arc
+    seeded at each s, and the arcs' divergence, both on the shape of s.
+    The seed is evaluated twice, and t_star comes from the call at s."""
+    th0, v0, ts, derivs = _seed_derivatives(family, s)
+    return arc_jacobian_integral(th0, v0, *derivs, np.maximum(ts, 0.0)), v0
 
 
 @dataclass
@@ -277,19 +281,16 @@ def check_foliation(family: CharacteristicFamily, ns: int = 16,
     m = FOLIATION_MARGIN
     ss = s_lo + (s_hi - s_lo) * (m + (1 - 2 * m) * np.linspace(0.0, 1.0, ns))
     taus = m + (1 - 2 * m) * np.linspace(0.0, 1.0, nt)
-    T_ = taus * np.maximum(family.t_star(ss), 0.0)[:, None]
-    J, _ = family_jacobian(family, ss[:, None], T_)
+    ts = np.maximum(np.asarray(family.seed(ss)[4], dtype=float), 0.0)
+    J, _ = family_jacobian(family, ss[:, None], taus * ts[:, None])
     jmin, jmax = float(J.min()), float(J.max())
     sign_consistent = bool(jmin > 0.0 or jmax < 0.0)
 
-    # pairwise polyline intersection tests
-    tt_nodes = np.linspace(0.0, 1.0, nt)
+    # pairwise intersection tests of the arcs' nt-vertex polylines
+    xx, yy, _, _ = family.point(np.repeat(ss[:, None], nt, axis=1),
+                                ts[:, None] * np.linspace(0.0, 1.0, nt))
+    polys = np.stack([xx, yy], axis=-1)
     crossings = 0
-    polys = []
-    for s in ss:
-        ts = max(float(family.t_star(s)), 0.0)
-        xx, yy, _, _ = family.point(np.full(nt, s), tt_nodes * ts)
-        polys.append(np.stack([xx, yy], axis=-1))
     for i in range(ns):
         for j in range(i + 1, ns):
             A, B = polys[i], polys[j]

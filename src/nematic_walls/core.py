@@ -2,8 +2,10 @@
 
 Grids are uniform, rectangle or polar; fields always store Cartesian
 components (u1, u2) per node, even on polar grids, so the metric-aware
-stencils live in one place.  Jump segments carry one-sided unit traces and
-a unit normal per vertex; the normal component of the trace pair must be
+stencils live in one place.  A jump segment is a polyline with a unit
+normal per vertex and one function of arclength for its one-sided unit
+traces (and one for its divergence traces); the vertex values are derived
+from those functions, and the normal component of the trace pair must be
 continuous across the jump.
 """
 
@@ -236,40 +238,48 @@ class JumpSegment:
     polyline     (N, 2) ordered vertices
     normals      (N, 2) unit normal per vertex, pointing from the + side
                  to the - side
-    trace_plus   (N, 2) unit trace on the + side
-    trace_minus  (N, 2) unit trace on the - side
     trace_fn     callable: arclength array (M,) -> (u_plus, u_minus), the
-                 (M, 2) traces on both sides from one evaluation of the
-                 wall's angle; the wall quadrature evaluates the traces at
-                 its nodes through it
-    div_plus/div_minus   optional divergence traces per vertex (used by the
-                 wall criticality residuals)
+                 (M, 2) unit traces on both sides from one evaluation of
+                 the wall's angle; the wall quadrature evaluates the traces
+                 at its nodes through it
+    div_fn       optional callable: arclength array (M,) -> (v_plus,
+                 v_minus), the divergence traces (used by the wall
+                 criticality residuals)
     length_scale optional per-segment arc/chord ratio, so quadrature uses
                  the true curve measure on curved walls
     boundary     True when the segment lies on the domain boundary; it is
-                 then charged to the boundary wall term, with trace_minus
-                 holding the boundary datum g
+                 then charged to the boundary wall term, with the minus
+                 trace holding the boundary datum g
+
+    trace_plus, trace_minus (N, 2) and div_plus, div_minus (N,) are the
+    vertex values, trace_fn and div_fn evaluated once at `arclengths`;
+    div_plus and div_minus are None without div_fn.
     """
 
     polyline: np.ndarray
     normals: np.ndarray
-    trace_plus: np.ndarray
-    trace_minus: np.ndarray
     trace_fn: Callable
-    div_plus: Optional[np.ndarray] = None
-    div_minus: Optional[np.ndarray] = None
-    div_fns: Optional[tuple] = None
+    div_fn: Optional[Callable] = None
     length_scale: Optional[np.ndarray] = None
     boundary: bool = False
+    trace_plus: np.ndarray = field(init=False, repr=False)
+    trace_minus: np.ndarray = field(init=False, repr=False)
+    div_plus: Optional[np.ndarray] = field(init=False, repr=False)
+    div_minus: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.polyline = np.atleast_2d(np.asarray(self.polyline, dtype=float))
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        self.trace_plus = np.atleast_2d(np.asarray(self.trace_plus, dtype=float))
-        self.trace_minus = np.atleast_2d(np.asarray(self.trace_minus, dtype=float))
         n = self.polyline.shape[0]
         if n < 2:
             raise ValueError("polyline needs at least 2 vertices")
+        arcs = self.arclengths
+        self.trace_plus, self.trace_minus = (
+            np.asarray(u, dtype=float) for u in self.trace_fn(arcs))
+        self.div_plus = self.div_minus = None
+        if self.div_fn is not None:
+            self.div_plus, self.div_minus = (
+                np.asarray(v, dtype=float) for v in self.div_fn(arcs))
         for name in ("normals", "trace_plus", "trace_minus"):
             arr = getattr(self, name)
             if arr.shape != (n, 2):

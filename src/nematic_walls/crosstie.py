@@ -56,16 +56,18 @@ def _w_of_lambda(lam):
     return np.where(small, series, w)
 
 
-def region3_seed_angle(s, L: float):
-    """theta at the bottom wall: pi/2 - asin(w)/2 in (pi/4, pi/2)."""
+def region3_seed(s, L: float):
+    """Region III's seed (x0, y0, theta0, v0, t*) at the foot (s, 0).
+
+    The arc leaves the bottom wall at theta0 = pi/2 - asin(w)/2 in (pi/4,
+    pi/2) with curvature v0 = -w/L and turns by pi/2 - 2 theta0 = -acos(w)
+    to arrive on the left wall at (0, s), so t* = L acos(w)/w.
+    """
     s = np.asarray(s, dtype=float)
     w = _w_of_lambda(2.0 * s * s / (L * L))
-    return 0.5 * math.pi - 0.5 * np.arcsin(np.clip(w, -1.0, 1.0))
-
-
-def region3_v(s, L: float):
-    s = np.asarray(s, dtype=float)
-    return -_w_of_lambda(2.0 * s * s / (L * L)) / L
+    cw = np.clip(w, -1.0, 1.0)
+    return (s, np.zeros_like(s), 0.5 * math.pi - 0.5 * np.arcsin(cw), -w / L,
+            L * np.arccos(cw) / w)
 
 
 # --- region II terminal angle ---------------------------------------------------
@@ -146,14 +148,15 @@ class CrossTieSolution:
         """Angle gap at (T, 0) between the terminal arcs of families I and
         III (what the period equation enforces)."""
         theta_e = self.alpha * self.t1_star
-        theta_b = float(region3_seed_angle(self.T, self.L))
+        theta_b = float(region3_seed(self.T, self.L)[2])
         return abs(theta_e - theta_b)
 
     def wall_residual(self) -> float:
-        """sup |L v + sin 2 theta| over the vertices both walls store, with
-        theta the angle of trace_plus (sin 2 theta = 2 u1 u2) and v its
-        div_plus: the bottom wall's region-III seeds and the left wall's
-        region-III and region-II arrivals."""
+        """sup |L v + sin 2 theta| over both walls' vertices, with theta
+        the angle of trace_plus (sin 2 theta = 2 u1 u2) and v its div_plus:
+        the bottom wall's region-III seeds and the left wall's region-III
+        and region-II arrivals, which are the knots of the walls' trace
+        and divergence interpolants."""
         return float(max(
             np.abs(self.L * w.div_plus
                    + 2.0 * w.trace_plus[:, 0] * w.trace_plus[:, 1]).max()
@@ -170,91 +173,58 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     alpha = 2.0 * T / (T * T + H * H)
     t1_star = 2.0 * math.atan2(T, H) / alpha
 
-    # region I: point seed at the vortex (T, 0)
+    # region I: point seed at the vortex (T, 0); arcs of radius R(s)
+    # turning by theta0 reach the top edge
     def seed1(s):
         s = np.asarray(s, dtype=float)
         d = T - s
         theta0 = 2.0 * np.arctan2(d, H)
         v0 = -2.0 * d / (d * d + H * H)
-        return (np.full_like(s, T), np.zeros_like(s), theta0, v0)
-
-    def t_star1(s):
-        s = np.asarray(s, dtype=float)
-        d = T - s
-        theta0 = 2.0 * np.arctan2(d, H)
         with np.errstate(divide="ignore", invalid="ignore"):
             R = 0.5 * d + H * H / (2.0 * np.where(d > 0, d, 1.0))
-        return np.where(d > 1e-300, R * theta0, H)
+        return (np.full_like(s, T), np.zeros_like(s), theta0, v0,
+                np.where(d > 1e-300, R * theta0, H))
 
-    fam1 = CharacteristicFamily(seed=seed1, s_range=(0.0, T), t_star=t_star1,
+    fam1 = CharacteristicFamily(seed=seed1, s_range=(0.0, T),
                                 label="crosstie region I")
 
     # region III: bottom wall to left wall
-    def seed3(s):
-        s = np.asarray(s, dtype=float)
-        return (s, np.zeros_like(s), region3_seed_angle(s, L), region3_v(s, L))
+    fam3 = CharacteristicFamily(seed=lambda s: region3_seed(s, L),
+                                s_range=(0.0, T), label="crosstie region III")
 
-    def t_star3(s):
-        # pi/2 - 2 theta_b = -acos(w), v = -w/L: t* = L acos(w)/w
-        s = np.asarray(s, dtype=float)
-        w = _w_of_lambda(2.0 * s * s / (L * L))
-        return L * np.arccos(np.clip(w, -1.0, 1.0)) / w
-
-    fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, T), t_star=t_star3,
-                                label="crosstie region III")
-
-    # region II: seeded on Gamma (family I's terminal arc).  E0's quadrature
-    # calls t_star2(s) and then seed2(s) on the same s-nodes (before the
-    # seed on s +- ds), so the last theta* is kept: one solve serves both.
-    last = [np.empty(0), np.empty(0)]  # s-nodes (flat) and their theta*
-
-    def theta_star2(s):
-        flat = s.ravel()
-        if not np.array_equal(flat, last[0]):
-            last[:] = flat.copy(), region2_theta_star(flat, alpha, L)
-        return last[1].reshape(s.shape)
-
+    # region II: seeded on Gamma (family I's terminal arc); one theta*
+    # solve gives the divergence and the terminal parameter
     def seed2(s):
         s = np.asarray(s, dtype=float)
-        x0 = (1.0 - np.cos(alpha * s)) / alpha
-        y0 = H - np.sin(alpha * s) / alpha
-        th0 = alpha * s
-        th_star = theta_star2(s)
-        v = -np.sin(2.0 * th_star) / L
-        return (x0, y0, th0, v)
-
-    def t_star2(s):
-        s = np.asarray(s, dtype=float)
-        th_star = theta_star2(s)
+        th_star = region2_theta_star(s, alpha, L)
         v = -np.sin(2.0 * th_star) / L
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (th_star - alpha * s) / np.where(v != 0.0, v, 1.0)
         # s -> 0: theta* ~ alpha s (1 - s/L), v ~ -2 alpha s / L: t* -> s/2
-        return np.where(v != 0.0, t, 0.5 * s)
+        return ((1.0 - np.cos(alpha * s)) / alpha,
+                H - np.sin(alpha * s) / alpha, alpha * s, v,
+                np.where(v != 0.0, t, 0.5 * s))
 
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star),
-                                t_star=t_star2, label="crosstie region II")
+                                label="crosstie region II")
 
-    # --- walls -----------------------------------------------------------
+    # --- walls: the reflection across each flips v --------------------------
     n_w = 1024
     # bottom wall y = 0, x in (0, T): trace angle theta_b(x)
     xs = np.linspace(0.0, T, n_w)
-    thb = region3_seed_angle(xs, L)
-    v3 = region3_v(xs, L)
+    _, _, thb, v3, _ = region3_seed(xs, L)
     theta_b_of_x = pchip(xs, thb)
     v3_of_x = pchip(xs, v3)
 
-    def bottom_traces(th):
+    def bottom_traces(arc):
+        th = theta_b_of_x(arc)
         c, s = np.cos(th), np.sin(th)
         return np.stack([c, s], axis=-1), np.stack([-c, s], axis=-1)
 
-    tp, tm = bottom_traces(thb)
     wall_bottom = JumpSegment(
         polyline=np.stack([xs, np.zeros_like(xs)], axis=-1),
-        normals=np.tile([0.0, -1.0], (n_w, 1)),
-        trace_plus=tp, trace_minus=tm, div_plus=v3, div_minus=-v3,
-        trace_fn=lambda arc: bottom_traces(theta_b_of_x(arc)),
-        div_fns=(v3_of_x, lambda s: -v3_of_x(s)))
+        normals=np.tile([0.0, -1.0], (n_w, 1)), trace_fn=bottom_traces,
+        div_fn=lambda arc: (v := v3_of_x(arc), -v))
 
     # left wall x = 0, y in (0, H): arrivals of III (y < T) and II (y > T).
     # Stable arrival heights: region III collapses to
@@ -262,9 +232,8 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     # form of sin(theta*) - sin(alpha s) to avoid cancellation near y = H.
     s3 = np.linspace(0.0, T, n_w // 2 + 1)
     w3 = _w_of_lambda(2.0 * s3 * s3 / (L * L))
-    th3b = region3_seed_angle(s3, L)
+    _, _, th3b, v3a, _ = region3_seed(s3, L)
     th3s = 0.5 * math.pi - th3b
-    v3a = region3_v(s3, L)
     y3 = math.sqrt(2.0) * L * np.sin(0.5 * np.arccos(np.clip(w3, -1, 1))) / w3
     s2 = np.linspace(1e-9 * T, t1_star, n_w // 2 + 1)
     th2s = region2_theta_star(s2, alpha, L)
@@ -284,17 +253,15 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     theta_of_y = pchip(yw, thw)
     v_of_y = pchip(yw, vw)
 
-    def left_traces(th):
+    def left_traces(arc):
+        th = theta_of_y(arc)
         c, s = np.cos(th), np.sin(th)
         return np.stack([c, s], axis=-1), np.stack([c, -s], axis=-1)
 
-    tp, tm = left_traces(thw)
     wall_left = JumpSegment(
         polyline=np.stack([np.zeros_like(yw), yw], axis=-1),
-        normals=np.tile([-1.0, 0.0], (len(yw), 1)),
-        trace_plus=tp, trace_minus=tm, div_plus=vw, div_minus=-vw,
-        trace_fn=lambda arc: left_traces(theta_of_y(arc)),
-        div_fns=(v_of_y, lambda s: -v_of_y(s)))
+        normals=np.tile([-1.0, 0.0], (len(yw), 1)), trace_fn=left_traces,
+        div_fn=lambda arc: (v := v_of_y(arc), -v))
 
     sol = CrossTieSolution(L=L, H=H, L_over_H=lh, T_tilde=t_tilde, T=T,
                            alpha=alpha, t1_star=t1_star,
@@ -329,12 +296,10 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
 
 
 def crosstie_energy_per_length(sol: CrossTieSolution, *,
-                               s_panels: int = 128, order: int = 4,
-                               wall_order: int = 8) -> float:
+                               s_panels: int = 128, order: int = 4) -> float:
     """(1/2T) E0 over one period cell (function of L/H only)."""
     eb = eval_E0_piecewise(sol.field, Params(L=sol.L, H=sol.H, T=sol.T),
-                           s_panels=s_panels, order=order,
-                           wall_order=wall_order)
+                           s_panels=s_panels, order=order)
     return eb.total / (2.0 * sol.T)
 
 
@@ -407,12 +372,15 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
 
     Region I (inside Gamma, d = T - s <= T) is closed-form.  The other two
     families are inverted by `rootfind.arc_root` on a bracket known from
-    the point: region III in s on [0, T]; region II in its terminal angle
-    beta = theta*, from the arc seeded at the point's foot on Gamma to the
-    last arc, seeded at the vortex.  Region III's bracket holds one root
-    for L/H above 0.5426, where every region-III circle meets the bottom
-    wall a second time beyond x = T; below that, points near (T, 0) raise
-    BracketError.
+    the point: region III in s on [min(x + y, T), T], because its arcs run
+    from (s, 0) to (0, s) on the origin side of that chord; region II in
+    its terminal angle beta = theta*, from the arc seeded at the point's
+    foot on Gamma to the last arc, seeded at the vortex.  Region III's
+    lower end keeps out the circles seeded at s < x + y, which for L/H
+    below 0.5426 meet the bottom wall a second time before x = T and pass
+    near (T, 0) again.  Points on the left wall x = 0, where the region-III
+    arcs end, get the arrival of the arc seeded at s = y in closed form, so
+    no point sits on a bracket end.
     """
     L, H, T, alpha = sol.L, sol.H, sol.T, sol.alpha
     x = np.asarray(x, dtype=float)
@@ -429,12 +397,18 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     v[mI] = -2.0 * d / (d * d + H * H)
 
     # region III: outside the circle of its terminal arc, seeded at s = T
-    thbT = float(region3_seed_angle(T, L))
-    v3T = float(region3_v(T, L))
+    _, _, thbT, v3T, _ = (float(a) for a in region3_seed(T, L))
     m3 = ~mI & ((x - T + math.cos(thbT) / v3T) ** 2
                 + (y + math.sin(thbT) / v3T) ** 2 >= 1.0 / (v3T * v3T))
-    if m3.any():
-        theta[m3], v[m3] = arc_root(sol.region3.seed, 0.0, T, x[m3], y[m3])
+    left = m3 & (x == 0.0)
+    if left.any():
+        _, _, th0, v[left], _ = region3_seed(y[left], L)
+        theta[left] = 0.5 * math.pi - th0
+    inner = m3 & ~left
+    if inner.any():
+        x3, y3 = x[inner], y[inner]
+        theta[inner], v[inner] = arc_root(
+            sol.region3.seed, np.minimum(x3 + y3, T), T, x3, y3)
 
     # region II: p's foot sigma on Gamma; the arc through p is seeded
     # beyond it, up to the vortex
@@ -471,6 +445,12 @@ def crosstie_field_sample(sol: CrossTieSolution, x, y):
 
 
 # --- the explicit divergence-free cross-tie map ------------------------------
+
+# the map's tail walls are truncated at |y| = REMARK_Y_SPLIT, with
+# REMARK_TAIL_NODES vertices each; the rest is integrated analytically
+REMARK_Y_SPLIT = 8.0
+REMARK_TAIL_NODES = 256
+
 
 def remark_crosstie_map(x, y):
     """Periodic piecewise map: six angular sectors on the strip |x| < 1/2,
@@ -509,9 +489,10 @@ def _tail_traces(y):
             np.stack([np.sin(th_r), -np.cos(th_r)], axis=-1))
 
 
-def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseCriticalField:
+def remark_crosstie_field() -> PiecewiseCriticalField:
     """Jump segments of the explicit map on one period (tails truncated at
-    |y| = y_split; the remainder is analytic, see remark_tail_integral)."""
+    |y| = REMARK_Y_SPLIT; the remainder is analytic, see
+    remark_tail_integral)."""
     s2 = 1.0 / math.sqrt(2.0)
     segs = []
     # horizontal wall y = 0, |x| < 1/2 (trace pairs differ per half)
@@ -523,11 +504,9 @@ def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseC
         return (np.where(right, [s2, -s2], [s2, s2]),
                 np.where(right, [-s2, -s2], [-s2, s2]))
 
-    above, below = h_traces(xs)
     segs.append(JumpSegment(
         polyline=np.stack([xs, np.zeros_like(xs)], axis=-1),
         normals=np.tile([0.0, 1.0], (len(xs), 1)),
-        trace_plus=above, trace_minus=below,
         trace_fn=lambda arc: h_traces(np.asarray(arc, dtype=float) - 0.5)))
     # vertical wall x = 1/2, |y| < 1/2
     ys = np.linspace(-0.5, 0.5, 257)
@@ -538,23 +517,19 @@ def remark_crosstie_field(y_split: float = 8.0, n_tail: int = 256) -> PiecewiseC
         return (np.where(upper, [s2, -s2], [-s2, -s2]),
                 np.where(upper, [s2, s2], [-s2, s2]))
 
-    left, right = v_traces(ys)
     segs.append(JumpSegment(
         polyline=np.stack([np.full_like(ys, 0.5), ys], axis=-1),
         normals=np.tile([1.0, 0.0], (len(ys), 1)),
-        trace_plus=left, trace_minus=right,
         trace_fn=lambda arc: v_traces(np.asarray(arc, dtype=float) - 0.5)))
-    # tails x = 1/2, 1/2 < |y| < y_split
+    # tails x = 1/2, 1/2 < |y| < REMARK_Y_SPLIT
     for sgn in (+1.0, -1.0):
-        yy = sgn * np.linspace(0.5, y_split, n_tail)
-
-        tp, tm = _tail_traces(yy)
+        yy = sgn * np.linspace(0.5, REMARK_Y_SPLIT, REMARK_TAIL_NODES)
         segs.append(JumpSegment(
             polyline=np.stack([np.full_like(yy, 0.5), yy], axis=-1),
             normals=np.tile([1.0, 0.0], (len(yy), 1)),
-            trace_plus=tp, trace_minus=tm,
             trace_fn=lambda arc, sgn=sgn: _tail_traces(
                 sgn * (0.5 + np.asarray(arc, dtype=float)))))
+
     def sample(x, y):
         u1, u2 = remark_crosstie_map(x, y)
         return u1, u2, np.zeros(np.shape(u1))
@@ -568,10 +543,9 @@ def remark_tail_integral(Y: float) -> float:
     return 0.5 * (1.0 - 2.0 * Y / math.sqrt(1.0 + 4.0 * Y * Y))
 
 
-def remark_crosstie_energy(y_split: float = 8.0, wall_order: int = 8) -> float:
+def remark_crosstie_energy() -> float:
     """E0 per period of the explicit map: quadrature on the truncated walls
-    plus the analytic tail beyond |y| = y_split (two tails)."""
-    field = remark_crosstie_field(y_split=y_split)
-    eb = eval_E0_piecewise(field, Params(), wall_order=wall_order)
-    tail = 2.0 * (4.0 / 3.0) * remark_tail_integral(y_split)
+    plus the analytic tail beyond |y| = REMARK_Y_SPLIT (two tails)."""
+    eb = eval_E0_piecewise(remark_crosstie_field(), Params())
+    tail = 2.0 * (4.0 / 3.0) * remark_tail_integral(REMARK_Y_SPLIT)
     return eb.total + tail

@@ -60,12 +60,11 @@ def tangential_solution(R: float) -> PiecewiseCriticalField:
 
     def seed(s):
         s = np.asarray(s, dtype=float)
-        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi, np.zeros_like(s))
+        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
+                np.zeros_like(s), np.full_like(s, R))
 
-    fam = CharacteristicFamily(
-        seed=seed, s_range=(0.0, 2.0 * np.pi),
-        t_star=lambda s: np.full_like(np.asarray(s, dtype=float), R),
-        label="radii")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
+                               label="radii")
 
     def sample(x, y):
         x, y, r = _polar_radius(x, y, "e_theta")
@@ -79,20 +78,21 @@ def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
     """u = r e_r +- sqrt(1-r^2) e_theta on the unit disc; div u = 2."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    # every arc is a half circle of radius 1/2: t* = pi/2
     if sign > 0:
         def seed(s):
             s = np.asarray(s, dtype=float)
-            return (np.cos(s), np.sin(s), s, np.full_like(s, 2.0))
+            return (np.cos(s), np.sin(s), s, np.full_like(s, 2.0),
+                    np.full_like(s, 0.5 * np.pi))
     else:
         def seed(s):
             s = np.asarray(s, dtype=float)
             z = np.zeros_like(s)
-            return (z, z, s, np.full_like(s, 2.0))
+            return (z, z, s, np.full_like(s, 2.0),
+                    np.full_like(s, 0.5 * np.pi))
 
-    fam = CharacteristicFamily(
-        seed=seed, s_range=(0.0, 2.0 * np.pi),
-        t_star=lambda s: np.full_like(np.asarray(s, dtype=float), 0.5 * np.pi),
-        label="hedgehog")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
+                               label="hedgehog")
 
     def sample(x, y):
         # u = r e_r + q e_theta with e_r = (x,y)/r, e_theta = (-y,x)/r
@@ -244,51 +244,41 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
         raise ValueError("R, L > 0 required")
     s0 = (SQRT2 - 1.0) * R
 
-    # region I: arcs of radius R from (s, 0), s in [s0, R]
+    # region I: arcs of radius R from (s, 0), s in [s0, R], to the boundary
     def seed1(s):
         s = np.asarray(s, dtype=float)
-        return (s, np.zeros_like(s), np.zeros_like(s), np.full_like(s, -1.0 / R))
+        z = np.zeros_like(s)
+        return (s, z, z, np.full_like(s, -1.0 / R),
+                R * np.arccos(np.clip((s + R) / (2.0 * R), -1.0, 1.0)))
 
-    def t_star1(s):
-        s = np.asarray(s, dtype=float)
-        return R * np.arccos(np.clip((s + R) / (2.0 * R), -1.0, 1.0))
-
-    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, R), t_star=t_star1,
+    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, R),
                                 label="deg-1 region I")
 
-    # region III: arcs from (s, 0), s in [0, s0], to the wall
+    # region III: arcs from (s, 0), s in [0, s0], to the wall; one
+    # curvature solve gives the arc and its terminal angle
     def seed3(s):
-        s = np.asarray(s, dtype=float)
-        return (s, np.zeros_like(s), np.zeros_like(s), region3_v0(s, L))
-
-    def t_star3(s):
         s = np.asarray(s, dtype=float)
         v = region3_v0(s, L)
         th = _theta_star_from_cosminussin(1.0 - s * v)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(v != 0.0, th / v, 0.0)
-        return t
+        return (s, np.zeros_like(s), np.zeros_like(s), v, t)
 
-    fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, s0), t_star=t_star3,
+    fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, s0),
                                 label="deg-1 region III")
 
     # region II: seeds on the terminal region-I arc, arclength s in [0, pi R/4]
     def seed2(s):
         s = np.asarray(s, dtype=float)
-        return (SQRT2 * R - R * np.cos(s / R), R * np.sin(s / R), -s / R,
-                region2_v0(s, R, L))
-
-    def t_star2(s):
-        s = np.asarray(s, dtype=float)
         v = region2_v0(s, R, L)
-        A = region2_A(s, v, R)
-        th = _theta_star_from_cosminussin(A)
+        th = _theta_star_from_cosminussin(region2_A(s, v, R))
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(v != 0.0, (th + s / R) / v, 0.0)
-        return np.maximum(t, 0.0)
+        return (SQRT2 * R - R * np.cos(s / R), R * np.sin(s / R), -s / R, v,
+                np.maximum(t, 0.0))
 
     s2_max = 0.25 * math.pi * R
-    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max), t_star=t_star2,
+    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max),
                                 label="deg-1 region II")
 
     # wall: terminal points of III then II, parametrized by arclength
@@ -321,17 +311,14 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     poly = np.stack([xw, xw], axis=-1)
     nu = np.tile(np.array([-1.0, 1.0]) / SQRT2, (len(xw), 1))
 
-    def traces(th):
+    def traces(arc):
+        th = theta_of_xi(arc)
         c, s = np.cos(th), np.sin(th)
         return np.stack([c, s], axis=-1), np.stack([-s, -c], axis=-1)
 
-    tp, tm = traces(thw)
-    jump = JumpSegment(
-        polyline=poly, normals=nu, trace_plus=tp, trace_minus=tm,
-        div_plus=vw, div_minus=-vw,
-        trace_fn=lambda arc: traces(theta_of_xi(arc)),
-        div_fns=(v_of_xi, lambda a: -v_of_xi(a)),
-    )
+    # the diagonal reflection flips v
+    jump = JumpSegment(polyline=poly, normals=nu, trace_fn=traces,
+                       div_fn=lambda arc: (v := v_of_xi(arc), -v))
 
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
                               region3=fam3, jump=jump, field=None)

@@ -13,14 +13,15 @@ The evaluators here:
   arc (`characteristics.family_jacobian_integral`).  J keeps one sign
   along an arc of a foliation, so that is the integral of v0^2 |J|; there
   is no t-rule.  The seed is evaluated twice per family, at the s-nodes
-  and on s +- ds stacked.  Walls are cubic-jump line integrals over the
-  stored jump segments, with the traces at the quadrature nodes from each
-  segment's trace_fn.
+  (which also gives each arc's t*) and on s +- ds stacked.  Walls are
+  cubic-jump line integrals over the stored jump segments, with the traces
+  at the quadrature nodes from each segment's trace_fn.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
 * criticality_residuals: the free-boundary criticality conditions of a
   piecewise critical field.  The bulk-transport residual differences the
   divergence along each family's arcs, from one `field.sample` call per
-  family; the wall residuals use the stored traces of each jump segment.
+  family; the wall residuals use each jump segment's vertex traces and
+  divergences, which it derives from its trace_fn and div_fn.
 
 Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
 (4/3) (1 - (u.nu)^2)^(3/2); both are exposed for cross-checking.
@@ -348,7 +349,7 @@ def _bulk_transport_residual(field: PiecewiseCriticalField):
         s_lo, s_hi = fam.s_range
         ss = np.linspace(s_lo + 0.05 * (s_hi - s_lo),
                          s_hi - 0.05 * (s_hi - s_lo), RESIDUAL_NS)
-        ts = np.asarray(fam.t_star(ss), dtype=float)
+        ts = np.asarray(fam.seed(ss)[4], dtype=float)
         ss, ts = ss[ts > 0], ts[ts > 0]
         if not ss.size:
             continue
@@ -372,17 +373,10 @@ def criticality_residuals(field: PiecewiseCriticalField,
     bb = None
     ws = None
     for seg in field.jumps:
-        if seg.div_plus is None and seg.div_fns is None and not seg.boundary:
+        if seg.div_plus is None:
             continue
         arcs = seg.arclengths
-        if seg.div_fns is not None:
-            dplus = np.asarray(seg.div_fns[0](arcs), dtype=float)
-            dminus = np.asarray(seg.div_fns[1](arcs), dtype=float)
-        elif seg.div_plus is not None:
-            dplus = seg.div_plus
-            dminus = seg.div_minus
-        else:
-            dplus = dminus = None
+        dplus, dminus = seg.div_plus, seg.div_minus
         # sqrt(1-(u.nu)^2) = |u.tau| for unit traces: no cancellation when
         # the jump degenerates (u.nu -> +-1)
         tau_n = np.stack([-seg.normals[:, 1], seg.normals[:, 0]], axis=-1)
@@ -391,8 +385,7 @@ def criticality_residuals(field: PiecewiseCriticalField,
         if seg.boundary:
             gn = np.einsum("ik,ik->i", seg.trace_minus, seg.normals)
             groot = np.abs(np.einsum("ik,ik->i", seg.trace_minus, tau_n))
-            dv = dplus if dplus is not None else np.zeros_like(gn)
-            res = np.abs(params.L * np.abs(dv) - 4.0 * groot * np.abs(gn))
+            res = np.abs(params.L * np.abs(dplus) - 4.0 * groot * np.abs(gn))
             m = float(res.max())
             bb = m if bb is None else max(bb, m)
             continue

@@ -30,6 +30,8 @@ from .core import POLAR, RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
 from .energy import eval_E_eps
 
 BC_CHECK_TOL = 1e-10
+# a step gives up after this many halvings of dt
+MAX_HALVINGS = 40
 
 
 @dataclass
@@ -417,16 +419,17 @@ class FlowSolver:
         b[self.mask] = 0.0
         return solver.solve(b) + self.uD, 1
 
-    def step(self, state: FlowState, max_halvings: int = 40) -> FlowState:
-        """One accepted IMEX step.  dt is halved while the trial state is
-        non-finite or its energy does not decrease."""
+    def step(self, state: FlowState) -> FlowState:
+        """One accepted IMEX step.  dt is halved, up to MAX_HALVINGS times,
+        while the trial state is non-finite or its energy does not
+        decrease."""
         u = state.field.values
         if not state.energy_trace:
             e0 = eval_E_eps(state.field, self.params)
             state.energy_trace.append((state.time, e0))
         E_old = state.energy_trace[-1][1].total
         dt = state.dt or self.dt
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             u_expl = u - dt * self.ops.reaction(u, self.params.eps)
             u_new, _ = self.implicit_solve(u_expl, dt)
             if np.isfinite(u_new).all():

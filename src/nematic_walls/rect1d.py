@@ -71,11 +71,18 @@ def wall_height_objective(m, L, H, a):
     return (L / H) * (m - a) ** 2 + (4.0 / 3.0) * np.maximum(1.0 - m * m, 0.0) ** 1.5
 
 
+def _stationarity(m, ratio, a):
+    # f'(m) of the wall-height objective, ratio = L/H
+    return 2.0 * ratio * (m - a) \
+        - 4.0 * m * np.sqrt(np.maximum(1.0 - m * m, 0.0))
+
+
 def solve_M(L: float, H: float, a: float) -> float:
     """Minimizer M in [a, 1] of the wall-height objective.
 
-    a = 0 is closed form; a > 0 uses a coarse scan, golden-section search,
-    and a Newton polish of f'.
+    a = 0 is closed form.  For a > 0 a coarse scan brackets the global
+    minimum between its neighbours, and the bracketed root solver finds the
+    stationary point 2(L/H)(m - a) = 4 m sqrt(1 - m^2) there.
     """
     if not (0.0 <= a < 1.0):
         raise ValueError("a in [0,1) required")
@@ -84,41 +91,10 @@ def solve_M(L: float, H: float, a: float) -> float:
         if ratio < 2.0:
             return math.sqrt(1.0 - ratio * ratio / 4.0)
         return 0.0  # step family
-    f = lambda m: float(wall_height_objective(m, L, H, a))
-    # coarse scan to bracket the global minimum
     ms = np.linspace(a, 1.0, 1025)
-    vals = wall_height_objective(ms, L, H, a)
-    k = int(np.argmin(vals))
-    lo = ms[max(k - 1, 0)]
-    hi = ms[min(k + 1, len(ms) - 1)]
-    # golden-section
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-14:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    m = 0.5 * (lo + hi)
-    # Newton polish on the stationarity equation 2(L/H)(m-a) = 4 m sqrt(1-m^2)
-    fp = lambda x: 2 * ratio * (x - a) - 4 * x * math.sqrt(max(1 - x * x, 0.0))
-    fpp = lambda x: 2 * ratio - 4 * math.sqrt(max(1 - x * x, 0.0)) \
-        + 4 * x * x / math.sqrt(max(1 - x * x, 1e-300))
-    for _ in range(3):
-        d = fpp(m)
-        if d == 0:
-            break
-        m_new = m - fp(m) / d
-        if not (a < m_new < 1.0):
-            break
-        m = m_new
-    return m
+    k = int(np.argmin(wall_height_objective(ms, L, H, a)))
+    return bracketed_root(_stationarity, ms[max(k - 1, 0)],
+                          ms[min(k + 1, len(ms) - 1)], args=(ratio, a))
 
 
 def min_energy_1d(L: float, H: float, a: float) -> float:
@@ -149,15 +125,14 @@ def minimizer_profile(L: float, H: float, a: float) -> OneDProfile:
 
 
 def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
-                        M: Optional[float] = None,
-                        window_power: float = RECOVERY_WINDOW_POWER) -> GridProfile1D:
+                        M: Optional[float] = None) -> GridProfile1D:
     """eps-level competitor built from the sharp minimizer.
 
     u2 is the tent unchanged; u1 follows sqrt(1 - u2^2) with the sign of
     the sharp profile outside |y| > 2 w, bridges through the heteroclinic
       b tanh(b y / eps),  b = sqrt(1 - M^2)
     for |y| <= w, and interpolates linearly on w <= |y| <= 2 w, where
-    w = eps^window_power.  Pass M to override the optimal wall height
+    w = eps^RECOVERY_WINDOW_POWER.  Pass M to override the optimal wall height
     (e.g. M = 0 isolates the pure wall cost).
     """
     if n < int(20.0 * H / eps):
@@ -165,7 +140,7 @@ def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
     if M is None:
         M = solve_M(L, H, a)
     b = math.sqrt(max(1.0 - M * M, 0.0))
-    w = eps ** window_power
+    w = eps ** RECOVERY_WINDOW_POWER
     ys = np.linspace(-H, H, n)
     u2 = np.where(ys <= 0.0, a + (M - a) * (ys + H) / H,
                   a + (M - a) * (H - ys) / H)

@@ -149,8 +149,9 @@ def scan_brackets(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def arc_root(seed: Callable, lo, hi, x, y):
     """Angle and curvature at (x, y) of the family arc through it.
 
-    seed(q) -> (x0, y0, theta0, v0) is the elementwise seed of the arc
-    with parameter q, and [lo, hi] brackets each point's arc.  The arc
+    seed(q) -> (x0, y0, theta0, v0, ...) is the elementwise seed of the
+    arc with parameter q (entries past the fourth, such as a family's t*,
+    are ignored), and [lo, hi] brackets each point's arc.  The arc
     through p = (x, y) has |w|^2 = 1 with w = v0 (p - P0) + e0, e0 = (cos
     theta0, sin theta0), and w = (cos theta, sin theta) at p.  The root is
     solved in q for (|w|^2 - 1)/v0 = v0 |d|^2 + 2 d.e0 with d = p - P0:
@@ -159,7 +160,7 @@ def arc_root(seed: Callable, lo, hi, x, y):
     (theta, v0) at the roots, theta = atan2(w_y, w_x).
     """
     def parts(q, x, y):
-        x0, y0, th0, v0 = seed(q)
+        x0, y0, th0, v0 = seed(q)[:4]
         return x - x0, y - y0, np.cos(th0), np.sin(th0), v0
 
     def resid(q, x, y):

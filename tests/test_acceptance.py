@@ -214,7 +214,7 @@ def test_criterion_09_degree_minus_one():
     t0 = time.time()
     R, L = 0.6, 0.5
     sol = disc.build_deg_minus_one(R, L)
-    x0, y0, th0, v0 = sol.region1.seed(np.linspace(sol.s0, R, 64))
+    _, _, _, v0, _ = sol.region1.seed(np.linspace(sol.s0, R, 64))
     region1_const = bool(np.all(v0 == -1.0 / R))
     lim = abs(disc.region3_v0(1e-4, L) + 1.0 / L)
     nbc = sol.natural_bc_residual()

@@ -93,7 +93,7 @@ class TestTangentNormal:
         from nematic_walls.disc import build_deg_minus_one
         sol = build_deg_minus_one(0.6, 0.5)
         for fam, s in ((sol.region1, 0.3), (sol.region3, 0.1)):
-            x0, y0, th0, v0 = (float(a) for a in fam.seed(np.asarray(s)))
+            x0, y0, th0, v0, _ = (float(a) for a in fam.seed(np.asarray(s)))
             assert y0 == 0.0
             tau, _ = _arc_tangent(x0, y0, th0, v0, 0.0)
             assert abs(tau[0]) < 1e-14 and abs(abs(tau[1]) - 1.0) < 1e-14
@@ -103,23 +103,19 @@ def lines_family():
     def seed(s):
         s = np.asarray(s, dtype=float)
         z = np.zeros_like(s)
-        return (s, z, z, z)
+        return (s, z, z, z, np.ones_like(s))
 
-    return CharacteristicFamily(
-        seed=seed, s_range=(0.0, 1.0),
-        t_star=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        label="parallel lines")
+    return CharacteristicFamily(seed=seed, s_range=(0.0, 1.0),
+                                label="parallel lines")
 
 
 def curved_family():
     def seed(s):
         s = np.asarray(s, dtype=float)
         z = np.zeros_like(s)
-        return (s, z, z, -0.5 - 0.3 * s)
+        return (s, z, z, -0.5 - 0.3 * s, np.full_like(s, 0.8))
 
-    return CharacteristicFamily(
-        seed=seed, s_range=(0.2, 1.0),
-        t_star=lambda s: 0.8 * np.ones_like(np.asarray(s, dtype=float)))
+    return CharacteristicFamily(seed=seed, s_range=(0.2, 1.0))
 
 
 class TestJacobian:
@@ -217,11 +213,9 @@ class TestFoliation:
         def seed(s):
             s = np.asarray(s, dtype=float)
             z = np.zeros_like(s)
-            return (s, z, z, -3.0 + 2.5 * s)
+            return (s, z, z, -3.0 + 2.5 * s, np.full_like(s, 1.5))
 
-        fam = CharacteristicFamily(
-            seed=seed, s_range=(0.0, 1.0),
-            t_star=lambda s: 1.5 * np.ones_like(np.asarray(s, dtype=float)))
+        fam = CharacteristicFamily(seed=seed, s_range=(0.0, 1.0))
         rep = check_foliation(fam, 12, 12)
         assert rep.crossings > 0
 

@@ -163,6 +163,16 @@ def test_crosstie_artifacts(tmp_path):
     assert (out / "divergence_contours.csv").exists()
 
 
+def test_crosstie_below_the_single_root_threshold(tmp_path):
+    """Below L/H = 0.5426 some region-III circles pass near the vortex
+    (T, 0) twice; the sampler still inverts every grid point."""
+    out = tmp_path / "ct"
+    assert main(["crosstie", "--L", "0.5", "--H", "1", "--nx", "16", "--ny",
+                 "16", "--out", str(out)]) == 0
+    data = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)
+    assert data.shape == (16 * 17, 4) and np.all(np.isfinite(data))
+
+
 def test_crosstie_angle_contours_stay_off_the_branch_cut(tmp_path):
     """On the bottom wall row u = (-1, +-0), so arctan2(u2, u1) flips
     between pi and -pi there; no angle level curve may run along y = -H."""

@@ -88,36 +88,45 @@ class TestSampleAnalytic:
 
 
 class TestJumpSegment:
-    def _valid(self):
-        n = 5
-        xs = np.linspace(0, 1, n)
-        poly = np.stack([xs, np.zeros(n)], axis=-1)
-        nu = np.tile([0.0, 1.0], (n, 1))
-        up = np.tile([math.sqrt(0.5), math.sqrt(0.5)], (n, 1))
-        um = np.tile([-math.sqrt(0.5), math.sqrt(0.5)], (n, 1))
-        return poly, nu, up, um
+    """A segment derives its vertex traces (and divergences) from trace_fn
+    (and div_fn) at its arclengths, and rejects vertex traces that are not
+    unit or whose normal component jumps."""
+
+    UP = (math.sqrt(0.5), math.sqrt(0.5))
+    UM = (-math.sqrt(0.5), math.sqrt(0.5))
 
     @staticmethod
-    def _traces(arc):
-        n = np.size(arc)
-        return (np.tile([math.sqrt(0.5), math.sqrt(0.5)], (n, 1)),
-                np.tile([-math.sqrt(0.5), math.sqrt(0.5)], (n, 1)))
+    def _segment(up, um, **kw):
+        n = 5
+        xs = np.linspace(0, 1, n)
+
+        def traces(arc):
+            n = np.size(arc)
+            return np.tile(up, (n, 1)), np.tile(um, (n, 1))
+
+        return JumpSegment(np.stack([xs, np.zeros(n)], axis=-1),
+                           np.tile([0.0, 1.0], (n, 1)), traces, **kw)
 
     def test_valid_segment(self):
-        poly, nu, up, um = self._valid()
-        seg = JumpSegment(poly, nu, up, um, self._traces)
+        seg = self._segment(self.UP, self.UM)
         assert seg.length == pytest.approx(1.0)
+        assert np.array_equal(seg.trace_plus, np.tile(self.UP, (5, 1)))
+        assert np.array_equal(seg.trace_minus, np.tile(self.UM, (5, 1)))
+        assert seg.div_plus is None and seg.div_minus is None
+
+    def test_vertex_divergences_from_div_fn(self):
+        seg = self._segment(self.UP, self.UM,
+                            div_fn=lambda arc: (2.0 * arc, -arc))
+        assert np.array_equal(seg.div_plus, 2.0 * seg.arclengths)
+        assert np.array_equal(seg.div_minus, -seg.arclengths)
 
     def test_nonunit_trace_rejected(self):
-        poly, nu, up, um = self._valid()
         with pytest.raises(ValueError, match="unit"):
-            JumpSegment(poly, nu, 1.1 * up, um, self._traces)
+            self._segment(1.1 * np.array(self.UP), self.UM)
 
     def test_normal_jump_rejected(self):
-        poly, nu, up, um = self._valid()
-        um = np.tile([0.0, -1.0], (poly.shape[0], 1))  # normal comp flips
         with pytest.raises(ValueError, match="normal"):
-            JumpSegment(poly, nu, up, um, self._traces)
+            self._segment(self.UP, (0.0, -1.0))  # normal component flips
 
 
 class TestEnergyBreakdown:

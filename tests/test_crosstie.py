@@ -10,8 +10,7 @@ from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     period_equation_residual,
                                     region1_seed_offset, region2_theta_star,
                                     region2_theta_star_residual,
-                                    region3_seed_angle,
-                                    region3_v, remark_crosstie_energy,
+                                    region3_seed, remark_crosstie_energy,
                                     remark_crosstie_field, remark_crosstie_map,
                                     remark_tail_integral, solve_Ttilde,
                                     ttilde_closed_form_check)
@@ -89,14 +88,14 @@ class TestConstruction:
     def test_interface_continuity(self, sol):
         # theta and v agree where families II and III meet
         th2_end = float(region2_theta_star(sol.t1_star, sol.alpha, sol.L))
-        th3_arr = math.pi / 2 - float(region3_seed_angle(sol.T, sol.L))
-        assert abs(th2_end - th3_arr) < 1e-12
+        _, _, th3_seed, v3_end, _ = region3_seed(sol.T, sol.L)
+        assert abs(th2_end - (math.pi / 2 - float(th3_seed))) < 1e-12
         v2_end = -math.sin(2 * th2_end) / sol.L
-        assert v2_end == pytest.approx(float(region3_v(sol.T, sol.L)), abs=1e-12)
+        assert v2_end == pytest.approx(float(v3_end), abs=1e-12)
 
     def test_divergence_negative_in_quarter(self, sol):
         s3 = np.linspace(1e-6, sol.T, 128)
-        assert np.all(region3_v(s3, sol.L) < 0)
+        assert np.all(region3_seed(s3, sol.L)[3] < 0)
 
 
 def test_wrong_theta_star_fails_the_build(monkeypatch):
@@ -249,7 +248,7 @@ class TestFieldSample:
         fam = s.region1
         for d in 10.0 ** -np.arange(2, 11):
             ss = np.full(9, s.T - d)
-            tt = np.linspace(0.1, 0.9, 9) * fam.t_star(ss)
+            tt = np.linspace(0.1, 0.9, 9) * fam.seed(ss)[4]
             x, y, th, v = fam.point(ss, tt)
             back = s.T - region1_seed_offset(x, y, s.T, s.H)
             assert np.abs(back - ss).max() <= 1e-12
@@ -268,7 +267,7 @@ class TestFieldSample:
         fam = s.region2
         rng = np.random.default_rng(5)
         ss = rng.uniform(1e-3 * s.t1_star, s.t1_star * 0.999, 300)
-        tt = rng.uniform(0.05, 0.95, 300) * np.maximum(fam.t_star(ss), 0)
+        tt = rng.uniform(0.05, 0.95, 300) * np.maximum(fam.seed(ss)[4], 0)
         x, y, th, v = fam.point(ss, tt)
         ok = (x >= 0) & (x <= s.T) & (y >= 0) & (y <= s.H)
         from nematic_walls.crosstie import _quarter_eval_batch
@@ -286,7 +285,7 @@ def test_theta_continuous_v_jumps_across_gamma():
     alpha, H = s.alpha, s.H
     taus = np.linspace(0.15, 0.85, 9) * s.t1_star
     # construction traces: seed angle of family II equals Gamma's angle
-    _, _, th0, _ = s.region2.seed(taus)
+    _, _, th0, _, _ = s.region2.seed(taus)
     assert np.abs(th0 - alpha * taus).max() == 0.0
     x0 = (1 - np.cos(alpha * taus)) / alpha
     y0 = H - np.sin(alpha * taus) / alpha

@@ -140,7 +140,7 @@ class TestConstruction:
         # arcs of curvature -1/R centred on the x-axis
         fam = sol.region1
         s = 0.45
-        ts = float(fam.t_star(s))
+        ts = float(fam.seed(s)[4])
         x, y, _, v = fam.point(np.full(9, s), np.linspace(0, ts, 9))
         assert np.all(v == -1 / R)
         cx = s + R
@@ -250,7 +250,7 @@ class TestFieldEval:
             s_lo, s_hi = fam.s_range
             ss = rng.uniform(s_lo + 1e-3 * (s_hi - s_lo),
                              s_hi - 1e-3 * (s_hi - s_lo), 200)
-            tt = rng.uniform(0.1, 0.9, 200) * np.maximum(fam.t_star(ss), 0)
+            tt = rng.uniform(0.1, 0.9, 200) * np.maximum(fam.seed(ss)[4], 0)
             x, y, th, v = fam.point(ss, tt)
             ok = (y >= 1e-9) & (y <= x * (1 - 1e-12)) \
                 & (x ** 2 + y ** 2 <= R * R * (1 - 1e-10))

@@ -208,15 +208,15 @@ def reference_bulk_integral(family, s_panels, t_panels, order):
     s_lo, s_hi = family.s_range
     s_nodes, s_w = composite_nodes(s_lo, s_hi, s_panels, order)
     tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
-    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)[:, None]
-    T = tau_nodes[None, :] * ts
     ds = 1e-6 * max(s_hi - s_lo, 1.0)
     sp = np.minimum(s_nodes + ds, s_hi)
     sm = np.maximum(s_nodes - ds, s_lo)
     col = lambda a: np.asarray(a, dtype=float)[:, None]
-    x0, y0, th0, v0 = (col(a) for a in family.seed(s_nodes))
-    xp0, yp0, thp0, vp0 = (col(a) for a in family.seed(sp))
-    xm0, ym0, thm0, vm0 = (col(a) for a in family.seed(sm))
+    x0, y0, th0, v0, ts = (col(a) for a in family.seed(s_nodes))
+    xp0, yp0, thp0, vp0, _ = (col(a) for a in family.seed(sp))
+    xm0, ym0, thm0, vm0, _ = (col(a) for a in family.seed(sm))
+    ts = np.maximum(ts, 0.0)
+    T = tau_nodes[None, :] * ts
     _, _, theta = arc_xy(x0, y0, th0, v0, T)
     xp, yp, _ = arc_xy(xp0, yp0, thp0, vp0, T)
     xm, ym, _ = arc_xy(xm0, ym0, thm0, vm0, T)
@@ -227,10 +227,10 @@ def reference_bulk_integral(family, s_panels, t_panels, order):
 
 def grid_bulk_integral(family, s_panels, t_panels, order):
     """integral of v0^2 |J| with the closed-form J on an s x t Gauss grid,
-    t mapped panel-wise onto [0, t_star(s)] per s-node."""
+    t mapped panel-wise onto [0, t*(s)] per s-node."""
     s_nodes, s_w = composite_nodes(*family.s_range, s_panels, order)
     tau_nodes, tau_w = composite_nodes(0.0, 1.0, t_panels, order)
-    ts = np.maximum(np.asarray(family.t_star(s_nodes), dtype=float), 0.0)
+    ts = np.maximum(np.asarray(family.seed(s_nodes)[4], dtype=float), 0.0)
     J, v0 = characteristics.family_jacobian(family, s_nodes[:, None],
                                             tau_nodes * ts[:, None])
     return float((s_w * ts * v0[:, 0] ** 2) @ np.abs(J) @ tau_w)
@@ -333,7 +333,7 @@ def test_jacobian_one_sign_per_arc(kind, value):
     tau = np.linspace(0.0, 1.0, 257)
     for fam in field.families:
         s_nodes, _ = composite_nodes(*fam.s_range, s_panels, order)
-        ts = np.maximum(np.asarray(fam.t_star(s_nodes), dtype=float), 0.0)
+        ts = np.maximum(np.asarray(fam.seed(s_nodes)[4], dtype=float), 0.0)
         J, _ = characteristics.family_jacobian(fam, s_nodes[:, None],
                                                tau * ts[:, None])
         inner = J[:, 1:-1]
@@ -379,8 +379,8 @@ def test_arc_jacobian_integral_matches_gauss_rule(theta0, t_star, vt, x0_s,
 def test_E0_evaluates_no_arc_grid(monkeypatch):
     """E0's bulk term integrates the Jacobian along each arc in closed
     form: no arc positions, no Jacobian on an s x t grid, and the seed of
-    each family evaluated at most twice (at the s-nodes, and on s + ds and
-    s - ds stacked)."""
+    each family, which also gives t*, evaluated at most twice (at the
+    s-nodes, and on s + ds and s - ds stacked)."""
     def no_arcs(*args):
         raise AssertionError("arc_xy called during E0")
 
@@ -403,6 +403,21 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
         eval_E0_piecewise(field, params)
         assert len(calls) == len(field.families)
         assert max(calls.values()) <= 2
+
+
+def test_disc_E0_solves_each_curvature_twice(monkeypatch):
+    """One degree -1 E0 solves region III's and region II's seed
+    curvatures twice each, at the s-nodes and on s +- ds: t* comes from
+    the same solve as the seed."""
+    sol = disc.build_deg_minus_one(0.6, 0.5)
+    calls = {}
+    for name in ("region3_v0", "region2_v0"):
+        def counted(*args, fn=getattr(disc, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(disc, name, counted)
+    eval_E0_piecewise(sol.field, Params(L=0.5, R=0.6))
+    assert calls == {"region3_v0": 2, "region2_v0": 2}
 
 
 def _circle_normal(radius, sign):

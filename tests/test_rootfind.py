@@ -254,7 +254,7 @@ def _lattice(fam, taus, n=24):
     range, t = tau t*(s)."""
     s_lo, s_hi = fam.s_range
     ss = s_lo + (s_hi - s_lo) * np.linspace(0.05, 0.95, n)
-    ts = np.asarray(fam.t_star(ss), dtype=float)
+    ts = np.asarray(fam.seed(ss)[4], dtype=float)
     return fam.point(np.repeat(ss, len(taus)), np.outer(ts, taus).ravel())
 
 
@@ -289,12 +289,16 @@ def test_deg_minus_one_sampler_lattice_roundtrip(L):
         _assert_samples_arc(sample, fam, lambda tol: tol)
 
 
-@pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 2.0, 2.8])
+@pytest.mark.parametrize("lh", [0.3, 0.5, 0.6, 1.0, 1.2195, 2.0, 2.8])
 def test_crosstie_sampler_lattice_roundtrip(lh):
     """The same on the cross-tie's quarter cell.  Region III's seed angle
     carries the cancellation of `crosstie._w_of_lambda` at small s (ROADMAP
     item 1), which both the arcs and their inversion see: up to 5e-11 rad
-    at L/H = 2.8, so region III is held to 6e-10."""
+    at L/H = 2.8, so region III is held to 6e-10.  Below L/H = 0.5426,
+    region-III circles seeded at small s pass near (T, 0) a second time;
+    the bracket [x + y, T] keeps them out.  On the left wall the sampler
+    returns each region-III arc's arrival: the arc seeded at s ends at
+    (0, s)."""
     sol = crosstie.build_crosstie(lh, 1.0)
 
     def sample(x, y):
@@ -303,3 +307,10 @@ def test_crosstie_sampler_lattice_roundtrip(lh):
     for fam in (sol.region1, sol.region2):
         _assert_samples_arc(sample, fam, lambda tol: tol)
     _assert_samples_arc(sample, sol.region3, lambda tol: max(tol, 6e-10))
+
+    s = sol.T * np.linspace(0.0, 1.0, 33)
+    x, y, th, v = sol.region3.point(s, sol.region3.seed(s)[4])
+    assert np.abs(x).max() <= 6e-10 and np.abs(y - s).max() <= 6e-10
+    got_th, got_v = sample(np.zeros_like(s), s)
+    assert np.abs(np.angle(np.exp(1j * (got_th - th)))).max() <= 6e-10
+    assert np.abs(got_v - v).max() <= 6e-10
