@@ -28,6 +28,9 @@ those derivatives by central differences of the seed's first four entries.
 A `PiecewiseCriticalField` holds the families, the jump set and the one
 vectorized pointwise sampler of its construction, `sample(x, y) -> (u1,
 u2, v)`, which every point evaluation goes through.
+
+A straight symmetry wall is built by `mirror_wall` from the + side's
+angle and divergence at its knots; the - side is their mirror image.
 """
 
 from __future__ import annotations
@@ -115,6 +118,36 @@ def pchip(x, y) -> Callable[[np.ndarray], np.ndarray]:
         return c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
 
     return interp
+
+
+def mirror_wall(points, q, theta, v, normal) -> JumpSegment:
+    """Jump segment of a straight symmetry wall with unit normal `normal`
+    (from the + side to the - side).
+
+    points, q, theta and v are the wall's knots, their arclength from the
+    first knot, and the + side's angle and divergence there.  The knots
+    are sorted by q, a knot within 1e-14 of the wall's length of the one
+    before it is dropped, and theta(q) and v(q) are fitted with `pchip`.
+    The - side is the + side's mirror image: u- = 2 (u+ . nu) nu - u+ and
+    v- = -v+.
+    """
+    q = np.asarray(q, dtype=float)
+    order = np.argsort(q)
+    points, q, theta, v = (np.asarray(a, dtype=float)[order]
+                           for a in (points, q, theta, v))
+    keep = np.concatenate([[True], np.diff(q) > 1e-14 * (q[-1] - q[0])])
+    theta_of_q, v_of_q = pchip(q[keep], theta[keep]), pchip(q[keep], v[keep])
+    nu = np.asarray(normal, dtype=float)
+
+    def traces(arc):
+        th = theta_of_q(arc)
+        up = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return up, 2.0 * (up @ nu)[..., None] * nu - up
+
+    return JumpSegment(polyline=points[keep],
+                       normals=np.tile(nu, (np.count_nonzero(keep), 1)),
+                       trace_fn=traces,
+                       div_fn=lambda arc: (w := v_of_q(arc), -w))
 
 
 @dataclass

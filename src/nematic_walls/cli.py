@@ -30,6 +30,9 @@ from .core import (POLAR, RECTANGLE, Field2D, Grid2D, Params,
                    sample_analytic)
 
 G17 = "{:.17g}".format
+# the JSON values each RunConfig field type accepts (annotations are
+# strings under `from __future__ import annotations`)
+_JSON_TYPES = {"str": (str,), "float": (int, float), "int": (int,)}
 
 
 @dataclass
@@ -64,14 +67,19 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        """Inverse of `to_json`; ValueError names the first unknown key."""
+        """Inverse of `to_json`.  ValueError names the first unknown key or
+        the first value of the wrong type: a float field takes an int too,
+        an int field takes neither a float nor a bool."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        for key, val in data.items():
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
+            if isinstance(val, bool) or not isinstance(val, types[key]):
+                raise ValueError(f"config key {key!r} must be of type "
+                                 f"{types[key][-1].__name__}, got {val!r}")
         return cls(**data)
 
     def params(self) -> Params:
@@ -179,7 +187,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
     sol = disc_mod.build_deg_minus_one(cfg.R, cfg.L)
     eb = eval_E0_piecewise(sol.field, p, s_panels=48)
     _write_report(out, "energy.json", eb, p,
-                  extra={"natural_bc_residual": sol.natural_bc_residual(),
+                  extra={"natural_bc_residual": sol.wall_balance,
                          "s0": sol.s0})
     grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R * (1 - 1e-12)),
                      cfg.nx, cfg.ny)
@@ -266,7 +274,7 @@ def run_crosstie(cfg: RunConfig) -> int:
         "T_tilde": sol.T_tilde, "T": sol.T, "alpha": sol.alpha,
         "t1_star": sol.t1_star, "energy_per_length": eb.total / (2 * sol.T),
         "tangency_mismatch": sol.tangency_mismatch,
-        "wall_residual": sol.wall_residual(),
+        "wall_residual": sol.wall_balance,
     })
     grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -cfg.H, cfg.H),
                      cfg.nx, cfg.ny, periodic_x=True)

@@ -24,6 +24,12 @@ divergence, negative throughout the quarter cell):
   II  seeded tangentially on family I's terminal arc (theta continuous,
       v jumps), terminal angle the root of
       (1 - cos(alpha s)) sin(2 beta) - L alpha (cos beta - cos(alpha s)) = 0.
+
+Both walls are `characteristics.mirror_wall`s: the bottom wall through
+region III's seeds, the left wall through the arrivals of III (y < T) and
+II (y > T).  Their traces satisfy L v + sin(2 theta) = 0, which is
+`energy.wall_balance` (its value is twice |L v + sin 2 theta|); the build
+checks it once and stores it as `wall_balance`.
 """
 
 from __future__ import annotations
@@ -35,10 +41,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
-                              pchip)
+                              mirror_wall)
 from .core import EnergyBreakdown, JumpSegment, Params
 from . import rect1d
-from .energy import eval_E0_piecewise
+from .energy import eval_E0_piecewise, wall_balance
 # the period equation lives in rect1d, which the flow imports without this
 # module; its names stay importable from here
 from .rect1d import (SQRT2M1, period_equation_residual, solve_Ttilde,
@@ -142,6 +148,8 @@ class CrossTieSolution:
     wall_left: JumpSegment
     wall_bottom: JumpSegment
     field: PiecewiseCriticalField
+    # energy.wall_balance of the two walls, which the build checks
+    wall_balance: float
 
     @property
     def tangency_mismatch(self) -> float:
@@ -150,17 +158,6 @@ class CrossTieSolution:
         theta_e = self.alpha * self.t1_star
         theta_b = float(region3_seed(self.T, self.L)[2])
         return abs(theta_e - theta_b)
-
-    def wall_residual(self) -> float:
-        """sup |L v + sin 2 theta| over both walls' vertices, with theta
-        the angle of trace_plus (sin 2 theta = 2 u1 u2) and v its div_plus:
-        the bottom wall's region-III seeds and the left wall's region-III
-        and region-II arrivals, which are the knots of the walls' trace
-        and divergence interpolants."""
-        return float(max(
-            np.abs(self.L * w.div_plus
-                   + 2.0 * w.trace_plus[:, 0] * w.trace_plus[:, 1]).max()
-            for w in (self.wall_bottom, self.wall_left)))
 
 
 def build_crosstie(L: float, H: float) -> CrossTieSolution:
@@ -208,32 +205,20 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star),
                                 label="crosstie region II")
 
-    # --- walls: the reflection across each flips v --------------------------
+    # --- walls: region III's seeds on the bottom wall; the arrivals of III
+    # (y < T) and II (y > T) on the left wall.  Stable arrival heights:
+    # region III collapses to y3 = sqrt(2) L sin(acos(w)/2)/w; region II
+    # uses the half-angle product form of sin(theta*) - sin(alpha s) to
+    # avoid cancellation near y = H.
     n_w = 1024
-    # bottom wall y = 0, x in (0, T): trace angle theta_b(x)
     xs = np.linspace(0.0, T, n_w)
     _, _, thb, v3, _ = region3_seed(xs, L)
-    theta_b_of_x = pchip(xs, thb)
-    v3_of_x = pchip(xs, v3)
+    wall_bottom = mirror_wall(np.stack([xs, np.zeros_like(xs)], axis=-1), xs,
+                              thb, v3, [0.0, -1.0])
 
-    def bottom_traces(arc):
-        th = theta_b_of_x(arc)
-        c, s = np.cos(th), np.sin(th)
-        return np.stack([c, s], axis=-1), np.stack([-c, s], axis=-1)
-
-    wall_bottom = JumpSegment(
-        polyline=np.stack([xs, np.zeros_like(xs)], axis=-1),
-        normals=np.tile([0.0, -1.0], (n_w, 1)), trace_fn=bottom_traces,
-        div_fn=lambda arc: (v := v3_of_x(arc), -v))
-
-    # left wall x = 0, y in (0, H): arrivals of III (y < T) and II (y > T).
-    # Stable arrival heights: region III collapses to
-    # y3 = sqrt(2) L sin(acos(w)/2)/w; region II uses the half-angle product
-    # form of sin(theta*) - sin(alpha s) to avoid cancellation near y = H.
     s3 = np.linspace(0.0, T, n_w // 2 + 1)
     w3 = _w_of_lambda(2.0 * s3 * s3 / (L * L))
     _, _, th3b, v3a, _ = region3_seed(s3, L)
-    th3s = 0.5 * math.pi - th3b
     y3 = math.sqrt(2.0) * L * np.sin(0.5 * np.arccos(np.clip(w3, -1, 1))) / w3
     s2 = np.linspace(1e-9 * T, t1_star, n_w // 2 + 1)
     th2s = region2_theta_star(s2, alpha, L)
@@ -244,30 +229,16 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         y2 = y0_2 + np.where(v2a != 0.0,
                              diff / np.where(v2a != 0, v2a, 1.0), 0.0)
     yw = np.concatenate([y3, y2])
-    thw = np.concatenate([th3s, th2s])
-    vw = np.concatenate([v3a, v2a])
-    order = np.argsort(yw)
-    yw, thw, vw = yw[order], thw[order], vw[order]
-    keep = np.concatenate([[True], np.diff(yw) > 1e-14 * H])
-    yw, thw, vw = yw[keep], thw[keep], vw[keep]
-    theta_of_y = pchip(yw, thw)
-    v_of_y = pchip(yw, vw)
-
-    def left_traces(arc):
-        th = theta_of_y(arc)
-        c, s = np.cos(th), np.sin(th)
-        return np.stack([c, s], axis=-1), np.stack([c, -s], axis=-1)
-
-    wall_left = JumpSegment(
-        polyline=np.stack([np.zeros_like(yw), yw], axis=-1),
-        normals=np.tile([-1.0, 0.0], (len(yw), 1)), trace_fn=left_traces,
-        div_fn=lambda arc: (v := v_of_y(arc), -v))
+    wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
+                            np.concatenate([0.5 * math.pi - th3b, th2s]),
+                            np.concatenate([v3a, v2a]), [-1.0, 0.0])
+    balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
 
     sol = CrossTieSolution(L=L, H=H, L_over_H=lh, T_tilde=t_tilde, T=T,
                            alpha=alpha, t1_star=t1_star,
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
-                           field=None)
+                           field=None, wall_balance=balance)
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
     # solution a sweep builds alive until the cyclic collector runs
@@ -281,10 +252,9 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     if sol.tangency_mismatch > 1e-9:
         raise RuntimeError(f"tangency mismatch {sol.tangency_mismatch:.3e} "
                            "(period equation violated)")
-    res = sol.wall_residual()
-    if res > 1e-8:
-        raise RuntimeError(f"wall residual {res:.3e} exceeds 1e-8")
-    # wall_residual holds on region II whatever theta* is (v is defined
+    if balance > 1e-8:
+        raise RuntimeError(f"wall balance {balance:.3e} exceeds 1e-8")
+    # the wall balance holds on region II whatever theta* is (v is defined
     # from it), so theta*'s own equation is checked on the left-wall nodes
     res = region2_theta_star_residual(s2, th2s, alpha, L)
     if res > 1e-8:

@@ -18,9 +18,11 @@ energy machinery applies:
   A(s)^2 = 1 + sqrt(1 - L^2 v^2) with
   A(s) = sqrt(2) [(R v + 1) sin(s/R + pi/4) - R v]).
 
-Angles in the octant lie in [-pi/4, 0]; the wall traces satisfy
-L v + cos(2 theta) = 0, the operative form of the natural boundary
-condition under the diagonal's reflection symmetry.
+Angles in the octant lie in [-pi/4, 0].  The diagonal is a
+`characteristics.mirror_wall` through the arrivals of III and II; its
+traces satisfy L v + cos(2 theta) = 0, the form `energy.wall_balance`
+takes under the diagonal's reflection (its value is twice |L v + cos 2
+theta|).  The build checks it once and stores it as `wall_balance`.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
-                              pchip)
+                              mirror_wall)
 from .core import JumpSegment
+from .energy import wall_balance
 from .rootfind import arc_root, bracketed_root
 
 SQRT2 = math.sqrt(2.0)
-# wall nodes per family at which natural_bc_residual checks the seeds
-NBC_NODES = 256
 
 
 # --- simple closed-form solutions -------------------------------------------
@@ -213,32 +214,16 @@ class DegMinusOneSolution:
     region3: CharacteristicFamily
     jump: JumpSegment
     field: PiecewiseCriticalField
-
-    def natural_bc_residual(self) -> float:
-        """sup |L v + cos 2 theta| along the wall (operative natural BC),
-        on NBC_NODES seeds of each family.
-
-        Evaluated in the exact seed parametrization of each family, so the
-        value reflects the root-solver tolerance, not interpolation error.
-        """
-        n = NBC_NODES
-        s3 = np.linspace(1e-9 * self.R, self.s0, n)
-        v3 = region3_v0(s3, self.L)
-        th3 = _theta_star_from_cosminussin(1.0 - s3 * v3)
-        r3 = np.abs(self.L * v3 + np.cos(2.0 * th3)).max()
-        s2 = np.linspace(1e-9 * self.R, 0.25 * math.pi * self.R, n)
-        v2 = region2_v0(s2, self.R, self.L)
-        th2 = _theta_star_from_cosminussin(region2_A(s2, v2, self.R))
-        r2 = np.abs(self.L * v2 + np.cos(2.0 * th2)).max()
-        return float(max(r3, r2))
+    # energy.wall_balance of the diagonal, which the build checks
+    wall_balance: float
 
 
 def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSolution:
     """Assemble the three families and the diagonal wall on one octant.
 
     Seeds are evaluated exactly (vectorized root solves) rather than
-    sampled and interpolated; the wall polyline carries n_wall vertices
-    with monotone-cubic trace functions between them.
+    sampled and interpolated; the wall polyline carries about n_wall
+    vertices with `mirror_wall`'s monotone-cubic traces between them.
     """
     if R <= 0 or L <= 0:
         raise ValueError("R, L > 0 required")
@@ -297,31 +282,15 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
                       x02 + (np.cos(th2) - np.cos(s2 / R)) / np.where(v2 != 0, v2, 1.0),
                       x02)
     xw = np.concatenate([x3, x2])
-    thw = np.concatenate([th3, th2])
-    vw = np.concatenate([v3, v2])
-    order = np.argsort(xw)
-    xw, thw, vw = xw[order], thw[order], vw[order]
-    # drop duplicate abscissae (seam point appears in both families)
-    keep = np.concatenate([[True], np.diff(xw) > 1e-14 * R])
-    xw, thw, vw = xw[keep], thw[keep], vw[keep]
-    xi = SQRT2 * xw
-    theta_of_xi = pchip(xi, thw)
-    v_of_xi = pchip(xi, vw)
-
-    poly = np.stack([xw, xw], axis=-1)
-    nu = np.tile(np.array([-1.0, 1.0]) / SQRT2, (len(xw), 1))
-
-    def traces(arc):
-        th = theta_of_xi(arc)
-        c, s = np.cos(th), np.sin(th)
-        return np.stack([c, s], axis=-1), np.stack([-s, -c], axis=-1)
-
-    # the diagonal reflection flips v
-    jump = JumpSegment(polyline=poly, normals=nu, trace_fn=traces,
-                       div_fn=lambda arc: (v := v_of_xi(arc), -v))
+    # the diagonal's wall rule: the reflection across y = x, which flips v
+    jump = mirror_wall(np.stack([xw, xw], axis=-1), SQRT2 * xw,
+                       np.concatenate([th3, th2]), np.concatenate([v3, v2]),
+                       np.array([-1.0, 1.0]) / SQRT2)
+    balance = wall_balance(jump, L)
 
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
-                              region3=fam3, jump=jump, field=None)
+                              region3=fam3, jump=jump, field=None,
+                              wall_balance=balance)
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
     # solution alive until the cyclic collector runs
@@ -332,10 +301,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
         domain=f"disc R={R}, degree -1",
         symmetry_copies=8, wall_multiplier=4.0)
 
-    # construction sanity: traces satisfy the operative natural condition
-    res = sol.natural_bc_residual()
-    if res > 1e-8:
-        raise RuntimeError(f"wall natural-BC residual {res:.3e} exceeds 1e-8")
+    if balance > 1e-8:
+        raise RuntimeError(f"wall balance {balance:.3e} exceeds 1e-8")
     return sol
 
 
@@ -385,11 +352,6 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
         theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, R, L),
                                     v_end, region2_v0(sigma, R, L), x2, y2)
     return np.cos(theta), np.sin(theta), v
-
-
-_MIRROR_X = np.array([[1.0, 0.0], [0.0, -1.0]])   # reflection about x-axis
-_MIRROR_Y = np.array([[-1.0, 0.0], [0.0, 1.0]])   # reflection about y-axis
-_DIAG_FLIP = np.array([[0.0, -1.0], [-1.0, 0.0]])  # wall rule across y = x
 
 
 def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):

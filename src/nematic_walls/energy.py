@@ -17,11 +17,15 @@ The evaluators here:
   cubic-jump line integrals over the stored jump segments, with the traces
   at the quadrature nodes from each segment's trace_fn.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
+* wall_balance: the natural condition of a wall, L [div u] =
+  4 (u.nu) |u.tau|, in signed form on a jump segment's vertex traces and
+  divergences (which it derives from its trace_fn and div_fn).  It is the
+  condition's one definition: the constructions check their walls with it.
 * criticality_residuals: the free-boundary criticality conditions of a
   piecewise critical field.  The bulk-transport residual differences the
   divergence along each family's arcs, from one `field.sample` call per
-  family; the wall residuals use each jump segment's vertex traces and
-  divergences, which it derives from its trace_fn and div_fn.
+  family; the wall balance is `wall_balance` on every segment, and the
+  wall stationarity uses the same vertex data.
 
 Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
 (4/3) (1 - (u.nu)^2)^(3/2); both are exposed for cross-checking.
@@ -309,9 +313,9 @@ class CriticalityReport:
     """Sup-norm residuals of the free-boundary criticality conditions.
 
     bulk_transport : u^perp . grad(div u) on family interiors
-    wall_balance   : | L |[div u]| - 4 sqrt(1-(u.nu)^2) |u.nu| | on interior
-                     jumps (orientation-free form of the natural condition)
-    boundary_balance : same with the boundary datum on boundary jumps
+    wall_balance   : `wall_balance` on interior jumps
+    boundary_balance : `wall_balance` on boundary jumps, whose - side holds
+                     the boundary datum
     wall_stationarity : jump-set stationarity combining the divergence
                      traces, their tangential derivative, and the curvature
     """
@@ -320,6 +324,27 @@ class CriticalityReport:
     wall_balance: Optional[float] = None
     boundary_balance: Optional[float] = None
     wall_stationarity: Optional[float] = None
+
+
+def _trace_components(seg: JumpSegment):
+    """u+ . nu and |u+ . tau| at the vertices, tau = nu turned by +pi/2.
+    |u.tau| = sqrt(1 - (u.nu)^2) for unit traces, without the cancellation
+    of that form where the jump degenerates (u.nu -> +-1)."""
+    tau = np.stack([-seg.normals[:, 1], seg.normals[:, 0]], axis=-1)
+    return (np.einsum("ik,ik->i", seg.trace_plus, seg.normals),
+            np.abs(np.einsum("ik,ik->i", seg.trace_plus, tau)))
+
+
+def wall_balance(seg: JumpSegment, L: float) -> float:
+    """sup |L (v+ - v-) - 4 (u+ . nu) |u+ . tau|| over the vertices of a
+    segment with divergence traces: the natural condition L [div u] =
+    4 (u.nu) |u.tau| of a wall, signed, so a wall whose divergence traces
+    carry the wrong sign fails it."""
+    if seg.div_plus is None:
+        raise ValueError("wall_balance needs the segment's div_fn")
+    un, ut = _trace_components(seg)
+    return float(np.abs(L * (seg.div_plus - seg.div_minus)
+                        - 4.0 * un * ut).max())
 
 
 def _seg_geometry(seg: JumpSegment):
@@ -364,47 +389,33 @@ def _bulk_transport_residual(field: PiecewiseCriticalField):
     return worst
 
 
+def _max(a: Optional[float], b: float) -> float:
+    return b if a is None else max(a, b)
+
+
 def criticality_residuals(field: PiecewiseCriticalField,
                           params: Params) -> CriticalityReport:
     rep = CriticalityReport(bulk_transport=_bulk_transport_residual(field))
-
-    # wall residuals
-    wb = None
-    bb = None
-    ws = None
     for seg in field.jumps:
         if seg.div_plus is None:
             continue
-        arcs = seg.arclengths
-        dplus, dminus = seg.div_plus, seg.div_minus
-        # sqrt(1-(u.nu)^2) = |u.tau| for unit traces: no cancellation when
-        # the jump degenerates (u.nu -> +-1)
-        tau_n = np.stack([-seg.normals[:, 1], seg.normals[:, 0]], axis=-1)
-        un = np.einsum("ik,ik->i", seg.trace_plus, seg.normals)
-        root = np.abs(np.einsum("ik,ik->i", seg.trace_plus, tau_n))
+        balance = wall_balance(seg, params.L)
         if seg.boundary:
-            gn = np.einsum("ik,ik->i", seg.trace_minus, seg.normals)
-            groot = np.abs(np.einsum("ik,ik->i", seg.trace_minus, tau_n))
-            res = np.abs(params.L * np.abs(dplus) - 4.0 * groot * np.abs(gn))
-            m = float(res.max())
-            bb = m if bb is None else max(bb, m)
+            rep.boundary_balance = _max(rep.boundary_balance, balance)
             continue
-        res = np.abs(params.L * np.abs(dplus - dminus) - 4.0 * root * np.abs(un))
-        m = float(res.max())
-        wb = m if wb is None else max(wb, m)
+        rep.wall_balance = _max(rep.wall_balance, balance)
 
         # stationarity of the jump set itself
+        arcs = seg.arclengths
+        dplus, dminus = seg.div_plus, seg.div_minus
+        un, root = _trace_components(seg)
         tau, kappa = _seg_geometry(seg)
-        tsum = dplus + dminus
-        dsum = np.gradient(tsum, arcs)
+        dsum = np.gradient(dplus + dminus, arcs)
         tj = np.einsum("ik,ik->i", seg.trace_plus - seg.trace_minus, tau)
         lhs = dplus ** 2 - dminus ** 2 + dsum * tj
         rhs = (8.0 * kappa / (3.0 * params.L)) * root * (1.0 + 2.0 * un ** 2)
         # one-sided endpoint tangents pollute the curvature two vertices in
         inner = slice(2, -2) if len(arcs) > 4 else slice(None)
-        m = float(np.abs(lhs - rhs)[inner].max())
-        ws = m if ws is None else max(ws, m)
-    rep.wall_balance = wb
-    rep.boundary_balance = bb
-    rep.wall_stationarity = ws
+        rep.wall_stationarity = _max(rep.wall_stationarity,
+                                     float(np.abs(lhs - rhs)[inner].max()))
     return rep

@@ -394,10 +394,9 @@ class FlowSolver:
 
     def _factor(self, dt: float) -> Tuple[_ModalSolver, np.ndarray]:
         if dt not in self._factor_cache:
-            uD = self.uD
-            aD = self.ops.W[..., None] * uD \
-                + dt * (self.params.eps * self.ops.K(uD)
-                        + self.params.L * self.ops.D(uD))
+            # the rows _apply_A zeroes are Dirichlet rows, which
+            # implicit_solve zeroes in b anyway
+            aD = self._apply_A(self.uD, dt)
             solver = _ModalSolver(self.ops, lambda w: self._apply_A(w, dt))
             self._factor_cache[dt] = (solver, aD)
             if len(self._factor_cache) > 3:

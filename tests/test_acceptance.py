@@ -154,7 +154,7 @@ def test_criterion_07_crosstie_invariants():
     for lh in (1.0, 1.5, 2.0):
         sol = ct.build_crosstie(lh, 1.0)
         tan = sol.tangency_mismatch
-        wres = sol.wall_residual()
+        wres = sol.wall_balance
         s2 = np.linspace(1e-6, sol.t1_star * (1 - 1e-9), 512)
         th = ct.region2_theta_star(s2, sol.alpha, sol.L)
         mono = bool(np.all(np.diff(th) > 0))
@@ -217,7 +217,7 @@ def test_criterion_09_degree_minus_one():
     _, _, _, v0, _ = sol.region1.seed(np.linspace(sol.s0, R, 64))
     region1_const = bool(np.all(v0 == -1.0 / R))
     lim = abs(disc.region3_v0(1e-4, L) + 1.0 / L)
-    nbc = sol.natural_bc_residual()
+    nbc = sol.wall_balance
     s3 = np.linspace(1e-5, sol.s0, 512)
     mono3 = bool(np.all(np.diff(disc.region3_v0(s3, L)) > 0))
     s2 = np.linspace(1e-5, math.pi * R / 4 * (1 - 1e-6), 512)

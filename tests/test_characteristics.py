@@ -250,16 +250,16 @@ def test_pchip_matches_scipy_bitwise(x, y):
 
 def test_pchip_matches_scipy_on_wall_traces(monkeypatch):
     """Every interpolant the cross-tie and degree -1 constructions build:
-    the wall angle and divergence traces of their three walls."""
-    from nematic_walls import crosstie, disc
+    the wall angle and divergence traces their three walls fit in
+    `mirror_wall`."""
+    from nematic_walls import characteristics, crosstie, disc
     data = []
 
     def recording(x, y):
         data.append((x, y))
         return pchip(x, y)
 
-    monkeypatch.setattr(crosstie, "pchip", recording)
-    monkeypatch.setattr(disc, "pchip", recording)
+    monkeypatch.setattr(characteristics, "pchip", recording)
     crosstie.build_crosstie(1.0, 1.0)
     disc.build_deg_minus_one(0.6, 0.5)
     assert len(data) == 6

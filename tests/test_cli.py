@@ -243,6 +243,30 @@ def test_disc_deg_minus_one_artifacts(tmp_path):
     assert (out / "angle_contours.csv").exists()
 
 
+def test_disc_deg_minus_one_solves_each_curvature_array_once_per_use(
+        tmp_path, monkeypatch):
+    """One run solves the region-III curvature for the wall and the two E0
+    seed calls, and region II's for those and the sampler: the wall balance
+    the build checked is the one energy.json reports, with no re-solve."""
+    from nematic_walls import disc
+    calls = {"region3_v0": 0, "region2_v0": 0}
+
+    def counting(name):
+        original = getattr(disc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(disc, name, counting(name))
+    assert main(["disc-deg-minus-one", "--R", "0.6", "--L", "0.5",
+                 "--nx", "8", "--ny", "16", "--out", str(tmp_path)]) == 0
+    assert calls["region3_v0"] <= 3
+    assert calls["region2_v0"] <= 4
+
+
 def test_disc_deg_minus_one_field_angles_stay_in_the_octant(tmp_path):
     """Every field.csv node of the degree -1 disc at L = 0.1, folded into
     the octant 0 <= y <= x by the construction's reflections, has its
@@ -283,6 +307,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"L": 1.0}))
     assert main(["rect-1d", "--config", str(path)]) == 2
     assert "'subcommand'" in capsys.readouterr().err
+    # a value of the wrong type names its key instead of crashing in
+    # validate or being cut to an int
+    for key, val in (("L", "abc"), ("nx", 8.5), ("nx", True)):
+        path.write_text(json.dumps({"subcommand": "rect-1d", key: val}))
+        assert main(["rect-1d", "--config", str(path)]) == 2
+        assert f"error: config key '{key}'" in capsys.readouterr().err
+    path.write_text(json.dumps({"subcommand": "rect-1d", "L": 2,
+                                "out": str(tmp_path / "int-L")}))
+    assert main(["rect-1d", "--config", str(path)]) == 0
 
 
 def test_dispatch_reports_exception_type(tmp_path, capsys):

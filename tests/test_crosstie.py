@@ -14,7 +14,8 @@ from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     remark_crosstie_field, remark_crosstie_map,
                                     remark_tail_integral, solve_Ttilde,
                                     ttilde_closed_form_check)
-from nematic_walls.energy import family_area
+from nematic_walls.energy import (criticality_residuals, family_area,
+                                  wall_balance)
 from nematic_walls.quadrature import integrate
 from nematic_walls.rect1d import min_energy_1d
 
@@ -51,7 +52,7 @@ class TestConstruction:
         assert sol.tangency_mismatch < 1e-9
 
     def test_wall_residual(self, sol):
-        assert sol.wall_residual() < 1e-8
+        assert sol.wall_balance < 1e-8
 
     def test_alpha_t1_range(self, sol):
         assert math.pi / 4 - 1e-12 <= sol.alpha * sol.t1_star <= math.pi / 2 + 1e-12
@@ -98,8 +99,24 @@ class TestConstruction:
         assert np.all(region3_seed(s3, sol.L)[3] < 0)
 
 
+def test_wall_with_negated_divergence_fails_the_balance():
+    """The balance is signed: a wall whose divergence traces have the wrong
+    sign balances |L [v]| against 4 |u.nu| |u.tau| exactly, but not
+    L [v] against 4 (u.nu) |u.tau|."""
+    from dataclasses import replace
+    sol = build_crosstie(1.5, 1.0)
+    good = sol.wall_bottom
+    bad = replace(good, div_fn=lambda arc: tuple(-v for v in good.div_fn(arc)))
+    assert wall_balance(good, sol.L) < 1e-12
+    assert wall_balance(bad, sol.L) > 0.1
+    p = Params(L=sol.L, H=sol.H, T=sol.T)
+    assert criticality_residuals(sol.field, p).wall_balance < 1e-12
+    field = replace(sol.field, jumps=[sol.wall_left, bad])
+    assert criticality_residuals(field, p).wall_balance > 0.1
+
+
 def test_wrong_theta_star_fails_the_build(monkeypatch):
-    """A theta* off by 1e-6 relative leaves wall_residual at roundoff (v is
+    """A theta* off by 1e-6 relative leaves wall_balance at roundoff (v is
     defined from theta*) but breaks theta*'s equation past 1e-8."""
     from nematic_walls import crosstie
 

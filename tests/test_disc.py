@@ -153,12 +153,12 @@ class TestConstruction:
         assert np.all(v3 <= 0.0)
 
     def test_natural_bc_residual(self, sol):
-        assert sol.natural_bc_residual() < 1e-8
+        assert sol.wall_balance < 1e-8
 
     @pytest.mark.parametrize("Lval", [0.09, 0.18, 0.475, 0.72, 0.87])
     def test_builds_at_rounding_prone_L(self, Lval):
         # at these L, 1 - (L * (-1/L))^2 evaluates to 2.2e-16, not 0
-        assert build_deg_minus_one(R, Lval).natural_bc_residual() < 1e-8
+        assert build_deg_minus_one(R, Lval).wall_balance < 1e-8
 
     def test_wall_balance_residual(self, sol):
         rep = criticality_residuals(sol.field, Params(L=L, R=R))
