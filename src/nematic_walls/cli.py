@@ -87,30 +87,70 @@ class RunConfig:
                       R=self.R, a=self.a)
 
 
+# the subcommands that sample a field on a grid of nx by ny cells
+_GRID_SUBCOMMANDS = ("disc-tangential", "disc-hedgehog", "disc-deg-minus-one",
+                     "crosstie", "gradflow", "energy-eval")
+# the outer data `gradflow.disc_bc` knows
+_DISC_DATA = ("tangential", "hedgehog", "degminusone")
+
+
+def _eps_ladder(text: str) -> list:
+    """The eps values of a comma-separated ladder; ValueError unless each
+    is a finite eps > 0."""
+    ladder = [float(e) for e in text.split(",")]
+    if not all(0.0 < e < math.inf for e in ladder):
+        raise ValueError(f"eps-ladder {text!r}: need finite eps > 0")
+    return ladder
+
+
 def validate(cfg: RunConfig) -> list:
     """Static range checks mirroring the type invariants; never runs
     solvers.  Returns the aggregated list of violations."""
     errors = []
+    sub = cfg.subcommand
+    domain = cfg.domain if sub in ("gradflow", "energy-eval") else ""
     if cfg.L <= 0:
         errors.append("L > 0 violated")
     if cfg.eps <= 0:
         errors.append("eps > 0 violated")
-    if cfg.subcommand in ("rect-1d", "crosstie", "gradflow") and cfg.H <= 0:
+    if (sub in ("rect-1d", "crosstie", "gradflow") or domain == "rect") \
+            and cfg.H <= 0:
         errors.append("H > 0 violated")
+    if sub == "energy-eval" and domain == "rect" and cfg.T <= 0:
+        errors.append("T > 0 violated")
+    if sub == "energy-eval" and not cfg.field_csv:
+        errors.append("field-csv is required")
     if not (0.0 <= cfg.a < 1.0):
         errors.append("a in [0,1) violated")
-    if cfg.subcommand in ("disc-tangential", "disc-hedgehog",
-                          "disc-deg-minus-one", "annulus") and cfg.R <= 0:
+    if (sub in ("disc-tangential", "disc-hedgehog", "disc-deg-minus-one",
+                "annulus") or domain == "disc") and cfg.R <= 0:
         errors.append("R > 0 violated")
-    if cfg.subcommand == "annulus" and cfg.R <= 1.0:
+    if (sub == "annulus" or domain == "annulus") and cfg.R <= 1.0:
         errors.append("annulus requires R > 1")
-    if cfg.subcommand == "gradflow":
-        if cfg.nx < 4 or cfg.ny < 4:
-            errors.append("counts too small (nx, ny >= 4)")
-        if cfg.domain not in ("rect", "disc", "annulus"):
-            errors.append("domain must be rect|disc|annulus")
-    if cfg.subcommand == "crosstie-sweep" and not (0 < cfg.lmin < cfg.lmax):
-        errors.append("need 0 < lmin < lmax")
+    if sub in _GRID_SUBCOMMANDS and (cfg.nx < 4 or cfg.ny < 4):
+        errors.append("counts too small (nx, ny >= 4)")
+    if sub in ("gradflow", "energy-eval") and domain not in ("rect", "disc",
+                                                             "annulus"):
+        errors.append("domain must be rect|disc|annulus")
+    if sub == "gradflow":
+        if domain == "disc" and cfg.bc not in ("", *_DISC_DATA):
+            errors.append("bc must be " + "|".join(_DISC_DATA))
+        elif domain != "disc" and cfg.bc:
+            errors.append("bc applies to the disc domain only")
+        if cfg.init not in ("random", "construction"):
+            errors.append("init must be random|construction")
+        elif cfg.init == "construction" and domain == "annulus":
+            errors.append("init construction needs domain rect|disc")
+    if sub == "rect-1d" and cfg.eps_ladder:
+        try:
+            _eps_ladder(cfg.eps_ladder)
+        except ValueError:
+            errors.append("eps-ladder must be comma-separated finite eps > 0")
+    if sub == "crosstie-sweep":
+        if not (0 < cfg.lmin < cfg.lmax):
+            errors.append("need 0 < lmin < lmax")
+        if not cfg.step > 0:
+            errors.append("step > 0 violated")
     return errors
 
 
@@ -250,9 +290,8 @@ def run_rect_1d(cfg: RunConfig) -> int:
         for k in range(len(ys)):
             fh.write(f"{G17(ys[k])},{G17(u1[k])},{G17(u2[k])}\n")
     if cfg.eps_ladder:
-        ladder = [float(e) for e in cfg.eps_ladder.split(",")]
         rows = []
-        for eps in ladder:
+        for eps in _eps_ladder(cfg.eps_ladder):
             n = max(int(40 * cfg.H / eps), 2001)
             rp = rect1d.recovery_profile_1d(eps, cfg.L, cfg.H, cfg.a, n)
             eb = eval_E_eps_1d(rp, p.with_(eps=eps))
@@ -277,7 +316,7 @@ def run_crosstie(cfg: RunConfig) -> int:
         "wall_residual": sol.wall_balance,
     })
     grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -cfg.H, cfg.H),
-                     cfg.nx, cfg.ny, periodic_x=True)
+                     cfg.nx, cfg.ny)
     X, Y = grid.nodes_xy()
     u1, u2, v = crosstie_mod.crosstie_field_sample(sol, X, Y)
     field_to_csv(Field2D(grid, np.stack([u1, u2], axis=-1)), out / "field.csv")
@@ -311,7 +350,7 @@ def run_gradflow(cfg: RunConfig) -> int:
         from .rect1d import solve_Ttilde
         T = cfg.T if cfg.T > 0 else cfg.H * solve_Ttilde(cfg.L / cfg.H)
         grid = make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
-                         cfg.nx, cfg.ny, periodic_x=True)
+                         cfg.nx, cfg.ny)
         bc = gf.rect_bc(cfg.a)
         if cfg.init == "construction":
             from . import crosstie as crosstie_mod
@@ -362,7 +401,7 @@ def run_energy_eval(cfg: RunConfig) -> int:
     p = cfg.params()
     if cfg.domain == "rect":
         grid = make_grid(RECTANGLE, (0.0, 2 * cfg.T, -cfg.H, cfg.H),
-                         cfg.nx, cfg.ny, periodic_x=True)
+                         cfg.nx, cfg.ny)
     elif cfg.domain == "disc":
         grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
     else:

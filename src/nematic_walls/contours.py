@@ -128,8 +128,8 @@ def level_curves(grid: Grid2D, F: np.ndarray, levels,
                  angle: bool = False) -> dict:
     """{level: marching_squares polylines} of the nodal field F on grid.
 
-    Periodic grids get their seam cells: the first node column (theta = 0)
-    of a polar grid, or the first node row of a periodic_x rectangle, is
+    Both grids are periodic and get their seam cells: the first node column
+    (theta = 0) of a polar grid, or the first node row of a rectangle, is
     appended after the last one (at x = x_hi on the rectangle), so a curve
     that crosses the seam stays one polyline and a closed curve comes back
     closed.  With angle=True, F is an angle in [-pi, pi]: cells whose
@@ -140,7 +140,7 @@ def level_curves(grid: Grid2D, F: np.ndarray, levels,
     F = np.asarray(F, dtype=float)
     if grid.kind == POLAR:
         F, X, Y = (np.concatenate([A, A[:, :1]], axis=1) for A in (F, X, Y))
-    elif grid.periodic_x:
+    else:
         F, Y = (np.concatenate([A, A[:1]], axis=0) for A in (F, Y))
         X = np.concatenate([X, np.full_like(X[:1], grid.extents[1])], axis=0)
     mask = None

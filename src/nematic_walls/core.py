@@ -69,8 +69,8 @@ class Params:
 class Grid2D:
     """Uniform structured grid.
 
-    rectangle: extents (x_lo, x_hi, y_lo, y_hi); nx, ny cell counts.
-      periodic_x collapses the x seam (nx node columns instead of nx+1).
+    rectangle: extents (x_lo, x_hi, y_lo, y_hi); nx, ny cell counts;
+      always periodic in x (nx node columns; x_hi is x_lo again).
     polar: extents (r_in, r_out); nx radial cells, ny angular cells;
       always periodic in theta (ny node columns in theta).
 
@@ -81,7 +81,6 @@ class Grid2D:
     extents: tuple
     nx: int
     ny: int
-    periodic_x: bool = False
 
     def __post_init__(self):
         if self.kind not in (RECTANGLE, POLAR):
@@ -101,7 +100,7 @@ class Grid2D:
     @property
     def n1(self) -> int:
         if self.kind == RECTANGLE:
-            return self.nx if self.periodic_x else self.nx + 1
+            return self.nx  # x nodes, periodic
         return self.nx + 1  # radial nodes
 
     @property
@@ -153,9 +152,9 @@ class Grid2D:
         return A1 * np.cos(A2), A1 * np.sin(A2)
 
 
-def make_grid(kind: str, extents, nx: int, ny: int, periodic_x: bool = False) -> Grid2D:
+def make_grid(kind: str, extents, nx: int, ny: int) -> Grid2D:
     return Grid2D(kind=kind, extents=tuple(float(e) for e in extents),
-                  nx=int(nx), ny=int(ny), periodic_x=bool(periodic_x))
+                  nx=int(nx), ny=int(ny))
 
 
 @dataclass

@@ -188,23 +188,20 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
 
 # --- eps-level energy on grids ----------------------------------------------
 
-def eval_E_eps(field: Field2D, params: Params, bc=None) -> EnergyBreakdown:
+def eval_E_eps(field: Field2D, params: Params) -> EnergyBreakdown:
     """Discrete eps-level energy on the field's grid.
 
     grad = (eps/2) int |grad u|^2, potential = 1/(2 eps) int (|u|^2-1)^2,
     bulk = (L/2) int (div u)^2; second-order stencils, trapezoid weights,
-    metric-aware on polar grids.  When a boundary-condition descriptor is
-    given its Dirichlet rows are checked against the field.
+    metric-aware on polar grids.
     """
     g = field.grid
     u = field.values
-    if bc is not None:
-        bc.check(field)
     if g.kind == RECTANGLE:
         hx, hy = g.spacing
-        W = stencils.rect_node_weights(g.n1, g.n2, hx, hy, g.periodic_x)
-        qk = stencils.rect_grad_form(u, hx, hy, g.periodic_x)
-        qd = stencils.rect_div_form(u, hx, hy, g.periodic_x)
+        W = stencils.rect_node_weights(g.n1, g.n2, hx, hy)
+        qk = stencils.rect_grad_form(u, hx, hy)
+        qd = stencils.rect_div_form(u, hx, hy)
     else:
         rs, ts = g.axes()
         if rs[0] <= 0.0:

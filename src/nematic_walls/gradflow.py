@@ -15,6 +15,10 @@ values are written as (u_r, u_theta)).  It is solved directly, with numpy
 alone: an rfft along that axis, then one Hermitian block-tridiagonal
 system per Fourier mode across it, all modes solved at once by block
 cyclic reduction factored once per dt.
+
+Dirichlet data only ever sit on the two end lines across the periodic
+axis (y_lo and y_hi on the rectangle; r_in and r_out on polar grids),
+so a `BCSpec` is just those two lines' data: `first` and `last`.
 """
 
 from __future__ import annotations
@@ -26,73 +30,53 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import stencils
-from .core import POLAR, RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
+from .core import RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
 from .energy import eval_E_eps
 
-BC_CHECK_TOL = 1e-10
 # a step gives up after this many halvings of dt
 MAX_HALVINGS = 40
 
 
+def _periodic_first(grid: Grid2D, a: np.ndarray) -> np.ndarray:
+    """A view of the node array a with the periodic axis first: a itself on
+    the rectangle, a indexed (theta, r) on polar grids."""
+    return a if grid.kind == RECTANGLE else a.swapaxes(0, 1)
+
+
 @dataclass
 class BCSpec:
-    """Dirichlet rows plus periodicity of the underlying grid.
+    """Dirichlet data on the two end lines across the periodic axis.
 
-    rectangle: top/bottom rows fixed (callables of x); x must be periodic.
-    polar: outer radial row fixed (callable of theta); the inner row is
-    free (natural condition) unless a callable is given.
+    first is the line y = y_lo on the rectangle and r = r_in on polar
+    grids; last is y = y_hi or r = r_out.  Each is a callable of the
+    periodic coordinate (x, or theta) returning one unit vector per node,
+    or None for a free line (natural condition).
     """
 
-    kind: str
-    bottom: Optional[Callable] = None
-    top: Optional[Callable] = None
-    outer: Optional[Callable] = None
-    inner: Optional[Callable] = None
+    first: Optional[Callable] = None
+    last: Optional[Callable] = None
 
     def dirichlet_mask(self, grid: Grid2D) -> np.ndarray:
         m = np.zeros(grid.shape, dtype=bool)
-        if self.kind == RECTANGLE:
-            if self.bottom is not None:
-                m[:, 0] = True
-            if self.top is not None:
-                m[:, -1] = True
-        else:
-            if self.inner is not None:
-                m[0, :] = True
-            if self.outer is not None:
-                m[-1, :] = True
+        view = _periodic_first(grid, m)
+        for k, f in ((0, self.first), (-1, self.last)):
+            if f is not None:
+                view[:, k] = True
         return m
 
     def boundary_values(self, grid: Grid2D) -> np.ndarray:
         """Field-shaped array with the Dirichlet data (zero elsewhere)."""
         out = np.zeros((*grid.shape, 2))
-        a1, a2 = grid.axes()
-        if self.kind == RECTANGLE:
-            if self.bottom is not None:
-                vals = np.asarray(self.bottom(a1), dtype=float)
-                out[:, 0, :] = vals if vals.ndim == 2 else np.broadcast_to(vals, (grid.n1, 2))
-            if self.top is not None:
-                vals = np.asarray(self.top(a1), dtype=float)
-                out[:, -1, :] = vals if vals.ndim == 2 else np.broadcast_to(vals, (grid.n1, 2))
-        else:
-            if self.inner is not None:
-                vals = np.asarray(self.inner(a2), dtype=float)
-                out[0, :, :] = vals if vals.ndim == 2 else np.broadcast_to(vals, (grid.n2, 2))
-            if self.outer is not None:
-                vals = np.asarray(self.outer(a2), dtype=float)
-                out[-1, :, :] = vals if vals.ndim == 2 else np.broadcast_to(vals, (grid.n2, 2))
+        view = _periodic_first(grid, out)
+        periodic = grid.axes()[0 if grid.kind == RECTANGLE else 1]
+        for k, f in ((0, self.first), (-1, self.last)):
+            if f is not None:
+                view[:, k] = f(periodic)
         return out
 
     def impose(self, field: Field2D) -> None:
         mask = self.dirichlet_mask(field.grid)
         field.values[mask] = self.boundary_values(field.grid)[mask]
-
-    def check(self, field: Field2D) -> None:
-        mask = self.dirichlet_mask(field.grid)
-        err = np.abs(field.values[mask]
-                     - self.boundary_values(field.grid)[mask])
-        if err.size and err.max() > BC_CHECK_TOL:
-            raise ValueError(f"Dirichlet rows violated by {err.max():.3e}")
 
 
 def rect_bc(a: float) -> BCSpec:
@@ -105,7 +89,7 @@ def rect_bc(a: float) -> BCSpec:
     def top(xs):
         return np.broadcast_to([s, a], (len(np.atleast_1d(xs)), 2))
 
-    return BCSpec(kind=RECTANGLE, bottom=bottom, top=top)
+    return BCSpec(first=bottom, last=top)
 
 
 def disc_bc(kind: str, R: float) -> BCSpec:
@@ -119,13 +103,13 @@ def disc_bc(kind: str, R: float) -> BCSpec:
         f = lambda th: np.stack([np.cos(th), -np.sin(th)], axis=-1)
     else:
         raise ValueError(f"unknown disc data {kind!r}")
-    return BCSpec(kind=POLAR, outer=f)
+    return BCSpec(last=f)
 
 
 def annulus_bc() -> BCSpec:
     """Mismatch data: -e_theta at r = 1, +e_theta at r = R."""
     et = lambda th: np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    return BCSpec(kind=POLAR, inner=lambda th: -et(th), outer=et)
+    return BCSpec(first=lambda th: -et(th), last=et)
 
 
 # --- operators ----------------------------------------------------------------
@@ -135,15 +119,12 @@ class _Operators:
 
     def __init__(self, grid: Grid2D, bc: BCSpec):
         self.grid = grid
-        self.bc = bc
         self.mask = bc.dirichlet_mask(grid)
         if grid.kind == RECTANGLE:
-            if not grid.periodic_x:
-                raise ValueError("the flow's rectangle solver requires periodic x")
             hx, hy = grid.spacing
-            self.W = stencils.rect_node_weights(grid.n1, grid.n2, hx, hy, True)
-            self.K = lambda u: stencils.rect_grad_op(u, hx, hy, True)
-            self.D = lambda u: stencils.rect_div_op(u, hx, hy, True)
+            self.W = stencils.rect_node_weights(grid.n1, grid.n2, hx, hy)
+            self.K = lambda u: stencils.rect_grad_op(u, hx, hy)
+            self.D = lambda u: stencils.rect_div_op(u, hx, hy)
         else:
             rs, ts = grid.axes()
             if rs[0] <= 0:
@@ -224,7 +205,7 @@ def _rfft_lines(v: np.ndarray) -> np.ndarray:
 def _free_rows(ops: _Operators) -> slice:
     """The free rows across the periodic axis: Dirichlet rows only ever sit
     at the two ends of that axis."""
-    line_mask = ops.mask[0, :] if ops.grid.kind == RECTANGLE else ops.mask[:, 0]
+    line_mask = _periodic_first(ops.grid, ops.mask)[0]
     return slice(int(line_mask[0]), len(line_mask) - int(line_mask[-1]))
 
 
@@ -246,8 +227,7 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     super-diagonal blocks U[:, :, r, k] = A_k(r, r + 1), laid out
     (2, 2, rows, modes); A_k(r + 1, r) is U's conjugate transpose.
     """
-    shape = ops.grid.shape
-    n_per, n_line = shape if ops.grid.kind == RECTANGLE else shape[::-1]
+    n_per, n_line = _periodic_first(ops.grid, ops.mask).shape
     nf = free.stop - free.start
     D = np.empty((2, 2, nf, n_per // 2 + 1), dtype=complex)
     U = np.empty((2, 2, nf - 1, n_per // 2 + 1), dtype=complex)
@@ -363,7 +343,6 @@ class _ModalSolver:
 @dataclass
 class FlowState:
     field: Field2D
-    bc: BCSpec
     time: float = 0.0
     dt: float = 0.0
     energy_trace: List[Tuple[float, EnergyBreakdown]] = dc_field(default_factory=list)
@@ -469,7 +448,7 @@ class FlowSolver:
         """
         fld = init.copy()
         self.bc.impose(fld)
-        state = FlowState(field=fld, bc=self.bc, dt=self.dt)
+        state = FlowState(field=fld, dt=self.dt)
         state.energy_trace.append((0.0, eval_E_eps(fld, self.params)))
         for k in range(max_steps):
             E_prev = state.energy_trace[-1][1].total
@@ -513,11 +492,8 @@ def divergence_field(field: Field2D) -> np.ndarray:
     u = field.values
     if g.kind == RECTANGLE:
         hx, hy = g.spacing
-        if g.periodic_x:
-            du1dx = (np.roll(u[..., 0], -1, axis=0)
-                     - np.roll(u[..., 0], 1, axis=0)) / (2 * hx)
-        else:
-            du1dx = np.gradient(u[..., 0], hx, axis=0)
+        du1dx = (np.roll(u[..., 0], -1, axis=0)
+                 - np.roll(u[..., 0], 1, axis=0)) / (2 * hx)
         du2dy = np.gradient(u[..., 1], hy, axis=1)
         return du1dx + du2dy
     rs, ts = g.axes()
@@ -530,8 +506,4 @@ def divergence_field(field: Field2D) -> np.ndarray:
     sin_t = np.sin(ts)[None, :]
     r = rs[:, None]
     return cos_t * dr1 + sin_t * dr2 + (-sin_t * dt1 + cos_t * dt2) / r
-
-
-def angle_field(field: Field2D) -> np.ndarray:
-    return np.arctan2(field.values[..., 1], field.values[..., 0])
 

@@ -18,34 +18,34 @@ import numpy as np
 BACKEND = "python"  # recorded as the stencils backend by perfbench/worker.py
 
 
-# --- rectangle ------------------------------------------------------------
-
-def _rect_weights(n1, n2, hx, hy, periodic_x):
-    wy = np.ones(n2)
-    wy[0] = wy[-1] = 0.5
-    wx = np.ones(n1)
-    if not periodic_x:
-        wx[0] = wx[-1] = 0.5
-    return wx, wy
+def _trapezoid(n):
+    """Trapezoid weights of n nodes in units of the spacing: ones with 0.5
+    at both ends."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
-def rect_node_weights(n1, n2, hx, hy, periodic_x):
-    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
+# --- rectangle: periodic in x, nodes x_lo + i hx for i < n1 ----------------
+
+def _rect_weights(n1, n2):
+    return np.ones(n1), _trapezoid(n2)
+
+
+def rect_node_weights(n1, n2, hx, hy):
+    wx, wy = _rect_weights(n1, n2)
     return (hx * hy) * wx[:, None] * wy[None, :]
 
 
-def rect_grad_form(u, hx, hy, periodic_x):
+def rect_grad_form(u, hx, hy):
     # the squared differences are summed over contiguous axes before the
     # weights apply; the wrap difference u[0] - u[-1] goes into the last
     # row, so u is never copied rolled
     n1, n2 = u.shape[:2]
-    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
-    if periodic_x:
-        d = np.empty_like(u)
-        np.subtract(u[1:], u[:-1], out=d[:-1])
-        np.subtract(u[0], u[-1], out=d[-1])
-    else:
-        d = u[1:] - u[:-1]
+    wx, wy = _rect_weights(n1, n2)
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    np.subtract(u[0], u[-1], out=d[-1])
     d *= d
     total = float(((hy / hx) * wy) @ d.sum(axis=0).sum(axis=1))
     d = u[:, 1:] - u[:, :-1]
@@ -53,19 +53,14 @@ def rect_grad_form(u, hx, hy, periodic_x):
     return total + float(((hx / hy) * wx) @ d.sum(axis=(1, 2)))
 
 
-def rect_grad_op(u, hx, hy, periodic_x):
+def rect_grad_op(u, hx, hy):
     n1, n2 = u.shape[:2]
-    wx, wy = _rect_weights(n1, n2, hx, hy, periodic_x)
+    wx, wy = _rect_weights(n1, n2)
     out = np.zeros_like(u)
     cx = ((hy / hx) * wy)[None, :, None]
-    if periodic_x:
-        d = cx * (np.roll(u, -1, axis=0) - u)
-        out -= d
-        out += np.roll(d, 1, axis=0)
-    else:
-        d = cx * (u[1:] - u[:-1])
-        out[:-1] -= d
-        out[1:] += d
+    d = cx * (np.roll(u, -1, axis=0) - u)
+    out -= d
+    out += np.roll(d, 1, axis=0)
     cy = ((hx / hy) * wx)[:, None, None]
     d = cy * (u[:, 1:] - u[:, :-1])
     out[:, :-1] -= d
@@ -82,62 +77,41 @@ def _cell_div(ul, ur, hx, hy):
     return ddx + ddy
 
 
-def _rect_cell_div(u, hx, hy, periodic_x):
-    div = _cell_div(u[:-1], u[1:], hx, hy)
-    if periodic_x:  # the wrap cells, between the last column and the first
-        div = np.concatenate([div, _cell_div(u[-1:], u[:1], hx, hy)])
-    return div
+def _rect_cell_div(u, hx, hy):
+    # the wrap cells, between the last column and the first, come last
+    return np.concatenate([_cell_div(u[:-1], u[1:], hx, hy),
+                           _cell_div(u[-1:], u[:1], hx, hy)])
 
 
-def rect_div_form(u, hx, hy, periodic_x):
-    div = _rect_cell_div(u, hx, hy, periodic_x)
+def rect_div_form(u, hx, hy):
+    div = _rect_cell_div(u, hx, hy)
     return float(hx * hy * np.sum(div * div))
 
 
-def rect_div_op(u, hx, hy, periodic_x):
-    div = _rect_cell_div(u, hx, hy, periodic_x)
-    g = (hx * hy) * div
-    out = np.zeros_like(u)
+def rect_div_op(u, hx, hy):
+    g = (hx * hy) * _rect_cell_div(u, hx, hy)
     gx = g / (2.0 * hx)
     gy = g / (2.0 * hy)
-    if periodic_x:
-        out1 = np.zeros(u.shape[:2])
-        out2 = np.zeros(u.shape[:2])
-        # u1: right corners +, left corners -
-        rx = np.zeros_like(out1)
-        rx[:, :-1] += gx
-        rx[:, 1:] += gx
-        out1 += np.roll(rx, 1, axis=0)   # right corners are at i+1
-        out1 -= rx                        # left corners at i
-        # u2: top corners +, bottom corners -
-        ty = np.zeros_like(out2)
-        ty[:, 1:] += gy
-        ty[:, :-1] -= gy
-        out2 += ty
-        out2 += np.roll(ty, 1, axis=0)
-        out[..., 0] = out1
-        out[..., 1] = out2
-    else:
-        out1 = out[..., 0]
-        out2 = out[..., 1]
-        out1[1:, :-1] += gx
-        out1[1:, 1:] += gx
-        out1[:-1, :-1] -= gx
-        out1[:-1, 1:] -= gx
-        out2[:-1, 1:] += gy
-        out2[1:, 1:] += gy
-        out2[:-1, :-1] -= gy
-        out2[1:, :-1] -= gy
+    out = np.zeros_like(u)
+    # u1: right corners +, left corners -
+    rx = np.zeros(u.shape[:2])
+    rx[:, :-1] += gx
+    rx[:, 1:] += gx
+    out1 = np.roll(rx, 1, axis=0)   # right corners are at i+1
+    out1 -= rx                       # left corners at i
+    # u2: top corners +, bottom corners -
+    ty = np.zeros(u.shape[:2])
+    ty[:, 1:] += gy
+    ty[:, :-1] -= gy
+    out[..., 0] = out1
+    out[..., 1] = ty + np.roll(ty, 1, axis=0)
     return out
 
 
 # --- polar ----------------------------------------------------------------
 
 def polar_node_weights(rs, dr, dt):
-    n1 = rs.shape[0]
-    wr = np.ones(n1)
-    wr[0] = wr[-1] = 0.5
-    return (dr * dt) * (rs * wr)[:, None]
+    return (dr * dt) * (rs * _trapezoid(rs.shape[0]))[:, None]
 
 
 def polar_grad_form(u, rs, dr, dt):
@@ -145,10 +119,7 @@ def polar_grad_form(u, rs, dr, dt):
     cr = (r_mid * dt / dr)[:, None, None]
     d = u[1:] - u[:-1]
     total = float(np.sum(cr * d * d))
-    n1 = rs.shape[0]
-    wr = np.ones(n1)
-    wr[0] = wr[-1] = 0.5
-    ct = (wr * dr / (rs * dt))[:, None, None]
+    ct = (_trapezoid(rs.shape[0]) * dr / (rs * dt))[:, None, None]
     d = np.roll(u, -1, axis=1) - u
     total += float(np.sum(ct * d * d))
     return total
@@ -161,10 +132,7 @@ def polar_grad_op(u, rs, dr, dt):
     d = cr * (u[1:] - u[:-1])
     out[:-1] -= d
     out[1:] += d
-    n1 = rs.shape[0]
-    wr = np.ones(n1)
-    wr[0] = wr[-1] = 0.5
-    ct = (wr * dr / (rs * dt))[:, None, None]
+    ct = (_trapezoid(rs.shape[0]) * dr / (rs * dt))[:, None, None]
     d = ct * (np.roll(u, -1, axis=1) - u)
     out -= d
     out += np.roll(d, 1, axis=1)

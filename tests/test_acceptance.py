@@ -65,7 +65,7 @@ def test_criterion_02_tangential_zero_energy():
     p = Params(L=1.0, eps=eps, R=1.0)
     E_init = eval_E_eps(f0, p).total
     solver = gf.FlowSolver(g, p, bc)
-    state = gf.FlowState(field=f0.copy(), bc=bc, dt=solver.dt)
+    state = gf.FlowState(field=f0.copy(), dt=solver.dt)
     bc.impose(state.field)
     for _ in range(80):
         solver.step(state)
@@ -262,7 +262,7 @@ def test_criterion_10_annulus():
 def test_criterion_11a_discrete_gradient_and_monotonicity():
     t0 = time.time()
     from tests.test_gradflow import fd_gradient_check
-    g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 32, 32, periodic_x=True)
+    g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 32, 32)
     err_r = fd_gradient_check(g, gf.rect_bc(0.0),
                               Params(L=0.5, eps=0.02, H=0.5, T=0.5))
     gp = make_grid("polar", (0.01, 0.6), 24, 48)
@@ -271,7 +271,7 @@ def test_criterion_11a_discrete_gradient_and_monotonicity():
     bc = gf.rect_bc(0.0)
     p = Params(L=0.25, eps=0.01, H=0.5, T=0.5)
     solver = gf.FlowSolver(g, p, bc)
-    st = gf.FlowState(field=gf.random_unit_field(g, bc, seed=0), bc=bc,
+    st = gf.FlowState(field=gf.random_unit_field(g, bc, seed=0),
                       dt=solver.dt)
     for _ in range(300):
         solver.step(st)
@@ -340,7 +340,7 @@ def test_criterion_11b_rectangle_recovers_1d():
     T = H * ct.solve_Ttilde(LH)
     ny = 224
     nx = int(round(2 * T / (2 * H / ny)))
-    g = make_grid("rectangle", (0, 2 * T, -H, H), nx, ny, periodic_x=True)
+    g = make_grid("rectangle", (0, 2 * T, -H, H), nx, ny)
     bc = gf.rect_bc(0.0)
     p = Params(L=L, H=H, T=T, eps=eps)
     solver = gf.FlowSolver(g, p, bc)

@@ -29,3 +29,12 @@ def test_every_patched_attribute_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_worker_reads_resolve():
+    """perfbench/worker.py records stencils.BACKEND and runs cli.main."""
+    tracing = _load_tracing()
+    stencils = importlib.import_module(f"{tracing.PACKAGE}.stencils")
+    cli = importlib.import_module(f"{tracing.PACKAGE}.cli")
+    assert isinstance(stencils.BACKEND, str) and stencils.BACKEND
+    assert callable(cli.main)

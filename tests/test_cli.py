@@ -92,13 +92,48 @@ def test_hedgehog_energy_at_L2(tmp_path):
     assert abs(data["total"] - 4 * math.pi) < 1e-8
 
 
-def test_validate_rejections():
+# malformed command lines and the one reason each is rejected with
+_EVAL = ["energy-eval", "--field-csv", "f.csv"]
+_COUNTS = "counts too small (nx, ny >= 4)"
+_LADDER = "eps-ladder must be comma-separated finite eps > 0"
+_MALFORMED = [
+    (["energy-eval"], "field-csv is required"),
+    (_EVAL + ["--domain", "foo"], "domain must be rect|disc|annulus"),
+    (_EVAL + ["--domain", "annulus", "--R", "0.8"], "annulus requires R > 1"),
+    (_EVAL + ["--nx", "3"], _COUNTS),
+    (_EVAL + ["--H", "0"], "H > 0 violated"),
+    (_EVAL + ["--T", "-0.5"], "T > 0 violated"),
+    (["crosstie", "--ny", "2"], _COUNTS),
+    (["crosstie-sweep", "--step", "0"], "step > 0 violated"),
+    (["crosstie-sweep", "--step", "-0.1"], "step > 0 violated"),
+    (["gradflow", "--domain", "annulus", "--R", "0.8"],
+     "annulus requires R > 1"),
+    (["gradflow", "--domain", "disc", "--R", "-1"], "R > 0 violated"),
+    (["gradflow", "--domain", "disc", "--bc", "foo"],
+     "bc must be tangential|hedgehog|degminusone"),
+    (["gradflow", "--domain", "rect", "--bc", "hedgehog"],
+     "bc applies to the disc domain only"),
+    (["gradflow", "--init", "foo"], "init must be random|construction"),
+    (["gradflow", "--domain", "annulus", "--R", "2", "--init",
+      "construction"], "init construction needs domain rect|disc"),
+    (["rect-1d", "--eps-ladder", "abc"], _LADDER),
+    (["rect-1d", "--eps-ladder", "0,-1"], _LADDER),
+]
+
+
+def test_validate_rejections(tmp_path, capsys):
     assert any("a in [0,1)" in e for e in
                validate(RunConfig(subcommand="rect-1d", a=1.0)))
     assert any("eps" in e for e in
                validate(RunConfig(subcommand="gradflow", eps=-1, domain="rect")))
     assert any("H > 0" in e for e in
                validate(RunConfig(subcommand="crosstie", H=-1.0)))
+    # each malformed command line exits 2 with its reason, before any run
+    for k, (argv, reason) in enumerate(_MALFORMED):
+        out = tmp_path / f"m{k}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {reason}\n", argv
+        assert not out.exists()
 
 
 def test_unknown_subcommand_exit_code():

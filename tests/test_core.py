@@ -22,8 +22,8 @@ class TestParams:
 
 class TestMakeGrid:
     def test_rectangle_periodic_example(self):
-        g = make_grid("rectangle", (-1, 1, -0.5, 0.5), 8, 4, periodic_x=True)
-        assert g.shape == (8, 5)          # periodic x collapses the seam
+        g = make_grid("rectangle", (-1, 1, -0.5, 0.5), 8, 4)
+        assert g.shape == (8, 5)          # periodic in x: nx node columns
         assert g.spacing == (0.25, 0.25)
 
     def test_polar_example(self):
@@ -42,8 +42,8 @@ class TestMakeGrid:
             make_grid("polar", (0.5, 0.2), 8, 8)
 
     def test_bit_exact_reproducibility(self):
-        a = make_grid("rectangle", (-1.7, 2.3, -0.9, 1.1), 37, 23, True)
-        b = make_grid("rectangle", (-1.7, 2.3, -0.9, 1.1), 37, 23, True)
+        a = make_grid("rectangle", (-1.7, 2.3, -0.9, 1.1), 37, 23)
+        b = make_grid("rectangle", (-1.7, 2.3, -0.9, 1.1), 37, 23)
         xa, ya = a.nodes_xy()
         xb, yb = b.nodes_xy()
         assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
@@ -164,7 +164,7 @@ def test_field_csv_bytes_match_per_row_format(tmp_path):
     grids = [
         make_grid("rectangle", (0.0, 1.0, -1.0, 1.0), 70, 60),  # > one block
         make_grid("rectangle", (0.0, 2.0 * 0.6180339887498949, -0.5, 0.5),
-                  175, 224, periodic_x=True),
+                  175, 224),
         make_grid("polar", (1e-3, 0.6), 96, 128),
     ]
     for k, g in enumerate(grids):

@@ -60,7 +60,7 @@ def test_wall_form_equivalence(phi, c, sgn):
 
 class TestEvalEEps:
     def test_constant_field_zero(self):
-        g = make_grid("rectangle", (-1, 1, -1, 1), 8, 8, periodic_x=True)
+        g = make_grid("rectangle", (-1, 1, -1, 1), 8, 8)
         f = sample_analytic(g, lambda X, Y: (np.ones_like(X), np.zeros_like(Y)))
         eb = eval_E_eps(f, Params(L=2.0, eps=0.1))
         assert eb.total == 0.0
@@ -86,8 +86,7 @@ class TestEvalEEps:
         eps = 2e-3
         H, T = 1.0, 0.05
         prof = recovery_profile_1d(eps, 1e-15 + 1e-16, H, 0.0, int(40 * H / eps), M=0.0)
-        g = make_grid("rectangle", (-T, T, -H, H), 4, len(prof.ys) - 1,
-                      periodic_x=True)
+        g = make_grid("rectangle", (-T, T, -H, H), 4, len(prof.ys) - 1)
         vals = np.broadcast_to(prof.values[None, :, :], (*g.shape, 2)).copy()
         f = Field2D(g, vals)
         eb = eval_E_eps(f, Params(L=1e-15, eps=eps))

@@ -10,7 +10,6 @@ from nematic_walls.energy import eval_E_eps
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
                                     _BlockCyclicReduction, _Operators,
                                     _free_rows, _probe_blocks, annulus_bc,
-                                    angle_field,
                                     disc_bc, divergence_field,
                                     random_unit_field, rect_bc, rhs)
 
@@ -32,7 +31,7 @@ def fd_gradient_check(grid, bc, params, seed=0):
 
 class TestDiscreteGradient:
     def test_rectangle(self):
-        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 24, 24, periodic_x=True)
+        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 24, 24)
         err = fd_gradient_check(g, rect_bc(0.0), Params(L=0.5, eps=0.05, H=0.5, T=0.5))
         assert err < 1e-5
 
@@ -48,20 +47,18 @@ class TestDiscreteGradient:
         assert err < 1e-5
 
     def test_constant_unit_field_interior_rhs_zero(self):
-        g = make_grid("rectangle", (-1, 1, -1, 1), 8, 8, periodic_x=True)
-        bc = BCSpec(kind="rectangle",
-                    bottom=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
-                    top=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
+        g = make_grid("rectangle", (-1, 1, -1, 1), 8, 8)
+        bc = BCSpec(first=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
+                    last=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
         f = sample_analytic(g, lambda X, Y: (np.ones_like(X), np.zeros_like(Y)))
         r = rhs(f, Params(L=1.0, eps=0.05), bc)
         assert np.abs(r.values).max() == 0.0
 
     def test_divergence_perturbation_linearization(self):
         # rhs of (1,0) + tau * grad(phi) aligns with L grad div to O(tau)
-        g = make_grid("rectangle", (-1, 1, -1, 1), 48, 48, periodic_x=True)
-        bc = BCSpec(kind="rectangle",
-                    bottom=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
-                    top=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
+        g = make_grid("rectangle", (-1, 1, -1, 1), 48, 48)
+        bc = BCSpec(first=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
+                    last=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
         X, Y = g.nodes_xy()
         tau = 1e-7
         # compactly supported bump perturbation
@@ -90,12 +87,57 @@ class TestDiscreteGradient:
         assert np.abs(dr - lin).max() / np.abs(lin).max() < 1e-5
 
 
+def _unit(X, Y, ux, uy):
+    """Nodal field (ux, uy) / |(X, Y)|."""
+    return np.stack([ux, uy], axis=-1) / np.hypot(X, Y)[..., None]
+
+
+# grid, data, the node lines the data must fix (on the node-shaped mask),
+# and the data's formula in the node coordinates
+BC_CASES = {
+    # (-+sqrt(1 - a^2), a) at y = -+H, a = 0.3
+    "rect": (make_grid("rectangle", (0.0, 1.0, -0.5, 0.5), 8, 6),
+             rect_bc(0.3), (slice(None), [0, -1]),
+             lambda X, Y: np.where((Y < 0)[..., None],
+                                   [-math.sqrt(1 - 0.09), 0.3],
+                                   [math.sqrt(1 - 0.09), 0.3])),
+    # the disc data at r_out = 0.6
+    **{f"disc-{kind}": (make_grid("polar", (disc_inner_cutoff(0.6), 0.6),
+                                  6, 12),
+                        disc_bc(kind, 0.6), (-1, slice(None)), want)
+       for kind, want in [
+           ("tangential", lambda X, Y: _unit(X, Y, -Y, X)),
+           ("hedgehog", lambda X, Y: _unit(X, Y, X, Y)),
+           ("degminusone", lambda X, Y: _unit(X, Y, X, -Y))]},
+    # -e_theta at r = 1, +e_theta at r = R
+    "annulus": (make_grid("polar", (1.0, 2.0), 6, 12), annulus_bc(),
+                ([0, -1], slice(None)),
+                lambda X, Y: np.sign(np.hypot(X, Y) - 1.5)[..., None]
+                * _unit(X, Y, -Y, X)),
+}
+
+
+@pytest.mark.parametrize("case", list(BC_CASES))
+def test_boundary_data_lands_on_its_lines(case):
+    """Each spec fixes exactly its end lines across the periodic axis (y = -H
+    and y = H; r_out on the disc, whose r_in line is free; r_in and r_out on
+    the annulus) with the data's formula there, and nothing elsewhere."""
+    g, bc, lines, want = BC_CASES[case]
+    expected = np.zeros(g.shape, dtype=bool)
+    expected[lines] = True
+    mask = bc.dirichlet_mask(g)
+    assert np.array_equal(mask, expected)
+    vals = bc.boundary_values(g)
+    assert not vals[~mask].any()
+    X, Y = g.nodes_xy()
+    assert np.abs(vals[mask] - want(X, Y)[mask]).max() <= 1e-15
+
+
 def flow_case(kind, n_per, n_line):
     """Grid and Dirichlet data with n_per nodes along the periodic axis and
     n_line cells across it."""
     if kind == "rect":
-        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), n_per, n_line,
-                      periodic_x=True)
+        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), n_per, n_line)
         return g, rect_bc(0.2)
     if kind == "disc":
         g = make_grid("polar", (disc_inner_cutoff(0.6), 0.6), n_line, n_per)
@@ -142,7 +184,7 @@ class TestImplicitSolver:
         p = Params(L=L, eps=eps, R=2.0 if kind == "annulus" else 0.6)
         solver = FlowSolver(g, p, bc, dt=dt_over_eps * eps)
         assert solve_residual(solver, solver.dt, seed) <= 1e-12
-        st = FlowState(field=random_unit_field(g, bc, seed=seed), bc=bc,
+        st = FlowState(field=random_unit_field(g, bc, seed=seed),
                        dt=solver.dt)
         for _ in range(3):
             solver.step(st)
@@ -263,24 +305,23 @@ class TestPackedProbe:
 
 class TestStepping:
     def test_equilibrium_input_fixed(self):
-        g = make_grid("rectangle", (-1, 1, -1, 1), 12, 12, periodic_x=True)
-        bc = BCSpec(kind="rectangle",
-                    bottom=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
-                    top=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
+        g = make_grid("rectangle", (-1, 1, -1, 1), 12, 12)
+        bc = BCSpec(first=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
+                    last=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
         p = Params(L=0.5, eps=0.05)
         f = sample_analytic(g, lambda X, Y: (np.ones_like(X), np.zeros_like(Y)))
         solver = FlowSolver(g, p, bc)
-        st = FlowState(field=f.copy(), bc=bc, dt=solver.dt)
+        st = FlowState(field=f.copy(), dt=solver.dt)
         solver.step(st)
         assert np.abs(st.field.values - f.values).max() < 1e-9
 
     def test_energy_monotone_and_bc_fixed(self):
-        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 24, 32, periodic_x=True)
+        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 24, 32)
         p = Params(L=0.5, eps=0.01, H=0.5, T=0.5)
         bc = rect_bc(0.0)
         solver = FlowSolver(g, p, bc)
         f0 = random_unit_field(g, bc, seed=0)
-        st = FlowState(field=f0, bc=bc, dt=solver.dt)
+        st = FlowState(field=f0, dt=solver.dt)
         for _ in range(1000):
             solver.step(st)
         totals = [eb.total for _, eb in st.energy_trace]
@@ -303,20 +344,12 @@ class TestStepping:
             return u, n
 
         monkeypatch.setattr(solver, "implicit_solve", nan_once)
-        st = FlowState(field=random_unit_field(g, bc, seed=2), bc=bc,
+        st = FlowState(field=random_unit_field(g, bc, seed=2),
                        dt=solver.dt)
         solver.step(st)
         assert calls == [solver.dt, solver.dt / 2]
         assert st.dt == solver.dt / 2 and st.time == solver.dt / 2
         assert np.isfinite(st.field.values).all()
-
-    def test_bc_check_raises(self):
-        g = make_grid("rectangle", (-0.5, 0.5, -0.5, 0.5), 8, 8, periodic_x=True)
-        bc = rect_bc(0.0)
-        f = random_unit_field(g, bc, seed=1)
-        f.values[3, 0] = (0.3, 0.4)
-        with pytest.raises(ValueError, match="Dirichlet"):
-            bc.check(f)
 
 
 class TestConvergedExits:
@@ -379,8 +412,3 @@ class TestDiagnostics:
                                                X / np.hypot(X, Y)))
         div = divergence_field(fld)
         assert np.abs(div[1:-1, :]).max() < 1e-4
-
-    def test_angle_field(self):
-        g = make_grid("rectangle", (-1, 1, -1, 1), 4, 4)
-        fld = sample_analytic(g, lambda X, Y: (np.zeros_like(X), np.ones_like(Y)))
-        assert np.allclose(angle_field(fld), math.pi / 2, atol=0)

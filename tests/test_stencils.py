@@ -11,8 +11,8 @@ def test_ops_are_exact_half_gradients():
     w = rng.normal(size=u.shape)
     t = 1e-6
     for form, op, args in [
-        ("rect_grad_form", "rect_grad_op", (0.07, 0.11, True)),
-        ("rect_div_form", "rect_div_op", (0.07, 0.11, True)),
+        ("rect_grad_form", "rect_grad_op", (0.07, 0.11)),
+        ("rect_div_form", "rect_div_op", (0.07, 0.11)),
     ]:
         f = getattr(stencils, form)
         K = getattr(stencils, op)(u, *args)
@@ -34,26 +34,17 @@ def test_ops_are_exact_half_gradients():
 
 # --- reference forms: the rolled-copy formulas the rectangle forms replace ---
 
-def _weights(n1, n2, periodic_x):
-    wy = np.ones(n2)
+def rect_grad_form_reference(u, hx, hy):
+    wy = np.ones(u.shape[1])
     wy[0] = wy[-1] = 0.5
-    wx = np.ones(n1)
-    if not periodic_x:
-        wx[0] = wx[-1] = 0.5
-    return wx, wy
-
-
-def rect_grad_form_reference(u, hx, hy, periodic_x):
-    wx, wy = _weights(*u.shape[:2], periodic_x)
-    d = np.roll(u, -1, axis=0) - u if periodic_x else u[1:] - u[:-1]
+    d = np.roll(u, -1, axis=0) - u
     total = float(np.einsum("j,ijk->", (hy / hx) * wy, d * d))
     d = u[:, 1:] - u[:, :-1]
-    return total + float(np.einsum("i,ijk->", (hx / hy) * wx, d * d))
+    return total + (hx / hy) * float(np.sum(d * d))
 
 
-def rolled_cell_div(u, hx, hy, periodic_x):
-    ur = np.roll(u, -1, axis=0) if periodic_x else u[1:]
-    ul = u if periodic_x else u[:-1]
+def rolled_cell_div(u, hx, hy):
+    ul, ur = u, np.roll(u, -1, axis=0)
     u1l, u1r = ul[..., 0], ur[..., 0]
     u2l, u2r = ul[..., 1], ur[..., 1]
     ddx = ((u1r[:, :-1] + u1r[:, 1:]) - (u1l[:, :-1] + u1l[:, 1:])) / (2.0 * hx)
@@ -61,28 +52,26 @@ def rolled_cell_div(u, hx, hy, periodic_x):
     return ddx + ddy
 
 
-def rect_div_form_reference(u, hx, hy, periodic_x):
-    div = rolled_cell_div(u, hx, hy, periodic_x)
+def rect_div_form_reference(u, hx, hy):
+    div = rolled_cell_div(u, hx, hy)
     return float(hx * hy * np.sum(div * div))
 
 
-@pytest.mark.parametrize("periodic_x", [True, False])
 @pytest.mark.parametrize("shape", [(4, 5), (17, 13), (175, 226)])
-def test_rect_forms_match_rolled_reference(shape, periodic_x):
+def test_rect_forms_match_rolled_reference(shape):
     rng = np.random.default_rng(shape[0])
     u = rng.normal(size=(*shape, 2))
     hx, hy = 0.07, 0.011
     for form, ref in ((stencils.rect_grad_form, rect_grad_form_reference),
                       (stencils.rect_div_form, rect_div_form_reference)):
-        want = ref(u, hx, hy, periodic_x)
-        assert abs(form(u, hx, hy, periodic_x) - want) <= 1e-13 * abs(want)
+        want = ref(u, hx, hy)
+        assert abs(form(u, hx, hy) - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("periodic_x", [True, False])
-def test_rect_cell_divergence_unchanged(periodic_x):
+def test_rect_cell_divergence_unchanged():
     """The cell divergence behind the div form and op is the rolled
     formula's, bit for bit."""
     rng = np.random.default_rng(3)
     u = rng.normal(size=(19, 11, 2))
-    assert np.array_equal(stencils._rect_cell_div(u, 0.07, 0.011, periodic_x),
-                          rolled_cell_div(u, 0.07, 0.011, periodic_x))
+    assert np.array_equal(stencils._rect_cell_div(u, 0.07, 0.011),
+                          rolled_cell_div(u, 0.07, 0.011))
