@@ -104,8 +104,9 @@ def _eps_ladder(text: str) -> list:
 
 
 def validate(cfg: RunConfig) -> list:
-    """Static range checks mirroring the type invariants; never runs
-    solvers.  Returns the aggregated list of violations."""
+    """Static range checks mirroring the type invariants; runs no solver
+    beyond the scalar T~ a cross-tie start on the rectangle must match.
+    Returns the aggregated list of violations."""
     errors = []
     sub = cfg.subcommand
     domain = cfg.domain if sub in ("gradflow", "energy-eval") else ""
@@ -141,6 +142,15 @@ def validate(cfg: RunConfig) -> list:
             errors.append("init must be random|construction")
         elif cfg.init == "construction" and domain == "annulus":
             errors.append("init construction needs domain rect|disc")
+        elif cfg.init == "construction" and domain == "rect" \
+                and cfg.T > 0 and cfg.L > 0 and cfg.H > 0:
+            # the cross-tie's period is 2 H T~(L/H): another cell would
+            # cut it with a jump at the seam
+            from .rect1d import solve_Ttilde
+            T = cfg.H * solve_Ttilde(cfg.L / cfg.H)
+            if abs(cfg.T - T) > 1e-12 * T:
+                errors.append(f"init construction needs T = H T~(L/H) = "
+                              f"{T!r}, got T = {cfg.T!r}")
     if sub == "rect-1d" and cfg.eps_ladder:
         try:
             _eps_ladder(cfg.eps_ladder)

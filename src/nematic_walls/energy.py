@@ -33,6 +33,7 @@ Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,8 +43,8 @@ import numpy as np
 from . import stencils
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               family_jacobian_integral)
-from .core import (POLAR, RECTANGLE, EnergyBreakdown, Field2D, JumpSegment,
-                   Params)
+from .core import (POLAR, RECTANGLE, EnergyBreakdown, Field2D, Grid2D,
+                   JumpSegment, Params)
 from .quadrature import composite_nodes, gauss_legendre
 
 TRACE_UNIT_TOL = 1e-8
@@ -188,6 +189,18 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
 
 # --- eps-level energy on grids ----------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def node_weights(grid: Grid2D) -> np.ndarray:
+    """The trapezoid node weights of `grid`, built once per grid and
+    read-only: `eval_E_eps` and the flow's operators share them."""
+    if grid.kind == RECTANGLE:
+        W = stencils.rect_node_weights(grid.n1, grid.n2, *grid.spacing)
+    else:
+        W = stencils.polar_node_weights(grid.axes()[0], *grid.spacing)
+    W.flags.writeable = False
+    return W
+
+
 def eval_E_eps(field: Field2D, params: Params) -> EnergyBreakdown:
     """Discrete eps-level energy on the field's grid.
 
@@ -199,7 +212,6 @@ def eval_E_eps(field: Field2D, params: Params) -> EnergyBreakdown:
     u = field.values
     if g.kind == RECTANGLE:
         hx, hy = g.spacing
-        W = stencils.rect_node_weights(g.n1, g.n2, hx, hy)
         qk = stencils.rect_grad_form(u, hx, hy)
         qd = stencils.rect_div_form(u, hx, hy)
     else:
@@ -207,11 +219,10 @@ def eval_E_eps(field: Field2D, params: Params) -> EnergyBreakdown:
         if rs[0] <= 0.0:
             raise ValueError("polar energy evaluation needs r_in > 0")
         dr, dt = g.spacing
-        W = stencils.polar_node_weights(rs, dr, dt)
         qk = stencils.polar_grad_form(u, rs, dr, dt)
         qd = stencils.polar_div_form(u, rs, ts, dr, dt)
     mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
-    pot = float(np.sum(W * (mod2 - 1.0) ** 2))
+    pot = float(np.sum(node_weights(g) * (mod2 - 1.0) ** 2))
     return EnergyBreakdown(
         grad_term=0.5 * params.eps * qk,
         potential_term=pot / (2.0 * params.eps),

@@ -12,9 +12,10 @@ The implicit system (W + dt(eps K + L D)) u = rhs is symmetric positive
 definite, constant while dt is unchanged, and shift-invariant along the
 periodic axis (x on the rectangle; theta on polar grids once the node
 values are written as (u_r, u_theta)).  It is solved directly, with numpy
-alone: an rfft along that axis, then one Hermitian block-tridiagonal
-system per Fourier mode across it, all modes solved at once by block
-cyclic reduction factored once per dt.
+alone: an rfft along that axis, then one block-tridiagonal system per
+Fourier mode across it, real symmetric after S = diag(1, i) because the
+operator is symmetric under reflection of that axis, all modes solved at
+once by block cyclic reduction factored in float64 once per dt.
 
 Dirichlet data only ever sit on the two end lines across the periodic
 axis (y_lo and y_hi on the rectangle; r_in and r_out on polar grids),
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import stencils
 from .core import RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
-from .energy import eval_E_eps
+from .energy import eval_E_eps, node_weights
 
 # a step gives up after this many halvings of dt
 MAX_HALVINGS = 40
@@ -122,7 +123,6 @@ class _Operators:
         self.mask = bc.dirichlet_mask(grid)
         if grid.kind == RECTANGLE:
             hx, hy = grid.spacing
-            self.W = stencils.rect_node_weights(grid.n1, grid.n2, hx, hy)
             self.K = lambda u: stencils.rect_grad_op(u, hx, hy)
             self.D = lambda u: stencils.rect_div_op(u, hx, hy)
         else:
@@ -131,9 +131,9 @@ class _Operators:
                 raise ValueError("polar flow needs r_in > 0")
             dr, dt = grid.spacing
             self.cos_t, self.sin_t = np.cos(ts)[None, :], np.sin(ts)[None, :]
-            self.W = stencils.polar_node_weights(rs, dr, dt)
             self.K = lambda u: stencils.polar_grad_op(u, rs, dr, dt)
             self.D = lambda u: stencils.polar_div_op(u, rs, ts, dr, dt)
+        self.W = node_weights(grid)
 
     def reaction(self, u: np.ndarray, eps: float) -> np.ndarray:
         mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
@@ -185,21 +185,10 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a[:, 0] * x[0] + a[:, 1] * x[1]
 
 
-def _ht(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each 2x2 block."""
-    return a.swapaxes(0, 1).conj()
-
-
 def _inv(d: np.ndarray) -> np.ndarray:
-    """Inverse of each Hermitian positive-definite 2x2 block."""
-    det = (d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]).real
+    """Inverse of each 2x2 block."""
+    det = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
     return np.array([[d[1, 1], -d[0, 1]], [-d[1, 0], d[0, 0]]]) / det
-
-
-def _rfft_lines(v: np.ndarray) -> np.ndarray:
-    """rfft along the periodic axis of modal-frame values (periodic, line,
-    component), laid out (component, line, mode)."""
-    return np.fft.rfft(v.transpose(2, 1, 0))
 
 
 def _free_rows(ops: _Operators) -> slice:
@@ -211,26 +200,34 @@ def _free_rows(ops: _Operators) -> slice:
 
 def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     """Per-mode 2x2 blocks of `apply_A` on the free rows, read off the
-    operator itself.
+    operator itself, real symmetric after S = diag(1, i).
 
     A probe is an impulse in one component on every third free row (one
     colour) at one periodic index p: it answers on the periodic columns
     p - 1, p, p + 1 only, and on each probed row and its two neighbours
     across, which no other row of its colour shares.  The six probes (3
     colours x 2 components) sit at p = 0, 3, 6, ..., so one `apply_A`
-    call answers n_per // 3 of them without overlap.  Each probe's three
-    columns, moved to -1, 0, 1 of an otherwise zero array, are its
-    response to the impulse at p = 0, and after an rfft they give one
-    block column per probed row.
+    call answers n_per // 3 of them without overlap.  With r0, r+ and r-
+    the responses in the columns p, p + 1 and p - 1, mode k is A_k = r0 +
+    r+ e^(-i phi) + r- e^(i phi), phi = 2 pi k / n_per.  The operator is
+    symmetric under reflection of the periodic axis with the second
+    component negated, so S^H A_k S is real: r0 + (r+ + r-) cos phi within
+    a component, +-(r+ - r-) sin phi across (+ in the first component's
+    row).  A dropped remainder (r+ - r- within a component, r0 and r+ + r-
+    across) above 1e-12 times the block scale raises ValueError.
 
-    Returns the diagonal blocks D[:, :, r, k] = A_k(r, r) and the
-    super-diagonal blocks U[:, :, r, k] = A_k(r, r + 1), laid out
-    (2, 2, rows, modes); A_k(r + 1, r) is U's conjugate transpose.
+    Returns the diagonal blocks D[:, :, r, k] = S^H A_k(r, r) S and the
+    super-diagonal blocks U[:, :, r, k] = S^H A_k(r, r + 1) S, float64 and
+    laid out (2, 2, rows, modes); the block below the diagonal is U's
+    transpose.
     """
     n_per, n_line = _periodic_first(ops.grid, ops.mask).shape
     nf = free.stop - free.start
-    D = np.empty((2, 2, nf, n_per // 2 + 1), dtype=complex)
-    U = np.empty((2, 2, nf - 1, n_per // 2 + 1), dtype=complex)
+    phi = 2.0 * np.pi / n_per * np.arange(n_per // 2 + 1)
+    cos, sin = np.cos(phi), np.sin(phi)
+    D = np.empty((2, 2, nf, len(phi)))
+    U = np.empty((2, 2, nf - 1, len(phi)))
+    rest = 0.0
     probes = [(colour, c) for colour in range(3) for c in range(2)]
     per_call = n_per // 3
     for k0 in range(0, len(probes), per_call):
@@ -240,101 +237,114 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
             e[3 * j, free][colour::3, c] = 1.0
         resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, free]
         for j, (colour, c) in enumerate(batch):
-            z = np.zeros((n_per, nf, 2))
-            z[[-1, 0, 1]] = resp[[3 * j - 1, 3 * j, 3 * j + 1]]
-            spec = _rfft_lines(z)
-            D[:, c, colour::3] = spec[:, colour::3]
+            r0, rp, rm = resp[3 * j], resp[3 * j + 1], resp[3 * j - 1]
+            o = 1 - c
+            rest = max(rest, *(np.abs(r).max() for r in (
+                rp[:, c] - rm[:, c], r0[:, o], rp[:, o] + rm[:, o])))
             above = (colour - 1) % 3  # rows whose next row was probed
-            U[:, c, above::3] = spec[:, above:nf - 1:3]
+            for out, rows in ((D[:, c, colour::3], slice(colour, None, 3)),
+                              (U[:, c, above::3], slice(above, nf - 1, 3))):
+                out[c] = r0[rows, c, None] + (rp + rm)[rows, c, None] * cos
+                out[o] = (2 * c - 1) * (rp - rm)[rows, o, None] * sin
+    if rest > 1e-12 * np.abs(D).max():
+        raise ValueError(f"operator not reflection symmetric: remainder "
+                         f"{rest:.3e}, block scale {np.abs(D).max():.3e}")
     return D, U
 
 
 class _BlockCyclicReduction:
-    """Direct solver for many Hermitian positive-definite block-tridiagonal
-    systems at once, 2x2 blocks, by block cyclic reduction.
+    """Direct solver for many real symmetric positive-definite
+    block-tridiagonal systems at once, 2x2 blocks, by block cyclic
+    reduction.
 
-    D (2, 2, rows, systems) holds the diagonal blocks and U (2, 2, rows - 1,
-    systems) the super-diagonal ones; the sub-diagonal blocks are U's
-    conjugate transposes.  Each level eliminates the even rows, which
-    leaves a Hermitian block-tridiagonal system on the odd rows, until one
+    D (2, 2, ..., rows, systems) holds the diagonal blocks and U (2, 2,
+    ..., rows - 1, systems) the super-diagonal ones; the sub-diagonal
+    blocks are U's transposes.  Each level eliminates the even rows, which
+    leaves a symmetric block-tridiagonal system on the odd rows, until one
     row is left.  On a positive-definite matrix this is Gaussian
     elimination without pivoting on the odd-even permuted matrix, so it is
-    stable.  Per level the factor keeps E = D_even^-1, the elimination
-    factors alpha, gamma that fold the even rows into the odd ones, and the
-    couplings P = E U, Q = E U^H that back substitution needs.  The 2x2
-    products are written out as broadcast multiply-and-sum, which is
-    several times faster than np.matmul on stacks of small blocks.
+    stable.  Per level the factor keeps E = D_even^-1 and the couplings
+    P = E U, Q = E U^T that back substitution needs; their transposes fold
+    the even rows into the odd ones.  The 2x2 products are written out as
+    broadcast multiply-and-sum, which is several times faster than
+    np.matmul on stacks of small blocks.
     """
 
     def __init__(self, D: np.ndarray, U: np.ndarray):
         self.levels = []
         while True:
-            E = _inv(D[:, :, 0::2])
-            n_odd = D.shape[2] // 2
+            E = _inv(D[..., 0::2, :])
+            n_odd = D.shape[-2] // 2
             if n_odd == 0:
                 self.levels.append((E,))
                 return
-            Ue, Uoh = U[:, :, 0::2], _ht(U[:, :, 1::2])
-            P = _mm(E[:, :, :n_odd], Ue)       # even row to the odd row after
-            Q = _mm(E[:, :, 1:], Uoh)          # even row to the odd row before
-            alpha, gamma = _ht(P), _ht(Q)      # odd row to its even neighbours
-            D = D[:, :, 1::2] - _mm(alpha, Ue)
-            D[:, :, :Uoh.shape[2]] -= _mm(gamma, Uoh)
-            U = -_mm(gamma[:, :, :n_odd - 1], Ue[:, :, 1:])
-            self.levels.append((E, P, Q, alpha, gamma))
+            Ue, Uot = U[..., 0::2, :], U[..., 1::2, :].swapaxes(0, 1)
+            P = _mm(E[..., :n_odd, :], Ue)     # even row to the odd row after
+            Q = _mm(E[..., 1:, :], Uot)        # even row to the odd row before
+            gamma = Q.swapaxes(0, 1)           # odd row to the even row after
+            D = D[..., 1::2, :] - _mm(P.swapaxes(0, 1), Ue)
+            D[..., :Uot.shape[-2], :] -= _mm(gamma, Uot)
+            U = -_mm(gamma[..., :n_odd - 1, :], Ue[..., 1:, :])
+            self.levels.append((E, P, Q))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve in place for right-hand sides b laid out (2, rows,
-        systems).  The rows of level l are b[:, 2^l - 1::2^l]: forward
-        reduction overwrites the odd ones with the reduced right-hand
-        sides, back substitution overwrites each row with the solution."""
-        step = 1
-        for _, _, _, alpha, gamma in self.levels[:-1]:
-            rows = b[:, step - 1::step]
-            even, odd = rows[:, 0::2], rows[:, 1::2]
-            odd -= _mv(alpha, even[:, :alpha.shape[2]])
-            odd[:, :gamma.shape[2]] -= _mv(gamma, even[:, 1:])
-            step *= 2
-        last = b[:, step - 1::step]
-        last[...] = _mv(self.levels[-1][0], last)
-        for E, P, Q, _, _ in self.levels[-2::-1]:
-            step //= 2
-            rows = b[:, step - 1::step]
-            even, odd = rows[:, 0::2], rows[:, 1::2]
-            x = _mv(E, even)
-            x[:, :P.shape[2]] -= _mv(P, odd)
-            x[:, 1:] -= _mv(Q, odd[:, :Q.shape[2]])
-            even[...] = x
-        return b
+        """The solution for right-hand sides b laid out (2, ..., rows,
+        systems); b is used as scratch.  Each level's odd rows go to a new
+        array, so every level works on contiguous rows."""
+        stack = []
+        for _, P, Q in self.levels[:-1]:
+            even = b[..., 0::2, :]
+            odd = b[..., 1::2, :] - _mv(P.swapaxes(0, 1),
+                                        even[..., :P.shape[-2], :])
+            odd[..., :Q.shape[-2], :] -= _mv(Q.swapaxes(0, 1), even[..., 1:, :])
+            stack.append(b)
+            b = odd
+        x = _mv(self.levels[-1][0], b)
+        for (E, P, Q), b in zip(self.levels[-2::-1], stack[::-1]):
+            even = _mv(E, b[..., 0::2, :])
+            even[..., :P.shape[-2], :] -= _mv(P, x)
+            even[..., 1:, :] -= _mv(Q, x[..., :Q.shape[-2], :])
+            b[..., 0::2, :], b[..., 1::2, :] = even, x
+            x = b
+        return x
 
 
 class _ModalSolver:
     """Exact inverse of a shift-invariant SPD operator on the free rows.
 
     `apply_A` must be symmetric positive definite on the free rows, couple
-    only neighbouring rows across the periodic axis, and commute with shifts
-    along it in the modal frame of `ops`.  An rfft along the periodic axis
-    then leaves one Hermitian positive-definite block-tridiagonal system
-    (2x2 blocks, one per free row) per Fourier mode, as in the fast Poisson
-    solvers of Hockney (1965) and Buzbee, Golub & Nielson (1970).  The
-    blocks come from `_probe_blocks`, so the operator keeps one definition,
-    and all modes are solved at once by `_BlockCyclicReduction`, factored
-    once per operator.
+    only neighbouring rows across the periodic axis, commute with shifts
+    along it in the modal frame of `ops`, and be symmetric under its
+    reflection.  An rfft along the periodic axis then leaves one
+    block-tridiagonal system (2x2 blocks, one per free row) per Fourier
+    mode, as in the fast Poisson solvers of Hockney (1965) and Buzbee,
+    Golub & Nielson (1970), real symmetric positive definite after
+    S = diag(1, i).  The blocks come from `_probe_blocks`, so the operator
+    keeps one definition, and all modes, real and imaginary parts alike,
+    are solved at once by `_BlockCyclicReduction`, factored once per
+    operator.
     """
 
     def __init__(self, ops: _Operators, apply_A: Callable):
         self.ops = ops
         self.free = _free_rows(ops)
+        # blocks (2, 2, 1, rows, modes): one factor serves both parts
         self.reduction = _BlockCyclicReduction(
-            *_probe_blocks(ops, apply_A, self.free))
+            *(a[:, :, None] for a in _probe_blocks(ops, apply_A, self.free)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b on the free rows (b zero on Dirichlet rows; so is the
         result)."""
         bm = self.ops.to_modal(b)
-        x = self.reduction.solve(_rfft_lines(bm[:, self.free]))
+        spec = np.fft.rfft(bm[:, self.free].transpose(2, 1, 0))
+        # S^H spec, real and imaginary parts apart: (2, part, rows, modes)
+        re, im = spec.real, spec.imag
+        y = np.empty((2, 2, *spec.shape[1:]))
+        y[0, 0], y[0, 1], y[1, 0], y[1, 1] = re[0], im[0], im[1], -re[1]
+        x = self.reduction.solve(y)
+        re[0], im[0], re[1], im[1] = x[0, 0], x[0, 1], -x[1, 1], x[1, 0]
         w = np.zeros_like(bm)
-        w[:, self.free] = np.fft.irfft(x, n=bm.shape[0]).transpose(2, 1, 0)
+        w[:, self.free] = np.fft.irfft(spec, n=bm.shape[0]).transpose(2, 1, 0)
         return self.ops.from_modal(w)
 
 
@@ -356,9 +366,9 @@ class FlowSolver:
     """Holds the operators and, per dt, the implicit factorization.
 
     Every trial step solves (W + dt(eps K + L D)) u = W u_expl exactly with
-    a `_ModalSolver`.  The factorization and the Dirichlet shift
-    A uD = W uD + dt(eps K uD + L D uD) are built once per dt and kept for
-    the three most recent dts.
+    a `_ModalSolver`, built once per dt and kept for the three most recent
+    dts.  On the free rows, where W uD vanishes, the Dirichlet shift
+    A uD is dt times the dt-free `shift` = eps K uD + L D uD.
     """
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
@@ -370,14 +380,12 @@ class FlowSolver:
         self._factor_cache = {}
         self.uD = bc.boundary_values(grid)
         self.mask = self.ops.mask
+        self.shift = self._apply_A(self.uD, 1.0)
 
-    def _factor(self, dt: float) -> Tuple[_ModalSolver, np.ndarray]:
+    def _factor(self, dt: float) -> _ModalSolver:
         if dt not in self._factor_cache:
-            # the rows _apply_A zeroes are Dirichlet rows, which
-            # implicit_solve zeroes in b anyway
-            aD = self._apply_A(self.uD, dt)
-            solver = _ModalSolver(self.ops, lambda w: self._apply_A(w, dt))
-            self._factor_cache[dt] = (solver, aD)
+            self._factor_cache[dt] = _ModalSolver(
+                self.ops, lambda w: self._apply_A(w, dt))
             if len(self._factor_cache) > 3:
                 self._factor_cache.pop(next(iter(self._factor_cache)))
         return self._factor_cache[dt]
@@ -392,10 +400,12 @@ class FlowSolver:
         """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows.
 
         Returns u and the number of linear solves, always 1."""
-        solver, aD = self._factor(dt)
-        b = self.ops.W[..., None] * u_expl - aD
+        b = self.ops.W[..., None] * u_expl
+        b -= dt * self.shift
         b[self.mask] = 0.0
-        return solver.solve(b) + self.uD, 1
+        u = self._factor(dt).solve(b)
+        u += self.uD
+        return u, 1
 
     def step(self, state: FlowState) -> FlowState:
         """One accepted IMEX step.  dt is halved, up to MAX_HALVINGS times,

@@ -323,6 +323,7 @@ def _grid_1d_minimum(ys, dy, L, eps):
     return res.fun
 
 
+@pytest.mark.slow
 def test_criterion_11b_rectangle_recovers_1d():
     """Random init at L/H = 0.5 relaxes to the one-dimensional state.
 
@@ -360,6 +361,7 @@ def test_criterion_11b_rectangle_recovers_1d():
                   f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11c_degree_minus_one_wall_position():
     t0 = time.time()
     R, L, eps = 0.6, 0.5, 0.005

@@ -10,6 +10,7 @@ import pytest
 
 import nematic_walls
 from nematic_walls.cli import RunConfig, dispatch, main, validate
+from nematic_walls.rect1d import solve_Ttilde
 
 def _modules_after(code: str) -> set:
     """The names in sys.modules of a fresh interpreter that has run code."""
@@ -116,6 +117,9 @@ _MALFORMED = [
     (["gradflow", "--init", "foo"], "init must be random|construction"),
     (["gradflow", "--domain", "annulus", "--R", "2", "--init",
       "construction"], "init construction needs domain rect|disc"),
+    (["gradflow", "--init", "construction", "--L", "1", "--H", "1", "--T",
+      "0.3"], f"init construction needs T = H T~(L/H) = "
+              f"{solve_Ttilde(1.0)!r}, got T = 0.3"),
     (["rect-1d", "--eps-ladder", "abc"], _LADDER),
     (["rect-1d", "--eps-ladder", "0,-1"], _LADDER),
 ]
@@ -128,6 +132,12 @@ def test_validate_rejections(tmp_path, capsys):
                validate(RunConfig(subcommand="gradflow", eps=-1, domain="rect")))
     assert any("H > 0" in e for e in
                validate(RunConfig(subcommand="crosstie", H=-1.0)))
+    # a cross-tie start takes the cross-tie's own cell, to 1e-12
+    T = 0.5 * solve_Ttilde(0.5)
+    for t, ok in ((0.0, True), (T * (1 + 5e-13), True), (T * (1 + 5e-12), False)):
+        assert (validate(RunConfig(subcommand="gradflow", domain="rect",
+                                   init="construction", L=0.25, H=0.5,
+                                   T=t)) == []) == ok, t
     # each malformed command line exits 2 with its reason, before any run
     for k, (argv, reason) in enumerate(_MALFORMED):
         out = tmp_path / f"m{k}"

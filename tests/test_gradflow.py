@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from nematic_walls import stencils
 from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
                                 sample_analytic)
-from nematic_walls.energy import eval_E_eps
+from nematic_walls.crosstie import solve_Ttilde
+from nematic_walls.energy import eval_E_eps, node_weights
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
                                     _BlockCyclicReduction, _Operators,
                                     _free_rows, _probe_blocks, annulus_bc,
@@ -145,13 +147,38 @@ def flow_case(kind, n_per, n_line):
     return make_grid("polar", (1.0, 2.0), n_line, n_per), annulus_bc()
 
 
+def rect_solver(n_per=12, n_line=10):
+    g, bc = flow_case("rect", n_per, n_line)
+    return FlowSolver(g, Params(L=0.5, eps=0.05), bc)
+
+
+@pytest.mark.parametrize("case", ["rect", "disc"])
+def test_energy_and_flow_share_the_node_weights(case, monkeypatch):
+    """The flow's operators and `eval_E_eps` read one read-only weight
+    array per grid: once the operators exist, the energy builds none."""
+    g, bc = flow_case(case, 16, 12)
+    ops = _Operators(g, bc)
+    assert ops.W is node_weights(g) and not ops.W.flags.writeable
+    W = ops.W.copy()
+    f = random_unit_field(g, bc)
+    mod2 = (f.values ** 2).sum(axis=-1)
+    pot = float(np.sum(W * (mod2 - 1.0) ** 2)) / (2 * 0.05)
+
+    def rebuilt(*args):
+        raise AssertionError("node weights rebuilt")
+
+    monkeypatch.setattr(stencils, "rect_node_weights", rebuilt)
+    monkeypatch.setattr(stencils, "polar_node_weights", rebuilt)
+    assert eval_E_eps(f, Params(L=0.5, eps=0.05)).potential_term == pot
+
+
 def solve_residual(solver, dt, seed=0):
     """||A solve(b) - b|| / ||b|| for a random b that vanishes on the
     Dirichlet rows, where the solution must vanish too."""
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(*solver.ops.grid.shape, 2))
     b[solver.mask] = 0.0
-    w = solver._factor(dt)[0].solve(b)
+    w = solver._factor(dt).solve(b)
     assert not w[solver.mask].any()
     return np.linalg.norm(solver._apply_A(w, dt) - b) / np.linalg.norm(b)
 
@@ -167,10 +194,10 @@ class TestImplicitSolver:
             assert solve_residual(solver, dt) <= 1e-12
 
     def test_implicit_solve_is_one_solve_with_dirichlet_rows(self):
-        g, bc = flow_case("rect", 12, 10)
-        solver = FlowSolver(g, Params(L=0.5, eps=0.05), bc)
-        u, solves = solver.implicit_solve(random_unit_field(g, bc).values,
-                                          solver.dt)
+        solver = rect_solver()
+        g = solver.ops.grid
+        u, solves = solver.implicit_solve(
+            random_unit_field(g, solver.bc).values, solver.dt)
         assert solves == 1
         assert np.array_equal(u[solver.mask], solver.uD[solver.mask])
 
@@ -199,10 +226,10 @@ class TestImplicitSolver:
 def banded_reference(D, U, b):
     """Solve the block-tridiagonal systems of `_BlockCyclicReduction(D, U)`
     for b (2, rows, systems) by SciPy's banded Cholesky: all systems in one
-    Hermitian band with three superdiagonals, upper triangle only."""
+    symmetric band with three superdiagonals, upper triangle only."""
     from scipy.linalg import cho_solve_banded, cholesky_banded
     n, m = D.shape[2], D.shape[3]
-    ab = np.zeros((4, m, 2 * n), dtype=complex)
+    ab = np.zeros((4, m, 2 * n))
     cols = 2 * np.arange(n)
     for c2 in range(2):
         for c in range(2):
@@ -217,10 +244,9 @@ def banded_reference(D, U, b):
 
 def block_apply(D, U, x):
     """The block-tridiagonal matrix of (D, U) times x (2, rows, systems)."""
-    Uh = U.swapaxes(0, 1).conj()
     y = np.einsum("ijrm,jrm->irm", D, x)
     y[:, :-1] += np.einsum("ijrm,jrm->irm", U, x[:, 1:])
-    y[:, 1:] += np.einsum("ijrm,jrm->irm", Uh, x[:, :-1])
+    y[:, 1:] += np.einsum("jirm,jrm->irm", U, x[:, :-1])
     return y
 
 
@@ -244,8 +270,7 @@ class TestBlockCyclicReduction:
                              lambda w: solver._apply_A(w, solver.dt),
                              _free_rows(solver.ops))
         D, U = D[:, :, :rows], U[:, :, :rows - 1]
-        rng = np.random.default_rng(seed)
-        b = rng.normal(size=D.shape[1:]) + 1j * rng.normal(size=D.shape[1:])
+        b = np.random.default_rng(seed).normal(size=D.shape[1:])
         x = _BlockCyclicReduction(D, U).solve(b.copy())
         ref = banded_reference(D, U, b)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -254,9 +279,10 @@ class TestBlockCyclicReduction:
 
 
 def probe_blocks_reference(ops, apply_A, free):
-    """The blocks of `_probe_blocks`, one `apply_A` call per impulse set:
-    an impulse at periodic index 0 on every third free row, one component
-    at a time, and the rfft of the whole response."""
+    """The blocks of `_probe_blocks` before S = diag(1, i) applies, one
+    `apply_A` call per impulse set: an impulse at periodic index 0 on every
+    third free row, one component at a time, and the rfft of the whole
+    response."""
     n_per, n_line = (ops.grid.shape if ops.grid.kind == "rectangle"
                      else ops.grid.shape[::-1])
     nf = free.stop - free.start
@@ -276,7 +302,8 @@ def probe_blocks_reference(ops, apply_A, free):
 
 class TestPackedProbe:
     """`_probe_blocks` answers up to six impulse sets with one operator
-    application; its blocks are the per-impulse ones."""
+    application; its real blocks are S^H A_k S, S = diag(1, i), of the
+    per-impulse ones."""
 
     @pytest.mark.parametrize("n_per", [4, 5, 6, 7, 8, 9, 11, 12, 17, 18,
                                        19, 24, 40])
@@ -294,13 +321,41 @@ class TestPackedProbe:
         free = _free_rows(solver.ops)
         D, U = _probe_blocks(solver.ops, apply_A, free)
         assert len(calls) == -(-6 // (n_per // 3))
+        assert D.dtype == U.dtype == np.float64
+        s = np.array([1.0, 1j])[:, None, None, None]
         D0, U0 = probe_blocks_reference(solver.ops, apply_A, free)
-        if kind == "rect":
-            assert np.array_equal(D, D0) and np.array_equal(U, U0)
-        else:
-            scale = np.abs(D0).max()
-            assert np.abs(D - D0).max() <= 1e-15 * scale
-            assert np.abs(U - U0).max() <= 1e-15 * scale
+        scale = np.abs(D0).max()
+        for X, X0 in ((D, D0), (U, U0)):
+            assert np.abs(X - (s.conj() * X0 * s.swapaxes(0, 1)).real).max() \
+                <= 1e-15 * scale
+
+    def test_missing_reflection_symmetry_raises(self):
+        """A one-sided difference along the periodic axis has no real form
+        after S, and the probe says so instead of dropping it."""
+        solver = rect_solver()
+
+        def apply_A(w):
+            z = solver._apply_A(w, solver.dt)
+            z += 1e-3 * (np.roll(w, -1, axis=0) - w)
+            z[solver.mask] = 0.0
+            return z
+
+        with pytest.raises(ValueError, match="not reflection symmetric"):
+            _probe_blocks(solver.ops, apply_A, _free_rows(solver.ops))
+
+
+def test_factor_levels_are_three_real_arrays():
+    """Each level of the flow-rect factor keeps E, P and Q in float64 (the
+    last level E alone): 1.76 MiB on this grid of 78,750 unknowns."""
+    H = 0.5
+    T = H * solve_Ttilde(0.5)
+    g = make_grid("rectangle", (0.0, 2 * T, -H, H), 175, 224)
+    solver = FlowSolver(g, Params(L=0.25, H=H, T=T, eps=0.015), rect_bc(0.0))
+    levels = solver._factor(solver.dt).reduction.levels
+    assert [len(lev) for lev in levels] == [3] * (len(levels) - 1) + [1]
+    arrays = [a for lev in levels for a in lev]
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 2e6
 
 
 class TestStepping:
@@ -331,8 +386,7 @@ class TestStepping:
         assert np.array_equal(st.field.values[mask], bc.boundary_values(g)[mask])
 
     def test_non_finite_trial_is_rejected(self, monkeypatch):
-        g, bc = flow_case("rect", 12, 10)
-        solver = FlowSolver(g, Params(L=0.5, eps=0.05), bc)
+        solver = rect_solver()
         solve = solver.implicit_solve
         calls = []
 
@@ -344,8 +398,8 @@ class TestStepping:
             return u, n
 
         monkeypatch.setattr(solver, "implicit_solve", nan_once)
-        st = FlowState(field=random_unit_field(g, bc, seed=2),
-                       dt=solver.dt)
+        st = FlowState(field=random_unit_field(solver.ops.grid, solver.bc,
+                                               seed=2), dt=solver.dt)
         solver.step(st)
         assert calls == [solver.dt, solver.dt / 2]
         assert st.dt == solver.dt / 2 and st.time == solver.dt / 2
