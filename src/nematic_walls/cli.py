@@ -66,10 +66,12 @@ class RunConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """Inverse of `to_json`.  ValueError names the first unknown key or
-        the first value of the wrong type: a float field takes an int too,
-        an int field takes neither a float nor a bool."""
+    def from_json(cls, text: str, **base) -> "RunConfig":
+        """Inverse of `to_json`; keys the text lacks take their values from
+        base (in `main`, the subcommand and its flags).  ValueError names
+        the first unknown key, the first value of the wrong type (a float
+        field takes an int too, an int field takes neither a float nor a
+        bool), or a subcommand other than base's."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
@@ -80,7 +82,12 @@ class RunConfig:
             if isinstance(val, bool) or not isinstance(val, types[key]):
                 raise ValueError(f"config key {key!r} must be of type "
                                  f"{types[key][-1].__name__}, got {val!r}")
-        return cls(**data)
+        sub = base.get("subcommand")
+        if sub is not None and data.get("subcommand", sub) != sub:
+            raise ValueError(f"config key 'subcommand' is "
+                             f"{data['subcommand']!r} but the command is "
+                             f"{sub!r}")
+        return cls(**{**base, **data})
 
     def params(self) -> Params:
         return Params(L=self.L, eps=self.eps, H=self.H, T=max(self.T, 1e-12) if self.T > 0 else 1.0,
@@ -390,6 +397,7 @@ def run_gradflow(cfg: RunConfig) -> int:
 
     solver = gf.FlowSolver(grid, p, bc, dt=cfg.dt if cfg.dt > 0 else None)
     state = solver.run_to_equilibrium(init, tol=cfg.tol, max_time=cfg.max_time)
+    del init  # free the start field before the artifacts, which set the peak
     field_to_csv(state.field, out / "field.csv")
     with open(out / "energy_trace.csv", "w") as fh:
         fh.write("t,total,grad,potential,bulk_div\n")
@@ -501,12 +509,12 @@ def main(argv=None) -> int:
     kw = {k.replace("-", "_"): v for k, v in vars(args).items()
           if k not in ("config",) and v is not None}
     if getattr(args, "config", ""):
+        # the file's keys override the flags, whose defaults fill the rest
         try:
-            cfg = RunConfig.from_json(Path(args.config).read_text())
-        except (OSError, TypeError, ValueError) as exc:
+            cfg = RunConfig.from_json(Path(args.config).read_text(), **kw)
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        cfg.subcommand = args.subcommand
     else:
         cfg = RunConfig(**kw)
     return dispatch(cfg)

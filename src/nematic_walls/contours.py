@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import POLAR, Grid2D
+from .core import CSV_ROWS, POLAR, Grid2D, csv_rows, g17_cells
 
 # Corner c of cell (i, j) is node (i + _DI[c], j + _DJ[c]); edge e runs
 # from corner e to corner e + 1 (mod 4): 0 bottom, 1 right, 2 top, 3 left.
@@ -151,10 +151,23 @@ def level_curves(grid: Grid2D, F: np.ndarray, levels,
 
 
 def contours_to_csv(levels_polys: dict, path) -> None:
-    """CSV rows level,poly_id,x,y for every polyline vertex."""
-    with open(path, "w") as fh:
-        fh.write("level,poly_id,x,y\n")
-        for level, polys in levels_polys.items():
-            for pid, poly in enumerate(polys):
-                row = f"{level:.17g},{pid},%.17g,%.17g\n"
-                fh.write((row * len(poly)) % tuple(poly.ravel().tolist()))
+    """CSV rows level,poly_id,x,y for every polyline vertex, each float as
+    '%.17g' writes it.  Each level and each poly_id is formatted once
+    (poly_id as a float, which '%.17g' writes as the integer)."""
+    with open(path, "wb") as fh:
+        fh.write(b"level,poly_id,x,y\n")
+        counts = [len(ps) for ps in levels_polys.values()]
+        polys = [p for ps in levels_polys.values() for p in ps]
+        if not polys:
+            return
+        sizes = [len(p) for p in polys]
+        level = np.repeat(np.repeat(np.arange(len(counts)), counts), sizes)
+        pid = np.repeat(np.concatenate([np.arange(n) for n in counts]), sizes)
+        level_cells = g17_cells(np.array(list(levels_polys), dtype=float))
+        pid_cells = g17_cells(np.arange(max(counts), dtype=float))
+        xy = np.concatenate(polys)
+        for k in range(0, len(xy), CSV_ROWS):
+            rows = slice(k, k + CSV_ROWS)
+            fh.write(csv_rows(level_cells[level[rows], None],
+                              pid_cells[pid[rows], None],
+                              g17_cells(xy[rows])))

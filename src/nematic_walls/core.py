@@ -11,6 +11,7 @@ continuous across the jump.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -189,33 +190,175 @@ def sample_analytic(grid: Grid2D, f: Callable[[float, float], tuple]) -> Field2D
     return Field2D(grid, out)
 
 
-# Polar nodes formatted per write: one format call per block instead of
-# per row, with the temporary strings bounded.
-_CSV_BLOCK = 4096
+# --- CSV: '%.17g' for whole arrays -------------------------------------------
+#
+# A float with 1e-6 < |x| < 1e16 (the double nearest 1e-6 lies below
+# 10^-6) has a 17-digit decimal mantissa m with 10^16 <= m < 10^17 and
+# |x| 10^k = m to rounding, for k = 16 - floor(log10 |x|) in 1..22, where
+# 10^k is an exact double.  Dekker's TwoProduct
+# (Dekker 1971) gives |x| 10^k exactly as hi + lo; hi >= 10^16 > 2^53 is an
+# even integer, so rint(lo), which rounds half to even, rounds the sum as
+# '%.17g' does.  The digits come four at a time from a table, and each
+# value's characters sit in a fixed-width cell whose unused bytes are NUL;
+# deleting the NULs of the whole file leaves the CSV text.  Zeros take the
+# same path (m = 0); NaN, inf and the rest of the range go through
+# '%.17g' itself.
+
+# the longest '%.17g' of a float64, e.g. '-2.2250738585072014e-308'
+G17_CELL = 24
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_IPOW10 = np.array([10 ** k for k in range(17)], dtype=np.int64)
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Little-endian uint32 holding the 4 ASCII digits of v at [v] for v <
+    10^4, and at [10^4 + v] with the trailing zeros as NUL.  Built on first
+    use, so that a run which writes no CSV does not build it."""
+    v = np.arange(10000, dtype=np.uint32)
+    table = np.zeros(20000, "<u4")
+    for i, p in enumerate((1000, 100, 10, 1)):
+        char = (v // p % 10 + ord("0")) * 256 ** i  # byte i of the word
+        table[:10000] += char
+        table[10000:] += char * (v % (10 * p) != 0)
+    table.flags.writeable = False
+    return table
+
+
+def _two_product(a, b):
+    """(hi, lo) with hi = fl(a b) and hi + lo = a b exactly (Dekker)."""
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        h = c - (c - v)
+        return h, v - h
+
+    hi = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def g17_cells(values) -> np.ndarray:
+    """'%.17g' % v of every float v, as an array of shape values.shape +
+    (G17_CELL,) of uint8: each value's characters in order, with NUL
+    bytes between and after them (see `csv_rows`)."""
+    x = np.asarray(values, dtype=float)
+    shape, x = x.shape, x.ravel()
+    a = np.abs(x)
+    kernel = (a > 1e-6) & (a < 1e16)
+    zero = a == 0
+    a = np.where(kernel, a, 1.0)
+    # 1. the decimal exponent e and the mantissa m = rint(a 10^(16 - e)),
+    # with e corrected on the exact product hi + lo: hi alone can round
+    # up to a power of ten that the product lies below
+    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int8)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.int8) - low[fix]
+        hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
+    # m < 10^17: no double in the range lies within half a unit of the
+    # 17th digit below a power of ten, so rounding never carries into an
+    # 18th digit
+    m = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    m[zero] = 0
+    e[zero] = 0
+    # every exponent is one layout: sort by it (a radix sort, as e is
+    # 8-bit) and place each in slices
+    order = np.argsort(e, kind="stable")
+    e, m = e[order], m[order]
+    # 2. the 17 digits, trailing zeros as NUL: m = d0 g1 g2 g3 g4 in
+    # groups of 4 digits, each stripped when all groups after it are 0
+    q = (m // 10 ** 8).astype(np.uint32)
+    r = (m - q.astype(np.int64) * 10 ** 8).astype(np.uint32)
+    d0 = q // 10 ** 8
+    q -= d0 * 10 ** 8
+    table = _digit_table()
+    groups = np.empty((x.size, 5), "<u4")
+    groups[:, 0] = table[d0]
+    strip = np.ones(x.size, dtype=bool)
+    for k, g in ((4, r % 10000), (3, r // 10000), (2, q % 10000),
+                 (1, q // 10000)):
+        groups[:, k] = table[g + strip * 10000]
+        strip &= g == 0
+    digits = groups.view(np.uint8)[:, 3:]  # d0 is '000' + d0
+    # 3. sign, point or exponent by the rules of %g: fixed notation for
+    # -4 <= e < 17, the integer digits kept, the point only before a
+    # nonzero digit
+    cells = np.zeros((x.size, G17_CELL), np.uint8)
+    cells[:, 0] = np.signbit(x[order]) * ord("-")
+    bounds = np.searchsorted(e, np.arange(-6, 18)).tolist()
+    for X, s, t in zip(range(-6, 17), bounds, bounds[1:]):
+        if s == t:
+            continue
+        c, d, frac = cells[s:t, 1:], digits[s:t], m[s:t]
+        if X >= 0:
+            np.maximum(d[:, :X + 1], ord("0"), out=c[:, :X + 1])
+            c[:, X + 1] = (frac % _IPOW10[16 - X] != 0) * ord(".")
+            c[:, X + 2:18] = d[:, X + 1:]
+        elif X >= -4:
+            lead = np.frombuffer(b"0." + b"0" * (-X - 1), np.uint8)
+            c[:, :lead.size] = lead
+            c[:, lead.size:lead.size + 17] = d
+        else:
+            c[:, 0] = d[:, 0]
+            c[:, 1] = (frac % _IPOW10[16] != 0) * ord(".")
+            c[:, 2:18] = d[:, 1:]
+            c[:, 18:22] = np.frombuffer(b"e-0%d" % -X, np.uint8)
+    out = np.empty_like(cells)
+    # whole cells move as single items
+    out.view(f"V{G17_CELL}")[order] = cells.view(f"V{G17_CELL}")
+    other = np.flatnonzero(~(kernel | zero))
+    if other.size:
+        text = [b"%.17g" % v for v in x[other].tolist()]
+        out[other] = np.array(text, dtype=f"S{G17_CELL}").view(
+            np.uint8).reshape(-1, G17_CELL)
+    return out.reshape(*shape, G17_CELL)
+
+
+def csv_rows(*fields: np.ndarray) -> bytes:
+    """CSV text of the rows whose fields are `g17_cells` arrays of shape
+    (..., k, G17_CELL), k fields each, which broadcast together over their
+    leading axes: a row holds the fields of every array in turn, joined by
+    ',' and ended by a newline; rows follow in C order."""
+    shape = np.broadcast_shapes(*(f.shape[:-2] for f in fields))
+    width = sum(f.shape[-2] for f in fields)
+    rows = np.zeros((*shape, width, G17_CELL + 1), np.uint8)
+    k = 0
+    for f in fields:
+        rows[..., k:k + f.shape[-2], :G17_CELL] = f
+        k += f.shape[-2]
+    rows[..., :-1, G17_CELL] = ord(",")
+    rows[..., -1, G17_CELL] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
+# CSV rows per write: bounds the formatter's buffers
+CSV_ROWS = 2048
 
 
 def field_to_csv(field: Field2D, path) -> None:
-    """Snapshot CSV: header x,y,u1,u2; row-major over nodes; 17 sig. digits.
-
-    On rectangle grids each x and each y is formatted once: every x-row is
-    one format string holding its coordinates, into which only u1 and u2
-    are formatted."""
+    """Snapshot CSV: header x,y,u1,u2; row-major over nodes; each value as
+    '%.17g' writes it.  On rectangle grids each x and each y is formatted
+    once and gathered per node."""
     grid = field.grid
-    with open(path, "w") as fh:
-        fh.write("x,y,u1,u2\n")
-        if grid.kind == RECTANGLE:
-            xs, ys = grid.axes()
-            tail = ["", *("%.17g,%%.17g,%%.17g\n" % y for y in ys.tolist())]
-            for x, u in zip(xs.tolist(), field.values):
-                fh.write(("%.17g," % x).join(tail) % tuple(u.ravel().tolist()))
-            return
-        X, Y = grid.nodes_xy()
-        rows = np.column_stack([X.ravel(), Y.ravel(),
-                                field.values.reshape(-1, 2)])
-        for k in range(0, len(rows), _CSV_BLOCK):
-            block = rows[k:k + _CSV_BLOCK]
-            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block))
-                     % tuple(block.ravel().tolist()))
+    values, xy = field.values, []
+    if grid.kind == RECTANGLE:
+        xs, ys = grid.axes()
+        xy = [np.broadcast_to(g17_cells(a), (*grid.shape, 1, G17_CELL))
+              for a in (xs[:, None, None], ys[None, :, None])]
+    else:
+        values = np.concatenate([np.stack(grid.nodes_xy(), axis=-1),
+                                 values], axis=-1)
+    step = -(-CSV_ROWS // grid.n2)  # node rows per write
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,u1,u2\n")
+        for i in range(0, grid.n1, step):
+            rows = slice(i, i + step)
+            fh.write(csv_rows(*(c[rows] for c in xy),
+                              g17_cells(values[rows])))
 
 
 def field_from_csv(grid: Grid2D, path) -> Field2D:

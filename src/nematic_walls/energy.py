@@ -176,8 +176,7 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
 
     wall_int = 0.0
     wall_bdy = 0.0
-    for seg in field.jumps:
-        seg.validate()
+    for seg in field.jumps:  # each validated when it was built
         w = wall_energy(seg, order=wall_order) * field.wall_multiplier
         if seg.boundary:
             wall_bdy += w

@@ -24,6 +24,8 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 # SciPy's default iteration cap: the number of binades of float64
 _MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
+# points per `arc_root` solve
+ARC_BLOCK = 8192
 
 
 class BracketError(ValueError):
@@ -157,7 +159,10 @@ def arc_root(seed: Callable, lo, hi, x, y):
     solved in q for (|w|^2 - 1)/v0 = v0 |d|^2 + 2 d.e0 with d = p - P0:
     no 1/v0 and no cancellation of the 1, and at v0 = 0 it is the straight
     arc's equation d.e0 = 0, so straight arcs need no clamp.  Returns
-    (theta, v0) at the roots, theta = atan2(w_y, w_x).
+    (theta, v0) at the roots, theta = atan2(w_y, w_x), of the broadcast
+    shape of lo, hi, x and y.  The points are solved ARC_BLOCK at a time,
+    which bounds the solver's temporaries; the solve is elementwise, so
+    the blocks change no result.
     """
     def parts(q, x, y):
         x0, y0, th0, v0 = seed(q)[:4]
@@ -167,6 +172,14 @@ def arc_root(seed: Callable, lo, hi, x, y):
         dx, dy, e0x, e0y, v0 = parts(q, x, y)
         return v0 * (dx * dx + dy * dy) + 2.0 * (dx * e0x + dy * e0y)
 
-    q = bracketed_root(resid, lo, hi, args=(x, y))
-    dx, dy, e0x, e0y, v0 = parts(q, x, y)
-    return np.arctan2(v0 * dy + e0y, v0 * dx + e0x), v0
+    lo, hi, x, y = np.broadcast_arrays(lo, hi, x, y)
+    shape = x.shape
+    lo, hi, x, y = (a.ravel() for a in (lo, hi, x, y))
+    theta, v = np.empty(x.size), np.empty(x.size)
+    for k in range(0, x.size, ARC_BLOCK):
+        b = slice(k, k + ARC_BLOCK)
+        q = bracketed_root(resid, lo[b], hi[b], args=(x[b], y[b]))
+        dx, dy, e0x, e0y, v0 = parts(q, x[b], y[b])
+        theta[b] = np.arctan2(v0 * dy + e0y, v0 * dx + e0x)
+        v[b] = v0
+    return theta.reshape(shape), v.reshape(shape)

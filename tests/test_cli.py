@@ -349,7 +349,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["rect-1d", "--config", str(path)]) == 2
     assert "error: unknown config key 'xyz'" in capsys.readouterr().err
-    path.write_text(json.dumps({"L": 1.0}))
+    # a config naming another subcommand than the command line's
+    path.write_text(json.dumps({"subcommand": "crosstie", "L": 1.0}))
     assert main(["rect-1d", "--config", str(path)]) == 2
     assert "'subcommand'" in capsys.readouterr().err
     # a value of the wrong type names its key instead of crashing in
@@ -361,6 +362,41 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"subcommand": "rect-1d", "L": 2,
                                 "out": str(tmp_path / "int-L")}))
     assert main(["rect-1d", "--config", str(path)]) == 0
+
+
+def test_config_takes_the_subcommand_from_the_command_line(tmp_path):
+    """A config file need not repeat the subcommand it is run under."""
+    cfg = {"domain": "rect", "L": 0.5, "eps": 0.05, "nx": 8, "ny": 8,
+           "max_time": 0.01, "out": str(tmp_path / "flow")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["gradflow", "--config", str(path)]) == 0
+    saved = json.loads((tmp_path / "flow" / "config.json").read_text())
+    assert saved["subcommand"] == "gradflow"
+
+
+def test_config_file_means_what_the_flags_mean(tmp_path):
+    """Keys a config file lacks take the subcommand's flag defaults, not
+    RunConfig's: a rectangle flow from the cross-tie construction runs on
+    the cross-tie's own cell (--T 0) from flags and from a file alike."""
+    flags = {"domain": "rect", "L": 0.5, "H": 0.5, "init": "construction",
+             "eps": 0.05, "nx": 16, "ny": 16, "max_time": 0.001}
+    argv = ["gradflow"]
+    for key, val in flags.items():
+        argv += ["--" + key.replace("_", "-"), str(val)]
+    assert main(argv + ["--out", str(tmp_path / "flags")]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**flags, "subcommand": "gradflow",
+                                "out": str(tmp_path / "file")}))
+    assert main(["gradflow", "--config", str(path)]) == 0
+    by_flags, by_file = (
+        json.loads((tmp_path / d / "config.json").read_text())
+        for d in ("flags", "file"))
+    assert by_file["T"] == 0.0
+    assert {**by_flags, "out": ""} == {**by_file, "out": ""}
+    for name in ("field.csv", "flow.json"):
+        assert ((tmp_path / "flags" / name).read_bytes()
+                == (tmp_path / "file" / name).read_bytes())
 
 
 def test_dispatch_reports_exception_type(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nematic_walls.core import (EnergyBreakdown, Field2D, JumpSegment, Params,
-                                field_from_csv, field_to_csv, make_grid,
+from nematic_walls.core import (G17_CELL, EnergyBreakdown, Field2D,
+                                JumpSegment, Params, csv_rows, field_from_csv,
+                                field_to_csv, g17_cells, make_grid,
                                 sample_analytic)
 
 
@@ -181,3 +184,78 @@ def test_field_csv_bytes_match_per_row_format(tmp_path):
             f"{X[i, j]:.17g},{Y[i, j]:.17g},{vals[i, j, 0]:.17g},{vals[i, j, 1]:.17g}\n"
             for i in range(g.n1) for j in range(g.n2))
         assert path.read_bytes() == expected.encode(), g
+
+
+# --- the vectorized '%.17g' formatter --------------------------------------------
+
+def _assert_g17(values):
+    """g17_cells writes every value as '%.17g' does, one per row."""
+    values = np.asarray(values, dtype=float)
+    got = csv_rows(g17_cells(values[:, None])).decode().splitlines()
+    expected = ["%.17g" % v for v in values.tolist()]
+    bad = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected)
+           if g != e]
+    assert not bad and len(got) == len(expected), bad[:5]
+
+
+def _g17_edges() -> list:
+    """Powers of ten 1e-6 ... 1e22 with their one-ulp neighbours; the
+    closest double to 1e-6, which lies below it; the '%g' switch from
+    exponent to fixed notation at 1e-4 and the exponents at 1e-5; ties of
+    the 17th digit; the carry of 99999999999999999.0 into 1e17; zeros,
+    subnormals, extremes and non-finite values; all with both signs."""
+    edges = [9.9999999999999995e-7, 1e-5, 1e-4, 9.99999999999999e-5,
+             0.000099999999999999991, 99999999999999999.0,
+             9999999999999998.0, 0.0, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, math.inf, math.nan]
+    for k in range(-6, 23):
+        v = float(f"1e{k}")
+        edges += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    edges += (1e15 + 0.25 * np.arange(16)).tolist()  # halves of the 17th digit
+    return edges + [-v for v in edges]
+
+
+def test_g17_edges():
+    _assert_g17(_g17_edges())
+
+
+def test_g17_on_a_wide_sample():
+    """Normals, values spread uniformly over 26 decades, integers and
+    dyadic fractions scaled by powers of ten, random bit patterns."""
+    rng = np.random.default_rng(19)
+    n = 20000
+    _assert_g17(np.concatenate([
+        rng.normal(size=n),
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 18.0, n),
+        np.rint(rng.normal(size=n) * 10.0 ** rng.integers(0, 12, n))
+        * 10.0 ** rng.integers(-6, 6, n),
+        rng.integers(-2 ** 30, 2 ** 30, n) / 2.0 ** rng.integers(0, 40, n),
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+    ]))
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_g17_property_bit_patterns(bits):
+    _assert_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=64))
+def test_g17_property_floats(values):
+    _assert_g17(values)
+
+
+@given(st.lists(st.floats(1e-7, 1e17), min_size=1, max_size=64),
+       st.lists(st.booleans(), min_size=64, max_size=64))
+def test_g17_property_vectorized_range(values, negative):
+    """The range the vectorized path formats, with its ends."""
+    _assert_g17(np.where(negative[:len(values)], -1.0, 1.0) * values)
+
+
+def test_csv_rows_broadcasts_its_fields():
+    """Fields broadcast over the leading axes: a column of x against a row
+    of y gives every (x, y) pair, in C order."""
+    xs, ys = np.array([0.5, -2.0]), np.array([1e-7, 3.0, 0.0])
+    text = csv_rows(g17_cells(xs[:, None, None]), g17_cells(ys[None, :, None]))
+    assert g17_cells(np.zeros((2, 3))).shape == (2, 3, G17_CELL)
+    assert text.decode() == "".join(f"{x:.17g},{y:.17g}\n"
+                                    for x in xs for y in ys)

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nematic_walls import annulus, characteristics, crosstie, disc
-from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, Field2D, Params,
-                                make_grid, sample_analytic)
+from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, Field2D,
+                                JumpSegment, Params, make_grid,
+                                sample_analytic)
 from nematic_walls.disc import hedgehog_solution
 from nematic_walls.energy import (GridProfile1D, WallIntegrand,
                                   _bulk_transport_residual,
@@ -417,6 +418,17 @@ def test_disc_E0_solves_each_curvature_twice(monkeypatch):
         monkeypatch.setattr(disc, name, counted)
     eval_E0_piecewise(sol.field, Params(L=0.5, R=0.6))
     assert calls == {"region3_v0": 2, "region2_v0": 2}
+
+
+def test_E0_validates_no_wall_again(monkeypatch):
+    """A JumpSegment validates its traces when it is built (an invalid one
+    raises there, see test_core.TestJumpSegment); E0 does not validate it
+    again."""
+    field = crosstie.build_crosstie(1.5, 1.0).field
+    calls = []
+    monkeypatch.setattr(JumpSegment, "validate", calls.append)
+    eval_E0_piecewise(field, Params(L=1.5, H=1.0))
+    assert calls == []
 
 
 def _circle_normal(radius, sign):
