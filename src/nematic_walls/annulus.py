@@ -58,12 +58,19 @@ def radial_div(rho: float, a: float, R: float):
     return c_in, c_out
 
 
+def _energy_terms(rho: float, a: float, R: float, L: float) -> EnergyBreakdown:
+    """Closed-form limiting energy of the interior-wall radial field, as
+    its bulk and wall terms."""
+    z = rho * rho
+    return EnergyBreakdown(
+        bulk_div=2.0 * math.pi * L * a * a * z
+        * (1.0 / (z - 1.0) + 1.0 / (R * R - z)),
+        wall_interior=EIGHT_PI_THIRDS * rho * (1.0 - a * a) ** 1.5)
+
+
 def annulus_energy(rho: float, a: float, R: float, L: float) -> float:
     """Closed-form limiting energy of the interior-wall radial field."""
-    z = rho * rho
-    bulk = 2.0 * math.pi * L * a * a * z * (1.0 / (z - 1.0) + 1.0 / (R * R - z))
-    wall = EIGHT_PI_THIRDS * rho * (1.0 - a * a) ** 1.5
-    return bulk + wall
+    return _energy_terms(rho, a, R, L).total
 
 
 def g_poly(z, R: float, L: float):
@@ -155,6 +162,16 @@ def _annulus_radius(x, y, R: float):
     return x, y, r
 
 
+def _wall_circle():
+    """The 513 vertices (cos phi, sin phi), phi = 0 .. 2 pi, of the unit
+    circle, and the arc/chord ratio of each of its 512 segments."""
+    nv = 512
+    phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
+    dphi = phi[1] - phi[0]
+    return (np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+            np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)))
+
+
 def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     """Characteristic families + wall circle for the interior-wall field."""
     c_in, c_out = radial_div(rho, a, R)
@@ -202,9 +219,7 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
                                    label="annulus outer")
 
     # wall circle with exact trace functions of arclength
-    nv = 512
-    phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
-    pts = rho * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    circle, arc_over_chord = _wall_circle()
     b = math.sqrt(max(1.0 - a * a, 0.0))
 
     def traces(ph):
@@ -213,17 +228,13 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
         return a * er + b * et, a * er - b * et
 
-    # from + (outer) to - (inner)
-    normals = -np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-
-    dphi = phi[1] - phi[0]
-    arc_over_chord = (0.5 * dphi) / math.sin(0.5 * dphi)
+    # normals from + (outer) to - (inner)
     wall = JumpSegment(
-        polyline=pts, normals=normals,
+        polyline=rho * circle, normals=-circle,
         trace_fn=lambda arc: traces(np.asarray(arc, dtype=float) / rho),
         div_fn=lambda arc: (np.full(np.shape(arc), c_out),
                             np.full(np.shape(arc), c_in)),
-        length_scale=np.full(nv, arc_over_chord),
+        length_scale=arc_over_chord,
     )
 
     def sample(x, y):
@@ -249,9 +260,7 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
 
     fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
                                label="annulus radii")
-    nv = 512
-    phi = np.linspace(0.0, 2.0 * np.pi, nv + 1)
-    pts = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    circle, arc_over_chord = _wall_circle()
 
     def traces(arc):
         # on the unit circle arclength is the polar angle
@@ -259,12 +268,10 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
         et = np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
         return et, -et
 
-    dphi = phi[1] - phi[0]
     wall = JumpSegment(
-        polyline=pts, normals=np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+        polyline=circle, normals=circle,
         trace_fn=traces, div_fn=lambda arc: (np.zeros(np.shape(arc)),) * 2,
-        length_scale=np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)),
-        boundary=True)
+        length_scale=arc_over_chord, boundary=True)
 
     def sample(x, y):
         x, y, r = _annulus_radius(x, y, R)
@@ -304,13 +311,12 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
         a2 = min(a2, 0.25)
         a = math.sqrt(a2)
         rho = math.sqrt(z)
-        E = annulus_energy(rho, a, R, L)
-        if best is None or E < best[0]:
-            best = (E, rho, a)
+        eb = _energy_terms(rho, a, R, L)
+        if best is None or eb.total < best[0].total:
+            best = (eb, rho, a)
     if best is None:
         return None
-    E, rho, a = best
-    c_in, c_out = radial_div(rho, a, R)
+    eb, rho, a = best
     nbc = abs(2.0 * a * L * rho * (1.0 / (rho * rho - 1.0)
                                    + 1.0 / (R * R - rho * rho))
               - 4.0 * a * math.sqrt(1.0 - a * a))
@@ -322,10 +328,6 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
         raise RuntimeError(f"criticality residuals too large: nbc={nbc:.3e}, "
                            f"jump={jump:.3e}")
     field = _assemble_field(rho, a, R)
-    bulk = 2.0 * math.pi * L * a * a * rho * rho \
-        * (1.0 / (rho * rho - 1.0) + 1.0 / (R * R - rho * rho))
-    wall = EIGHT_PI_THIRDS * rho * (1.0 - a * a) ** 1.5
-    eb = EnergyBreakdown(bulk_div=bulk, wall_interior=wall)
     return AnnulusRadialSolution(R=R, L=L, rho=rho, a=a, wall_at_boundary=False,
                                  energy=eb, field=field,
                                  nbc_residual=nbc, jump_residual=jump)

@@ -27,9 +27,8 @@ import numpy as np
 from .contours import contours_to_csv, level_curves
 from .core import (POLAR, RECTANGLE, Field2D, Grid2D, Params,
                    disc_inner_cutoff, field_from_csv, field_to_csv, make_grid,
-                   sample_analytic)
+                   table_to_csv)
 
-G17 = "{:.17g}".format
 # the JSON values each RunConfig field type accepts (annotations are
 # strings under `from __future__ import annotations`)
 _JSON_TYPES = {"str": (str,), "float": (int, float), "int": (int,)}
@@ -90,7 +89,7 @@ class RunConfig:
         return cls(**{**base, **data})
 
     def params(self) -> Params:
-        return Params(L=self.L, eps=self.eps, H=self.H, T=max(self.T, 1e-12) if self.T > 0 else 1.0,
+        return Params(L=self.L, eps=self.eps, H=self.H, T=self.T if self.T > 0 else 1.0,
                       R=self.R, a=self.a)
 
 
@@ -178,14 +177,26 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True, default=float))
+
+
 def _write_report(out: Path, name: str, breakdown, params: Params,
-                  extra: Optional[dict] = None):
-    data = breakdown.as_dict(params)
-    if extra:
-        data.update(extra)
-    (out / name).write_text(json.dumps(data, indent=2, sort_keys=True,
-                                       default=float))
-    return data
+                  extra: Optional[dict] = None) -> None:
+    _write_json(out / name, {**breakdown.as_dict(params), **(extra or {})})
+
+
+def _domain_grid(cfg: RunConfig) -> Grid2D:
+    """The grid on cfg.domain: the rectangle cell (0, 2T) x (-H, H), where
+    T = 0 takes the cross-tie's T = H T~(L/H); the disc from its inner
+    cutoff; the annulus 1 < r < R."""
+    if cfg.domain == "rect":
+        from .rect1d import solve_Ttilde
+        T = cfg.T if cfg.T > 0 else cfg.H * solve_Ttilde(cfg.L / cfg.H)
+        return make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
+                         cfg.nx, cfg.ny)
+    r_in = disc_inner_cutoff(cfg.R) if cfg.domain == "disc" else 1.0
+    return make_grid(POLAR, (r_in, cfg.R), cfg.nx, cfg.ny)
 
 
 def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
@@ -203,6 +214,23 @@ def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
                         out / "angle_contours.csv")
 
 
+def _sampled_field(grid: Grid2D, sample, out: Optional[Path] = None,
+                   levels: bool = False) -> Field2D:
+    """The field (u1, u2) of a construction's sample(x, y) -> (u1, u2, v)
+    at the nodes of grid.  With out, it is written to out/field.csv and,
+    with levels, the level curves of v and of the director angle beside
+    it.  The node arrays stay referenced until then: releasing them before
+    the writes raised the peak RSS of a construct run."""
+    X, Y = grid.nodes_xy()
+    u1, u2, v = sample(X, Y)
+    field = Field2D(grid, np.stack([u1, u2], axis=-1))
+    if out is not None:
+        field_to_csv(field, out / "field.csv")
+        if levels:
+            _write_level_curves(out, grid, v, np.arctan2(u2, u1))
+    return field
+
+
 # --- subcommand runners ---------------------------------------------------------
 
 def run_disc_tangential(cfg: RunConfig) -> int:
@@ -214,8 +242,7 @@ def run_disc_tangential(cfg: RunConfig) -> int:
     eb = eval_E0_piecewise(sol, p)
     _write_report(out, "energy.json", eb, p)
     grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
-    field_to_csv(sample_analytic(grid, lambda X, Y: sol.sample(X, Y)[:2]),
-                 out / "field.csv")
+    _sampled_field(grid, sol.sample, out)
     return 0
 
 
@@ -231,8 +258,7 @@ def run_disc_hedgehog(cfg: RunConfig) -> int:
                   extra={"closed_form": closed,
                          "quadrature_error": abs(eb.total - closed)})
     grid = make_grid(POLAR, (disc_inner_cutoff(1.0), 1.0), cfg.nx, cfg.ny)
-    field_to_csv(sample_analytic(grid, lambda X, Y: sol.sample(X, Y)[:2]),
-                 out / "field.csv")
+    _sampled_field(grid, sol.sample, out)
     return 0
 
 
@@ -248,11 +274,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
                          "s0": sol.s0})
     grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R * (1 - 1e-12)),
                      cfg.nx, cfg.ny)
-    X, Y = grid.nodes_xy()
-    u1, u2, v = disc_mod.deg_minus_one_sample(sol, X, Y)
-    f = Field2D(grid, np.stack([u1, u2], axis=-1))
-    field_to_csv(f, out / "field.csv")
-    _write_level_curves(out, grid, v, np.arctan2(u2, u1))
+    _sampled_field(grid, sol.field.sample, out, levels=True)
     return 0
 
 
@@ -268,23 +290,12 @@ def run_annulus(cfg: RunConfig) -> int:
         "small_L_bound": annulus_mod.small_L_interior_bound(cfg.R),
         "nbc_residual": sol.nbc_residual, "jump_residual": sol.jump_residual,
     }
-    (out / "annulus.json").write_text(json.dumps(data, indent=2, sort_keys=True))
+    _write_json(out / "annulus.json", data)
+    # on the x-axis e_r = e_x and e_theta = e_y, so (u1, u2) = (p, q);
+    # + 0.0 writes a zero p as 0, not as the sampler's -0
     rs = np.linspace(1.0, cfg.R, 513)
-    if sol.wall_at_boundary:
-        pvals = np.zeros_like(rs)
-        qvals = np.ones_like(rs)
-        div = np.zeros_like(rs)
-    else:
-        pfun = annulus_mod.radial_p(sol.rho, sol.a, cfg.R)
-        pvals = pfun(rs)
-        qvals = np.where(rs <= sol.rho, -1.0, 1.0) * np.sqrt(
-            np.maximum(1 - pvals ** 2, 0.0))
-        c_in, c_out = annulus_mod.radial_div(sol.rho, sol.a, cfg.R)
-        div = np.where(rs <= sol.rho, c_in, c_out)
-    with open(out / "profiles.csv", "w") as fh:
-        fh.write("r,p,q,div\n")
-        for k in range(len(rs)):
-            fh.write(f"{G17(rs[k])},{G17(pvals[k])},{G17(qvals[k])},{G17(div[k])}\n")
+    table_to_csv(np.stack([rs, *sol.field.sample(rs, 0.0)], axis=-1) + 0.0,
+                 out / "profiles.csv", "r,p,q,div")
     return 0
 
 
@@ -296,16 +307,11 @@ def run_rect_1d(cfg: RunConfig) -> int:
     M = rect1d.solve_M(cfg.L, cfg.H, cfg.a)
     E0 = rect1d.min_energy_1d(cfg.L, cfg.H, cfg.a)
     prof = rect1d.minimizer_profile(cfg.L, cfg.H, cfg.a)
-    (out / "result.json").write_text(json.dumps(
-        {"M": M, "energy": E0, "L": cfg.L, "H": cfg.H, "a": cfg.a},
-        indent=2, sort_keys=True))
+    _write_json(out / "result.json",
+                {"M": M, "energy": E0, "L": cfg.L, "H": cfg.H, "a": cfg.a})
     ys = np.linspace(-cfg.H, cfg.H, 1025)
-    with open(out / "profile.csv", "w") as fh:
-        fh.write("y,u1,u2\n")
-        u1 = prof.u1(ys)
-        u2 = prof.u2(ys)
-        for k in range(len(ys)):
-            fh.write(f"{G17(ys[k])},{G17(u1[k])},{G17(u2[k])}\n")
+    table_to_csv(np.stack([ys, prof.u1(ys), prof.u2(ys)], axis=-1),
+                 out / "profile.csv", "y,u1,u2")
     if cfg.eps_ladder:
         rows = []
         for eps in _eps_ladder(cfg.eps_ladder):
@@ -313,20 +319,18 @@ def run_rect_1d(cfg: RunConfig) -> int:
             rp = rect1d.recovery_profile_1d(eps, cfg.L, cfg.H, cfg.a, n)
             eb = eval_E_eps_1d(rp, p.with_(eps=eps))
             rows.append((eps, eb.total, E0, eb.total - E0))
-        with open(out / "eps_convergence.csv", "w") as fh:
-            fh.write("eps,E_eps,E0,gap\n")
-            for r in rows:
-                fh.write(",".join(G17(v) for v in r) + "\n")
+        table_to_csv(rows, out / "eps_convergence.csv", "eps,E_eps,E0,gap")
     return 0
 
 
 def run_crosstie(cfg: RunConfig) -> int:
     from . import crosstie as crosstie_mod
+    from .energy import eval_E0_piecewise
     out = _outdir(cfg)
-    p = cfg.params()
     sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
-    eb = crosstie_mod.crosstie_energy_breakdown(sol)
-    _write_report(out, "energy.json", eb, p.with_(T=sol.T), extra={
+    p = cfg.params().with_(T=sol.T)
+    eb = eval_E0_piecewise(sol.field, p)
+    _write_report(out, "energy.json", eb, p, extra={
         "T_tilde": sol.T_tilde, "T": sol.T, "alpha": sol.alpha,
         "t1_star": sol.t1_star, "energy_per_length": eb.total / (2 * sol.T),
         "tangency_mismatch": sol.tangency_mismatch,
@@ -334,10 +338,7 @@ def run_crosstie(cfg: RunConfig) -> int:
     })
     grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -cfg.H, cfg.H),
                      cfg.nx, cfg.ny)
-    X, Y = grid.nodes_xy()
-    u1, u2, v = crosstie_mod.crosstie_field_sample(sol, X, Y)
-    field_to_csv(Field2D(grid, np.stack([u1, u2], axis=-1)), out / "field.csv")
-    _write_level_curves(out, grid, v, np.arctan2(u2, u1))
+    _sampled_field(grid, sol.field.sample, out, levels=True)
     return 0
 
 
@@ -347,12 +348,8 @@ def run_crosstie_sweep(cfg: RunConfig) -> int:
     rows = []
     L0, L1 = crosstie_mod.find_crossing(H=cfg.H, l_lo=cfg.lmin, l_hi=cfg.lmax,
                                         step=cfg.step, samples=rows)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("L_over_H,E_crosstie,E_1d,gap\n")
-        for r in rows:
-            fh.write(",".join(G17(v) for v in r) + "\n")
-    (out / "crossing.json").write_text(json.dumps(
-        {"L0": L0, "L1": L1, "step": cfg.step}, indent=2, sort_keys=True))
+    table_to_csv(rows, out / "sweep.csv", "L_over_H,E_crosstie,E_1d,gap")
+    _write_json(out / "crossing.json", {"L0": L0, "L1": L1, "step": cfg.step})
     return 0
 
 
@@ -363,53 +360,42 @@ def run_gradflow(cfg: RunConfig) -> int:
     from . import gradflow as gf
     out = _outdir(cfg)
     p = cfg.params()
+    grid = _domain_grid(cfg)
     if cfg.domain == "rect":
-        from .rect1d import solve_Ttilde
-        T = cfg.T if cfg.T > 0 else cfg.H * solve_Ttilde(cfg.L / cfg.H)
-        grid = make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
-                         cfg.nx, cfg.ny)
         bc = gf.rect_bc(cfg.a)
-        if cfg.init == "construction":
-            from . import crosstie as crosstie_mod
-            sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
-            X, Y = grid.nodes_xy()
-            u1, u2, _ = crosstie_mod.crosstie_field_sample(sol, X, Y)
-            init = Field2D(grid, np.stack([u1, u2], axis=-1))
-        else:
-            init = gf.random_unit_field(grid, bc, seed=cfg.seed)
     elif cfg.domain == "disc":
-        from . import disc as disc_mod
-        grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
         bc = gf.disc_bc(cfg.bc or "degminusone", cfg.R)
-        if cfg.init == "construction":
-            sol = disc_mod.build_deg_minus_one(cfg.R, cfg.L)
-            X, Y = grid.nodes_xy()
-            rcl = np.hypot(X, Y)
-            scale = np.minimum(1.0, cfg.R * (1 - 1e-12) / rcl)
-            u1, u2, _ = disc_mod.deg_minus_one_sample(sol, X * scale, Y * scale)
-            init = Field2D(grid, np.stack([u1, u2], axis=-1))
-        else:
-            init = gf.random_unit_field(grid, bc, seed=cfg.seed)
     else:
-        grid = make_grid(POLAR, (1.0, cfg.R), cfg.nx, cfg.ny)
         bc = gf.annulus_bc()
+    if cfg.init == "construction" and cfg.domain == "rect":
+        from .crosstie import build_crosstie
+        init = _sampled_field(grid, build_crosstie(cfg.L, cfg.H).field.sample)
+    elif cfg.init == "construction":
+        from .disc import build_deg_minus_one
+        sample = build_deg_minus_one(cfg.R, cfg.L).field.sample
+
+        def inside(X, Y):
+            # the outer ring, pulled just inside the disc the sampler covers
+            scale = np.minimum(1.0, cfg.R * (1 - 1e-12) / np.hypot(X, Y))
+            return sample(X * scale, Y * scale)
+
+        init = _sampled_field(grid, inside)
+    else:
         init = gf.random_unit_field(grid, bc, seed=cfg.seed)
 
     solver = gf.FlowSolver(grid, p, bc, dt=cfg.dt if cfg.dt > 0 else None)
     state = solver.run_to_equilibrium(init, tol=cfg.tol, max_time=cfg.max_time)
     del init  # free the start field before the artifacts, which set the peak
     field_to_csv(state.field, out / "field.csv")
-    with open(out / "energy_trace.csv", "w") as fh:
-        fh.write("t,total,grad,potential,bulk_div\n")
-        for (t, eb) in state.energy_trace:
-            fh.write(f"{G17(t)},{G17(eb.total)},{G17(eb.grad_term)},"
-                     f"{G17(eb.potential_term)},{G17(eb.bulk_div)}\n")
+    table_to_csv([(t, eb.total, eb.grad_term, eb.potential_term, eb.bulk_div)
+                  for t, eb in state.energy_trace],
+                 out / "energy_trace.csv", "t,total,grad,potential,bulk_div")
     _write_level_curves(out, grid, gf.divergence_field(state.field))
-    (out / "flow.json").write_text(json.dumps({
+    _write_json(out / "flow.json", {
         "converged": state.converged, "stop_reason": state.stop_reason,
         "residual": state.residual, "time": state.time, "dt": state.dt,
         "final_energy": state.energy_trace[-1][1].total,
-    }, indent=2, sort_keys=True))
+    })
     return 0
 
 
@@ -417,15 +403,7 @@ def run_energy_eval(cfg: RunConfig) -> int:
     from .energy import eval_E_eps
     out = _outdir(cfg)
     p = cfg.params()
-    if cfg.domain == "rect":
-        grid = make_grid(RECTANGLE, (0.0, 2 * cfg.T, -cfg.H, cfg.H),
-                         cfg.nx, cfg.ny)
-    elif cfg.domain == "disc":
-        grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
-    else:
-        grid = make_grid(POLAR, (1.0, cfg.R), cfg.nx, cfg.ny)
-    f = field_from_csv(grid, cfg.field_csv)
-    eb = eval_E_eps(f, p)
+    eb = eval_E_eps(field_from_csv(_domain_grid(cfg), cfg.field_csv), p)
     _write_report(out, "energy.json", eb, p)
     return 0
 

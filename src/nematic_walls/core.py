@@ -182,11 +182,7 @@ def sample_analytic(grid: Grid2D, f: Callable[[float, float], tuple]) -> Field2D
     """Sample f(x, y) -> (u1, u2) at every node (Cartesian arguments)."""
     X, Y = grid.nodes_xy()
     out = np.empty((*grid.shape, 2))
-    fx, fy = f(X, Y)
-    out[..., 0] = fx
-    out[..., 1] = fy
-    if not np.all(np.isfinite(out)):
-        raise ValueError("analytic field returned non-finite values")
+    out[..., 0], out[..., 1] = f(X, Y)
     return Field2D(grid, out)
 
 
@@ -359,6 +355,14 @@ def field_to_csv(field: Field2D, path) -> None:
             rows = slice(i, i + step)
             fh.write(csv_rows(*(c[rows] for c in xy),
                               g17_cells(values[rows])))
+
+
+def table_to_csv(table, path, header: str) -> None:
+    """CSV of a header line, then one row per row of the 2D float table,
+    each value as '%.17g' writes it."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(csv_rows(g17_cells(table)))
 
 
 def field_from_csv(grid: Grid2D, path) -> Field2D:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               mirror_wall)
-from .core import EnergyBreakdown, JumpSegment, Params
+from .core import JumpSegment, Params
 from . import rect1d
 from .energy import eval_E0_piecewise, wall_balance
 # the period equation lives in rect1d, which the flow imports without this
@@ -271,10 +271,6 @@ def crosstie_energy_per_length(sol: CrossTieSolution, *,
     eb = eval_E0_piecewise(sol.field, Params(L=sol.L, H=sol.H, T=sol.T),
                            s_panels=s_panels, order=order)
     return eb.total / (2.0 * sol.T)
-
-
-def crosstie_energy_breakdown(sol: CrossTieSolution, **kw) -> EnergyBreakdown:
-    return eval_E0_piecewise(sol.field, Params(L=sol.L, H=sol.H, T=sol.T), **kw)
 
 
 def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,

@@ -161,8 +161,7 @@ def family_area(family: CharacteristicFamily, *, s_panels: int = 64,
 
 
 def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
-                      s_panels: int = 64, order: int = 8,
-                      wall_order: int = 8) -> EnergyBreakdown:
+                      s_panels: int = 64, order: int = 8) -> EnergyBreakdown:
     """Limiting energy of an assembled critical field.
 
     bulk = (L/2) * symmetry_copies * sum_f integral v0^2 |J|
@@ -177,7 +176,7 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
     wall_int = 0.0
     wall_bdy = 0.0
     for seg in field.jumps:  # each validated when it was built
-        w = wall_energy(seg, order=wall_order) * field.wall_multiplier
+        w = wall_energy(seg) * field.wall_multiplier
         if seg.boundary:
             wall_bdy += w
         else:

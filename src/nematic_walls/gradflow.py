@@ -436,8 +436,7 @@ class FlowSolver:
 
     def run_to_equilibrium(self, init: Field2D, tol: float = 1e-4,
                            max_time: float = 50.0,
-                           max_steps: int = 200000,
-                           callback=None) -> FlowState:
+                           max_steps: int = 200000) -> FlowState:
         """Advance until equilibrium; flagged unconverged at max_time or
         max_steps.
 
@@ -464,8 +463,6 @@ class FlowSolver:
             E_prev = state.energy_trace[-1][1].total
             self.step(state)
             E_new = state.energy_trace[-1][1].total
-            if callback is not None:
-                callback(state)
             rate = (E_prev - E_new) / state.dt
             state.residual = None
             if rate < tol * tol:

@@ -103,8 +103,6 @@ def min_energy_1d(L: float, H: float, a: float) -> float:
         ratio = L / H
         if ratio < 2.0:
             return ratio - ratio ** 3 / 12.0
-        if ratio > 2.0:
-            return 4.0 / 3.0
         return 4.0 / 3.0
     return float(wall_height_objective(solve_M(L, H, a), L, H, a))
 

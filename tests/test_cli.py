@@ -405,3 +405,93 @@ def test_dispatch_reports_exception_type(tmp_path, capsys):
                     out=str(tmp_path / "e"))
     assert dispatch(cfg) == 1
     assert "error: FileNotFoundError: " in capsys.readouterr().err
+
+
+def _table(path, header):
+    """The rows of a CSV artifact as float arrays, after checking that its
+    header is header and that every value is written as '%.17g' writes
+    the float it reads back as."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    rows = []
+    for line in lines[1:]:
+        values = [float(cell) for cell in line.split(",")]
+        assert line == ",".join("%.17g" % v for v in values)
+        rows.append(values)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("argv, name, header, n_rows", [
+    (["rect-1d", "--L", "1.5", "--H", "1", "--eps-ladder", "1e-2,5e-3"],
+     "profile.csv", "y,u1,u2", 1025),
+    (["rect-1d", "--L", "1.5", "--H", "1", "--eps-ladder", "1e-2,5e-3"],
+     "eps_convergence.csv", "eps,E_eps,E0,gap", 2),
+    # a window with no crossing: five grid points, no refinement
+    (["crosstie-sweep", "--lmin", "1.3", "--lmax", "1.5", "--step", "0.05"],
+     "sweep.csv", "L_over_H,E_crosstie,E_1d,gap", 5),
+])
+def test_table_artifacts_are_g17_of_their_values(tmp_path, argv, name,
+                                                 header, n_rows):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert _table(tmp_path / name, header).shape[0] == n_rows
+
+
+def test_energy_trace_is_g17_of_its_values(tmp_path):
+    """A random start is unit length to rounding, so the first potential
+    term is of order 1e-31: below the decimal kernel's range, it takes the
+    formatter's fallback path."""
+    assert main(["gradflow", "--domain", "rect", "--nx", "16", "--ny", "16",
+                 "--eps", "0.05", "--max-time", "0.01", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    trace = _table(tmp_path / "energy_trace.csv",
+                   "t,total,grad,potential,bulk_div")
+    assert 0 < trace[0, 3] < 1e-20
+
+
+def test_annulus_profiles_follow_the_regime(tmp_path):
+    """The interior wall's profile jumps in q and div at rho; with the wall
+    on the inner boundary u = e_theta, so p is written 0 (never -0), q 1
+    and div 0."""
+    assert main(["annulus", "--R", "2", "--L", "0.1",
+                 "--out", str(tmp_path / "int")]) == 0
+    rho = json.loads((tmp_path / "int" / "annulus.json").read_text())["rho"]
+    r, p, q, div = _table(tmp_path / "int" / "profiles.csv", "r,p,q,div").T
+    assert r.size == 513
+    inner = r <= rho
+    assert np.all(q[inner] < 0) and np.all(q[~inner] > 0)
+    assert np.all(div[inner] > 0) and np.all(div[~inner] < 0)
+    np.testing.assert_allclose(p * p + q * q, 1.0, rtol=0, atol=1e-15)
+
+    assert main(["annulus", "--R", "2", "--L", "2",
+                 "--out", str(tmp_path / "bdy")]) == 0
+    r, p, q, div = _table(tmp_path / "bdy" / "profiles.csv", "r,p,q,div").T
+    assert r.size == 513
+    assert np.all(p == 0) and not np.signbit(p).any()
+    assert np.all(q == 1) and np.all(div == 0)
+
+
+@pytest.mark.parametrize("module, attr, argv, n_nodes", [
+    ("disc", "deg_minus_one_sample",
+     ["disc-deg-minus-one", "--R", "0.6", "--L", "0.5", "--nx", "8",
+      "--ny", "16"], 9 * 16),
+    ("crosstie", "crosstie_field_sample",
+     ["crosstie", "--L", "1.2", "--H", "1", "--nx", "8", "--ny", "8"],
+     8 * 9),
+])
+def test_cli_samples_through_the_traced_module_attribute(
+        tmp_path, monkeypatch, module, attr, argv, n_nodes):
+    """The benchmark traces a construction's sampler by replacing its
+    module attribute: the CLI run must call that attribute once, on every
+    node of its grid, or the traced share and point count read 0."""
+    import importlib
+    mod = importlib.import_module(f"nematic_walls.{module}")
+    original = getattr(mod, attr)
+    sizes = []
+
+    def counted(sol, x, y):
+        sizes.append(np.size(x))
+        return original(sol, x, y)
+
+    monkeypatch.setattr(mod, attr, counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sizes == [n_nodes]
