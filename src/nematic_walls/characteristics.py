@@ -242,17 +242,17 @@ def arc_jacobian_integral(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t_star):
 def _seed_derivatives(family: CharacteristicFamily, s):
     """(theta0, v0, t_star) at s and (x0', y0', theta0', v0'), the central
     differences of the seed's first four entries over SEED_DIFF_STEP
-    (one-sided at the ends of s_range): two seed calls, one at s and one on
-    s + ds and s - ds stacked."""
+    (one-sided at the ends of s_range): one seed call, on s, s + ds and
+    s - ds stacked."""
     s = np.asarray(s, dtype=float)
     s_lo, s_hi = family.s_range
     ds = SEED_DIFF_STEP * max(s_hi - s_lo, 1.0)
     sp = np.minimum(s + ds, s_hi)
     sm = np.maximum(s - ds, s_lo)
-    _, _, th0, v0, ts = (np.asarray(a, dtype=float) for a in family.seed(s))
-    ends = (np.asarray(a, dtype=float)
-            for a in family.seed(np.stack([sp, sm]))[:4])
-    return th0, v0, ts, tuple((p - m) / (sp - sm) for p, m in ends)
+    x0, y0, th0, v0, ts = (np.asarray(a, dtype=float)
+                           for a in family.seed(np.stack([s, sp, sm])))
+    return th0[0], v0[0], ts[0], tuple((a[1] - a[2]) / (sp - sm)
+                                       for a in (x0, y0, th0, v0))
 
 
 def family_jacobian(family: CharacteristicFamily, s, t):
@@ -260,7 +260,7 @@ def family_jacobian(family: CharacteristicFamily, s, t):
     broadcast shape of s and t, and the arcs' divergence on the shape of s.
 
     The seed derivatives are taken on s alone: pass s as a column against
-    a t-grid to evaluate the seed twice in all.
+    a t-grid to evaluate the seed once in all.
     """
     th0, v0, _, derivs = _seed_derivatives(family, s)
     return arc_jacobian(th0, v0, *derivs, np.asarray(t, dtype=float)), v0
@@ -269,7 +269,8 @@ def family_jacobian(family: CharacteristicFamily, s, t):
 def family_jacobian_integral(family: CharacteristicFamily, s):
     """(I, v0): `arc_jacobian_integral` over [0, max(t_star, 0)] of the arc
     seeded at each s, and the arcs' divergence, both on the shape of s.
-    The seed is evaluated twice, and t_star comes from the call at s."""
+    The seed is evaluated once, on s and s +- ds stacked, and t_star
+    comes from its s part."""
     th0, v0, ts, derivs = _seed_derivatives(family, s)
     return arc_jacobian_integral(th0, v0, *derivs, np.maximum(ts, 0.0)), v0
 

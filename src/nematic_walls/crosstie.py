@@ -49,7 +49,7 @@ from .energy import eval_E0_piecewise, wall_balance
 # module; its names stay importable from here
 from .rect1d import (SQRT2M1, period_equation_residual, solve_Ttilde,
                      ttilde_closed_form_check)
-from .rootfind import arc_root, bracketed_root
+from .rootfind import arc_residual, arc_root, bracketed_root
 
 # --- region III seed relations ------------------------------------------------
 
@@ -346,7 +346,10 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     below 0.5426 meet the bottom wall a second time before x = T and pass
     near (T, 0) again.  Points on the left wall x = 0, where the region-III
     arcs end, get the arrival of the arc seeded at s = y in closed form, so
-    no point sits on a bracket end.
+    no point sits on a bracket end.  A point within roundoff of a seam
+    (or of the vortex, where all seams meet) takes the seam's arc: each
+    bracket end gets its residual with the sign the region requires, or 0
+    where it rounds to the other sign, and a 0 end is the root.
     """
     L, H, T, alpha = sol.L, sol.H, sol.T, sol.alpha
     x = np.asarray(x, dtype=float)
@@ -362,10 +365,11 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     theta[mI] = np.arctan2(2.0 * d * (H - yi), H * H - d * (2.0 * (xi - T) + d))
     v[mI] = -2.0 * d / (d * d + H * H)
 
-    # region III: outside the circle of its terminal arc, seeded at s = T
-    _, _, thbT, v3T, _ = (float(a) for a in region3_seed(T, L))
-    m3 = ~mI & ((x - T + math.cos(thbT) / v3T) ** 2
-                + (y + math.sin(thbT) / v3T) ** 2 >= 1.0 / (v3T * v3T))
+    # regions II and III meet on one arc: region III's terminal arc,
+    # seeded at s = T, is region II's last arc.  Its residual is <= 0
+    # outside its circle, in region III; the region test is that residual,
+    # as region III's upper bracket end evaluates it
+    m3 = ~mI & (arc_residual(sol.region3.seed, T, x, y) <= 0.0)
     left = m3 & (x == 0.0)
     if left.any():
         _, _, th0, v[left], _ = region3_seed(y[left], L)
@@ -374,10 +378,11 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     if inner.any():
         x3, y3 = x[inner], y[inner]
         theta[inner], v[inner] = arc_root(
-            sol.region3.seed, np.minimum(x3 + y3, T), T, x3, y3)
+            sol.region3.seed, np.minimum(x3 + y3, T), T, x3, y3, (1, -1))
 
     # region II: p's foot sigma on Gamma; the arc through p is seeded
-    # beyond it, up to the vortex
+    # beyond it, up to the vortex.  Region II's own residual of the shared
+    # arc is >= 0 here, where region III's is > 0
     m2 = ~mI & ~m3
     if m2.any():
         x2, y2 = x[m2], y[m2]
@@ -385,7 +390,7 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
         theta[m2], v[m2] = arc_root(
             lambda b: region2_seed_of_theta_star(b, alpha, L, H),
             region2_theta_star(sigma, alpha, L),
-            region2_theta_star(sol.t1_star, alpha, L), x2, y2)
+            region2_theta_star(sol.t1_star, alpha, L), x2, y2, (-1, 1))
     return theta, v
 
 

@@ -36,7 +36,7 @@ from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               mirror_wall)
 from .core import JumpSegment
 from .energy import wall_balance
-from .rootfind import arc_root, bracketed_root
+from .rootfind import arc_residual, arc_root, bracketed_root
 
 SQRT2 = math.sqrt(2.0)
 
@@ -315,7 +315,10 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     mu = sin(phi), from the arc whose angle at the point is -pi/4 to the
     terminal arc mu(s0); region II in its curvature, from the first arc
     (the terminal region-III arc) to the arc seeded at the point's foot on
-    the terminal region-I arc.
+    the terminal region-I arc.  A point within roundoff of a seam takes
+    the seam's arc: each bracket end gets its residual with the sign the
+    region requires, or 0 where it rounds to the other sign, and a 0 end
+    is the root.
     """
     R, L, s0 = sol.R, sol.L, sol.s0
     x = np.asarray(x, dtype=float)
@@ -333,24 +336,29 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     v[m1] = -1.0 / R
 
     # region III: outside the circle of its terminal arc, which region
-    # II's first arc continues; an arc's centre is L/sqrt(1 - mu), and
+    # II's first arc continues.  That arc's residual is < 0 outside its
+    # circle; the region test is that residual, as region III's upper
+    # bracket end evaluates it.  An arc's centre is L/sqrt(1 - mu), and
     # the arc centred at x + y has angle -pi/4 at the point
     mu0 = math.sin(float(_region3_phi(s0, L)))
-    s_end, _, _, v_end = (float(a) for a in region3_seed_of_mu(mu0, L))
-    g = -1.0 / v_end
-    m3 = ~m1 & ((x - s_end - g) ** 2 + y * y > g * g)
+    seed3 = lambda mu: region3_seed_of_mu(mu, L)
+    v_end = float(seed3(mu0)[3])
+    m3 = ~m1 & (arc_residual(seed3, mu0, x, y) < 0.0)
     if m3.any():
         x3, y3 = x[m3], y[m3]
         theta[m3], v[m3] = arc_root(
-            lambda mu: region3_seed_of_mu(mu, L),
-            1.0 - (L / np.maximum(x3 + y3, L)) ** 2, mu0, x3, y3)
+            seed3, 1.0 - (L / np.maximum(x3 + y3, L)) ** 2, mu0, x3, y3,
+            (1, -1))
 
+    # region II: its own residual of the shared arc is >= 0 here, where
+    # region III's is
     m2 = ~m1 & ~m3
     if m2.any():
         x2, y2 = x[m2], y[m2]
         sigma = R * np.arctan2(y2, SQRT2 * R - x2)
         theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, R, L),
-                                    v_end, region2_v0(sigma, R, L), x2, y2)
+                                    v_end, region2_v0(sigma, R, L), x2, y2,
+                                    (1, -1))
     return np.cos(theta), np.sin(theta), v
 
 

@@ -12,8 +12,8 @@ The evaluators here:
   v0(s)^2 |integral of J dt|, the Jacobian integrated exactly along each
   arc (`characteristics.family_jacobian_integral`).  J keeps one sign
   along an arc of a foliation, so that is the integral of v0^2 |J|; there
-  is no t-rule.  The seed is evaluated twice per family, at the s-nodes
-  (which also gives each arc's t*) and on s +- ds stacked.  Walls are
+  is no t-rule.  The seed is evaluated once per family, on the s-nodes
+  (which give each arc's t*) and s +- ds stacked.  Walls are
   cubic-jump line integrals over the stored jump segments, with the traces
   at the quadrature nodes from each segment's trace_fn.
 * eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.

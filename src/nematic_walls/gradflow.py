@@ -333,8 +333,8 @@ class _ModalSolver:
             *(a[:, :, None] for a in _probe_blocks(ops, apply_A, self.free)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """A^-1 b on the free rows (b zero on Dirichlet rows; so is the
-        result)."""
+        """A^-1 b on the free rows: b is read there only, and the result
+        is zero on the Dirichlet rows."""
         bm = self.ops.to_modal(b)
         spec = np.fft.rfft(bm[:, self.free].transpose(2, 1, 0))
         # S^H spec, real and imaginary parts apart: (2, part, rows, modes)
@@ -367,8 +367,11 @@ class FlowSolver:
 
     Every trial step solves (W + dt(eps K + L D)) u = W u_expl exactly with
     a `_ModalSolver`, built once per dt and kept for the three most recent
-    dts.  On the free rows, where W uD vanishes, the Dirichlet shift
-    A uD is dt times the dt-free `shift` = eps K uD + L D uD.
+    dts.  The Dirichlet data uD are kept as their lines only.  On the free
+    rows, where W uD vanishes, the Dirichlet shift A uD is dt times the
+    dt-free shift eps K uD + L D uD, and since A couples only neighbouring
+    lines that shift is nonzero only on the two free lines next to the
+    data, which are all that is kept of it.
     """
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
@@ -378,9 +381,23 @@ class FlowSolver:
         self.ops = _Operators(grid, bc)
         self.dt = dt if dt is not None else params.eps / 4.0
         self._factor_cache = {}
-        self.uD = bc.boundary_values(grid)
         self.mask = self.ops.mask
-        self.shift = self._apply_A(self.uD, 1.0)
+        uD = bc.boundary_values(grid)
+        # (line index, values) in the periodic-first layout; + 0.0 writes
+        # a -0.0 datum as 0, the sum of the datum and a zero row
+        lines = _periodic_first(grid, uD)
+        self._data = [(k, lines[:, k] + 0.0)
+                      for k, f in ((0, bc.first), (-1, bc.last))
+                      if f is not None]
+        shift = _periodic_first(grid, self._apply_A(uD, 1.0))
+        free = _free_rows(self.ops)
+        self._shift = [(j, shift[:, j].copy())
+                       for j in sorted({free.start, free.stop - 1})]
+
+    @property
+    def uD(self) -> np.ndarray:
+        """Field-shaped Dirichlet data (zero elsewhere), built on demand."""
+        return self.bc.boundary_values(self.ops.grid)
 
     def _factor(self, dt: float) -> _ModalSolver:
         if dt not in self._factor_cache:
@@ -399,12 +416,18 @@ class FlowSolver:
     def implicit_solve(self, u_expl: np.ndarray, dt: float) -> Tuple[np.ndarray, int]:
         """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows.
 
-        Returns u and the number of linear solves, always 1."""
+        Returns u and the number of linear solves, always 1.  The solve
+        reads b on the free rows only, so its Dirichlet rows are left as
+        they are; the data lines are written into the solution."""
+        grid = self.ops.grid
         b = self.ops.W[..., None] * u_expl
-        b -= dt * self.shift
-        b[self.mask] = 0.0
+        rows = _periodic_first(grid, b)
+        for j, s in self._shift:
+            rows[:, j] -= dt * s
         u = self._factor(dt).solve(b)
-        u += self.uD
+        rows = _periodic_first(grid, u)
+        for k, line in self._data:
+            rows[:, k] = line
         return u, 1
 
     def step(self, state: FlowState) -> FlowState:

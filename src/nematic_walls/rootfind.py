@@ -10,7 +10,10 @@ brackets of a scalar function when only an interval is known.
 
 `arc_root` inverts a one-parameter family of circular arcs at many points
 at once: the family's seed comes in a parameter with a closed form, and
-each point brings its own bracket, so no scan is needed.
+each point brings its own bracket, so no scan is needed.  Its residual,
+`arc_residual`, depends on an arc's circle alone, so the constructions
+test which side of a seam arc a point lies on with the same evaluation
+that a bracket end at that arc uses.
 """
 
 from __future__ import annotations
@@ -32,22 +35,29 @@ class BracketError(ValueError):
     """A bracket does not enclose a sign change."""
 
 
-def bracketed_root(f: Callable, lo, hi, args=(), xtol: float = 0.0):
+def bracketed_root(f: Callable, lo, hi, args=(), xtol: float = 0.0,
+                   signs=None):
     """Root of f(x, *args) = 0 in every bracket [lo, hi], elementwise.
 
     f must be elementwise: it is called on the still-unconverged points
     only, with the matching elements of args, so per-point data must come
     through args rather than a closure.  lo, hi and args broadcast together.
     The bracket shrinks to a few ulps, or to xtol when xtol > 0.  A root at
-    an endpoint is returned as is.  Raises BracketError where f(lo) and
-    f(hi) share a nonzero sign and RuntimeError on any other failure.
-    Returns an array of the broadcast shape, or a float for scalar input.
+    an endpoint (f exactly 0 there) is returned as is.  signs, when given,
+    are the signs (+-1) f has at lo and at hi in every bracket; where f at
+    an end has the other sign it is taken as 0, so that end is the root.
+    Raises BracketError where f(lo) and f(hi) share a nonzero sign and
+    RuntimeError on any other failure.  Returns an array of the broadcast
+    shape, or a float for scalar input.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     shape = lo.shape
     x1, x2 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     f1 = np.asarray(f(x1, *args), dtype=float).ravel()
     f2 = np.asarray(f(x2, *args), dtype=float).ravel()
+    if signs is not None:
+        f1 = np.where(signs[0] * f1 < 0.0, 0.0, f1)
+        f2 = np.where(signs[1] * f2 < 0.0, 0.0, f2)
     x1, x2 = x1.ravel(), x2.ravel()
     args = [np.ravel(a).copy() for a in args]
     xatol = xtol if xtol > 0 else 4 * _TINY
@@ -148,7 +158,28 @@ def scan_brackets(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     return out
 
 
-def arc_root(seed: Callable, lo, hi, x, y):
+def _arc_parts(seed: Callable, q, x, y):
+    x0, y0, th0, v0 = seed(q)[:4]
+    return x - x0, y - y0, np.cos(th0), np.sin(th0), v0
+
+
+def _arc_residual(seed: Callable, q, x, y):
+    dx, dy, e0x, e0y, v0 = _arc_parts(seed, q, x, y)
+    return v0 * (dx * dx + dy * dy) + 2.0 * (dx * e0x + dy * e0y)
+
+
+def arc_residual(seed: Callable, q: float, x, y):
+    """The residual `arc_root` solves, of the one arc with parameter q at
+    the points (x, y): v0 |d|^2 + 2 d.e0 = (|w|^2 - 1)/v0 (see
+    `arc_root`).  It equals v0 |p - C|^2 - 1/v0 with C = P0 - e0/v0, so
+    it depends on the arc's circle and curvature alone, not on where along
+    the circle the arc is seeded: two families that share an arc share its
+    residual, to roundoff.  For v0 < 0 it is positive inside that
+    circle."""
+    return _arc_residual(seed, np.array([q], dtype=float), x, y)
+
+
+def arc_root(seed: Callable, lo, hi, x, y, signs=None):
     """Angle and curvature at (x, y) of the family arc through it.
 
     seed(q) -> (x0, y0, theta0, v0, ...) is the elementwise seed of the
@@ -156,21 +187,21 @@ def arc_root(seed: Callable, lo, hi, x, y):
     are ignored), and [lo, hi] brackets each point's arc.  The arc
     through p = (x, y) has |w|^2 = 1 with w = v0 (p - P0) + e0, e0 = (cos
     theta0, sin theta0), and w = (cos theta, sin theta) at p.  The root is
-    solved in q for (|w|^2 - 1)/v0 = v0 |d|^2 + 2 d.e0 with d = p - P0:
-    no 1/v0 and no cancellation of the 1, and at v0 = 0 it is the straight
-    arc's equation d.e0 = 0, so straight arcs need no clamp.  Returns
+    solved in q for `arc_residual` (|w|^2 - 1)/v0 = v0 |d|^2 + 2 d.e0 with
+    d = p - P0: no 1/v0 and no cancellation of the 1, and at v0 = 0 it is
+    the straight arc's equation d.e0 = 0, so straight arcs need no clamp.
+    signs, when given, are the signs (+-1) of that residual at lo and at
+    hi for points inside the bracket.  An end where it has the other sign
+    is taken as 0, and so is the root (see `bracketed_root`): the caller's
+    region test put the point between the two arcs, so it lies on that
+    end's arc within roundoff, as at a seam between two families.  Returns
     (theta, v0) at the roots, theta = atan2(w_y, w_x), of the broadcast
     shape of lo, hi, x and y.  The points are solved ARC_BLOCK at a time,
     which bounds the solver's temporaries; the solve is elementwise, so
     the blocks change no result.
     """
-    def parts(q, x, y):
-        x0, y0, th0, v0 = seed(q)[:4]
-        return x - x0, y - y0, np.cos(th0), np.sin(th0), v0
-
     def resid(q, x, y):
-        dx, dy, e0x, e0y, v0 = parts(q, x, y)
-        return v0 * (dx * dx + dy * dy) + 2.0 * (dx * e0x + dy * e0y)
+        return _arc_residual(seed, q, x, y)
 
     lo, hi, x, y = np.broadcast_arrays(lo, hi, x, y)
     shape = x.shape
@@ -178,8 +209,9 @@ def arc_root(seed: Callable, lo, hi, x, y):
     theta, v = np.empty(x.size), np.empty(x.size)
     for k in range(0, x.size, ARC_BLOCK):
         b = slice(k, k + ARC_BLOCK)
-        q = bracketed_root(resid, lo[b], hi[b], args=(x[b], y[b]))
-        dx, dy, e0x, e0y, v0 = parts(q, x[b], y[b])
+        q = bracketed_root(resid, lo[b], hi[b], args=(x[b], y[b]),
+                           signs=signs)
+        dx, dy, e0x, e0y, v0 = _arc_parts(seed, q, x[b], y[b])
         theta[b] = np.arctan2(v0 * dy + e0y, v0 * dx + e0x)
         v[b] = v0
     return theta.reshape(shape), v.reshape(shape)

@@ -26,6 +26,23 @@ def _trapezoid(n):
     return w
 
 
+def _wrap_diff(u, axis):
+    """u[i + 1] - u[i] along axis, the wrap difference u[0] - u[-1] last,
+    without a rolled copy of u."""
+    u = np.moveaxis(u, axis, 0)
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    np.subtract(u[0], u[-1], out=d[-1])
+    return np.moveaxis(d, 0, axis)
+
+
+def _wrap_gather(out, d, axis):
+    """out[i] += d[i - 1] along axis, the wrap term d[-1] into out[0]."""
+    out, d = np.moveaxis(out, axis, 0), np.moveaxis(d, axis, 0)
+    out[1:] += d[:-1]
+    out[0] += d[-1]
+
+
 # --- rectangle: periodic in x, nodes x_lo + i hx for i < n1 ----------------
 
 def _rect_weights(n1, n2):
@@ -39,13 +56,10 @@ def rect_node_weights(n1, n2, hx, hy):
 
 def rect_grad_form(u, hx, hy):
     # the squared differences are summed over contiguous axes before the
-    # weights apply; the wrap difference u[0] - u[-1] goes into the last
-    # row, so u is never copied rolled
+    # weights apply
     n1, n2 = u.shape[:2]
     wx, wy = _rect_weights(n1, n2)
-    d = np.empty_like(u)
-    np.subtract(u[1:], u[:-1], out=d[:-1])
-    np.subtract(u[0], u[-1], out=d[-1])
+    d = _wrap_diff(u, 0)
     d *= d
     total = float(((hy / hx) * wy) @ d.sum(axis=0).sum(axis=1))
     d = u[:, 1:] - u[:, :-1]
@@ -56,11 +70,11 @@ def rect_grad_form(u, hx, hy):
 def rect_grad_op(u, hx, hy):
     n1, n2 = u.shape[:2]
     wx, wy = _rect_weights(n1, n2)
-    out = np.zeros_like(u)
     cx = ((hy / hx) * wy)[None, :, None]
-    d = cx * (np.roll(u, -1, axis=0) - u)
-    out -= d
-    out += np.roll(d, 1, axis=0)
+    d = _wrap_diff(u, 0)
+    d *= cx
+    out = 0.0 - d  # not -d: a zero difference gives +0
+    _wrap_gather(out, d, 0)
     cy = ((hx / hy) * wx)[:, None, None]
     d = cy * (u[:, 1:] - u[:, :-1])
     out[:, :-1] -= d
@@ -92,19 +106,20 @@ def rect_div_op(u, hx, hy):
     g = (hx * hy) * _rect_cell_div(u, hx, hy)
     gx = g / (2.0 * hx)
     gy = g / (2.0 * hy)
-    out = np.zeros_like(u)
-    # u1: right corners +, left corners -
+    out = np.empty_like(u)
+    # u1: right corners +, left corners -; the right corners of cell i are
+    # at node i + 1, so node i takes rx[i - 1] - rx[i]
     rx = np.zeros(u.shape[:2])
     rx[:, :-1] += gx
     rx[:, 1:] += gx
-    out1 = np.roll(rx, 1, axis=0)   # right corners are at i+1
-    out1 -= rx                       # left corners at i
-    # u2: top corners +, bottom corners -
+    np.subtract(rx[:-1], rx[1:], out=out[1:, :, 0])
+    np.subtract(rx[-1], rx[0], out=out[0, :, 0])
+    # u2: top corners +, bottom corners -; node i takes ty[i] + ty[i - 1]
     ty = np.zeros(u.shape[:2])
     ty[:, 1:] += gy
     ty[:, :-1] -= gy
-    out[..., 0] = out1
-    out[..., 1] = ty + np.roll(ty, 1, axis=0)
+    np.add(ty[1:], ty[:-1], out=out[1:, :, 1])
+    np.add(ty[0], ty[-1], out=out[0, :, 1])
     return out
 
 
@@ -120,7 +135,7 @@ def polar_grad_form(u, rs, dr, dt):
     d = u[1:] - u[:-1]
     total = float(np.sum(cr * d * d))
     ct = (_trapezoid(rs.shape[0]) * dr / (rs * dt))[:, None, None]
-    d = np.roll(u, -1, axis=1) - u
+    d = _wrap_diff(u, 1)
     total += float(np.sum(ct * d * d))
     return total
 
@@ -133,24 +148,25 @@ def polar_grad_op(u, rs, dr, dt):
     out[:-1] -= d
     out[1:] += d
     ct = (_trapezoid(rs.shape[0]) * dr / (rs * dt))[:, None, None]
-    d = ct * (np.roll(u, -1, axis=1) - u)
+    d = _wrap_diff(u, 1)
+    d *= ct
     out -= d
-    out += np.roll(d, 1, axis=1)
+    _wrap_gather(out, d, 1)
     return out
 
 
 def _polar_cell_div(u, rs, ts, dr, dt):
     r_c = (0.5 * (rs[:-1] + rs[1:]))[:, None]
     t_c = (ts + 0.5 * dt)[None, :]
-    uj = u
-    ujp = np.roll(u, -1, axis=1)
-    # corners: a = (i, j), b = (i+1, j), c = (i, j+1), d = (i+1, j+1)
-    a = uj[:-1]
-    b = uj[1:]
-    c = ujp[:-1]
-    d = ujp[1:]
-    Dr = (b + d - a - c) / (2.0 * dr)
-    Dt = (c + d - a - b) / (2.0 * dt)
+    Dr = np.empty((u.shape[0] - 1, *u.shape[1:]))
+    Dt = np.empty_like(Dr)
+    # corners: a = (i, j), b = (i+1, j), c = (i, j+1), d = (i+1, j+1); the
+    # wrap cells, whose j + 1 is column 0, come last
+    for cells, uj, ujp in ((slice(None, -1), u[:, :-1], u[:, 1:]),
+                           (slice(-1, None), u[:, -1:], u[:, :1])):
+        a, b, c, d = uj[:-1], uj[1:], ujp[:-1], ujp[1:]
+        Dr[:, cells] = (b + d - a - c) / (2.0 * dr)
+        Dt[:, cells] = (c + d - a - b) / (2.0 * dt)
     cos_c, sin_c = np.cos(t_c), np.sin(t_c)
     div = (cos_c * Dr[..., 0] + sin_c * Dr[..., 1]
            + (-sin_c * Dt[..., 0] + cos_c * Dt[..., 1]) / r_c)
@@ -185,11 +201,11 @@ def polar_div_op(u, rs, ts, dr, dt):
     o1[1:] += add1
     o2[1:] += add2
     # corner c=(i,j+1): Dr -, Dt +   (j+1 wraps)
-    o1[:-1] += np.roll(-gr1 + gt1, 1, axis=1)
-    o2[:-1] += np.roll(-gr2 + gt2, 1, axis=1)
+    _wrap_gather(o1[:-1], -gr1 + gt1, 1)
+    _wrap_gather(o2[:-1], -gr2 + gt2, 1)
     # corner d=(i+1,j+1): Dr +, Dt +
-    o1[1:] += np.roll(gr1 + gt1, 1, axis=1)
-    o2[1:] += np.roll(gr2 + gt2, 1, axis=1)
+    _wrap_gather(o1[1:], gr1 + gt1, 1)
+    _wrap_gather(o2[1:], gr2 + gt2, 1)
     out[..., 0] = o1
     out[..., 1] = o2
     return out

@@ -157,6 +157,24 @@ def test_gap_evaluation_solves_theta_star_three_times(lh, monkeypatch):
     assert e == RECORDED_E0_PER_LENGTH[lh]
 
 
+@pytest.mark.parametrize("lh", sorted(RECORDED_E0_PER_LENGTH))
+def test_gap_evaluation_solves_theta_star_twice(lh, monkeypatch):
+    """With one seed call per family, E0 solves region II's terminal angle
+    once, on its s-nodes and s +- ds stacked: 2 solves per gap evaluation
+    with the left wall's, and the recorded energy bit for bit."""
+    from nematic_walls import crosstie
+    sizes = []
+
+    def counted(s2, alpha, L):
+        sizes.append(np.size(s2))
+        return region2_theta_star(s2, alpha, L)
+
+    monkeypatch.setattr(crosstie, "region2_theta_star", counted)
+    e = crosstie_energy_per_length(build_crosstie(lh, 1.0))
+    assert len(sizes) <= 2, sizes
+    assert e == RECORDED_E0_PER_LENGTH[lh]
+
+
 class TestEnergy:
     def test_scale_invariance(self):
         eA = crosstie_energy_per_length(build_crosstie(1.0, 0.5),

@@ -405,10 +405,10 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
         assert max(calls.values()) <= 2
 
 
-def test_disc_E0_solves_each_curvature_twice(monkeypatch):
+def test_disc_E0_solves_each_curvature_once(monkeypatch):
     """One degree -1 E0 solves region III's and region II's seed
-    curvatures twice each, at the s-nodes and on s +- ds: t* comes from
-    the same solve as the seed."""
+    curvatures once each, on the s-nodes and s +- ds stacked: t* comes
+    from the same solve as the seed."""
     sol = disc.build_deg_minus_one(0.6, 0.5)
     calls = {}
     for name in ("region3_v0", "region2_v0"):
@@ -417,7 +417,7 @@ def test_disc_E0_solves_each_curvature_twice(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(disc, name, counted)
     eval_E0_piecewise(sol.field, Params(L=0.5, R=0.6))
-    assert calls == {"region3_v0": 2, "region2_v0": 2}
+    assert calls == {"region3_v0": 1, "region2_v0": 1}
 
 
 def test_E0_validates_no_wall_again(monkeypatch):

@@ -201,6 +201,32 @@ class TestImplicitSolver:
         assert solves == 1
         assert np.array_equal(u[solver.mask], solver.uD[solver.mask])
 
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @pytest.mark.parametrize("kind", ["rect", "disc", "annulus"])
+    @given(half=hst.integers(2, 10), n_line=hst.integers(4, 14),
+           dt_factor=hst.sampled_from([1.0, 8.0]),
+           seed=hst.integers(0, 1000))
+    def test_line_data_solve_is_the_full_grid_formula(self, kind, parity,
+                                                      half, n_line,
+                                                      dt_factor, seed):
+        """`implicit_solve` keeps the Dirichlet data and the shift A uD as
+        lines; it gives the bytes of the full-grid formula solve(W u_expl
+        - dt A uD, Dirichlet rows zeroed) + uD, on n_per = 2 half + parity
+        nodes along the periodic axis, at dt and 8 dt."""
+        g, bc = flow_case(kind, 2 * half + parity, n_line)
+        p = Params(L=0.5, eps=0.05, R=2.0 if kind == "annulus" else 0.6)
+        solver = FlowSolver(g, p, bc)
+        dt = dt_factor * solver.dt
+        u_expl = np.random.default_rng(seed).normal(size=(*g.shape, 2))
+        uD = bc.boundary_values(g)
+        b = solver.ops.W[..., None] * u_expl
+        b -= dt * solver._apply_A(uD, 1.0)
+        b[solver.mask] = 0.0
+        want = solver._factor(dt).solve(b)
+        want += uD
+        got, _ = solver.implicit_solve(u_expl, dt)
+        assert got.tobytes() == want.tobytes()
+
     @given(kind=hst.sampled_from(["rect", "disc", "annulus"]),
            n_per=hst.integers(4, 21), n_line=hst.integers(4, 14),
            eps=hst.floats(0.01, 0.2), L=hst.floats(0.05, 2.0),

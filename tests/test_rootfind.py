@@ -314,3 +314,89 @@ def test_crosstie_sampler_lattice_roundtrip(lh):
     got_th, got_v = sample(np.zeros_like(s), s)
     assert np.abs(np.angle(np.exp(1j * (got_th - th)))).max() <= 6e-10
     assert np.abs(got_v - v).max() <= 6e-10
+
+
+# --- points within roundoff of a seam ----------------------------------------
+
+SEAM_POINTS = 2000
+SEAM_DISTANCES = [0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12]
+
+
+def _arc_band(cx, cy, r, inside, rng):
+    """SEAM_POINTS points of the circle (cx, cy, r) where inside(x, y)
+    holds, kept 1 % of that angle range away from its ends, with their
+    unit normals."""
+    a = np.linspace(0.0, 2 * math.pi, 20001)
+    a = a[inside(cx + r * np.cos(a), cy + r * np.sin(a))]
+    lo, hi = a.min(), a.max()
+    a = rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), SEAM_POINTS)
+    return cx + r * np.cos(a), cy + r * np.sin(a), np.cos(a), np.sin(a)
+
+
+def _off_seam(x, y, nx, ny, scale):
+    """The points moved each SEAM_DISTANCE (relative to scale) to both
+    sides along the normals: (distances, sides, points) stacked."""
+    d = np.array([[-1.0], [1.0]])[None] * np.array(SEAM_DISTANCES)[:, None,
+                                                                   None]
+    return x + d * scale * nx, y + d * scale * ny
+
+
+def _assert_continuous(theta):
+    """Angles of points stacked by (distance, side, point): every one is
+    finite and within 4 sqrt(d + 1e-15) of the on-seam angle at the same
+    point, d the relative distance.  The angle is continuous across every
+    seam, but next to the curve region II is seeded on it moves as the
+    square root of the distance (measured: 1.2 sqrt(d) at d = 1e-12); the
+    1e-15 covers the rounding of the moved points."""
+    assert np.all(np.isfinite(theta))
+    d = np.array(SEAM_DISTANCES)[:, None, None]
+    assert np.all(np.abs(theta - theta[0, 0]) <= 4 * np.sqrt(d + 1e-15))
+
+
+@pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 1.5, 2.0, 2.6])
+def test_crosstie_sampler_at_its_seams(lh):
+    """Points on Gamma and on region III's terminal circle, and 1e-17 to
+    1e-12 (relative to T) off them to either side, invert without a
+    BracketError, with angles continuous across the seam; points 1e-16 T
+    to 1e-12 T from the vortex, where region II's cusp is thinner than
+    roundoff, invert without one too."""
+    sol = crosstie.build_crosstie(lh, 1.0)
+    T, H, a = sol.T, sol.H, sol.alpha
+    rng = np.random.default_rng(int(lh * 1e4))
+
+    def inside(x, y):
+        return (x > 0) & (x < T) & (y > 0) & (y < H)
+
+    _, _, th, v, _ = (float(z) for z in crosstie.region3_seed(T, sol.L))
+    for circle in ((1 / a, H, 1 / a),
+                   (T - math.cos(th) / v, -math.sin(th) / v, -1 / v)):
+        x, y = _off_seam(*_arc_band(*circle, inside, rng), T)
+        theta, _ = crosstie._quarter_eval_batch(sol, x, y)
+        _assert_continuous(theta)
+
+    phi = rng.uniform(0.5 * math.pi, math.pi, SEAM_POINTS)
+    r = T * np.geomspace(1e-16, 1e-12, 5)[:, None]
+    theta, v = crosstie._quarter_eval_batch(sol, T + r * np.cos(phi),
+                                            r * np.sin(phi))
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(v))
+
+
+@pytest.mark.parametrize("L", [0.1, 0.3, 0.5, 0.7])
+def test_deg_minus_one_sampler_at_its_seams(L):
+    """Points on region I's terminal arc and on region III's terminal
+    circle, and 1e-17 to 1e-12 (relative to R) off them to either side,
+    invert without a BracketError, with angles continuous across the
+    seam."""
+    R = 0.6
+    sol = disc.build_deg_minus_one(R, L)
+    rng = np.random.default_rng(int(L * 1e4))
+
+    def inside(x, y):
+        return (y > 0) & (y < x) & (x * x + y * y < R * R)
+
+    mu0 = math.sin(float(disc._region3_phi(sol.s0, L)))
+    s_end, _, _, v_end = (float(z) for z in disc.region3_seed_of_mu(mu0, L))
+    for circle in ((sol.s0 + R, 0.0, R), (s_end - 1 / v_end, 0.0, -1 / v_end)):
+        x, y = _off_seam(*_arc_band(*circle, inside, rng), R)
+        u1, u2, _ = disc._octant_eval_batch(sol, x, y)
+        _assert_continuous(np.arctan2(u2, u1))
