@@ -113,7 +113,8 @@ def validate(cfg: RunConfig) -> list:
     """Static range checks mirroring the type invariants; runs no solver
     beyond the scalar T~ a cross-tie start on the rectangle must match.
     Returns the aggregated list of violations."""
-    errors = []
+    errors = [f"{f.name.replace('_', '-')} must be finite" for f in fields(cfg)
+              if f.type == "float" and not math.isfinite(getattr(cfg, f.name))]
     sub = cfg.subcommand
     domain = cfg.domain if sub in ("gradflow", "energy-eval") else ""
     if cfg.L <= 0:
@@ -140,6 +141,12 @@ def validate(cfg: RunConfig) -> list:
                                                              "annulus"):
         errors.append("domain must be rect|disc|annulus")
     if sub == "gradflow":
+        if cfg.dt < 0:
+            errors.append("dt >= 0 violated")
+        if cfg.tol <= 0:
+            errors.append("tol > 0 violated")
+        if cfg.max_time <= 0:
+            errors.append("max-time > 0 violated")
         if domain == "disc" and cfg.bc not in ("", *_DISC_DATA):
             errors.append("bc must be " + "|".join(_DISC_DATA))
         elif domain != "disc" and cfg.bc:
@@ -358,6 +365,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     is flow.json's "converged" (with "stop_reason", and "residual", the
     final ||rhs||_inf, or null where the flow did not compute it)."""
     from . import gradflow as gf
+    from .energy import node_divergence
     out = _outdir(cfg)
     p = cfg.params()
     grid = _domain_grid(cfg)
@@ -390,7 +398,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     table_to_csv([(t, eb.total, eb.grad_term, eb.potential_term, eb.bulk_div)
                   for t, eb in state.energy_trace],
                  out / "energy_trace.csv", "t,total,grad,potential,bulk_div")
-    _write_level_curves(out, grid, gf.divergence_field(state.field))
+    _write_level_curves(out, grid, node_divergence(state.field))
     _write_json(out / "flow.json", {
         "converged": state.converged, "stop_reason": state.stop_reason,
         "residual": state.residual, "time": state.time, "dt": state.dt,

@@ -118,6 +118,10 @@ class Grid2D:
     def n_nodes(self) -> int:
         return self.n1 * self.n2
 
+    def periodic_first(self, a: np.ndarray) -> np.ndarray:
+        """A view of a with the periodic axis first: (theta, r) if polar."""
+        return a if self.kind == RECTANGLE else a.swapaxes(0, 1)
+
     @property
     def spacing(self) -> tuple:
         if self.kind == RECTANGLE:

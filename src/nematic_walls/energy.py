@@ -3,9 +3,10 @@
 The evaluators here:
 
 * eval_E_eps: the eps-level energy of a sampled field on a rectangle or
-  polar grid (gradient, potential and divergence terms), via the discrete
-  quadratic forms in `stencils`.  The gradient-flow right-hand side is the
-  exact gradient of this discrete energy.
+  polar grid (gradient, potential and divergence terms), via the grid's
+  `grid_stencils`.  The gradient-flow right-hand side is the exact
+  gradient of this discrete energy; `node_divergence` takes its cell
+  divergence to the nodes.
 * eval_E0_piecewise: the limiting wall-energy functional on an assembled
   piecewise critical field.  Bulk divergence is integrated per family in
   characteristic coordinates: a composite Gauss-Legendre rule in s over
@@ -35,16 +36,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import stencils
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               family_jacobian_integral)
-from .core import (POLAR, RECTANGLE, EnergyBreakdown, Field2D, Grid2D,
-                   JumpSegment, Params)
+from .core import (RECTANGLE, EnergyBreakdown, Field2D, Grid2D, JumpSegment,
+                   Params)
 from .quadrature import composite_nodes, gauss_legendre
 
 TRACE_UNIT_TOL = 1e-8
@@ -187,45 +189,68 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
 
 # --- eps-level energy on grids ----------------------------------------------
 
+# The `stencils` kernels bound to one grid: read-only node weights W, the
+# forms Q_K(u), Q_D(u), their half-gradients K u, D u, and the divergence
+# of each cell (node axis order, cell i between periodic nodes i, i + 1).
+GridStencils = namedtuple("GridStencils",
+                          "W grad_form grad_op div_form div_op cell_div")
+
+
+def _bind(kernel: Callable, *args) -> Callable:
+    return lambda u: kernel(u, *args)
+
+
 @functools.lru_cache(maxsize=8)
-def node_weights(grid: Grid2D) -> np.ndarray:
-    """The trapezoid node weights of `grid`, built once per grid and
-    read-only: `eval_E_eps` and the flow's operators share them."""
+def grid_stencils(grid: Grid2D) -> GridStencils:
+    """The stencil set of `grid`, built on first use and shared by
+    `eval_E_eps` and the flow.  Each kernel is read from the `stencils`
+    module then, so one replaced there before (a timing wrapper, say) is
+    the one every call reaches.  A polar grid needs r_in > 0."""
     if grid.kind == RECTANGLE:
-        W = stencils.rect_node_weights(grid.n1, grid.n2, *grid.spacing)
+        kind, (hx, hy) = "rect", grid.spacing
+        W = stencils.rect_node_weights(grid.n1, grid.n2, hx, hy)
+        grad = div = (hx, hy)
+        cell_div = _bind(stencils._rect_cell_div, hx, hy)
     else:
-        W = stencils.polar_node_weights(grid.axes()[0], *grid.spacing)
+        kind, (rs, ts), (dr, dt) = "polar", grid.axes(), grid.spacing
+        if rs[0] <= 0.0:
+            raise ValueError("polar stencils need r_in > 0")
+        W = stencils.polar_node_weights(rs, dr, dt)
+        grad, div = (rs, dr, dt), (rs, ts, dr, dt)
+        cell_div = lambda u: stencils._polar_cell_div(u, *div)[0]
     W.flags.writeable = False
-    return W
+    forms = [_bind(getattr(stencils, f"{kind}_{name}"), *args)
+             for name, args in (("grad_form", grad), ("grad_op", grad),
+                                ("div_form", div), ("div_op", div))]
+    return GridStencils(W, *forms, cell_div)
 
 
 def eval_E_eps(field: Field2D, params: Params) -> EnergyBreakdown:
     """Discrete eps-level energy on the field's grid.
 
     grad = (eps/2) int |grad u|^2, potential = 1/(2 eps) int (|u|^2-1)^2,
-    bulk = (L/2) int (div u)^2; second-order stencils, trapezoid weights,
-    metric-aware on polar grids.
+    bulk = (L/2) int (div u)^2; the grid's `grid_stencils`: second-order
+    forms, trapezoid weights, metric-aware on polar grids.
     """
-    g = field.grid
+    st = grid_stencils(field.grid)
     u = field.values
-    if g.kind == RECTANGLE:
-        hx, hy = g.spacing
-        qk = stencils.rect_grad_form(u, hx, hy)
-        qd = stencils.rect_div_form(u, hx, hy)
-    else:
-        rs, ts = g.axes()
-        if rs[0] <= 0.0:
-            raise ValueError("polar energy evaluation needs r_in > 0")
-        dr, dt = g.spacing
-        qk = stencils.polar_grad_form(u, rs, dr, dt)
-        qd = stencils.polar_div_form(u, rs, ts, dr, dt)
     mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
-    pot = float(np.sum(node_weights(g) * (mod2 - 1.0) ** 2))
+    pot = float(np.sum(st.W * (mod2 - 1.0) ** 2))
     return EnergyBreakdown(
-        grad_term=0.5 * params.eps * qk,
+        grad_term=0.5 * params.eps * st.grad_form(u),
         potential_term=pot / (2.0 * params.eps),
-        bulk_div=0.5 * params.L * qd,
+        bulk_div=0.5 * params.L * st.div_form(u),
     )
+
+
+def node_divergence(field: Field2D) -> np.ndarray:
+    """The cell divergence of `eval_E_eps` at the nodes: the mean of the 4
+    cells around a node, or of the 2 beside it on an end line."""
+    g = field.grid
+    cells = g.periodic_first(grid_stencils(g).cell_div(field.values))
+    pairs = cells + np.roll(cells, 1, axis=0)  # cells i - 1 and i
+    pairs = np.concatenate([pairs[:, :1], pairs, pairs[:, -1:]], axis=1)
+    return g.periodic_first(0.25 * (pairs[:, :-1] + pairs[:, 1:]))
 
 
 # --- one-dimensional energies ------------------------------------------------

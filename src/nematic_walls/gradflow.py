@@ -1,9 +1,10 @@
 """L2 gradient flow of the eps-level energy.
 
 The right-hand side is the exact negative gradient of the discrete energy
-in `energy.eval_E_eps` (mass-lumped trapezoid inner product), so the
-finite-difference directional-derivative identity holds to roundoff at any
-resolution.  Time stepping is linearly implicit: the stiff linear terms
+in `energy.eval_E_eps` (mass-lumped trapezoid inner product; both take
+the grid's `energy.grid_stencils`), so the finite-difference
+directional-derivative identity holds to roundoff at any resolution.
+Time stepping is linearly implicit: the stiff linear terms
 (vector Laplacian and divergence penalty) are treated implicitly, the
 pointwise reaction term explicitly, with the step halved whenever the
 energy fails to decrease.
@@ -30,18 +31,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from . import stencils
 from .core import RECTANGLE, EnergyBreakdown, Field2D, Grid2D, Params
-from .energy import eval_E_eps, node_weights
+from .energy import eval_E_eps, grid_stencils
 
 # a step gives up after this many halvings of dt
 MAX_HALVINGS = 40
-
-
-def _periodic_first(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    """A view of the node array a with the periodic axis first: a itself on
-    the rectangle, a indexed (theta, r) on polar grids."""
-    return a if grid.kind == RECTANGLE else a.swapaxes(0, 1)
 
 
 @dataclass
@@ -59,7 +53,7 @@ class BCSpec:
 
     def dirichlet_mask(self, grid: Grid2D) -> np.ndarray:
         m = np.zeros(grid.shape, dtype=bool)
-        view = _periodic_first(grid, m)
+        view = grid.periodic_first(m)
         for k, f in ((0, self.first), (-1, self.last)):
             if f is not None:
                 view[:, k] = True
@@ -68,7 +62,7 @@ class BCSpec:
     def boundary_values(self, grid: Grid2D) -> np.ndarray:
         """Field-shaped array with the Dirichlet data (zero elsewhere)."""
         out = np.zeros((*grid.shape, 2))
-        view = _periodic_first(grid, out)
+        view = grid.periodic_first(out)
         periodic = grid.axes()[0 if grid.kind == RECTANGLE else 1]
         for k, f in ((0, self.first), (-1, self.last)):
             if f is not None:
@@ -116,24 +110,16 @@ def annulus_bc() -> BCSpec:
 # --- operators ----------------------------------------------------------------
 
 class _Operators:
-    """Grid-bound stencil closures for the flow."""
+    """The flow's view of the grid's stencil set, and its modal frame."""
 
     def __init__(self, grid: Grid2D, bc: BCSpec):
         self.grid = grid
         self.mask = bc.dirichlet_mask(grid)
-        if grid.kind == RECTANGLE:
-            hx, hy = grid.spacing
-            self.K = lambda u: stencils.rect_grad_op(u, hx, hy)
-            self.D = lambda u: stencils.rect_div_op(u, hx, hy)
-        else:
-            rs, ts = grid.axes()
-            if rs[0] <= 0:
-                raise ValueError("polar flow needs r_in > 0")
-            dr, dt = grid.spacing
+        st = grid_stencils(grid)
+        self.W, self.K, self.D = st.W, st.grad_op, st.div_op
+        if grid.kind != RECTANGLE:  # the modal frame's rotation
+            ts = grid.axes()[1]
             self.cos_t, self.sin_t = np.cos(ts)[None, :], np.sin(ts)[None, :]
-            self.K = lambda u: stencils.polar_grad_op(u, rs, dr, dt)
-            self.D = lambda u: stencils.polar_div_op(u, rs, ts, dr, dt)
-        self.W = node_weights(grid)
 
     def reaction(self, u: np.ndarray, eps: float) -> np.ndarray:
         mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
@@ -194,7 +180,7 @@ def _inv(d: np.ndarray) -> np.ndarray:
 def _free_rows(ops: _Operators) -> slice:
     """The free rows across the periodic axis: Dirichlet rows only ever sit
     at the two ends of that axis."""
-    line_mask = _periodic_first(ops.grid, ops.mask)[0]
+    line_mask = ops.grid.periodic_first(ops.mask)[0]
     return slice(int(line_mask[0]), len(line_mask) - int(line_mask[-1]))
 
 
@@ -221,7 +207,7 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     laid out (2, 2, rows, modes); the block below the diagonal is U's
     transpose.
     """
-    n_per, n_line = _periodic_first(ops.grid, ops.mask).shape
+    n_per, n_line = ops.grid.periodic_first(ops.mask).shape
     nf = free.stop - free.start
     phi = 2.0 * np.pi / n_per * np.arange(n_per // 2 + 1)
     cos, sin = np.cos(phi), np.sin(phi)
@@ -366,12 +352,13 @@ class FlowSolver:
     """Holds the operators and, per dt, the implicit factorization.
 
     Every trial step solves (W + dt(eps K + L D)) u = W u_expl exactly with
-    a `_ModalSolver`, built once per dt and kept for the three most recent
-    dts.  The Dirichlet data uD are kept as their lines only.  On the free
-    rows, where W uD vanishes, the Dirichlet shift A uD is dt times the
-    dt-free shift eps K uD + L D uD, and since A couples only neighbouring
-    lines that shift is nonzero only on the two free lines next to the
-    data, which are all that is kept of it.
+    a `_ModalSolver`, built once per dt and kept for the current dt only,
+    since dt only ever halves within a run.  The Dirichlet data uD are
+    kept as their lines only.  On the free rows, where W uD vanishes, the
+    Dirichlet shift A uD is dt times the dt-free shift eps K uD + L D uD,
+    and since A couples only neighbouring lines that shift is nonzero
+    only on the two free lines next to the data, which are all that is
+    kept of it.
     """
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
@@ -385,11 +372,11 @@ class FlowSolver:
         uD = bc.boundary_values(grid)
         # (line index, values) in the periodic-first layout; + 0.0 writes
         # a -0.0 datum as 0, the sum of the datum and a zero row
-        lines = _periodic_first(grid, uD)
+        lines = grid.periodic_first(uD)
         self._data = [(k, lines[:, k] + 0.0)
                       for k, f in ((0, bc.first), (-1, bc.last))
                       if f is not None]
-        shift = _periodic_first(grid, self._apply_A(uD, 1.0))
+        shift = grid.periodic_first(self._apply_A(uD, 1.0))
         free = _free_rows(self.ops)
         self._shift = [(j, shift[:, j].copy())
                        for j in sorted({free.start, free.stop - 1})]
@@ -401,10 +388,9 @@ class FlowSolver:
 
     def _factor(self, dt: float) -> _ModalSolver:
         if dt not in self._factor_cache:
+            self._factor_cache.clear()  # free the old factor before building
             self._factor_cache[dt] = _ModalSolver(
                 self.ops, lambda w: self._apply_A(w, dt))
-            if len(self._factor_cache) > 3:
-                self._factor_cache.pop(next(iter(self._factor_cache)))
         return self._factor_cache[dt]
 
     def _apply_A(self, w: np.ndarray, dt: float) -> np.ndarray:
@@ -421,11 +407,11 @@ class FlowSolver:
         they are; the data lines are written into the solution."""
         grid = self.ops.grid
         b = self.ops.W[..., None] * u_expl
-        rows = _periodic_first(grid, b)
+        rows = grid.periodic_first(b)
         for j, s in self._shift:
             rows[:, j] -= dt * s
         u = self._factor(dt).solve(b)
-        rows = _periodic_first(grid, u)
+        rows = grid.periodic_first(u)
         for k, line in self._data:
             rows[:, k] = line
         return u, 1
@@ -513,27 +499,3 @@ def random_unit_field(grid: Grid2D, bc: BCSpec, seed: int = 0) -> Field2D:
     f = Field2D(grid, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
     bc.impose(f)
     return f
-
-
-def divergence_field(field: Field2D) -> np.ndarray:
-    """Nodal divergence by central differences (one-sided at edges),
-    metric-aware on polar grids."""
-    g = field.grid
-    u = field.values
-    if g.kind == RECTANGLE:
-        hx, hy = g.spacing
-        du1dx = (np.roll(u[..., 0], -1, axis=0)
-                 - np.roll(u[..., 0], 1, axis=0)) / (2 * hx)
-        du2dy = np.gradient(u[..., 1], hy, axis=1)
-        return du1dx + du2dy
-    rs, ts = g.axes()
-    dr, dt = g.spacing
-    dr1 = np.gradient(u[..., 0], dr, axis=0)
-    dr2 = np.gradient(u[..., 1], dr, axis=0)
-    dt1 = (np.roll(u[..., 0], -1, axis=1) - np.roll(u[..., 0], 1, axis=1)) / (2 * dt)
-    dt2 = (np.roll(u[..., 1], -1, axis=1) - np.roll(u[..., 1], 1, axis=1)) / (2 * dt)
-    cos_t = np.cos(ts)[None, :]
-    sin_t = np.sin(ts)[None, :]
-    r = rs[:, None]
-    return cos_t * dr1 + sin_t * dr2 + (-sin_t * dt1 + cos_t * dt2) / r
-

@@ -146,6 +146,27 @@ def test_validate_rejections(tmp_path, capsys):
         assert not out.exists()
 
 
+_FLOW = ["gradflow", "--nx", "8", "--ny", "8"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (_FLOW + ["--eps", "nan"], "eps must be finite"),
+    (_FLOW + ["--L", "inf"], "L must be finite"),
+    (["rect-1d", "--H", "nan"], "H must be finite"),
+    (_FLOW + ["--dt", "-1"], "dt >= 0 violated"),
+    (_FLOW + ["--max-time", "-1"], "max-time > 0 violated"),
+    (_FLOW + ["--tol", "-1"], "tol > 0 violated"),
+    (_FLOW + ["--tol", "nan"], "tol must be finite"),
+], ids=["eps-nan", "L-inf", "H-nan", "dt", "max-time", "tol", "tol-nan"])
+def test_malformed_values_exit_2(tmp_path, capsys, argv, reason):
+    """A non-finite float, or a flow's dt < 0, tol <= 0 or max_time <= 0,
+    exits 2 with its reason before any run."""
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exit_code():
     assert dispatch(RunConfig(subcommand="nope")) == 2
 

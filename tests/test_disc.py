@@ -12,8 +12,8 @@ from nematic_walls.disc import (_octant_eval_batch, build_deg_minus_one,
                                 hedgehog_solution, region2_v0, region3_v0,
                                 tangential_solution)
 from nematic_walls.energy import (criticality_residuals, eval_E0_piecewise,
-                                  family_area, family_bulk_integral)
-from nematic_walls.gradflow import divergence_field
+                                  family_area, family_bulk_integral,
+                                  node_divergence)
 
 R, L = 0.6, 0.5
 
@@ -72,7 +72,7 @@ class TestHedgehog:
             return X + q * (-Y / r), Y + q * (X / r)
 
         fld = sample_analytic(g, f)
-        div = divergence_field(fld)
+        div = node_divergence(fld)
         rs, _ = g.axes()
         mask = (rs >= 0.1) & (rs <= 0.55)
         err = np.abs(div[mask, :] - 2.0).max()

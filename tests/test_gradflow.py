@@ -8,12 +8,11 @@ from nematic_walls import stencils
 from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
                                 sample_analytic)
 from nematic_walls.crosstie import solve_Ttilde
-from nematic_walls.energy import eval_E_eps, node_weights
+from nematic_walls.energy import eval_E_eps, grid_stencils, node_divergence
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
                                     _BlockCyclicReduction, _Operators,
                                     _free_rows, _probe_blocks, annulus_bc,
-                                    disc_bc, divergence_field,
-                                    random_unit_field, rect_bc, rhs)
+                                    disc_bc, random_unit_field, rect_bc, rhs)
 
 
 def fd_gradient_check(grid, bc, params, seed=0):
@@ -158,7 +157,7 @@ def test_energy_and_flow_share_the_node_weights(case, monkeypatch):
     array per grid: once the operators exist, the energy builds none."""
     g, bc = flow_case(case, 16, 12)
     ops = _Operators(g, bc)
-    assert ops.W is node_weights(g) and not ops.W.flags.writeable
+    assert ops.W is grid_stencils(g).W and not ops.W.flags.writeable
     W = ops.W.copy()
     f = random_unit_field(g, bc)
     mod2 = (f.values ** 2).sum(axis=-1)
@@ -411,6 +410,23 @@ class TestStepping:
         mask = bc.dirichlet_mask(g)
         assert np.array_equal(st.field.values[mask], bc.boundary_values(g)[mask])
 
+    def test_one_factor_after_a_halving(self, monkeypatch):
+        """dt only halves within a run, so the solver keeps the factor of
+        the current dt alone."""
+        solver = rect_solver()
+        solve = solver.implicit_solve
+
+        def nan_once(u_expl, dt):
+            u, n = solve(u_expl, dt)
+            return (np.full_like(u, np.nan) if dt == solver.dt else u), n
+
+        monkeypatch.setattr(solver, "implicit_solve", nan_once)
+        st = FlowState(field=random_unit_field(solver.ops.grid, solver.bc,
+                                               seed=2), dt=solver.dt)
+        solver.step(st)
+        assert st.dt == solver.dt / 2
+        assert list(solver._factor_cache) == [solver.dt / 2]
+
     def test_non_finite_trial_is_rejected(self, monkeypatch):
         solver = rect_solver()
         solve = solver.implicit_solve
@@ -471,7 +487,49 @@ class TestConvergedExits:
         assert st.residual == grad and st.residual >= 1e-6
 
 
+def test_polar_grid_needs_a_positive_inner_radius():
+    g = make_grid("polar", (0.0, 0.6), 8, 16)
+    bc = disc_bc("tangential", 0.6)
+    f = Field2D(g, np.ones((*g.shape, 2)))
+    with pytest.raises(ValueError, match="r_in > 0"):
+        eval_E_eps(f, Params(L=0.5, eps=0.05, R=0.6))
+    with pytest.raises(ValueError, match="r_in > 0"):
+        FlowSolver(g, Params(L=0.5, eps=0.05, R=0.6), bc)
+
+
 class TestDiagnostics:
+    """`node_divergence`: the energy's cell divergence at the nodes."""
+
+    @staticmethod
+    def rect_error(n):
+        """max |node divergence - div u| off the end lines, on the x-periodic
+        cell (0, 2) x (-0.5, 0.5) with n cells a side."""
+        g = make_grid("rectangle", (0.0, 2.0, -0.5, 0.5), n, n)
+        k = math.pi
+
+        def f(X, Y):
+            return np.sin(k * X) * np.cos(Y), np.cos(k * X) * np.sin(2 * Y)
+
+        X, Y = g.nodes_xy()
+        exact = k * np.cos(k * X) * np.cos(Y) + 2 * np.cos(k * X) * np.cos(2 * Y)
+        div = node_divergence(sample_analytic(g, f))
+        return np.abs(div - exact)[:, 1:-1].max()
+
+    def test_rect_second_order(self):
+        errors = [self.rect_error(n) for n in (32, 64, 128)]
+        assert errors[-1] < 3e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.8 < coarse / fine < 4.2
+
+    def test_rect_divergence_free_reads_zero(self):
+        """u1 of y alone and u2 of x alone: every cell difference cancels."""
+        g = make_grid("rectangle", (0.0, 2.0, -0.5, 0.5), 24, 16)
+        fld = sample_analytic(g, lambda X, Y: (np.cos(3 * Y) + 0.5 * Y,
+                                               np.sin(math.pi * X)))
+        div = node_divergence(fld)
+        assert div.shape == g.shape
+        assert np.abs(div).max() <= 1e-12
+
     def test_divergence_hedgehog(self):
         g = make_grid("polar", (0.1, 0.8), 256, 512)
 
@@ -481,7 +539,7 @@ class TestDiagnostics:
             return X + q * (-Y / r), Y + q * (X / r)
 
         fld = sample_analytic(g, f)
-        div = divergence_field(fld)
+        div = node_divergence(fld)
         rs, _ = g.axes()
         mask = (rs > 0.15) & (rs < 0.6)
         assert np.abs(div[mask, :] - 2).max() < 1e-3
@@ -490,5 +548,5 @@ class TestDiagnostics:
         g = make_grid("polar", (0.5, 1.5), 64, 128)
         fld = sample_analytic(g, lambda X, Y: (-Y / np.hypot(X, Y),
                                                X / np.hypot(X, Y)))
-        div = divergence_field(fld)
+        div = node_divergence(fld)
         assert np.abs(div[1:-1, :]).max() < 1e-4
