@@ -15,6 +15,9 @@ with piecewise-constant divergence, and the closed-form energy
 Criticality (wall balance + wall stationarity) reduces to a single
 polynomial g_{R,L}(z) in z = rho^2 on (1, 2R^2/(1+R^2)); no admissible
 root means the wall sits at the inner boundary with energy 8 pi / 3.
+The interior-wall field's characteristics are arcs leaving r = 1 and
+r = R along the radius; each reaches the wall circle at a closed-form
+arclength (`_arrival`), with no root solve.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
-                              arc_xy)
+from .characteristics import CharacteristicFamily, PiecewiseCriticalField
 from .core import EnergyBreakdown, JumpSegment
 from .rootfind import bracketed_root, scan_brackets
 
@@ -172,6 +174,21 @@ def _wall_circle():
             np.full(nv, (0.5 * dphi) / math.sin(0.5 * dphi)))
 
 
+def _arrival(r0: float, v: float, rho: float) -> float:
+    """Arclength at which the arc leaving radius r0 along the radius, with
+    curvature v, first reaches r = rho.
+
+    With q = tan(v t / 2) / v, |x(t)|^2 - r0^2 = 4 q (+-r0 + q) / (1 + v^2 q^2)
+    (+ outward, - inward), a quadratic in q whose first root is
+    q = |rho^2 - r0^2| / (2 (r0 + sqrt(rho^2 - v^2 (rho^2 - r0^2)^2 / 4)))
+    either way; then t = 2 q atan(v q) / (v q), which is |rho - r0| at v = 0.
+    """
+    d = rho * rho - r0 * r0
+    q = abs(d) / (2.0 * (r0 + math.sqrt(rho * rho - (v * d) ** 2 / 4.0)))
+    z = v * q
+    return 2.0 * q * (math.atan(z) / z if z else 1.0)
+
+
 def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     """Characteristic families + wall circle for the interior-wall field."""
     c_in, c_out = radial_div(rho, a, R)
@@ -181,27 +198,7 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
     # marched outward to the wall; v = c_in everywhere in 1 < r < rho.  The
     # outer family is seeded on r = R.  Each reaches the wall at one t* for
     # every phi, by rotational symmetry.
-    def _hit_radius(x0, th0, v0, target, t_hi):
-        # first arrival time at |pos(t)| = target along the phi = 0 arc,
-        # seeded at (x0, 0) with angle th0
-        if abs(v0) > 1e-12:
-            t_hi = min(t_hi, math.pi / abs(v0))  # at most half the circle
-
-        def f(t):
-            x, y, _ = arc_xy(x0, 0.0, th0, v0, np.asarray(t, dtype=float))
-            return np.hypot(x, y) - target
-
-        ts = np.linspace(0.0, t_hi, 512)
-        vals = f(ts)
-        sc = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-        if len(sc) == 0:
-            raise RuntimeError("characteristic never reaches the wall radius")
-        return bracketed_root(f, ts[sc[0]], ts[sc[0] + 1])
-
-    t_in = _hit_radius(1.0, -0.5 * np.pi, c_in, rho,
-                       t_hi=4.0 * (rho - 1.0) + 2.0) if a > 0 else rho - 1.0
-    t_out = _hit_radius(R, 0.5 * np.pi, c_out, rho,
-                        t_hi=4.0 * (R - rho) + 2.0) if a > 0 else R - rho
+    t_in, t_out = _arrival(1.0, c_in, rho), _arrival(R, c_out, rho)
 
     def seed_in(s):
         s = np.asarray(s, dtype=float)

@@ -155,6 +155,11 @@ def validate(cfg: RunConfig) -> list:
             errors.append("init must be random|construction")
         elif cfg.init == "construction" and domain == "annulus":
             errors.append("init construction needs domain rect|disc")
+        elif cfg.init == "construction" and domain == "disc" \
+                and cfg.bc not in ("", "degminusone"):
+            # the disc's construction is the degree -1 field
+            errors.append("init construction on the disc needs bc "
+                          "degminusone")
         elif cfg.init == "construction" and domain == "rect" \
                 and cfg.T > 0 and cfg.L > 0 and cfg.H > 0:
             # the cross-tie's period is 2 H T~(L/H): another cell would

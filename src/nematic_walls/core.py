@@ -370,9 +370,16 @@ def table_to_csv(table, path, header: str) -> None:
 
 
 def field_from_csv(grid: Grid2D, path) -> Field2D:
+    """The field of a snapshot CSV whose x, y columns are the nodes of grid,
+    to 1e-12 times the grid's largest extent; ValueError otherwise."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.shape[0] != grid.n_nodes:
         raise ValueError(f"{path}: {data.shape[0]} rows, grid has {grid.n_nodes} nodes")
+    offset = np.abs(data[:, :2] - np.stack(grid.nodes_xy(), axis=-1)
+                    .reshape(-1, 2)).max()
+    if offset > 1e-12 * max(abs(e) for e in grid.extents):
+        raise ValueError(f"{path}: nodes off the grid's by up to "
+                         f"{float(offset)!r}")
     vals = data[:, 2:4].reshape(grid.n1, grid.n2, 2)
     return Field2D(grid, vals)
 

@@ -20,7 +20,9 @@ once by block cyclic reduction factored in float64 once per dt.
 
 Dirichlet data only ever sit on the two end lines across the periodic
 axis (y_lo and y_hi on the rectangle; r_in and r_out on polar grids),
-so a `BCSpec` is just those two lines' data: `first` and `last`.
+so a `BCSpec` is just those two lines' data, `first` and `last`, and the
+flow holds them as `BCSpec.lines` and the free slice between them,
+`BCSpec.free`.
 """
 
 from __future__ import annotations
@@ -51,27 +53,25 @@ class BCSpec:
     first: Optional[Callable] = None
     last: Optional[Callable] = None
 
-    def dirichlet_mask(self, grid: Grid2D) -> np.ndarray:
-        m = np.zeros(grid.shape, dtype=bool)
-        view = grid.periodic_first(m)
-        for k, f in ((0, self.first), (-1, self.last)):
-            if f is not None:
-                view[:, k] = True
-        return m
-
-    def boundary_values(self, grid: Grid2D) -> np.ndarray:
-        """Field-shaped array with the Dirichlet data (zero elsewhere)."""
-        out = np.zeros((*grid.shape, 2))
-        view = grid.periodic_first(out)
+    def lines(self, grid: Grid2D) -> List[Tuple[int, np.ndarray]]:
+        """(k, data) per Dirichlet line in the periodic-first layout: k = 0
+        for first, -1 for last, data (n_per, 2).  + 0.0 writes a -0.0
+        datum as 0, as the flow's solve writes it."""
         periodic = grid.axes()[0 if grid.kind == RECTANGLE else 1]
-        for k, f in ((0, self.first), (-1, self.last)):
-            if f is not None:
-                view[:, k] = f(periodic)
-        return out
+        return [(k, f(periodic) + 0.0)
+                for k, f in ((0, self.first), (-1, self.last))
+                if f is not None]
+
+    def free(self, grid: Grid2D) -> slice:
+        """The free lines across the periodic axis."""
+        n_line = grid.shape[1 if grid.kind == RECTANGLE else 0]
+        return slice(int(self.first is not None),
+                     n_line - int(self.last is not None))
 
     def impose(self, field: Field2D) -> None:
-        mask = self.dirichlet_mask(field.grid)
-        field.values[mask] = self.boundary_values(field.grid)[mask]
+        rows = field.grid.periodic_first(field.values)
+        for k, data in self.lines(field.grid):
+            rows[:, k] = data
 
 
 def rect_bc(a: float) -> BCSpec:
@@ -107,56 +107,10 @@ def annulus_bc() -> BCSpec:
     return BCSpec(first=lambda th: -et(th), last=et)
 
 
-# --- operators ----------------------------------------------------------------
-
-class _Operators:
-    """The flow's view of the grid's stencil set, and its modal frame."""
-
-    def __init__(self, grid: Grid2D, bc: BCSpec):
-        self.grid = grid
-        self.mask = bc.dirichlet_mask(grid)
-        st = grid_stencils(grid)
-        self.W, self.K, self.D = st.W, st.grad_op, st.div_op
-        if grid.kind != RECTANGLE:  # the modal frame's rotation
-            ts = grid.axes()[1]
-            self.cos_t, self.sin_t = np.cos(ts)[None, :], np.sin(ts)[None, :]
-
-    def reaction(self, u: np.ndarray, eps: float) -> np.ndarray:
-        mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
-        return (2.0 / eps) * (mod2 - 1.0)[..., None] * u
-
-    def to_modal(self, u: np.ndarray) -> np.ndarray:
-        """Node values in the frame where K and D commute with shifts along
-        the periodic axis, that axis first: Cartesian components on the
-        rectangle, (u_r, u_theta) indexed (theta, r) on polar grids."""
-        if self.grid.kind == RECTANGLE:
-            return u
-        c, s = self.cos_t, self.sin_t
-        v = np.stack([c * u[..., 0] + s * u[..., 1],
-                      c * u[..., 1] - s * u[..., 0]], axis=-1)
-        return v.swapaxes(0, 1)
-
-    def from_modal(self, v: np.ndarray) -> np.ndarray:
-        """Inverse of `to_modal`."""
-        if self.grid.kind == RECTANGLE:
-            return v
-        v = v.swapaxes(0, 1)
-        c, s = self.cos_t, self.sin_t
-        return np.stack([c * v[..., 0] - s * v[..., 1],
-                         s * v[..., 0] + c * v[..., 1]], axis=-1)
-
-
-def rhs(field: Field2D, params: Params, bc: BCSpec,
-        ops: Optional[_Operators] = None) -> Field2D:
-    """Negative discrete L2 gradient of the eps-level energy (zero on
-    Dirichlet rows)."""
-    if ops is None:
-        ops = _Operators(field.grid, bc)
-    u = field.values
-    r = -(params.eps * ops.K(u) + params.L * ops.D(u)) / ops.W[..., None] \
-        - ops.reaction(u, params.eps)
-    r[ops.mask] = 0.0
-    return Field2D(field.grid, r)
+def _reaction(u: np.ndarray, eps: float) -> np.ndarray:
+    """The pointwise part of the energy's L2 gradient."""
+    mod2 = u[..., 0] ** 2 + u[..., 1] ** 2
+    return (2.0 / eps) * (mod2 - 1.0)[..., None] * u
 
 
 # --- implicit solver: FFT along the periodic axis, cyclic reduction across ---
@@ -177,16 +131,40 @@ def _inv(d: np.ndarray) -> np.ndarray:
     return np.array([[d[1, 1], -d[0, 1]], [-d[1, 0], d[0, 0]]]) / det
 
 
-def _free_rows(ops: _Operators) -> slice:
-    """The free rows across the periodic axis: Dirichlet rows only ever sit
-    at the two ends of that axis."""
-    line_mask = ops.grid.periodic_first(ops.mask)[0]
-    return slice(int(line_mask[0]), len(line_mask) - int(line_mask[-1]))
+class _ModalFrame:
+    """Node values in the frame where K and D commute with shifts along
+    the periodic axis, that axis first: Cartesian components on the
+    rectangle, (u_r, u_theta) indexed (theta, r) on polar grids."""
+
+    def __init__(self, grid: Grid2D):
+        self.shape = grid.shape[::1 if grid.kind == RECTANGLE else -1]
+        self.rotation = None
+        if grid.kind != RECTANGLE:
+            ts = grid.axes()[1]
+            self.rotation = np.cos(ts)[None, :], np.sin(ts)[None, :]
+
+    def to_modal(self, u: np.ndarray) -> np.ndarray:
+        if self.rotation is None:
+            return u
+        c, s = self.rotation
+        v = np.stack([c * u[..., 0] + s * u[..., 1],
+                      c * u[..., 1] - s * u[..., 0]], axis=-1)
+        return v.swapaxes(0, 1)
+
+    def from_modal(self, v: np.ndarray) -> np.ndarray:
+        """Inverse of `to_modal`."""
+        if self.rotation is None:
+            return v
+        v = v.swapaxes(0, 1)
+        c, s = self.rotation
+        return np.stack([c * v[..., 0] - s * v[..., 1],
+                         s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
-    """Per-mode 2x2 blocks of `apply_A` on the free rows, read off the
-    operator itself, real symmetric after S = diag(1, i).
+def _probe_blocks(frame: _ModalFrame, apply_A: Callable, free: slice):
+    """Per-mode 2x2 blocks of `apply_A` on the free rows, in the modal
+    frame, read off the operator itself, real symmetric after
+    S = diag(1, i).
 
     A probe is an impulse in one component on every third free row (one
     colour) at one periodic index p: it answers on the periodic columns
@@ -207,7 +185,7 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
     laid out (2, 2, rows, modes); the block below the diagonal is U's
     transpose.
     """
-    n_per, n_line = ops.grid.periodic_first(ops.mask).shape
+    n_per, n_line = frame.shape
     nf = free.stop - free.start
     phi = 2.0 * np.pi / n_per * np.arange(n_per // 2 + 1)
     cos, sin = np.cos(phi), np.sin(phi)
@@ -221,7 +199,7 @@ def _probe_blocks(ops: _Operators, apply_A: Callable, free: slice):
         e = np.zeros((n_per, n_line, 2))
         for j, (colour, c) in enumerate(batch):
             e[3 * j, free][colour::3, c] = 1.0
-        resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, free]
+        resp = frame.to_modal(apply_A(frame.from_modal(e)))[:, free]
         for j, (colour, c) in enumerate(batch):
             r0, rp, rm = resp[3 * j], resp[3 * j + 1], resp[3 * j - 1]
             o = 1 - c
@@ -298,9 +276,9 @@ class _BlockCyclicReduction:
 class _ModalSolver:
     """Exact inverse of a shift-invariant SPD operator on the free rows.
 
-    `apply_A` must be symmetric positive definite on the free rows, couple
-    only neighbouring rows across the periodic axis, commute with shifts
-    along it in the modal frame of `ops`, and be symmetric under its
+    `apply_A` must be symmetric positive definite on the free rows (the
+    slice `free`), couple only neighbouring rows across the periodic axis,
+    commute with shifts along it in `frame`, and be symmetric under its
     reflection.  An rfft along the periodic axis then leaves one
     block-tridiagonal system (2x2 blocks, one per free row) per Fourier
     mode, as in the fast Poisson solvers of Hockney (1965) and Buzbee,
@@ -311,17 +289,16 @@ class _ModalSolver:
     operator.
     """
 
-    def __init__(self, ops: _Operators, apply_A: Callable):
-        self.ops = ops
-        self.free = _free_rows(ops)
+    def __init__(self, frame: _ModalFrame, apply_A: Callable, free: slice):
+        self.frame, self.free = frame, free
         # blocks (2, 2, 1, rows, modes): one factor serves both parts
         self.reduction = _BlockCyclicReduction(
-            *(a[:, :, None] for a in _probe_blocks(ops, apply_A, self.free)))
+            *(a[:, :, None] for a in _probe_blocks(frame, apply_A, free)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b on the free rows: b is read there only, and the result
         is zero on the Dirichlet rows."""
-        bm = self.ops.to_modal(b)
+        bm = self.frame.to_modal(b)
         spec = np.fft.rfft(bm[:, self.free].transpose(2, 1, 0))
         # S^H spec, real and imaginary parts apart: (2, part, rows, modes)
         re, im = spec.real, spec.imag
@@ -331,7 +308,7 @@ class _ModalSolver:
         re[0], im[0], re[1], im[1] = x[0, 0], x[0, 1], -x[1, 1], x[1, 0]
         w = np.zeros_like(bm)
         w[:, self.free] = np.fft.irfft(spec, n=bm.shape[0]).transpose(2, 1, 0)
-        return self.ops.from_modal(w)
+        return self.frame.from_modal(w)
 
 
 # --- the flow -------------------------------------------------------------------
@@ -349,7 +326,7 @@ class FlowState:
 
 
 class FlowSolver:
-    """Holds the operators and, per dt, the implicit factorization.
+    """Holds the grid's operators and, per dt, the implicit factorization.
 
     Every trial step solves (W + dt(eps K + L D)) u = W u_expl exactly with
     a `_ModalSolver`, built once per dt and kept for the current dt only,
@@ -363,41 +340,48 @@ class FlowSolver:
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
                  dt: Optional[float] = None):
+        self.grid = grid
         self.params = params
         self.bc = bc
-        self.ops = _Operators(grid, bc)
+        st = grid_stencils(grid)
+        self.W, self.K, self.D = st.W, st.grad_op, st.div_op
         self.dt = dt if dt is not None else params.eps / 4.0
         self._factor_cache = {}
-        self.mask = self.ops.mask
-        uD = bc.boundary_values(grid)
-        # (line index, values) in the periodic-first layout; + 0.0 writes
-        # a -0.0 datum as 0, the sum of the datum and a zero row
-        lines = grid.periodic_first(uD)
-        self._data = [(k, lines[:, k] + 0.0)
-                      for k, f in ((0, bc.first), (-1, bc.last))
-                      if f is not None]
-        shift = grid.periodic_first(self._apply_A(uD, 1.0))
-        free = _free_rows(self.ops)
+        self._frame = _ModalFrame(grid)
+        self.free = bc.free(grid)
+        self._data = bc.lines(grid)
+        uD = Field2D(grid, np.zeros((*grid.shape, 2)))
+        bc.impose(uD)
+        shift = grid.periodic_first(self._apply_A(uD.values, 1.0))
         self._shift = [(j, shift[:, j].copy())
-                       for j in sorted({free.start, free.stop - 1})]
+                       for j in sorted({self.free.start, self.free.stop - 1})]
 
-    @property
-    def uD(self) -> np.ndarray:
-        """Field-shaped Dirichlet data (zero elsewhere), built on demand."""
-        return self.bc.boundary_values(self.ops.grid)
+    def _zero_data(self, z: np.ndarray) -> np.ndarray:
+        """z with its Dirichlet lines set to zero, in place."""
+        rows = self.grid.periodic_first(z)
+        rows[:, :self.free.start] = 0.0
+        rows[:, self.free.stop:] = 0.0
+        return z
+
+    def rhs(self, field: Field2D) -> Field2D:
+        """Negative discrete L2 gradient of the eps-level energy (zero on
+        the Dirichlet lines)."""
+        u, p = field.values, self.params
+        r = -(p.eps * self.K(u) + p.L * self.D(u)) / self.W[..., None] \
+            - _reaction(u, p.eps)
+        return Field2D(field.grid, self._zero_data(r))
 
     def _factor(self, dt: float) -> _ModalSolver:
         if dt not in self._factor_cache:
             self._factor_cache.clear()  # free the old factor before building
             self._factor_cache[dt] = _ModalSolver(
-                self.ops, lambda w: self._apply_A(w, dt))
+                self._frame, lambda w: self._apply_A(w, dt), self.free)
         return self._factor_cache[dt]
 
     def _apply_A(self, w: np.ndarray, dt: float) -> np.ndarray:
-        z = self.ops.W[..., None] * w \
-            + dt * (self.params.eps * self.ops.K(w) + self.params.L * self.ops.D(w))
-        z[self.mask] = 0.0
-        return z
+        p = self.params
+        return self._zero_data(
+            self.W[..., None] * w + dt * (p.eps * self.K(w) + p.L * self.D(w)))
 
     def implicit_solve(self, u_expl: np.ndarray, dt: float) -> Tuple[np.ndarray, int]:
         """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows.
@@ -405,13 +389,12 @@ class FlowSolver:
         Returns u and the number of linear solves, always 1.  The solve
         reads b on the free rows only, so its Dirichlet rows are left as
         they are; the data lines are written into the solution."""
-        grid = self.ops.grid
-        b = self.ops.W[..., None] * u_expl
-        rows = grid.periodic_first(b)
+        b = self.W[..., None] * u_expl
+        rows = self.grid.periodic_first(b)
         for j, s in self._shift:
             rows[:, j] -= dt * s
         u = self._factor(dt).solve(b)
-        rows = grid.periodic_first(u)
+        rows = self.grid.periodic_first(u)
         for k, line in self._data:
             rows[:, k] = line
         return u, 1
@@ -427,7 +410,7 @@ class FlowSolver:
         E_old = state.energy_trace[-1][1].total
         dt = state.dt or self.dt
         for _ in range(MAX_HALVINGS):
-            u_expl = u - dt * self.ops.reaction(u, self.params.eps)
+            u_expl = u - dt * _reaction(u, self.params.eps)
             u_new, _ = self.implicit_solve(u_expl, dt)
             if np.isfinite(u_new).all():
                 new_field = Field2D(state.field.grid, u_new)
@@ -475,7 +458,7 @@ class FlowSolver:
             rate = (E_prev - E_new) / state.dt
             state.residual = None
             if rate < tol * tol:
-                r = rhs(state.field, self.params, self.bc, self.ops)
+                r = self.rhs(state.field)
                 state.residual = float(np.abs(r.values).max())
                 if state.residual < tol:
                     state.converged = True

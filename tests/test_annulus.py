@@ -9,6 +9,7 @@ from nematic_walls.annulus import (EIGHT_PI_THIRDS, _assemble_field,
                                    radial_p, rho_squared_for_a,
                                    small_L_interior_bound, solve_annulus,
                                    solve_interior_wall)
+from nematic_walls.characteristics import arc_xy
 from nematic_walls.core import Params
 from nematic_walls.energy import (criticality_residuals, eval_E0_piecewise,
                                   wall_cost_density)
@@ -121,6 +122,23 @@ class TestSmallLBound:
 
     def test_vanishes_as_R_to_one(self):
         assert small_L_interior_bound(1.0 + 1e-9) < 1e-8
+
+
+def test_families_end_on_the_wall_circle():
+    """Both families' arcs, run for their closed-form arrival times, end on
+    r = rho, over the interior solutions of 5 R and 40 L."""
+    cases = 0
+    for R_ in (1.2, 1.5, 2.0, 3.0, 5.0):
+        for L in np.linspace(0.02, 3.0, 40):
+            sol = solve_interior_wall(R_, L)
+            if sol is None:
+                continue
+            cases += 1
+            for fam in sol.field.families:
+                x0, y0, th0, v0, t = fam.seed(np.linspace(0, 2 * np.pi, 13))
+                x, y, _ = arc_xy(x0, y0, th0, v0, t)
+                assert np.abs(np.hypot(x, y) - sol.rho).max() <= 1e-14
+    assert cases == 44
 
 
 def test_boundary_wall_quadrature():

@@ -117,6 +117,9 @@ _MALFORMED = [
     (["gradflow", "--init", "foo"], "init must be random|construction"),
     (["gradflow", "--domain", "annulus", "--R", "2", "--init",
       "construction"], "init construction needs domain rect|disc"),
+    *[(["gradflow", "--domain", "disc", "--bc", bc, "--init",
+        "construction"], "init construction on the disc needs bc degminusone")
+      for bc in ("tangential", "hedgehog")],
     (["gradflow", "--init", "construction", "--L", "1", "--H", "1", "--T",
       "0.3"], f"init construction needs T = H T~(L/H) = "
               f"{solve_Ttilde(1.0)!r}, got T = 0.3"),
@@ -214,6 +217,20 @@ def test_energy_eval_roundtrip(tmp_path):
     assert data["potential"] < 1e-20
     assert data["bulk_div"] < 1e-20
     assert data["grad"] > 0
+
+
+def test_energy_eval_rejects_a_field_off_its_grid(tmp_path, capsys):
+    """A field of the T = 0.5 rectangle cell, read on the T = 3 cell (same
+    node counts), exits 1 and names the largest node offset."""
+    flow = tmp_path / "f"
+    assert main(["gradflow", "--domain", "rect", "--T", "0.5", "--nx", "8",
+                 "--ny", "8", "--max-time", "0.01", "--out", str(flow)]) == 0
+    out = tmp_path / "e"
+    assert main(["energy-eval", "--field-csv", str(flow / "field.csv"),
+                 "--domain", "rect", "--T", "3.0", "--nx", "8", "--ny", "8",
+                 "--out", str(out)]) == 1
+    assert "nodes off the grid's by up to 4.375" in capsys.readouterr().err
+    assert not (out / "energy.json").exists()
 
 
 def test_crosstie_artifacts(tmp_path):

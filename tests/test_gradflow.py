@@ -10,23 +10,22 @@ from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
 from nematic_walls.crosstie import solve_Ttilde
 from nematic_walls.energy import eval_E_eps, grid_stencils, node_divergence
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
-                                    _BlockCyclicReduction, _Operators,
-                                    _free_rows, _probe_blocks, annulus_bc,
-                                    disc_bc, random_unit_field, rect_bc, rhs)
+                                    _BlockCyclicReduction, _probe_blocks,
+                                    annulus_bc, disc_bc, random_unit_field,
+                                    rect_bc)
 
 
 def fd_gradient_check(grid, bc, params, seed=0):
     rng = np.random.default_rng(seed)
     f = random_unit_field(grid, bc, seed=seed)
-    ops = _Operators(grid, bc)
-    r = rhs(f, params, bc, ops)
-    w = rng.normal(size=f.values.shape)
-    w[ops.mask] = 0.0
+    solver = FlowSolver(grid, params, bc)
+    r = solver.rhs(f)
+    w = solver._zero_data(rng.normal(size=f.values.shape))
     t = 1e-6
     ep = eval_E_eps(Field2D(grid, f.values + t * w), params).total
     em = eval_E_eps(Field2D(grid, f.values - t * w), params).total
     dE = (ep - em) / (2 * t)
-    inner = float(np.sum(ops.W[..., None] * r.values * w))
+    inner = float(np.sum(solver.W[..., None] * r.values * w))
     return abs(dE + inner) / max(abs(dE), 1e-300)
 
 
@@ -52,7 +51,7 @@ class TestDiscreteGradient:
         bc = BCSpec(first=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)),
                     last=lambda xs: np.broadcast_to([1.0, 0.0], (len(xs), 2)))
         f = sample_analytic(g, lambda X, Y: (np.ones_like(X), np.zeros_like(Y)))
-        r = rhs(f, Params(L=1.0, eps=0.05), bc)
+        r = FlowSolver(g, Params(L=1.0, eps=0.05), bc).rhs(f)
         assert np.abs(r.values).max() == 0.0
 
     def test_divergence_perturbation_linearization(self):
@@ -71,19 +70,17 @@ class TestDiscreteGradient:
         pert = base.copy()
         pert[..., 0] += tau * wx
         pert[..., 1] += tau * wy
-        r0 = rhs(Field2D(g, base), p, bc).values
-        r1 = rhs(Field2D(g, pert), p, bc).values
+        solver = FlowSolver(g, p, bc)
+        r0 = solver.rhs(Field2D(g, base)).values
+        r1 = solver.rhs(Field2D(g, pert)).values
         dr = (r1 - r0) / tau
         # the L grad(div) part dominates; the eps-Laplacian and the
         # reaction linearization -(4/eps)(u.w)u complete the derivative
-        ops = _Operators(g, bc)
         w = np.stack([wx, wy], axis=-1)
-        lin = -(p.L * ops.D(w) + p.eps * ops.K(w)) / ops.W[..., None]
+        lin = -(p.L * solver.D(w) + p.eps * solver.K(w)) / solver.W[..., None]
         lin[..., 0] += -(4.0 / p.eps) * w[..., 0]
-        mask = ops.mask
-        dr[mask] = 0
-        lin[mask] = 0
-        div_part = np.abs(p.L * ops.D(w) / ops.W[..., None]).max()
+        solver._zero_data(lin)
+        div_part = np.abs(p.L * solver.D(w) / solver.W[..., None]).max()
         assert div_part > 0.2 * np.abs(lin).max()
         assert np.abs(dr - lin).max() / np.abs(lin).max() < 1e-5
 
@@ -93,7 +90,7 @@ def _unit(X, Y, ux, uy):
     return np.stack([ux, uy], axis=-1) / np.hypot(X, Y)[..., None]
 
 
-# grid, data, the node lines the data must fix (on the node-shaped mask),
+# grid, data, the node lines the data must fix (as node-array indices),
 # and the data's formula in the node coordinates
 BC_CASES = {
     # (-+sqrt(1 - a^2), a) at y = -+H, a = 0.3
@@ -118,6 +115,20 @@ BC_CASES = {
 }
 
 
+def dirichlet_field(g, bc):
+    """The Dirichlet data uD on an otherwise zero field."""
+    f = Field2D(g, np.zeros((*g.shape, 2)))
+    bc.impose(f)
+    return f.values
+
+
+def data_lines(solver, a):
+    """a on the solver's Dirichlet lines, periodic axis first."""
+    rows = solver.grid.periodic_first(a)
+    return np.concatenate([rows[:, :solver.free.start],
+                           rows[:, solver.free.stop:]], axis=1)
+
+
 @pytest.mark.parametrize("case", list(BC_CASES))
 def test_boundary_data_lands_on_its_lines(case):
     """Each spec fixes exactly its end lines across the periodic axis (y = -H
@@ -126,12 +137,25 @@ def test_boundary_data_lands_on_its_lines(case):
     g, bc, lines, want = BC_CASES[case]
     expected = np.zeros(g.shape, dtype=bool)
     expected[lines] = True
-    mask = bc.dirichlet_mask(g)
-    assert np.array_equal(mask, expected)
-    vals = bc.boundary_values(g)
-    assert not vals[~mask].any()
+    free = np.ones(g.shape, dtype=bool)
+    g.periodic_first(free)[:, bc.free(g)] = False
+    assert np.array_equal(free, expected)
+    vals = dirichlet_field(g, bc)
+    assert not vals[~expected].any()
     X, Y = g.nodes_xy()
-    assert np.abs(vals[mask] - want(X, Y)[mask]).max() <= 1e-15
+    assert np.abs(vals[expected] - want(X, Y)[expected]).max() <= 1e-15
+
+
+def test_impose_writes_a_negative_zero_datum_as_the_solve_does():
+    """The tangential datum -sin(theta) is -0.0 at theta = 0; `impose`
+    writes +0.0 there, the bytes the flow's solve writes on that line."""
+    g, bc = BC_CASES["disc-tangential"][:2]
+    assert np.signbit(bc.last(g.axes()[1])[0, 0])
+    f = random_unit_field(g, bc)
+    assert f.values[-1, 0, 0] == 0.0 and not np.signbit(f.values[-1, 0, 0])
+    solver = FlowSolver(g, Params(L=0.5, eps=0.05, R=0.6), bc)
+    u, _ = solver.implicit_solve(f.values, solver.dt)
+    assert u[-1].tobytes() == f.values[-1].tobytes()
 
 
 def flow_case(kind, n_per, n_line):
@@ -153,12 +177,12 @@ def rect_solver(n_per=12, n_line=10):
 
 @pytest.mark.parametrize("case", ["rect", "disc"])
 def test_energy_and_flow_share_the_node_weights(case, monkeypatch):
-    """The flow's operators and `eval_E_eps` read one read-only weight
-    array per grid: once the operators exist, the energy builds none."""
+    """The flow and `eval_E_eps` read one read-only weight array per grid:
+    once the flow's solver exists, the energy builds none."""
     g, bc = flow_case(case, 16, 12)
-    ops = _Operators(g, bc)
-    assert ops.W is grid_stencils(g).W and not ops.W.flags.writeable
-    W = ops.W.copy()
+    solver = FlowSolver(g, Params(L=0.5, eps=0.05, R=0.6), bc)
+    assert solver.W is grid_stencils(g).W and not solver.W.flags.writeable
+    W = solver.W.copy()
     f = random_unit_field(g, bc)
     mod2 = (f.values ** 2).sum(axis=-1)
     pot = float(np.sum(W * (mod2 - 1.0) ** 2)) / (2 * 0.05)
@@ -175,10 +199,9 @@ def solve_residual(solver, dt, seed=0):
     """||A solve(b) - b|| / ||b|| for a random b that vanishes on the
     Dirichlet rows, where the solution must vanish too."""
     rng = np.random.default_rng(seed)
-    b = rng.normal(size=(*solver.ops.grid.shape, 2))
-    b[solver.mask] = 0.0
+    b = solver._zero_data(rng.normal(size=(*solver.grid.shape, 2)))
     w = solver._factor(dt).solve(b)
-    assert not w[solver.mask].any()
+    assert not data_lines(solver, w).any()
     return np.linalg.norm(solver._apply_A(w, dt) - b) / np.linalg.norm(b)
 
 
@@ -194,11 +217,12 @@ class TestImplicitSolver:
 
     def test_implicit_solve_is_one_solve_with_dirichlet_rows(self):
         solver = rect_solver()
-        g = solver.ops.grid
+        g = solver.grid
         u, solves = solver.implicit_solve(
             random_unit_field(g, solver.bc).values, solver.dt)
         assert solves == 1
-        assert np.array_equal(u[solver.mask], solver.uD[solver.mask])
+        uD = dirichlet_field(g, solver.bc)
+        assert np.array_equal(data_lines(solver, u), data_lines(solver, uD))
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
     @pytest.mark.parametrize("kind", ["rect", "disc", "annulus"])
@@ -217,10 +241,10 @@ class TestImplicitSolver:
         solver = FlowSolver(g, p, bc)
         dt = dt_factor * solver.dt
         u_expl = np.random.default_rng(seed).normal(size=(*g.shape, 2))
-        uD = bc.boundary_values(g)
-        b = solver.ops.W[..., None] * u_expl
+        uD = dirichlet_field(g, bc)
+        b = solver.W[..., None] * u_expl
         b -= dt * solver._apply_A(uD, 1.0)
-        b[solver.mask] = 0.0
+        solver._zero_data(b)
         want = solver._factor(dt).solve(b)
         want += uD
         got, _ = solver.implicit_solve(u_expl, dt)
@@ -243,9 +267,8 @@ class TestImplicitSolver:
         totals = [eb.total for _, eb in st.energy_trace]
         assert all(b <= a + 1e-12 * max(1, abs(a))
                    for a, b in zip(totals, totals[1:]))
-        mask = bc.dirichlet_mask(g)
-        assert np.array_equal(st.field.values[mask],
-                              bc.boundary_values(g)[mask])
+        assert np.array_equal(data_lines(solver, st.field.values),
+                              data_lines(solver, dirichlet_field(g, bc)))
 
 
 def banded_reference(D, U, b):
@@ -291,9 +314,9 @@ class TestBlockCyclicReduction:
         g, bc = flow_case(kind, n_per, max(rows + 2, 4))
         solver = FlowSolver(g, Params(L=L, eps=eps, R=0.6), bc,
                             dt=dt_over_eps * eps)
-        D, U = _probe_blocks(solver.ops,
+        D, U = _probe_blocks(solver._frame,
                              lambda w: solver._apply_A(w, solver.dt),
-                             _free_rows(solver.ops))
+                             solver.free)
         D, U = D[:, :, :rows], U[:, :, :rows - 1]
         b = np.random.default_rng(seed).normal(size=D.shape[1:])
         x = _BlockCyclicReduction(D, U).solve(b.copy())
@@ -303,13 +326,13 @@ class TestBlockCyclicReduction:
                 <= 1e-12 * np.linalg.norm(b))
 
 
-def probe_blocks_reference(ops, apply_A, free):
+def probe_blocks_reference(solver, apply_A):
     """The blocks of `_probe_blocks` before S = diag(1, i) applies, one
     `apply_A` call per impulse set: an impulse at periodic index 0 on every
     third free row, one component at a time, and the rfft of the whole
     response."""
-    n_per, n_line = (ops.grid.shape if ops.grid.kind == "rectangle"
-                     else ops.grid.shape[::-1])
+    g, frame, free = solver.grid, solver._frame, solver.free
+    n_per, n_line = g.shape if g.kind == "rectangle" else g.shape[::-1]
     nf = free.stop - free.start
     D = np.empty((2, 2, nf, n_per // 2 + 1), dtype=complex)
     U = np.empty((2, 2, nf - 1, n_per // 2 + 1), dtype=complex)
@@ -317,7 +340,7 @@ def probe_blocks_reference(ops, apply_A, free):
         for c in range(2):
             e = np.zeros((n_per, n_line, 2))
             e[0, free][colour::3, c] = 1.0
-            resp = ops.to_modal(apply_A(ops.from_modal(e)))[:, free]
+            resp = frame.to_modal(apply_A(frame.from_modal(e)))[:, free]
             spec = np.fft.rfft(resp.transpose(2, 1, 0))
             D[:, c, colour::3] = spec[:, colour::3]
             above = (colour - 1) % 3
@@ -343,12 +366,11 @@ class TestPackedProbe:
             calls.append(1)
             return solver._apply_A(w, solver.dt)
 
-        free = _free_rows(solver.ops)
-        D, U = _probe_blocks(solver.ops, apply_A, free)
+        D, U = _probe_blocks(solver._frame, apply_A, solver.free)
         assert len(calls) == -(-6 // (n_per // 3))
         assert D.dtype == U.dtype == np.float64
         s = np.array([1.0, 1j])[:, None, None, None]
-        D0, U0 = probe_blocks_reference(solver.ops, apply_A, free)
+        D0, U0 = probe_blocks_reference(solver, apply_A)
         scale = np.abs(D0).max()
         for X, X0 in ((D, D0), (U, U0)):
             assert np.abs(X - (s.conj() * X0 * s.swapaxes(0, 1)).real).max() \
@@ -362,11 +384,10 @@ class TestPackedProbe:
         def apply_A(w):
             z = solver._apply_A(w, solver.dt)
             z += 1e-3 * (np.roll(w, -1, axis=0) - w)
-            z[solver.mask] = 0.0
-            return z
+            return solver._zero_data(z)
 
         with pytest.raises(ValueError, match="not reflection symmetric"):
-            _probe_blocks(solver.ops, apply_A, _free_rows(solver.ops))
+            _probe_blocks(solver._frame, apply_A, solver.free)
 
 
 def test_factor_levels_are_three_real_arrays():
@@ -407,8 +428,8 @@ class TestStepping:
         totals = [eb.total for _, eb in st.energy_trace]
         assert all(b <= a + 1e-12 * max(1, abs(a))
                    for a, b in zip(totals, totals[1:]))
-        mask = bc.dirichlet_mask(g)
-        assert np.array_equal(st.field.values[mask], bc.boundary_values(g)[mask])
+        assert np.array_equal(data_lines(solver, st.field.values),
+                              data_lines(solver, dirichlet_field(g, bc)))
 
     def test_one_factor_after_a_halving(self, monkeypatch):
         """dt only halves within a run, so the solver keeps the factor of
@@ -421,7 +442,7 @@ class TestStepping:
             return (np.full_like(u, np.nan) if dt == solver.dt else u), n
 
         monkeypatch.setattr(solver, "implicit_solve", nan_once)
-        st = FlowState(field=random_unit_field(solver.ops.grid, solver.bc,
+        st = FlowState(field=random_unit_field(solver.grid, solver.bc,
                                                seed=2), dt=solver.dt)
         solver.step(st)
         assert st.dt == solver.dt / 2
@@ -440,7 +461,7 @@ class TestStepping:
             return u, n
 
         monkeypatch.setattr(solver, "implicit_solve", nan_once)
-        st = FlowState(field=random_unit_field(solver.ops.grid, solver.bc,
+        st = FlowState(field=random_unit_field(solver.grid, solver.bc,
                                                seed=2), dt=solver.dt)
         solver.step(st)
         assert calls == [solver.dt, solver.dt / 2]
@@ -462,7 +483,7 @@ class TestConvergedExits:
                                        tol=tol, **kw)
         (_, e_prev), (_, e_new) = st.energy_trace[-2:]
         rate = (e_prev.total - e_new.total) / st.dt
-        grad = np.abs(rhs(st.field, p, bc, solver.ops).values).max()
+        grad = np.abs(solver.rhs(st.field).values).max()
         return st, rate, grad
 
     def test_gradient_below_tolerance(self):
