@@ -14,9 +14,9 @@ form, which is exact in the straight-line limit v0 -> 0.
 
 A family is one function, its seed: s -> (x0, y0, theta0, v0, t*), the
 arc's foot, angle and divergence there, and its terminal parameter.  What
-a family derives (its points, its Jacobian, its terminal times) comes from
-that one call, so a family that solves for its seed once gets t* from the
-same solve.
+a family derives (its points, its Jacobian, its terminal times, its
+arrivals) comes from that one call, so a family that solves for its seed
+once gets t* from the same solve.
 
 The coordinate Jacobian det d(x,y)/d(s,t), which the foliation checks
 sample, is also closed-form along each arc (`arc_jacobian`), and so is its
@@ -30,7 +30,9 @@ vectorized pointwise sampler of its construction, `sample(x, y) -> (u1,
 u2, v)`, which every point evaluation goes through.
 
 A straight symmetry wall is built by `mirror_wall` from the + side's
-angle and divergence at its knots; the - side is their mirror image.
+angle and divergence at its knots; the - side is their mirror image.  The
+knots are the arrivals of the families that end on the wall,
+`CharacteristicFamily.arrival(s) -> (x, y, theta, v)`: `arc_xy` at t = t*.
 """
 
 from __future__ import annotations
@@ -172,6 +174,13 @@ class CharacteristicFamily:
         x0, y0, th0, v0, _ = self.seed(s)
         x, y, theta = arc_xy(x0, y0, th0, v0, t)
         return x, y, theta, np.broadcast_to(v0, theta.shape)
+
+    def arrival(self, s):
+        """(x, y, theta, v) where the arc seeded at s ends: one seed call
+        and `arc_xy` at t = t*; what a wall's knots carry."""
+        x0, y0, th0, v0, ts = self.seed(np.asarray(s, dtype=float))
+        x, y, theta = arc_xy(x0, y0, th0, v0, ts)
+        return x, y, theta, v0
 
 
 def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):

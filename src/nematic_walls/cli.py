@@ -377,7 +377,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     if cfg.domain == "rect":
         bc = gf.rect_bc(cfg.a)
     elif cfg.domain == "disc":
-        bc = gf.disc_bc(cfg.bc or "degminusone", cfg.R)
+        bc = gf.disc_bc(cfg.bc or "degminusone")
     else:
         bc = gf.annulus_bc()
     if cfg.init == "construction" and cfg.domain == "rect":

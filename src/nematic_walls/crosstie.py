@@ -27,7 +27,8 @@ divergence, negative throughout the quarter cell):
 
 Both walls are `characteristics.mirror_wall`s: the bottom wall through
 region III's seeds, the left wall through the arrivals of III (y < T) and
-II (y > T).  Their traces satisfy L v + sin(2 theta) = 0, which is
+II (y > T), which `CharacteristicFamily.arrival` reads off their seeds.
+Their traces satisfy L v + sin(2 theta) = 0, which is
 `energy.wall_balance` (its value is twice |L v + sin 2 theta|); the build
 checks it once and stores it as `wall_balance`.
 """
@@ -45,10 +46,7 @@ from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
 from .core import JumpSegment, Params
 from . import rect1d
 from .energy import eval_E0_piecewise, wall_balance
-# the period equation lives in rect1d, which the flow imports without this
-# module; its names stay importable from here
-from .rect1d import (SQRT2M1, period_equation_residual, solve_Ttilde,
-                     ttilde_closed_form_check)
+from .rect1d import solve_Ttilde
 from .rootfind import arc_residual, arc_root, bracketed_root
 
 # --- region III seed relations ------------------------------------------------
@@ -137,7 +135,6 @@ def region2_theta_star_residual(s2, theta_star, alpha: float, L: float):
 class CrossTieSolution:
     L: float
     H: float
-    L_over_H: float
     T_tilde: float
     T: float
     alpha: float
@@ -164,8 +161,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     """Assemble the three families and both walls on the quarter cell."""
     if L <= 0 or H <= 0:
         raise ValueError("L, H > 0 required")
-    lh = L / H
-    t_tilde = solve_Ttilde(lh)
+    t_tilde = solve_Ttilde(L / H)
     T = H * t_tilde
     alpha = 2.0 * T / (T * T + H * H)
     t1_star = 2.0 * math.atan2(T, H) / alpha
@@ -206,35 +202,23 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
                                 label="crosstie region II")
 
     # --- walls: region III's seeds on the bottom wall; the arrivals of III
-    # (y < T) and II (y > T) on the left wall.  Stable arrival heights:
-    # region III collapses to y3 = sqrt(2) L sin(acos(w)/2)/w; region II
-    # uses the half-angle product form of sin(theta*) - sin(alpha s) to
-    # avoid cancellation near y = H.
+    # (y < T) and II (y > T) on the left wall
     n_w = 1024
     xs = np.linspace(0.0, T, n_w)
     _, _, thb, v3, _ = region3_seed(xs, L)
     wall_bottom = mirror_wall(np.stack([xs, np.zeros_like(xs)], axis=-1), xs,
                               thb, v3, [0.0, -1.0])
 
-    s3 = np.linspace(0.0, T, n_w // 2 + 1)
-    w3 = _w_of_lambda(2.0 * s3 * s3 / (L * L))
-    _, _, th3b, v3a, _ = region3_seed(s3, L)
-    y3 = math.sqrt(2.0) * L * np.sin(0.5 * np.arccos(np.clip(w3, -1, 1))) / w3
+    _, y3, th3, v3a = fam3.arrival(np.linspace(0.0, T, n_w // 2 + 1))
     s2 = np.linspace(1e-9 * T, t1_star, n_w // 2 + 1)
-    th2s = region2_theta_star(s2, alpha, L)
-    v2a = -np.sin(2.0 * th2s) / L
-    y0_2 = H - np.sin(alpha * s2) / alpha
-    diff = 2.0 * np.cos(0.5 * (th2s + alpha * s2)) * np.sin(0.5 * (th2s - alpha * s2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y2 = y0_2 + np.where(v2a != 0.0,
-                             diff / np.where(v2a != 0, v2a, 1.0), 0.0)
+    _, y2, th2, v2a = fam2.arrival(s2)
     yw = np.concatenate([y3, y2])
     wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
-                            np.concatenate([0.5 * math.pi - th3b, th2s]),
+                            np.concatenate([th3, th2]),
                             np.concatenate([v3a, v2a]), [-1.0, 0.0])
     balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
 
-    sol = CrossTieSolution(L=L, H=H, L_over_H=lh, T_tilde=t_tilde, T=T,
+    sol = CrossTieSolution(L=L, H=H, T_tilde=t_tilde, T=T,
                            alpha=alpha, t1_star=t1_star,
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
@@ -256,7 +240,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         raise RuntimeError(f"wall balance {balance:.3e} exceeds 1e-8")
     # the wall balance holds on region II whatever theta* is (v is defined
     # from it), so theta*'s own equation is checked on the left-wall nodes
-    res = region2_theta_star_residual(s2, th2s, alpha, L)
+    res = region2_theta_star_residual(s2, th2, alpha, L)
     if res > 1e-8:
         raise RuntimeError(f"region-II theta* residual {res:.3e} exceeds 1e-8")
     # terminal region III characteristic must arrive at (0, T)
@@ -280,7 +264,8 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
                   ) -> Tuple[Optional[float], Optional[float]]:
     """Sign changes of (cross-tie energy per length) - (1D minimum).
 
-    Scans L/H on a uniform grid, refines every sign change at once with
+    Scans L/H at l_lo + k step up to l_hi, and at l_hi itself when the
+    steps do not land on it; refines every sign change at once with
     the bracketed root solver to refine_tol, and returns (L0, L1); either
     may be None when no crossing shows up in the window.  When samples is
     a list it receives one (L/H, E_crosstie, E_1d, gap) row per grid point.
@@ -291,11 +276,15 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
         e1 = rect1d.min_energy_1d(lh, 1.0, 0.0)
         return lh, e2, e1, e2 - e1
 
-    n = int(round((l_hi - l_lo) / step))
-    rows = [sample(l_lo + k * step) for k in range(n + 1)]
+    n = math.floor((l_hi - l_lo) / step + 1e-9)
+    grid = [l_lo + k * step for k in range(n + 1)]
+    if l_hi - grid[-1] > 1e-9 * step:
+        grid.append(l_hi)
+    rows = [sample(lh) for lh in grid]
     if samples is not None:
         samples.extend(rows)
-    cells = [k for k in range(n) if (rows[k][3] < 0) != (rows[k + 1][3] < 0)]
+    cells = [k for k in range(len(rows) - 1)
+             if (rows[k][3] < 0) != (rows[k + 1][3] < 0)]
     if not cells:
         return None, None
     known = {row[0]: row[3] for row in rows}

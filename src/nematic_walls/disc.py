@@ -19,7 +19,8 @@ energy machinery applies:
   A(s) = sqrt(2) [(R v + 1) sin(s/R + pi/4) - R v]).
 
 Angles in the octant lie in [-pi/4, 0].  The diagonal is a
-`characteristics.mirror_wall` through the arrivals of III and II; its
+`characteristics.mirror_wall` through the arrivals of III and II, which
+`CharacteristicFamily.arrival` reads off their seeds; its
 traces satisfy L v + cos(2 theta) = 0, the form `energy.wall_balance`
 takes under the diagonal's reflection (its value is twice |L v + cos 2
 theta|).  The build checks it once and stores it as `wall_balance`.
@@ -34,7 +35,6 @@ import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
                               mirror_wall)
-from .core import JumpSegment
 from .energy import wall_balance
 from .rootfind import arc_residual, arc_root, bracketed_root
 
@@ -212,7 +212,6 @@ class DegMinusOneSolution:
     region1: CharacteristicFamily
     region2: CharacteristicFamily
     region3: CharacteristicFamily
-    jump: JumpSegment
     field: PiecewiseCriticalField
     # energy.wall_balance of the diagonal, which the build checks
     wall_balance: float
@@ -223,7 +222,8 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
 
     Seeds are evaluated exactly (vectorized root solves) rather than
     sampled and interpolated; the wall polyline carries about n_wall
-    vertices with `mirror_wall`'s monotone-cubic traces between them.
+    vertices, the arrivals of regions III and II, with `mirror_wall`'s
+    monotone-cubic traces between them.
     """
     if R <= 0 or L <= 0:
         raise ValueError("R, L > 0 required")
@@ -266,21 +266,10 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max),
                                 label="deg-1 region II")
 
-    # wall: terminal points of III then II, parametrized by arclength
-    s3 = np.linspace(0.0, s0, n_wall // 2 + 1)
-    v3 = region3_v0(s3, L)
-    th3 = _theta_star_from_cosminussin(1.0 - s3 * v3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x3 = np.where(v3 != 0.0, s3 + (np.cos(th3) - 1.0) / v3, s3)
-    s2 = np.linspace(0.0, s2_max, n_wall // 2 + 1)[1:]
-    v2 = region2_v0(s2, R, L)
-    A2 = region2_A(s2, v2, R)
-    th2 = _theta_star_from_cosminussin(A2)
-    x02 = SQRT2 * R - R * np.cos(s2 / R)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x2 = np.where(v2 != 0.0,
-                      x02 + (np.cos(th2) - np.cos(s2 / R)) / np.where(v2 != 0, v2, 1.0),
-                      x02)
+    # wall: the arrivals of III then II, parametrized by arclength
+    x3, _, th3, v3 = fam3.arrival(np.linspace(0.0, s0, n_wall // 2 + 1))
+    x2, _, th2, v2 = fam2.arrival(np.linspace(0.0, s2_max,
+                                              n_wall // 2 + 1)[1:])
     xw = np.concatenate([x3, x2])
     # the diagonal's wall rule: the reflection across y = x, which flips v
     jump = mirror_wall(np.stack([xw, xw], axis=-1), SQRT2 * xw,
@@ -289,7 +278,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     balance = wall_balance(jump, L)
 
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
-                              region3=fam3, jump=jump, field=None,
+                              region3=fam3, field=None,
                               wall_balance=balance)
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every

@@ -38,6 +38,8 @@ from .energy import eval_E_eps, grid_stencils
 
 # a step gives up after this many halvings of dt
 MAX_HALVINGS = 40
+# run_to_equilibrium stops unconverged after this many steps
+MAX_STEPS = 200000
 
 
 @dataclass
@@ -87,9 +89,10 @@ def rect_bc(a: float) -> BCSpec:
     return BCSpec(first=bottom, last=top)
 
 
-def disc_bc(kind: str, R: float) -> BCSpec:
-    """Outer data on the disc of radius R: tangential, hedgehog, or the
-    degree -1 data (x/R, -y/R); inner cutoff row is free."""
+def disc_bc(kind: str) -> BCSpec:
+    """Outer data on the disc: tangential, hedgehog, or the degree -1 data
+    (x/R, -y/R), as functions of the polar angle; inner cutoff row is
+    free."""
     if kind == "tangential":
         f = lambda th: np.stack([-np.sin(th), np.cos(th)], axis=-1)
     elif kind == "hedgehog":
@@ -427,10 +430,9 @@ class FlowSolver:
         raise RuntimeError("energy would not decrease after halvings")
 
     def run_to_equilibrium(self, init: Field2D, tol: float = 1e-4,
-                           max_time: float = 50.0,
-                           max_steps: int = 200000) -> FlowState:
+                           max_time: float = 50.0) -> FlowState:
         """Advance until equilibrium; flagged unconverged at max_time or
-        max_steps.
+        after MAX_STEPS steps.
 
         After each accepted step, rate = (E_prev - E_new) / dt is the energy
         drop divided by the step's dt.  Along the exact flow dE/dt is minus
@@ -451,7 +453,7 @@ class FlowSolver:
         self.bc.impose(fld)
         state = FlowState(field=fld, dt=self.dt)
         state.energy_trace.append((0.0, eval_E_eps(fld, self.params)))
-        for k in range(max_steps):
+        for _ in range(MAX_STEPS):
             E_prev = state.energy_trace[-1][1].total
             self.step(state)
             E_new = state.energy_trace[-1][1].total

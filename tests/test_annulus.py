@@ -9,7 +9,6 @@ from nematic_walls.annulus import (EIGHT_PI_THIRDS, _assemble_field,
                                    radial_p, rho_squared_for_a,
                                    small_L_interior_bound, solve_annulus,
                                    solve_interior_wall)
-from nematic_walls.characteristics import arc_xy
 from nematic_walls.core import Params
 from nematic_walls.energy import (criticality_residuals, eval_E0_piecewise,
                                   wall_cost_density)
@@ -135,8 +134,7 @@ def test_families_end_on_the_wall_circle():
                 continue
             cases += 1
             for fam in sol.field.families:
-                x0, y0, th0, v0, t = fam.seed(np.linspace(0, 2 * np.pi, 13))
-                x, y, _ = arc_xy(x0, y0, th0, v0, t)
+                x, y, _, _ = fam.arrival(np.linspace(0, 2 * np.pi, 13))
                 assert np.abs(np.hypot(x, y) - sol.rho).max() <= 1e-14
     assert cases == 44
 

@@ -278,6 +278,18 @@ def test_crosstie_sweep_csv(tmp_path):
     assert cross["L0"] is not None
 
 
+@pytest.mark.parametrize("step, want", [("0.7", [1.0, 1.5]),
+                                         ("0.2", [1.0, 1.2, 1.4, 1.5])])
+def test_sweep_scans_exactly_its_window(tmp_path, step, want):
+    """The scan ends on lmax whether or not the steps land on it: it
+    neither overshoots lmax nor stops short of it."""
+    out = tmp_path / "sw"
+    assert main(["crosstie-sweep", "--lmin", "1.0", "--lmax", "1.5",
+                 "--step", step, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, 0].tolist() == pytest.approx(want, abs=1e-12)
+
+
 def test_gradflow_small_run(tmp_path):
     out = tmp_path / "gf"
     rc = main(["gradflow", "--domain", "rect", "--L", "0.25", "--eps", "0.05",

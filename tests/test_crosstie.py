@@ -7,17 +7,16 @@ from nematic_walls.characteristics import check_foliation
 from nematic_walls.core import Params
 from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     crosstie_field_sample, find_crossing,
-                                    period_equation_residual,
                                     region1_seed_offset, region2_theta_star,
                                     region2_theta_star_residual,
                                     region3_seed, remark_crosstie_energy,
                                     remark_crosstie_field, remark_crosstie_map,
-                                    remark_tail_integral, solve_Ttilde,
-                                    ttilde_closed_form_check)
+                                    remark_tail_integral)
 from nematic_walls.energy import (criticality_residuals, family_area,
                                   wall_balance)
 from nematic_walls.quadrature import integrate
-from nematic_walls.rect1d import min_energy_1d
+from nematic_walls.rect1d import (min_energy_1d, period_equation_residual,
+                                  solve_Ttilde, ttilde_closed_form_check)
 
 
 class TestPeriodEquation:
@@ -140,24 +139,6 @@ RECORDED_E0_PER_LENGTH = {
 
 
 @pytest.mark.parametrize("lh", sorted(RECORDED_E0_PER_LENGTH))
-def test_gap_evaluation_solves_theta_star_three_times(lh, monkeypatch):
-    """Building the cross-tie and taking E0 solves region II's terminal
-    angle at most 3 times (the left wall's nodes, E0's s-nodes, and s +- ds
-    stacked) and reproduces the recorded energy bit for bit."""
-    from nematic_walls import crosstie
-    sizes = []
-
-    def counted(s2, alpha, L):
-        sizes.append(np.size(s2))
-        return region2_theta_star(s2, alpha, L)
-
-    monkeypatch.setattr(crosstie, "region2_theta_star", counted)
-    e = crosstie_energy_per_length(build_crosstie(lh, 1.0))
-    assert len(sizes) <= 3, sizes
-    assert e == RECORDED_E0_PER_LENGTH[lh]
-
-
-@pytest.mark.parametrize("lh", sorted(RECORDED_E0_PER_LENGTH))
 def test_gap_evaluation_solves_theta_star_twice(lh, monkeypatch):
     """With one seed call per family, E0 solves region II's terminal angle
     once, on its s-nodes and s +- ds stacked: 2 solves per gap evaluation
@@ -173,6 +154,17 @@ def test_gap_evaluation_solves_theta_star_twice(lh, monkeypatch):
     e = crosstie_energy_per_length(build_crosstie(lh, 1.0))
     assert len(sizes) <= 2, sizes
     assert e == RECORDED_E0_PER_LENGTH[lh]
+
+
+@pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 2.0, 2.8])
+def test_arrivals_land_on_the_left_wall(lh):
+    """Region II's arcs end on x = 0, and the terminal region-III arc, seeded
+    at the vortex, ends at (0, T), where the two families' knots meet."""
+    sol = build_crosstie(lh, 1.0)
+    x, _, _, _ = sol.region2.arrival(np.linspace(*sol.region2.s_range, 257))
+    assert np.abs(x).max() <= 1e-14 * sol.T
+    x, y, _, _ = sol.region3.arrival(sol.T)
+    assert abs(x) <= 1e-13 and abs(y - sol.T) <= 1e-13
 
 
 class TestEnergy:

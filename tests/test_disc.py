@@ -165,6 +165,15 @@ class TestConstruction:
         assert rep.wall_balance < 1e-8
         assert rep.wall_stationarity == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("Lval", [0.1, 0.3, 0.5, 0.7])
+    def test_arrivals_land_on_the_diagonal(self, Lval):
+        """Regions III and II end on the wall y = x, whose knots are their
+        arrivals."""
+        s = build_deg_minus_one(R, Lval)
+        for fam in (s.region3, s.region2):
+            x, y, _, _ = fam.arrival(np.linspace(*fam.s_range, 257))
+            assert np.abs(x - y).max() <= 1e-13 * R
+
     def test_foliation_all_regions(self, sol):
         for fam in (sol.region1, sol.region2, sol.region3):
             rep = check_foliation(fam, 12, 12)

@@ -387,12 +387,13 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
     def no_jacobian(*args):
         raise AssertionError("arc_jacobian called during E0")
 
-    monkeypatch.setattr(characteristics, "arc_xy", no_arcs)
-    monkeypatch.setattr(characteristics, "arc_jacobian", no_jacobian)
+    # the builds read their walls' knots off the arcs' arrivals
     sol = crosstie.build_crosstie(1.5, 1.0)
     fields = [(sol.field, Params(L=1.5, H=1.0, T=sol.T)),
               (disc.build_deg_minus_one(0.6, 0.5).field, Params(L=0.5, R=0.6)),
               (hedgehog_solution(+1), Params(L=1.0))]
+    monkeypatch.setattr(characteristics, "arc_xy", no_arcs)
+    monkeypatch.setattr(characteristics, "arc_jacobian", no_jacobian)
     for field, params in fields:
         calls = {}
         for fam in field.families:

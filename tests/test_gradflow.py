@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from nematic_walls import stencils
+from nematic_walls import gradflow, stencils
 from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
                                 sample_analytic)
-from nematic_walls.crosstie import solve_Ttilde
+from nematic_walls.rect1d import solve_Ttilde
 from nematic_walls.energy import eval_E_eps, grid_stencils, node_divergence
 from nematic_walls.gradflow import (BCSpec, FlowSolver, FlowState,
                                     _BlockCyclicReduction, _probe_blocks,
@@ -37,7 +37,7 @@ class TestDiscreteGradient:
 
     def test_polar(self):
         g = make_grid("polar", (0.01, 0.6), 24, 48)
-        err = fd_gradient_check(g, disc_bc("degminusone", 0.6),
+        err = fd_gradient_check(g, disc_bc("degminusone"),
                                 Params(L=0.5, eps=0.05, R=0.6))
         assert err < 1e-5
 
@@ -102,7 +102,7 @@ BC_CASES = {
     # the disc data at r_out = 0.6
     **{f"disc-{kind}": (make_grid("polar", (disc_inner_cutoff(0.6), 0.6),
                                   6, 12),
-                        disc_bc(kind, 0.6), (-1, slice(None)), want)
+                        disc_bc(kind), (-1, slice(None)), want)
        for kind, want in [
            ("tangential", lambda X, Y: _unit(X, Y, -Y, X)),
            ("hedgehog", lambda X, Y: _unit(X, Y, X, Y)),
@@ -166,7 +166,7 @@ def flow_case(kind, n_per, n_line):
         return g, rect_bc(0.2)
     if kind == "disc":
         g = make_grid("polar", (disc_inner_cutoff(0.6), 0.6), n_line, n_per)
-        return g, disc_bc("degminusone", 0.6)
+        return g, disc_bc("degminusone")
     return make_grid("polar", (1.0, 2.0), n_line, n_per), annulus_bc()
 
 
@@ -473,14 +473,14 @@ class TestConvergedExits:
     """The two ways `run_to_equilibrium` reports convergence, on the
     tangential disc from a random start."""
 
-    def run(self, tol, **kw):
+    def run(self, tol):
         R = 0.6
         g = make_grid("polar", (disc_inner_cutoff(R), R), 8, 16)
-        bc = disc_bc("tangential", R)
+        bc = disc_bc("tangential")
         p = Params(L=0.5, eps=0.1, R=R)
         solver = FlowSolver(g, p, bc)
         st = solver.run_to_equilibrium(random_unit_field(g, bc, seed=1),
-                                       tol=tol, **kw)
+                                       tol=tol)
         (_, e_prev), (_, e_new) = st.energy_trace[-2:]
         rate = (e_prev.total - e_new.total) / st.dt
         grad = np.abs(solver.rhs(st.field).values).max()
@@ -500,17 +500,18 @@ class TestConvergedExits:
         assert rate < 1e-4 * 1e-18 and grad >= 1e-9
         assert st.residual == grad and st.residual >= 1e-9
 
-    def test_unconverged_exit_reports_a_computed_residual(self):
+    def test_unconverged_exit_reports_a_computed_residual(self, monkeypatch):
         """Once the energy rate falls below tol^2 every step computes
-        ||rhs||_inf, and an exit at max_steps reports the final field's."""
-        st, _, grad = self.run(tol=1e-6, max_steps=230)
+        ||rhs||_inf, and an exit at MAX_STEPS reports the final field's."""
+        monkeypatch.setattr(gradflow, "MAX_STEPS", 230)
+        st, _, grad = self.run(tol=1e-6)
         assert not st.converged and st.stop_reason == "max_steps reached"
         assert st.residual == grad and st.residual >= 1e-6
 
 
 def test_polar_grid_needs_a_positive_inner_radius():
     g = make_grid("polar", (0.0, 0.6), 8, 16)
-    bc = disc_bc("tangential", 0.6)
+    bc = disc_bc("tangential")
     f = Field2D(g, np.ones((*g.shape, 2)))
     with pytest.raises(ValueError, match="r_in > 0"):
         eval_E_eps(f, Params(L=0.5, eps=0.05, R=0.6))

@@ -309,7 +309,7 @@ def test_crosstie_sampler_lattice_roundtrip(lh):
     _assert_samples_arc(sample, sol.region3, lambda tol: max(tol, 6e-10))
 
     s = sol.T * np.linspace(0.0, 1.0, 33)
-    x, y, th, v = sol.region3.point(s, sol.region3.seed(s)[4])
+    x, y, th, v = sol.region3.arrival(s)
     assert np.abs(x).max() <= 6e-10 and np.abs(y - s).max() <= 6e-10
     got_th, got_v = sample(np.zeros_like(s), s)
     assert np.abs(np.angle(np.exp(1j * (got_th - th)))).max() <= 6e-10

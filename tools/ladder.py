@@ -59,6 +59,10 @@ LADDER: List[Tuple[str, List[str]]] = [
     ("crosstie-sweep",
      ["crosstie-sweep", "--H", "1", "--lmin", "1.0", "--lmax", "2.2",
       "--step", "0.3"]),
+    # a window the steps do not end on: the scan adds lmax itself
+    ("crosstie-sweep-ragged",
+     ["crosstie-sweep", "--H", "1", "--lmin", "1.0", "--lmax", "1.5",
+      "--step", "0.2"]),
     ("rect-1d", ["rect-1d", "--L", "1.2", "--H", "1",
                  "--eps-ladder", "0.1,0.05,0.02"]),
     ("disc-tangential", ["disc-tangential", "--R", "0.6", "--nx", "32",
