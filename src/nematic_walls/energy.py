@@ -155,13 +155,6 @@ def family_bulk_integral(family: CharacteristicFamily, *,
     return float((s_w * v0 ** 2) @ absI)
 
 
-def family_area(family: CharacteristicFamily, *, s_panels: int = 64,
-                order: int = 8) -> float:
-    """integral of |J| -- the area covered by the family (foliation check)."""
-    s_w, absI, _ = _family_arc_integrals(family, s_panels, order)
-    return float(s_w @ absI)
-
-
 def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
                       s_panels: int = 64, order: int = 8) -> EnergyBreakdown:
     """Limiting energy of an assembled critical field.

@@ -309,8 +309,12 @@ class _ModalSolver:
         y[0, 0], y[0, 1], y[1, 0], y[1, 1] = re[0], im[0], im[1], -re[1]
         x = self.reduction.solve(y)
         re[0], im[0], re[1], im[1] = x[0, 0], x[0, 1], -x[1, 1], x[1, 0]
+        # free the reduction's scratch before the output is allocated
+        del y, x, re, im
+        v = np.fft.irfft(spec, n=bm.shape[0])
+        del spec
         w = np.zeros_like(bm)
-        w[:, self.free] = np.fft.irfft(spec, n=bm.shape[0]).transpose(2, 1, 0)
+        w[:, self.free] = v.transpose(2, 1, 0)
         return self.frame.from_modal(w)
 
 
@@ -338,7 +342,9 @@ class FlowSolver:
     Dirichlet shift A uD is dt times the dt-free shift eps K uD + L D uD,
     and since A couples only neighbouring lines that shift is nonzero
     only on the two free lines next to the data, which are all that is
-    kept of it.
+    kept of it.  A trial step builds u_expl in the array the reaction
+    term returns, and `implicit_solve` scales that same array by W into
+    its right-hand side, so the state's field is never written.
     """
 
     def __init__(self, grid: Grid2D, params: Params, bc: BCSpec,
@@ -389,10 +395,13 @@ class FlowSolver:
     def implicit_solve(self, u_expl: np.ndarray, dt: float) -> Tuple[np.ndarray, int]:
         """Solve (W + dt(eps K + L D)) u = W u_expl with Dirichlet rows.
 
-        Returns u and the number of linear solves, always 1.  The solve
-        reads b on the free rows only, so its Dirichlet rows are left as
-        they are; the data lines are written into the solution."""
-        b = self.W[..., None] * u_expl
+        Returns u and the number of linear solves, always 1.  u_expl is
+        used as scratch: it is scaled by W in place to make the right-hand
+        side b.  The solve reads b on the free rows only, so its Dirichlet
+        rows are left as they are; the data lines are written into the
+        solution."""
+        b = u_expl
+        b *= self.W[..., None]
         rows = self.grid.periodic_first(b)
         for j, s in self._shift:
             rows[:, j] -= dt * s
@@ -413,8 +422,11 @@ class FlowSolver:
         E_old = state.energy_trace[-1][1].total
         dt = state.dt or self.dt
         for _ in range(MAX_HALVINGS):
-            u_expl = u - dt * _reaction(u, self.params.eps)
+            u_expl = _reaction(u, self.params.eps)
+            u_expl *= -dt
+            u_expl += u
             u_new, _ = self.implicit_solve(u_expl, dt)
+            del u_expl  # the solve's scratch, freed before the energy
             if np.isfinite(u_new).all():
                 new_field = Field2D(state.field.grid, u_new)
                 eb = eval_E_eps(new_field, self.params)

@@ -12,11 +12,11 @@ from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
                                     region3_seed, remark_crosstie_energy,
                                     remark_crosstie_field, remark_crosstie_map,
                                     remark_tail_integral)
-from nematic_walls.energy import (criticality_residuals, family_area,
-                                  wall_balance)
+from nematic_walls.energy import criticality_residuals, wall_balance
 from nematic_walls.quadrature import integrate
 from nematic_walls.rect1d import (min_energy_1d, period_equation_residual,
                                   solve_Ttilde, ttilde_closed_form_check)
+from oracles import family_area
 
 
 class TestPeriodEquation:

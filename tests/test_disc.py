@@ -12,8 +12,8 @@ from nematic_walls.disc import (_octant_eval_batch, build_deg_minus_one,
                                 hedgehog_solution, region2_v0, region3_v0,
                                 tangential_solution)
 from nematic_walls.energy import (criticality_residuals, eval_E0_piecewise,
-                                  family_area, family_bulk_integral,
-                                  node_divergence)
+                                  family_bulk_integral, node_divergence)
+from oracles import family_area
 
 R, L = 0.6, 0.5
 

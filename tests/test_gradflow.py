@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_impose_writes_a_negative_zero_datum_as_the_solve_does():
     f = random_unit_field(g, bc)
     assert f.values[-1, 0, 0] == 0.0 and not np.signbit(f.values[-1, 0, 0])
     solver = FlowSolver(g, Params(L=0.5, eps=0.05, R=0.6), bc)
-    u, _ = solver.implicit_solve(f.values, solver.dt)
+    u, _ = solver.implicit_solve(f.values.copy(), solver.dt)
     assert u[-1].tobytes() == f.values[-1].tobytes()
 
 
@@ -467,6 +468,77 @@ class TestStepping:
         assert calls == [solver.dt, solver.dt / 2]
         assert st.dt == solver.dt / 2 and st.time == solver.dt / 2
         assert np.isfinite(st.field.values).all()
+
+
+def out_of_place_trial(solver, u, dt):
+    """One trial step written without scratch: u_expl and W u_expl as
+    new arrays, then the solve and the data lines."""
+    r = gradflow._reaction(u, solver.params.eps)
+    b = solver.W[..., None] * (u - dt * r)
+    rows = solver.grid.periodic_first(b)
+    for j, s in solver._shift:
+        rows[:, j] -= dt * s
+    w = solver._factor(dt).solve(b)
+    rows = solver.grid.periodic_first(w)
+    for k, line in solver._data:
+        rows[:, k] = line
+    return w
+
+
+class TestInPlaceStep:
+    """The step builds u_expl and the solve's right-hand side in one
+    scratch array; a rejected trial leaves the state's field and the
+    caller's start untouched, and the accepted one has the bytes of the
+    step written without scratch."""
+
+    @pytest.mark.parametrize("kind", ["rect", "disc"])
+    @pytest.mark.parametrize("reject", ["nan", "rise"])
+    def test_rejected_trial_writes_nothing(self, monkeypatch, kind, reject):
+        g, bc = flow_case(kind, 16, 10)
+        solver = FlowSolver(g, Params(L=0.5, eps=0.05, R=0.6), bc)
+        init = random_unit_field(g, bc, seed=4)
+        start = init.values.copy()
+        st = FlowState(field=init, dt=solver.dt)
+        solve = solver.implicit_solve
+        calls = []
+
+        def reject_once(u_expl, dt):
+            assert not np.shares_memory(u_expl, st.field.values)
+            assert st.field.values.tobytes() == start.tobytes()
+            calls.append(dt)
+            u, n = solve(u_expl, dt)
+            if len(calls) == 1:
+                u = np.full_like(u, np.nan) if reject == "nan" else 100.0 * u
+            return u, n
+
+        monkeypatch.setattr(solver, "implicit_solve", reject_once)
+        solver.step(st)
+        assert calls == [solver.dt, solver.dt / 2]
+        assert st.energy_trace[-1][1].total < st.energy_trace[0][1].total
+        assert init.values.tobytes() == start.tobytes()
+        want = out_of_place_trial(solver, start, solver.dt / 2)
+        assert st.field.values.tobytes() == want.tobytes()
+
+    def test_working_set_on_the_flow_rect_grid(self):
+        """One accepted step on the flow-rect benchmark grid (175 x 225
+        nodes, eps 0.015), factor already built, allocates at most 5.5
+        fields' worth at its peak; it was 6.46 while the step made u_expl
+        and W u_expl as new arrays and kept the reduction's scratch alive
+        through the inverse FFT."""
+        T = 0.5 * solve_Ttilde(0.5)
+        g = make_grid("rectangle", (0.0, 2 * T, -0.5, 0.5), 175, 224)
+        bc = rect_bc(0.0)
+        solver = FlowSolver(g, Params(L=0.25, eps=0.015, H=0.5, T=T), bc)
+        st = FlowState(field=random_unit_field(g, bc, seed=7), dt=solver.dt)
+        solver.step(st)
+        tracemalloc.start()
+        try:
+            solver.step(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.dt == solver.dt
+        assert peak <= 5.5 * st.field.values.nbytes
 
 
 class TestConvergedExits:

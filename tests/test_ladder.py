@@ -72,3 +72,29 @@ def test_config_paths_are_masked(ladder, tmp_path):
     (record,) = ladder.compare(a, b)
     assert record["path"] == "rect-1d/config.json"
     assert list(record["diffs"]) == ["L"]
+
+
+def test_rows_dropped_and_shared_row_perturbed(ladder, tmp_path):
+    """A CSV that loses its last row and has a shared row moved reports
+    both the row counts and the moved column."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    ladder.run(a, LADDER[1:], SRC)
+    ladder.run(b, LADDER[1:], SRC)
+    path = b / "annulus" / "profiles.csv"
+    lines = path.read_text().splitlines()
+    n_rows = len(lines) - 1
+    cells = lines[3].split(",")
+    col = lines[0].split(",").index("p")
+    old = float(cells[col])
+    new = old + 2.0 ** -40
+    cells[col] = repr(new)
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+
+    (record,) = ladder.compare(a, b)
+    assert record["path"] == "annulus/profiles.csv"
+    assert record["note"] == f"{n_rows} rows against {n_rows - 1}"
+    assert record["diffs"] == {"p": ladder._diff(old, new)}
+    text = ladder.report([record])
+    assert f"{n_rows} rows against {n_rows - 1}" in text
+    assert "    p: max abs" in text

@@ -51,6 +51,23 @@ class TestSolveM:
             lhs = ratio * M * M + (4 / 3) * (1 - M * M) ** 1.5
             assert lhs == pytest.approx(ratio - ratio ** 3 / 12, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.2195, 1.6, 1.9, 2.5])
+    def test_bulk_over_lambda_is_the_energy_slope(self, lam):
+        """At a = 0 the minimum's bulk term lam M^2, divided by lam, is
+        d/dlam of min_energy_1d: M^2 = 1 - lam^2/4 = (lam - lam^3/12)'
+        below lam = 2, and both are 0 on the step branch above it.  A
+        central difference of step h is off by h^2/12 (the third
+        derivative is -1/2) plus roundoff."""
+        h = 1e-4
+        slope = 1 - lam ** 2 / 4 if lam < 2 else 0.0
+        bulk = solve_M(lam, 1.0, 0.0) ** 2
+        fd = (min_energy_1d(lam + h, 1.0, 0.0)
+              - min_energy_1d(lam - h, 1.0, 0.0)) / (2 * h)
+        assert abs(bulk - slope) <= 1e-12
+        assert abs(fd - bulk) <= h * h / 12 + 1e-11
+        if lam > 2:
+            assert bulk == 0.0 and fd == 0.0
+
 
 class TestMinimizerProfile:
     def test_energy_matches_closed_form(self):

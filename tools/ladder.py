@@ -13,10 +13,11 @@ this script runs the ladder of any checkout.
 
 `compare` names every file that differs between A and B, or exists in one
 only.  For a CSV file it gives, per column that differs, the largest
-absolute and relative difference; for a JSON file, per key (nested keys
-joined with '/').  `out` and `field_csv` in config.json are masked, as they
-name where a run wrote or read.  The exit status is 0 when nothing differs
-and 1 otherwise.
+absolute and relative difference (over the leading rows both files hold,
+with a note, when their row counts differ); for a JSON file, per key
+(nested keys joined with '/').  `out` and `field_csv` in config.json are
+masked, as they name where a run wrote or read.  The exit status is 0 when
+nothing differs and 1 otherwise.
 
 Artifact bytes depend on the numpy build, so no hashes are kept in the
 repository: compare a parent and a change run on one machine.
@@ -175,20 +176,21 @@ def _worst(diffs: Dict[str, Tuple[float, float]], key: str,
 
 def _csv_diffs(a: Path, b: Path) -> Tuple[Dict[str, Tuple[float, float]],
                                           str]:
-    """Per differing column, the largest (absolute, relative) difference,
-    and a note when the headers or row counts differ."""
+    """Per differing column, the largest (absolute, relative) difference
+    over the leading rows both files hold, and a note when the headers or
+    row counts differ."""
     ra = list(csv.reader(io.StringIO(a.read_text())))
     rb = list(csv.reader(io.StringIO(b.read_text())))
     if not ra or not rb or ra[0] != rb[0]:
         return {}, "headers differ"
-    if len(ra) != len(rb):
-        return {}, f"{len(ra) - 1} rows against {len(rb) - 1}"
+    note = "" if len(ra) == len(rb) \
+        else f"{len(ra) - 1} rows against {len(rb) - 1}"
     header, diffs = ra[0], {}
     for row_a, row_b in zip(ra[1:], rb[1:]):
         for col, x, y in zip(header, row_a, row_b):
             if x != y:
                 _worst(diffs, col, _diff(float(x), float(y)))
-    return diffs, ""
+    return diffs, note
 
 
 def _flatten(obj, prefix: str = "") -> Dict[str, object]:
