@@ -210,10 +210,8 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
                 np.full_like(s, c_out), np.full_like(s, t_out))
 
-    fam_in = CharacteristicFamily(seed=seed_in, s_range=(0.0, 2.0 * np.pi),
-                                  label="annulus inner")
-    fam_out = CharacteristicFamily(seed=seed_out, s_range=(0.0, 2.0 * np.pi),
-                                   label="annulus outer")
+    fam_in = CharacteristicFamily(seed=seed_in, s_range=(0.0, 2.0 * np.pi))
+    fam_out = CharacteristicFamily(seed=seed_out, s_range=(0.0, 2.0 * np.pi))
 
     # wall circle with exact trace functions of arclength
     circle, arc_over_chord = _wall_circle()
@@ -244,8 +242,7 @@ def _assemble_field(rho: float, a: float, R: float) -> PiecewiseCriticalField:
         return u1, u2, np.where(r < rho, c_in, c_out)
 
     return PiecewiseCriticalField(
-        families=[fam_in, fam_out], jumps=[wall], sample=sample,
-        domain=f"annulus 1..{R}")
+        families=[fam_in, fam_out], jumps=[wall], sample=sample)
 
 
 def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
@@ -255,8 +252,7 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
         return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
                 np.zeros_like(s), np.full_like(s, R - 1.0))
 
-    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
-                               label="annulus radii")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi))
     circle, arc_over_chord = _wall_circle()
 
     def traces(arc):
@@ -275,7 +271,7 @@ def boundary_wall_solution(R: float, L: float) -> AnnulusRadialSolution:
         return -y / r, x / r, np.zeros(r.shape)
 
     field = PiecewiseCriticalField(
-        families=[fam], jumps=[wall], sample=sample, domain=f"annulus 1..{R}")
+        families=[fam], jumps=[wall], sample=sample)
     eb = EnergyBreakdown(wall_boundary=EIGHT_PI_THIRDS)
     return AnnulusRadialSolution(R=R, L=L, rho=1.0, a=0.0, wall_at_boundary=True,
                                  energy=eb, field=field)

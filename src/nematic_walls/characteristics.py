@@ -160,12 +160,10 @@ class CharacteristicFamily:
              angle and divergence of the arc seeded at s, and its terminal
              parameter (> 0 inside the open range)
     s_range  (s_lo, s_hi)
-    label    region tag
     """
 
     seed: Callable[[np.ndarray], tuple]
     s_range: tuple
-    label: str = ""
 
     def point(self, s, t):
         """Vectorized forward map (s, t) -> (x, y, theta, v)."""
@@ -366,6 +364,5 @@ class PiecewiseCriticalField:
     families: List[CharacteristicFamily]
     jumps: List[JumpSegment]
     sample: Callable
-    domain: str = ""
     symmetry_copies: int = 1  # bulk integral multiplier (reflection copies)
     wall_multiplier: float = 1.0

@@ -5,6 +5,10 @@ machine-readable artifacts (CSV/JSON, 17 significant digits) plus the
 resolved run configuration, so identical configurations (including the
 seed) reproduce bit-identical outputs.
 
+`validate` asks the constructors a run calls (`RunConfig.params`, `_grid`,
+`_bc`) instead of restating their rules, so what they reject exits 2
+before the run writes anything, not 1 from inside it.
+
 Each runner imports the modules it uses itself, before it builds any large
 array, so a subcommand loads only its own part of the package.  `contours`,
 which runners call last, is imported here, so that its import (and
@@ -93,13 +97,6 @@ class RunConfig:
                       R=self.R, a=self.a)
 
 
-# the subcommands that sample a field on a grid of nx by ny cells
-_GRID_SUBCOMMANDS = ("disc-tangential", "disc-hedgehog", "disc-deg-minus-one",
-                     "crosstie", "gradflow", "energy-eval")
-# the outer data `gradflow.disc_bc` knows
-_DISC_DATA = ("tangential", "hedgehog", "degminusone")
-
-
 def _eps_ladder(text: str) -> list:
     """The eps values of a comma-separated ladder; ValueError unless each
     is a finite eps > 0."""
@@ -110,36 +107,25 @@ def _eps_ladder(text: str) -> list:
 
 
 def validate(cfg: RunConfig) -> list:
-    """Static range checks mirroring the type invariants; runs no solver
-    beyond the scalar T~ a cross-tie start on the rectangle must match.
-    Returns the aggregated list of violations."""
+    """The reasons cfg cannot run, one line each; [] when it can.
+
+    First the rules no constructor of the run knows: finite floats,
+    field-csv, eps-ladder, the sweep's window, the flow's dt, tol,
+    max-time and init, the annulus' R > 1 and a rectangle energy-eval's
+    T > 0.  Once those pass, the ValueError of the run's own constructors,
+    each once the ones before it pass: `cfg.params()`, `_grid(cfg)`,
+    `_bc(cfg)`, then the cell a rectangle flow from the cross-tie needs.
+    Runs no solver beyond the scalar T~(L/H)."""
     errors = [f"{f.name.replace('_', '-')} must be finite" for f in fields(cfg)
               if f.type == "float" and not math.isfinite(getattr(cfg, f.name))]
     sub = cfg.subcommand
     domain = cfg.domain if sub in ("gradflow", "energy-eval") else ""
-    if cfg.L <= 0:
-        errors.append("L > 0 violated")
-    if cfg.eps <= 0:
-        errors.append("eps > 0 violated")
-    if (sub in ("rect-1d", "crosstie", "gradflow") or domain == "rect") \
-            and cfg.H <= 0:
-        errors.append("H > 0 violated")
     if sub == "energy-eval" and domain == "rect" and cfg.T <= 0:
         errors.append("T > 0 violated")
     if sub == "energy-eval" and not cfg.field_csv:
         errors.append("field-csv is required")
-    if not (0.0 <= cfg.a < 1.0):
-        errors.append("a in [0,1) violated")
-    if (sub in ("disc-tangential", "disc-hedgehog", "disc-deg-minus-one",
-                "annulus") or domain == "disc") and cfg.R <= 0:
-        errors.append("R > 0 violated")
     if (sub == "annulus" or domain == "annulus") and cfg.R <= 1.0:
         errors.append("annulus requires R > 1")
-    if sub in _GRID_SUBCOMMANDS and (cfg.nx < 4 or cfg.ny < 4):
-        errors.append("counts too small (nx, ny >= 4)")
-    if sub in ("gradflow", "energy-eval") and domain not in ("rect", "disc",
-                                                             "annulus"):
-        errors.append("domain must be rect|disc|annulus")
     if sub == "gradflow":
         if cfg.dt < 0:
             errors.append("dt >= 0 violated")
@@ -147,10 +133,6 @@ def validate(cfg: RunConfig) -> list:
             errors.append("tol > 0 violated")
         if cfg.max_time <= 0:
             errors.append("max-time > 0 violated")
-        if domain == "disc" and cfg.bc not in ("", *_DISC_DATA):
-            errors.append("bc must be " + "|".join(_DISC_DATA))
-        elif domain != "disc" and cfg.bc:
-            errors.append("bc applies to the disc domain only")
         if cfg.init not in ("random", "construction"):
             errors.append("init must be random|construction")
         elif cfg.init == "construction" and domain == "annulus":
@@ -160,15 +142,6 @@ def validate(cfg: RunConfig) -> list:
             # the disc's construction is the degree -1 field
             errors.append("init construction on the disc needs bc "
                           "degminusone")
-        elif cfg.init == "construction" and domain == "rect" \
-                and cfg.T > 0 and cfg.L > 0 and cfg.H > 0:
-            # the cross-tie's period is 2 H T~(L/H): another cell would
-            # cut it with a jump at the seam
-            from .rect1d import solve_Ttilde
-            T = cfg.H * solve_Ttilde(cfg.L / cfg.H)
-            if abs(cfg.T - T) > 1e-12 * T:
-                errors.append(f"init construction needs T = H T~(L/H) = "
-                              f"{T!r}, got T = {cfg.T!r}")
     if sub == "rect-1d" and cfg.eps_ladder:
         try:
             _eps_ladder(cfg.eps_ladder)
@@ -179,7 +152,73 @@ def validate(cfg: RunConfig) -> list:
             errors.append("need 0 < lmin < lmax")
         if not cfg.step > 0:
             errors.append("step > 0 violated")
-    return errors
+    if errors:
+        return errors
+    try:
+        cfg.params()
+        _grid(cfg)
+        if sub == "gradflow":
+            _bc(cfg)
+            if cfg.init == "construction" and domain == "rect" and cfg.T > 0:
+                # the cross-tie's period is 2 H T~(L/H): another cell
+                # would cut it with a jump at the seam
+                T = _crosstie_T(cfg)
+                if abs(cfg.T - T) > 1e-12 * T:
+                    return [f"init construction needs T = H T~(L/H) = "
+                            f"{T!r}, got T = {cfg.T!r}"]
+    except ValueError as exc:
+        return str(exc).splitlines()
+    return []
+
+
+def _crosstie_T(cfg: RunConfig) -> float:
+    """The cross-tie's H T~(L/H), by `crosstie.build_crosstie`'s operations."""
+    from .rect1d import solve_Ttilde
+    return cfg.H * solve_Ttilde(cfg.L / cfg.H)
+
+
+def _grid(cfg: RunConfig) -> Optional[Grid2D]:
+    """The one grid of a subcommand that samples a field; None for the
+    others.  The rectangle is the cell (0, 2T) x (-H, H), with the
+    cross-tie's own T for `crosstie` and for a flow's T = 0; disc grids
+    run from the inner cutoff to R (the degree -1 sampler's to just inside
+    R); the annulus is 1 < r < R.  ValueError names an unknown domain, a
+    T < 0, or what `solve_Ttilde` and `Grid2D` reject."""
+    sub, R = cfg.subcommand, cfg.R
+    flow = sub in ("gradflow", "energy-eval")
+    if flow and cfg.domain not in ("rect", "disc", "annulus"):
+        raise ValueError("domain must be rect|disc|annulus")
+    if sub == "crosstie" or flow and cfg.domain == "rect":
+        if flow and cfg.T < 0:
+            raise ValueError("T >= 0 violated")
+        T = cfg.T if flow and cfg.T > 0 else _crosstie_T(cfg)
+        return make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
+                         cfg.nx, cfg.ny)
+    if flow and cfg.domain == "annulus":
+        extents = (1.0, R)
+    elif sub == "disc-hedgehog":
+        extents = (disc_inner_cutoff(1.0), 1.0)
+    elif sub == "disc-deg-minus-one":
+        extents = (disc_inner_cutoff(R), R * (1 - 1e-12))
+    elif flow or sub == "disc-tangential":
+        extents = (disc_inner_cutoff(R), R)
+    else:
+        return None
+    return make_grid(POLAR, extents, cfg.nx, cfg.ny)
+
+
+def _bc(cfg: RunConfig):
+    """The flow's Dirichlet data: `rect_bc(a)` on the rectangle,
+    `disc_bc(bc)` on the disc (the degree -1 data where bc is empty), and
+    `annulus_bc()` on the annulus."""
+    from . import gradflow as gf
+    if cfg.domain != "disc" and cfg.bc:
+        raise ValueError("bc applies to the disc domain only")
+    if cfg.domain == "rect":
+        return gf.rect_bc(cfg.a)
+    if cfg.domain == "disc":
+        return gf.disc_bc(cfg.bc or "degminusone")
+    return gf.annulus_bc()
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -196,19 +235,6 @@ def _write_json(path: Path, data: dict) -> None:
 def _write_report(out: Path, name: str, breakdown, params: Params,
                   extra: Optional[dict] = None) -> None:
     _write_json(out / name, {**breakdown.as_dict(params), **(extra or {})})
-
-
-def _domain_grid(cfg: RunConfig) -> Grid2D:
-    """The grid on cfg.domain: the rectangle cell (0, 2T) x (-H, H), where
-    T = 0 takes the cross-tie's T = H T~(L/H); the disc from its inner
-    cutoff; the annulus 1 < r < R."""
-    if cfg.domain == "rect":
-        from .rect1d import solve_Ttilde
-        T = cfg.T if cfg.T > 0 else cfg.H * solve_Ttilde(cfg.L / cfg.H)
-        return make_grid(RECTANGLE, (0.0, 2 * T, -cfg.H, cfg.H),
-                         cfg.nx, cfg.ny)
-    r_in = disc_inner_cutoff(cfg.R) if cfg.domain == "disc" else 1.0
-    return make_grid(POLAR, (r_in, cfg.R), cfg.nx, cfg.ny)
 
 
 def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
@@ -253,8 +279,7 @@ def run_disc_tangential(cfg: RunConfig) -> int:
     sol = disc_mod.tangential_solution(cfg.R)
     eb = eval_E0_piecewise(sol, p)
     _write_report(out, "energy.json", eb, p)
-    grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R), cfg.nx, cfg.ny)
-    _sampled_field(grid, sol.sample, out)
+    _sampled_field(_grid(cfg), sol.sample, out)
     return 0
 
 
@@ -269,8 +294,7 @@ def run_disc_hedgehog(cfg: RunConfig) -> int:
     _write_report(out, "energy.json", eb, p,
                   extra={"closed_form": closed,
                          "quadrature_error": abs(eb.total - closed)})
-    grid = make_grid(POLAR, (disc_inner_cutoff(1.0), 1.0), cfg.nx, cfg.ny)
-    _sampled_field(grid, sol.sample, out)
+    _sampled_field(_grid(cfg), sol.sample, out)
     return 0
 
 
@@ -284,9 +308,7 @@ def run_disc_deg_minus_one(cfg: RunConfig) -> int:
     _write_report(out, "energy.json", eb, p,
                   extra={"natural_bc_residual": sol.wall_balance,
                          "s0": sol.s0})
-    grid = make_grid(POLAR, (disc_inner_cutoff(cfg.R), cfg.R * (1 - 1e-12)),
-                     cfg.nx, cfg.ny)
-    _sampled_field(grid, sol.field.sample, out, levels=True)
+    _sampled_field(_grid(cfg), sol.field.sample, out, levels=True)
     return 0
 
 
@@ -348,9 +370,7 @@ def run_crosstie(cfg: RunConfig) -> int:
         "tangency_mismatch": sol.tangency_mismatch,
         "wall_residual": sol.wall_balance,
     })
-    grid = make_grid(RECTANGLE, (0.0, 2 * sol.T, -cfg.H, cfg.H),
-                     cfg.nx, cfg.ny)
-    _sampled_field(grid, sol.field.sample, out, levels=True)
+    _sampled_field(_grid(cfg), sol.field.sample, out, levels=True)
     return 0
 
 
@@ -373,13 +393,7 @@ def run_gradflow(cfg: RunConfig) -> int:
     from .energy import node_divergence
     out = _outdir(cfg)
     p = cfg.params()
-    grid = _domain_grid(cfg)
-    if cfg.domain == "rect":
-        bc = gf.rect_bc(cfg.a)
-    elif cfg.domain == "disc":
-        bc = gf.disc_bc(cfg.bc or "degminusone")
-    else:
-        bc = gf.annulus_bc()
+    grid, bc = _grid(cfg), _bc(cfg)
     if cfg.init == "construction" and cfg.domain == "rect":
         from .crosstie import build_crosstie
         init = _sampled_field(grid, build_crosstie(cfg.L, cfg.H).field.sample)
@@ -416,7 +430,7 @@ def run_energy_eval(cfg: RunConfig) -> int:
     from .energy import eval_E_eps
     out = _outdir(cfg)
     p = cfg.params()
-    eb = eval_E_eps(field_from_csv(_domain_grid(cfg), cfg.field_csv), p)
+    eb = eval_E_eps(field_from_csv(_grid(cfg), cfg.field_csv), p)
     _write_report(out, "energy.json", eb, p)
     return 0
 
@@ -435,6 +449,8 @@ _RUNNERS = {
 
 
 def dispatch(cfg: RunConfig) -> int:
+    """Run cfg's subcommand: 2 on an invalid cfg (each reason on stderr),
+    else the runner's code, or 1 with the exception it raised."""
     errors = validate(cfg)
     if errors:
         for e in errors:

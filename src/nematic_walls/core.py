@@ -49,18 +49,14 @@ class Params:
     a: float = 0.0
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"L > 0 violated (L={self.L})")
-        if not self.eps > 0:
-            raise ValueError(f"eps > 0 violated (eps={self.eps})")
-        if not self.H > 0:
-            raise ValueError(f"H > 0 violated (H={self.H})")
-        if not self.T > 0:
-            raise ValueError(f"T > 0 violated (T={self.T})")
-        if not self.R > 0:
-            raise ValueError(f"R > 0 violated (R={self.R})")
-        if not (0.0 <= self.a < 1.0):
-            raise ValueError(f"a in [0,1) violated (a={self.a})")
+        # every rule the values break, one line each
+        broken = [rule for rule, ok in (
+            ("L > 0", self.L > 0), ("eps > 0", self.eps > 0),
+            ("H > 0", self.H > 0), ("T > 0", self.T > 0),
+            ("R > 0", self.R > 0), ("a in [0,1)", 0.0 <= self.a < 1.0))
+            if not ok]
+        if broken:
+            raise ValueError("\n".join(f"{rule} violated" for rule in broken))
 
     def with_(self, **kw) -> "Params":
         return replace(self, **kw)
@@ -87,7 +83,7 @@ class Grid2D:
         if self.kind not in (RECTANGLE, POLAR):
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.nx < 4 or self.ny < 4:
-            raise ValueError(f"counts too small (nx={self.nx}, ny={self.ny}; need >= 4)")
+            raise ValueError("counts too small (nx, ny >= 4)")
         if self.kind == RECTANGLE:
             x_lo, x_hi, y_lo, y_hi = self.extents
             if not (x_hi > x_lo and y_hi > y_lo):

@@ -178,12 +178,11 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         return (np.full_like(s, T), np.zeros_like(s), theta0, v0,
                 np.where(d > 1e-300, R * theta0, H))
 
-    fam1 = CharacteristicFamily(seed=seed1, s_range=(0.0, T),
-                                label="crosstie region I")
+    fam1 = CharacteristicFamily(seed=seed1, s_range=(0.0, T))
 
     # region III: bottom wall to left wall
     fam3 = CharacteristicFamily(seed=lambda s: region3_seed(s, L),
-                                s_range=(0.0, T), label="crosstie region III")
+                                s_range=(0.0, T))
 
     # region II: seeded on Gamma (family I's terminal arc); one theta*
     # solve gives the divergence and the terminal parameter
@@ -198,8 +197,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
                 H - np.sin(alpha * s) / alpha, alpha * s, v,
                 np.where(v != 0.0, t, 0.5 * s))
 
-    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star),
-                                label="crosstie region II")
+    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star))
 
     # --- walls: region III's seeds on the bottom wall; the arrivals of III
     # (y < T) and II (y > T) on the left wall
@@ -230,7 +228,6 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     sol.field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[wall_left, wall_bottom],
         sample=lambda x, y: crosstie_field_sample(cell, x, y),
-        domain=f"period cell (0,{2*T})x(-{H},{H})",
         symmetry_copies=4, wall_multiplier=2.0)
 
     if sol.tangency_mismatch > 1e-9:
@@ -494,8 +491,7 @@ def remark_crosstie_field() -> PiecewiseCriticalField:
         u1, u2 = remark_crosstie_map(x, y)
         return u1, u2, np.zeros(np.shape(u1))
 
-    return PiecewiseCriticalField(families=[], jumps=segs, sample=sample,
-                                  domain="strip |x|<1/2, one period")
+    return PiecewiseCriticalField(families=[], jumps=segs, sample=sample)
 
 
 def remark_tail_integral(Y: float) -> float:

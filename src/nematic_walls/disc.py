@@ -64,15 +64,13 @@ def tangential_solution(R: float) -> PiecewiseCriticalField:
         return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
                 np.zeros_like(s), np.full_like(s, R))
 
-    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
-                               label="radii")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi))
 
     def sample(x, y):
         x, y, r = _polar_radius(x, y, "e_theta")
         return -y / r, x / r, np.zeros(r.shape)
 
-    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample,
-                                  domain=f"disc R={R}")
+    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample)
 
 
 def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
@@ -92,8 +90,7 @@ def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
             return (z, z, s, np.full_like(s, 2.0),
                     np.full_like(s, 0.5 * np.pi))
 
-    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi),
-                               label="hedgehog")
+    fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi))
 
     def sample(x, y):
         # u = r e_r + q e_theta with e_r = (x,y)/r, e_theta = (-y,x)/r
@@ -101,8 +98,7 @@ def hedgehog_solution(sign: int = +1) -> PiecewiseCriticalField:
         q = sign * np.sqrt(np.maximum(1.0 - r * r, 0.0))
         return x + q * (-y / r), y + q * (x / r), np.full(r.shape, 2.0)
 
-    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample,
-                                  domain="unit disc")
+    return PiecewiseCriticalField(families=[fam], jumps=[], sample=sample)
 
 
 def hedgehog_energy(L: float) -> float:
@@ -236,8 +232,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
         return (s, z, z, np.full_like(s, -1.0 / R),
                 R * np.arccos(np.clip((s + R) / (2.0 * R), -1.0, 1.0)))
 
-    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, R),
-                                label="deg-1 region I")
+    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, R))
 
     # region III: arcs from (s, 0), s in [0, s0], to the wall; one
     # curvature solve gives the arc and its terminal angle
@@ -249,8 +244,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
             t = np.where(v != 0.0, th / v, 0.0)
         return (s, np.zeros_like(s), np.zeros_like(s), v, t)
 
-    fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, s0),
-                                label="deg-1 region III")
+    fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, s0))
 
     # region II: seeds on the terminal region-I arc, arclength s in [0, pi R/4]
     def seed2(s):
@@ -263,8 +257,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
                 np.maximum(t, 0.0))
 
     s2_max = 0.25 * math.pi * R
-    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max),
-                                label="deg-1 region II")
+    fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max))
 
     # wall: the arrivals of III then II, parametrized by arclength
     x3, _, th3, v3 = fam3.arrival(np.linspace(0.0, s0, n_wall // 2 + 1))
@@ -287,7 +280,6 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     sol.field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[jump],
         sample=lambda x, y: deg_minus_one_sample(cell, x, y),
-        domain=f"disc R={R}, degree -1",
         symmetry_copies=8, wall_multiplier=4.0)
 
     if balance > 1e-8:

@@ -118,17 +118,15 @@ def wall_nodes(seg: JumpSegment, order: int):
     return arcs, weights, lam
 
 
-def _segment_quadrature(seg: JumpSegment, order: int):
-    """(weights, u_plus, u_minus) at the `wall_nodes` of a segment, the
-    traces from one seg.trace_fn call."""
-    arcs, weights, _ = wall_nodes(seg, order)
+# Gauss-Legendre nodes per polyline segment of a wall's line integral
+WALL_ORDER = 8
+
+
+def wall_energy(seg: JumpSegment) -> float:
+    """Line integral of (1/6)|u+ - u-|^3 over one jump segment, the traces
+    from one seg.trace_fn call at its `wall_nodes`."""
+    arcs, weights, _ = wall_nodes(seg, WALL_ORDER)
     up, um = (np.asarray(u, dtype=float) for u in seg.trace_fn(arcs))
-    return weights, up, um
-
-
-def wall_energy(seg: JumpSegment, order: int = 8) -> float:
-    """Line integral of (1/6)|u+ - u-|^3 over one jump segment."""
-    weights, up, um = _segment_quadrature(seg, order)
     jump = np.linalg.norm(up - um, axis=1)
     return float(np.dot(weights, jump ** 3)) / 6.0
 

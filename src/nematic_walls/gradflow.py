@@ -100,7 +100,7 @@ def disc_bc(kind: str) -> BCSpec:
     elif kind == "degminusone":
         f = lambda th: np.stack([np.cos(th), -np.sin(th)], axis=-1)
     else:
-        raise ValueError(f"unknown disc data {kind!r}")
+        raise ValueError("bc must be tangential|hedgehog|degminusone")
     return BCSpec(last=f)
 
 

@@ -30,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from .energy import GridProfile1D
-from .rootfind import bracketed_root
+from .rootfind import BracketError, bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -179,8 +179,12 @@ def solve_Ttilde(l_over_h: float) -> float:
     """
     if l_over_h <= 0:
         raise ValueError("L/H > 0 required")
-    return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
-                          1.0 - 1e-14, args=(l_over_h,))
+    try:
+        return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
+                              1.0 - 1e-14, args=(l_over_h,))
+    except BracketError as exc:
+        raise BracketError(f"L/H = {l_over_h!r} lies outside the range the "
+                           f"tangency relation brackets: {exc}") from None
 
 
 def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:

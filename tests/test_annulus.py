@@ -85,6 +85,20 @@ class TestCriticalitySystem:
         assert sol.rho ** 2 == pytest.approx(2 * R * R / (R * R + 1), abs=1e-12)
         assert sol.a == pytest.approx(0.5, abs=1e-9)
 
+    def test_quadratic_branch_is_the_solved_wall(self):
+        """Below a = 1/2 the root of the criticality quadratic is the wall
+        radius squared that solve_interior_wall finds, to 1e-12."""
+        n = 0
+        for r in (1.2, 1.5, 2.0, 3.0, 5.0):
+            for L in np.geomspace(0.02, 3.0, 40):
+                sol = solve_interior_wall(r, float(L))
+                if sol is None or not sol.a < 0.5:
+                    continue
+                n += 1
+                assert rho_squared_for_a(sol.a, r) == pytest.approx(
+                    sol.rho ** 2, rel=1e-12, abs=0), (r, L)
+        assert n > 100  # 131 walls
+
     def test_interior_residuals(self):
         sol = solve_interior_wall(R, critical_L_for_a_half(R))
         assert sol.nbc_residual < 1e-10

@@ -105,8 +105,7 @@ def lines_family():
         z = np.zeros_like(s)
         return (s, z, z, z, np.ones_like(s))
 
-    return CharacteristicFamily(seed=seed, s_range=(0.0, 1.0),
-                                label="parallel lines")
+    return CharacteristicFamily(seed=seed, s_range=(0.0, 1.0))
 
 
 def curved_family():

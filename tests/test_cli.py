@@ -170,6 +170,73 @@ def test_malformed_values_exit_2(tmp_path, capsys, argv, reason):
     assert not out.exists()
 
 
+_BRACKET = ("L/H = 1e-300 lies outside the range the tangency relation "
+            "brackets")
+
+
+@pytest.mark.parametrize("argv, config, reason", [
+    (["disc-tangential"], {"H": -1}, "H > 0 violated"),
+    (["crosstie"], {"R": -2}, "R > 0 violated"),
+    (["disc-deg-minus-one", "--R", "1e-3"], None,
+     "invalid extents (0.001, 0.000999999999999)"),
+    (_FLOW + ["--domain", "disc", "--R", "5e-4"], None,
+     "invalid extents (0.001, 0.0005)"),
+    (["crosstie", "--L", "1", "--H", "1e300"], None, _BRACKET),
+    (_FLOW + ["--init", "construction", "--L", "1", "--H", "1e300"], None,
+     _BRACKET),
+    (_FLOW + ["--domain", "rect", "--T", "-0.5", "--max-time", "0.01"],
+     None, "T >= 0 violated"),
+], ids=["disc-H", "crosstie-R", "disc-R-cutoff", "flow-disc-R-cutoff",
+        "crosstie-LH", "flow-construction-LH", "flow-T"])
+def test_constructor_rules_exit_2(tmp_path, capsys, argv, config, reason):
+    """A value that the run's own constructors (Params, the grid,
+    solve_Ttilde) reject exits 2 with one reason before any run."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _plans(monkeypatch):
+    """(name, argv) of every tools/ladder.py configuration and of every
+    perfbench workload's invocations for seeds 0-9."""
+    import importlib.util
+
+    def load(path):
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        # a dataclass looks its module up in sys.modules
+        monkeypatch.setitem(sys.modules, path.stem, module)
+        spec.loader.exec_module(module)
+        return module
+
+    root = Path(__file__).resolve().parents[1]
+    plans = list(load(root / "tools" / "ladder.py").LADDER)
+    for name, w in load(root / "perfbench" / "workloads.py").WORKLOADS.items():
+        plans += [(f"{name}/seed{seed}", argv) for seed in range(10)
+                  for argv in w.plan(seed)]
+    return plans
+
+
+def test_ladder_and_benchmark_configs_validate(monkeypatch):
+    """Every configuration the byte-identity ladder and the benchmark run
+    parses and passes validate, so no rule a constructor owns turns one
+    into an exit 2."""
+    from nematic_walls import cli
+    seen = []
+    monkeypatch.setattr(cli, "dispatch", lambda cfg: seen.append(cfg) or 0)
+    plans = _plans(monkeypatch)
+    for name, argv in plans:
+        assert main(argv) == 0, name
+        assert validate(seen[-1]) == [], name
+    assert len(seen) == len(plans) > 40
+
+
 def test_unknown_subcommand_exit_code():
     assert dispatch(RunConfig(subcommand="nope")) == 2
 

@@ -77,8 +77,8 @@ class TestConstruction:
     def test_foliation_all_regions(self, sol):
         for fam in (sol.region1, sol.region2, sol.region3):
             rep = check_foliation(fam, 12, 12)
-            assert rep.sign_consistent, fam.label
-            assert rep.crossings == 0, fam.label
+            assert rep.sign_consistent, fam.s_range
+            assert rep.crossings == 0, fam.s_range
 
     def test_quarter_cell_area(self, sol):
         total = sum(family_area(f, s_panels=48, order=6)

@@ -338,10 +338,10 @@ def test_jacobian_one_sign_per_arc(kind, value):
                                                tau * ts[:, None])
         inner = J[:, 1:-1]
         assert not np.any((inner.max(axis=1) > 0) & (inner.min(axis=1) < 0)), \
-            fam.label
+            fam.s_range
         sign = np.sign(inner.sum(axis=1))[:, None]
         ends = J[:, [0, -1]] * sign
-        assert ends.min() >= -1e-7 * np.abs(J).max(), fam.label
+        assert ends.min() >= -1e-7 * np.abs(J).max(), fam.s_range
 
 
 _TWO_PI = 2.0 * math.pi
@@ -396,9 +396,9 @@ def test_E0_evaluates_no_arc_grid(monkeypatch):
     monkeypatch.setattr(characteristics, "arc_jacobian", no_jacobian)
     for field, params in fields:
         calls = {}
-        for fam in field.families:
-            def counted(s, seed=fam.seed, label=fam.label):
-                calls[label] = calls.get(label, 0) + 1
+        for k, fam in enumerate(field.families):
+            def counted(s, seed=fam.seed, k=k):
+                calls[k] = calls.get(k, 0) + 1
                 return seed(s)
             monkeypatch.setattr(fam, "seed", counted)
         eval_E0_piecewise(field, params)

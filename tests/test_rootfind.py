@@ -270,8 +270,8 @@ def _assert_samples_arc(sample, fam, tol_of_band):
         got_th, got_v = sample(x, y)
         tol = tol_of_band(tol)
         err_th = np.abs(np.angle(np.exp(1j * (got_th - th)))).max()
-        assert err_th <= tol, (fam.label, taus[0], err_th)
-        assert np.abs(got_v - v).max() <= tol, (fam.label, taus[0])
+        assert err_th <= tol, (fam.s_range, taus[0], err_th)
+        assert np.abs(got_v - v).max() <= tol, (fam.s_range, taus[0])
 
 
 @pytest.mark.parametrize("L", [0.1, 0.2, 0.3, 0.5, 0.7])
