@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -114,7 +114,8 @@ def validate(cfg: RunConfig) -> list:
     max-time and init, the annulus' R > 1 and a rectangle energy-eval's
     T > 0.  Once those pass, the ValueError of the run's own constructors,
     each once the ones before it pass: `cfg.params()`, `_grid(cfg)`,
-    `_bc(cfg)`, then the cell a rectangle flow from the cross-tie needs.
+    `_bc(cfg)`, then the cell a rectangle flow from the cross-tie needs,
+    and the cross-tie cells at a sweep's lmin and lmax (`_crosstie_T`).
     Runs no solver beyond the scalar T~(L/H)."""
     errors = [f"{f.name.replace('_', '-')} must be finite" for f in fields(cfg)
               if f.type == "float" and not math.isfinite(getattr(cfg, f.name))]
@@ -157,6 +158,9 @@ def validate(cfg: RunConfig) -> list:
     try:
         cfg.params()
         _grid(cfg)
+        if sub == "crosstie-sweep":
+            for lh in (cfg.lmin, cfg.lmax):
+                _crosstie_T(replace(cfg, L=lh * cfg.H))
         if sub == "gradflow":
             _bc(cfg)
             if cfg.init == "construction" and domain == "rect" and cfg.T > 0:
@@ -172,9 +176,10 @@ def validate(cfg: RunConfig) -> list:
 
 
 def _crosstie_T(cfg: RunConfig) -> float:
-    """The cross-tie's H T~(L/H), by `crosstie.build_crosstie`'s operations."""
-    from .rect1d import solve_Ttilde
-    return cfg.H * solve_Ttilde(cfg.L / cfg.H)
+    """The cross-tie's H T~(L/H), by `crosstie.build_crosstie`'s operations;
+    ValueError where `rect1d.cell_ttilde` rejects cfg's L and H."""
+    from .rect1d import cell_ttilde
+    return cfg.H * cell_ttilde(cfg.L, cfg.H)
 
 
 def _grid(cfg: RunConfig) -> Optional[Grid2D]:
@@ -262,10 +267,12 @@ def _sampled_field(grid: Grid2D, sample, out: Optional[Path] = None,
     X, Y = grid.nodes_xy()
     u1, u2, v = sample(X, Y)
     field = Field2D(grid, np.stack([u1, u2], axis=-1))
+    del u1, u2
     if out is not None:
         field_to_csv(field, out / "field.csv")
         if levels:
-            _write_level_curves(out, grid, v, np.arctan2(u2, u1))
+            u = field.values
+            _write_level_curves(out, grid, v, np.arctan2(u[..., 1], u[..., 0]))
     return field
 
 

@@ -136,17 +136,27 @@ def level_curves(grid: Grid2D, F: np.ndarray, levels,
     corner values span more than pi straddle the branch cut, where F jumps
     by 2 pi, and are skipped.
     """
-    X, Y = grid.nodes_xy()
     F = np.asarray(F, dtype=float)
-    if grid.kind == POLAR:
-        F, X, Y = (np.concatenate([A, A[:, :1]], axis=1) for A in (F, X, Y))
-    else:
-        F, Y = (np.concatenate([A, A[:1]], axis=0) for A in (F, Y))
-        X = np.concatenate([X, np.full_like(X[:1], grid.extents[1])], axis=0)
+    F = (np.concatenate([F, F[:, :1]], axis=1) if grid.kind == POLAR
+         else np.concatenate([F, F[:1]], axis=0))
     mask = None
     if angle:
-        corners = np.stack([F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]])
-        mask = corners.max(axis=0) - corners.min(axis=0) > np.pi
+        # each cell's corner max and min, one pair of corners at a time
+        corners = (F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:])
+        hi, lo = np.maximum(*corners[:2]), np.minimum(*corners[:2])
+        for c in corners[2:]:
+            np.maximum(hi, c, out=hi)
+            np.minimum(lo, c, out=lo)
+        mask = np.subtract(hi, lo, out=hi) > np.pi
+        del hi, lo
+    a1, a2 = grid.axes()
+    if grid.kind == POLAR:
+        # the nodes as `Grid2D.nodes_xy` forms them, theta = 0 again last
+        t = np.append(a2, a2[0])
+        X, Y = a1[:, None] * np.cos(t), a1[:, None] * np.sin(t)
+    else:
+        x = np.append(a1, grid.extents[1])
+        X, Y = (np.broadcast_to(a, F.shape) for a in (x[:, None], a2))
     return {lv: marching_squares(F, X, Y, lv, mask) for lv in levels}
 
 

@@ -338,23 +338,28 @@ CSV_ROWS = 2048
 def field_to_csv(field: Field2D, path) -> None:
     """Snapshot CSV: header x,y,u1,u2; row-major over nodes; each value as
     '%.17g' writes it.  On rectangle grids each x and each y is formatted
-    once and gathered per node."""
+    once and gathered per node; on polar grids the nodes' x and y are
+    formed per written block, as `Grid2D.nodes_xy` forms them."""
     grid = field.grid
-    values, xy = field.values, []
+    a1, a2 = grid.axes()
     if grid.kind == RECTANGLE:
-        xs, ys = grid.axes()
         xy = [np.broadcast_to(g17_cells(a), (*grid.shape, 1, G17_CELL))
-              for a in (xs[:, None, None], ys[None, :, None])]
+              for a in (a1[:, None, None], a2[None, :, None])]
+
+        def nodes(rows):
+            return [c[rows] for c in xy]
     else:
-        values = np.concatenate([np.stack(grid.nodes_xy(), axis=-1),
-                                 values], axis=-1)
+        cos_t, sin_t = np.cos(a2), np.sin(a2)
+
+        def nodes(rows):
+            r = a1[rows, None]
+            return [g17_cells(np.stack([r * cos_t, r * sin_t], axis=-1))]
     step = -(-CSV_ROWS // grid.n2)  # node rows per write
     with open(path, "wb") as fh:
         fh.write(b"x,y,u1,u2\n")
         for i in range(0, grid.n1, step):
             rows = slice(i, i + step)
-            fh.write(csv_rows(*(c[rows] for c in xy),
-                              g17_cells(values[rows])))
+            fh.write(csv_rows(*nodes(rows), g17_cells(field.values[rows])))
 
 
 def table_to_csv(table, path, header: str) -> None:

@@ -42,11 +42,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .characteristics import (CharacteristicFamily, PiecewiseCriticalField,
-                              mirror_wall)
+                              arc_xy, mirror_wall)
 from .core import JumpSegment, Params
 from . import rect1d
 from .energy import eval_E0_piecewise, wall_balance
-from .rect1d import solve_Ttilde
+from .rect1d import cell_ttilde, solve_Ttilde
 from .rootfind import arc_residual, arc_root, bracketed_root
 
 # --- region III seed relations ------------------------------------------------
@@ -139,6 +139,9 @@ class CrossTieSolution:
     T: float
     alpha: float
     t1_star: float
+    # theta* of region II's last arc, seeded at the vortex (s = t1*): the
+    # sampler's bracket end
+    theta_star_end: float
     region1: CharacteristicFamily
     region2: CharacteristicFamily
     region3: CharacteristicFamily
@@ -161,7 +164,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     """Assemble the three families and both walls on the quarter cell."""
     if L <= 0 or H <= 0:
         raise ValueError("L, H > 0 required")
-    t_tilde = solve_Ttilde(L / H)
+    t_tilde = cell_ttilde(L, H)
     T = H * t_tilde
     alpha = 2.0 * T / (T * T + H * H)
     t1_star = 2.0 * math.atan2(T, H) / alpha
@@ -184,11 +187,9 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     fam3 = CharacteristicFamily(seed=lambda s: region3_seed(s, L),
                                 s_range=(0.0, T))
 
-    # region II: seeded on Gamma (family I's terminal arc); one theta*
-    # solve gives the divergence and the terminal parameter
-    def seed2(s):
-        s = np.asarray(s, dtype=float)
-        th_star = region2_theta_star(s, alpha, L)
+    # region II: seeded on Gamma (family I's terminal arc); its theta*
+    # gives the divergence and the terminal parameter
+    def seed2_of(s, th_star):
         v = -np.sin(2.0 * th_star) / L
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (th_star - alpha * s) / np.where(v != 0.0, v, 1.0)
@@ -196,6 +197,10 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         return ((1.0 - np.cos(alpha * s)) / alpha,
                 H - np.sin(alpha * s) / alpha, alpha * s, v,
                 np.where(v != 0.0, t, 0.5 * s))
+
+    def seed2(s):
+        s = np.asarray(s, dtype=float)
+        return seed2_of(s, region2_theta_star(s, alpha, L))
 
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star))
 
@@ -208,8 +213,12 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
                               thb, v3, [0.0, -1.0])
 
     _, y3, th3, v3a = fam3.arrival(np.linspace(0.0, T, n_w // 2 + 1))
+    # region II's arrivals from one theta* solve, whose last node, the
+    # vortex, gives the sampler's bracket end
     s2 = np.linspace(1e-9 * T, t1_star, n_w // 2 + 1)
-    _, y2, th2, v2a = fam2.arrival(s2)
+    beta2 = region2_theta_star(s2, alpha, L)
+    x0, y0, th0, v2a, ts = seed2_of(s2, beta2)
+    _, y2, th2 = arc_xy(x0, y0, th0, v2a, ts)
     yw = np.concatenate([y3, y2])
     wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
                             np.concatenate([th3, th2]),
@@ -218,6 +227,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
 
     sol = CrossTieSolution(L=L, H=H, T_tilde=t_tilde, T=T,
                            alpha=alpha, t1_star=t1_star,
+                           theta_star_end=float(beta2[-1]),
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
                            field=None, wall_balance=balance)
@@ -375,29 +385,33 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
         sigma = np.arctan2(H - y2, 1.0 / alpha - x2) / alpha
         theta[m2], v[m2] = arc_root(
             lambda b: region2_seed_of_theta_star(b, alpha, L, H),
-            region2_theta_star(sigma, alpha, L),
-            region2_theta_star(sol.t1_star, alpha, L), x2, y2, (-1, 1))
+            region2_theta_star(sigma, alpha, L), sol.theta_star_end, x2, y2,
+            (-1, 1))
     return theta, v
 
 
 def crosstie_field_sample(sol: CrossTieSolution, x, y):
     """Vectorized (u1, u2, v) on the period cell via quarter-cell
     reflections: u1 flips across y = 0, u2 flips across x = T (both flip
-    the divergence sign); x is reduced modulo the period 2T."""
+    the divergence sign); x is reduced modulo the period 2T.  The
+    reflections are kept as boolean masks and undone in place."""
     T, H = sol.T, sol.H
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     shape = x.shape
     x = np.mod(x.ravel(), 2.0 * T)
     y = y.ravel()
-    f1 = np.where(y < 0, -1.0, 1.0)
-    y = np.abs(y)
-    f2 = np.where(x > T, -1.0, 1.0)
-    x = np.where(x > T, 2.0 * T - x, x)
-    theta, v = _quarter_eval_batch(sol, x, np.minimum(y, H))
-    u1 = np.cos(theta) * f1
-    u2 = np.sin(theta) * f2
-    v = v * f1 * f2
+    flip1 = y < 0
+    flip2 = x > T
+    y = np.minimum(np.abs(y), H)
+    np.subtract(2.0 * T, x, out=x, where=flip2)
+    theta, v = _quarter_eval_batch(sol, x, y)
+    del x, y
+    u1 = np.cos(theta)
+    u2 = np.sin(theta, out=theta)
+    np.negative(u1, out=u1, where=flip1)
+    np.negative(u2, out=u2, where=flip2)
+    np.negative(v, out=v, where=flip1 ^ flip2)
     return u1.reshape(shape), u2.reshape(shape), v.reshape(shape)
 
 

@@ -211,6 +211,10 @@ class DegMinusOneSolution:
     field: PiecewiseCriticalField
     # energy.wall_balance of the diagonal, which the build checks
     wall_balance: float
+    # mu = sin(phi) and curvature of region III's terminal arc, seeded at
+    # s0, which region II's first arc continues: the sampler's seam
+    mu0: float
+    v_end: float
 
 
 def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSolution:
@@ -270,9 +274,11 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
                        np.array([-1.0, 1.0]) / SQRT2)
     balance = wall_balance(jump, L)
 
+    mu0 = math.sin(float(_region3_phi(s0, L)))
     sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
                               region3=fam3, field=None,
-                              wall_balance=balance)
+                              wall_balance=balance, mu0=mu0,
+                              v_end=float(region3_seed_of_mu(mu0, L)[3]))
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
     # solution alive until the cyclic collector runs
@@ -301,7 +307,7 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     region requires, or 0 where it rounds to the other sign, and a 0 end
     is the root.
     """
-    R, L, s0 = sol.R, sol.L, sol.s0
+    R, L, s0, mu0 = sol.R, sol.L, sol.s0, sol.mu0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x * x + y * y > R * R * (1 + 1e-10)):
@@ -313,6 +319,7 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     # x-axis at sI + R
     sI = x - R + np.sqrt(np.maximum(R * R - y * y, 0.0))
     m1 = sI >= s0
+    del sI
     theta[m1] = -np.arcsin(np.clip(y[m1] / R, -1.0, 1.0))
     v[m1] = -1.0 / R
 
@@ -321,9 +328,7 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     # circle; the region test is that residual, as region III's upper
     # bracket end evaluates it.  An arc's centre is L/sqrt(1 - mu), and
     # the arc centred at x + y has angle -pi/4 at the point
-    mu0 = math.sin(float(_region3_phi(s0, L)))
     seed3 = lambda mu: region3_seed_of_mu(mu, L)
-    v_end = float(seed3(mu0)[3])
     m3 = ~m1 & (arc_residual(seed3, mu0, x, y) < 0.0)
     if m3.any():
         x3, y3 = x[m3], y[m3]
@@ -338,9 +343,9 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
         x2, y2 = x[m2], y[m2]
         sigma = R * np.arctan2(y2, SQRT2 * R - x2)
         theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, R, L),
-                                    v_end, region2_v0(sigma, R, L), x2, y2,
+                                    sol.v_end, region2_v0(sigma, R, L), x2, y2,
                                     (1, -1))
-    return np.cos(theta), np.sin(theta), v
+    return np.cos(theta), np.sin(theta, out=theta), v
 
 
 def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
@@ -349,24 +354,26 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     Axis reflections mirror u and preserve v; the diagonal reflection uses
     the wall rule u -> (2 nu x nu - I) u and flips the sign of v.  Points
     exactly on a diagonal get the trace of the octant side they round into.
+    The reflections are kept as boolean masks and undone in place.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
     shape = x.shape
     x, y = x.ravel(), y.ravel()
-    sx = np.where(y < 0, -1.0, 1.0)      # mirror about x-axis: u2 flips
-    y = np.abs(y)
-    sy = np.where(x < 0, -1.0, 1.0)      # mirror about y-axis: u1 flips
-    x = np.abs(x)
-    diag = y > x
-    x2 = np.where(diag, y, x)
-    y2 = np.where(diag, x, y)
-    u1o, u2o, vo = _octant_eval_batch(sol, x2, y2)
+    flip2 = y < 0      # mirror about the x-axis: u2 flips
+    flip1 = x < 0      # mirror about the y-axis: u1 flips
+    x, y = np.abs(x), np.abs(y)
+    diag = y > x       # mirror about the diagonal
+    # the octant point is (max, min) of (|x|, |y|)
+    xo = np.maximum(x, y)
+    yo = np.minimum(x, y, out=y)
+    del x, y
+    u1, u2, v = _octant_eval_batch(sol, xo, yo)
+    del xo, yo
     # diagonal rule: (u1, u2) -> (-u2, -u1), v -> -v
-    u1 = np.where(diag, -u2o, u1o)
-    u2 = np.where(diag, -u1o, u2o)
-    v = np.where(diag, -vo, vo)
+    u1[diag], u2[diag] = -u2[diag], -u1[diag]
+    np.negative(v, out=v, where=diag)
     # undo the y-axis mirror (acts on u1), then the x-axis mirror (u2)
-    u1 *= sy
-    u2 *= sx
+    np.negative(u1, out=u1, where=flip1)
+    np.negative(u2, out=u2, where=flip2)
     return u1.reshape(shape), u2.reshape(shape), v.reshape(shape)

@@ -24,6 +24,7 @@ so the gradient flow on that rectangle need not import the construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,6 +35,9 @@ from .rootfind import BracketError, bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
+# the lengths whose squares are normal floats: the cross-tie's
+# construction forms L^2, H^2 and T^2 + H^2
+CELL_LENGTHS = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 @dataclass
@@ -166,9 +170,13 @@ def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
 # --- the cross-tie's period equation (see `crosstie`) ------------------------
 
 def period_equation_residual(t_tilde, l_over_h: float):
+    """The tangency relation's left side minus its right side, with
+    sqrt(lh^2 + 4t^2) - lh formed as 4t^2/(sqrt(lh^2 + 4t^2) + lh), which
+    does not cancel at large L/H."""
     t = np.asarray(t_tilde, dtype=float)
     lh = l_over_h
-    return lh * (np.sqrt(lh * lh + 4.0 * t * t) - lh) \
+    t2 = 4.0 * t * t
+    return lh * t2 / (np.sqrt(lh * lh + t2) + lh) \
         - 8.0 * t ** 3 * (1.0 - t * t) / (t * t + 1.0) ** 2
 
 
@@ -185,6 +193,20 @@ def solve_Ttilde(l_over_h: float) -> float:
     except BracketError as exc:
         raise BracketError(f"L/H = {l_over_h!r} lies outside the range the "
                            f"tangency relation brackets: {exc}") from None
+
+
+def cell_ttilde(L: float, H: float) -> float:
+    """T~ = T/H of the cross-tie's cell of height 2H at elastic constant L:
+    `solve_Ttilde(L/H)`.  ValueError with what `solve_Ttilde` rejects, else
+    naming H, else L, where it lies outside CELL_LENGTHS."""
+    t_tilde = solve_Ttilde(L / H)
+    lo, hi = CELL_LENGTHS
+    for name, length in (("H", H), ("L", L)):
+        if not lo <= length <= hi:
+            raise ValueError(f"{name} = {length!r} lies outside "
+                             f"[{lo:.4g}, {hi:.4g}], the lengths whose "
+                             "squares the cross-tie's construction forms")
+    return t_tilde
 
 
 def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:

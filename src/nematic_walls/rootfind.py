@@ -27,8 +27,9 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 # SciPy's default iteration cap: the number of binades of float64
 _MAXITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
-# points per `arc_root` solve
-ARC_BLOCK = 8192
+# points per `arc_root` solve; the solve holds about 44 float64 values
+# per point, so a block holds about 1.4 MB
+ARC_BLOCK = 4096
 
 
 class BracketError(ValueError):
@@ -198,20 +199,29 @@ def arc_root(seed: Callable, lo, hi, x, y, signs=None):
     (theta, v0) at the roots, theta = atan2(w_y, w_x), of the broadcast
     shape of lo, hi, x and y.  The points are solved ARC_BLOCK at a time,
     which bounds the solver's temporaries; the solve is elementwise, so
-    the blocks change no result.
+    the blocks change no result.  An argument with a single value, such as
+    a bracket end shared by every point, is broadcast block by block.
     """
     def resid(q, x, y):
         return _arc_residual(seed, q, x, y)
 
-    lo, hi, x, y = np.broadcast_arrays(lo, hi, x, y)
-    shape = x.shape
-    lo, hi, x, y = (a.ravel() for a in (lo, hi, x, y))
-    theta, v = np.empty(x.size), np.empty(x.size)
-    for k in range(0, x.size, ARC_BLOCK):
+    def flat(a):
+        a = np.asarray(a, dtype=float)
+        if a.shape == shape:
+            return a.ravel()
+        if a.size == 1:
+            return a.reshape(())
+        return np.broadcast_to(a, shape).ravel()
+
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (lo, hi, x, y)))
+    lo, hi, x, y = (flat(a) for a in (lo, hi, x, y))
+    n = math.prod(shape)
+    theta, v = np.empty(n), np.empty(n)
+    for k in range(0, n, ARC_BLOCK):
         b = slice(k, k + ARC_BLOCK)
-        q = bracketed_root(resid, lo[b], hi[b], args=(x[b], y[b]),
-                           signs=signs)
-        dx, dy, e0x, e0y, v0 = _arc_parts(seed, q, x[b], y[b])
+        lo_b, hi_b, x_b, y_b = (a[b] if a.ndim else a for a in (lo, hi, x, y))
+        q = bracketed_root(resid, lo_b, hi_b, args=(x_b, y_b), signs=signs)
+        dx, dy, e0x, e0y, v0 = _arc_parts(seed, q, x_b, y_b)
         theta[b] = np.arctan2(v0 * dy + e0y, v0 * dx + e0x)
         v[b] = v0
     return theta.reshape(shape), v.reshape(shape)

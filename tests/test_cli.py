@@ -52,14 +52,17 @@ def test_sweep_imports_only_what_it_runs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["disc-deg-minus-one", "--nx", "8", "--ny", "16"],
     ["crosstie", "--nx", "8", "--ny", "8"],
-], ids=["disc-deg-minus-one", "crosstie"])
+    ["crosstie-sweep", "--lmin", "1.3", "--lmax", "1.4", "--step", "0.1"],
+], ids=["disc-deg-minus-one", "crosstie", "crosstie-sweep"])
 def test_constructions_do_not_load_numpy_ma(tmp_path, argv):
-    """No construction run imports numpy.ma (np.unique would), an import
+    """No construction run imports numpy.ma (np.unique would) or
+    numpy.polynomial (whose Gauss-Legendre rule calls LAPACK), imports
     every run would pay."""
     argv = argv + ["--out", str(tmp_path / "c")]
     loaded = _modules_after("from nematic_walls import cli\n"
                             f"assert cli.main({argv!r}) == 0")
     assert "numpy.ma" not in loaded
+    assert "numpy.polynomial" not in loaded
 
 
 def test_random_rect_flow_does_not_load_crosstie(tmp_path):
@@ -172,6 +175,7 @@ def test_malformed_values_exit_2(tmp_path, capsys, argv, reason):
 
 _BRACKET = ("L/H = 1e-300 lies outside the range the tangency relation "
             "brackets")
+_TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
 
 
 @pytest.mark.parametrize("argv, config, reason", [
@@ -186,11 +190,16 @@ _BRACKET = ("L/H = 1e-300 lies outside the range the tangency relation "
      _BRACKET),
     (_FLOW + ["--domain", "rect", "--T", "-0.5", "--max-time", "0.01"],
      None, "T >= 0 violated"),
+    (["crosstie-sweep", "--H", "1e-300", "--lmin", "1.0", "--lmax", "1.3",
+      "--step", "0.3"], None, _TINY_H),
+    (["crosstie", "--H", "1e-300", "--L", "1e-300", "--nx", "8", "--ny",
+      "8"], None, _TINY_H),
 ], ids=["disc-H", "crosstie-R", "disc-R-cutoff", "flow-disc-R-cutoff",
-        "crosstie-LH", "flow-construction-LH", "flow-T"])
+        "crosstie-LH", "flow-construction-LH", "flow-T", "sweep-tiny-H",
+        "crosstie-tiny-H"])
 def test_constructor_rules_exit_2(tmp_path, capsys, argv, config, reason):
     """A value that the run's own constructors (Params, the grid,
-    solve_Ttilde) reject exits 2 with one reason before any run."""
+    cell_ttilde) reject exits 2 with one reason before any run."""
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

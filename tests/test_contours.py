@@ -315,3 +315,40 @@ def test_level_curves_cross_the_periodic_x_seam():
     assert len(polys) == 1
     assert polys[0][:, 0].min() == 0.0 and polys[0][:, 0].max() == 1.0
     assert np.all(polys[0][:, 1] == 0.05)
+
+
+def _level_curves_from_node_arrays(grid, F, levels, angle=False):
+    """level_curves as written on `Grid2D.nodes_xy` with the seam appended
+    to every array, and the corners stacked for the branch-cut mask."""
+    X, Y = grid.nodes_xy()
+    if grid.kind == POLAR:
+        F, X, Y = (np.concatenate([A, A[:, :1]], axis=1) for A in (F, X, Y))
+    else:
+        F, Y = (np.concatenate([A, A[:1]], axis=0) for A in (F, Y))
+        X = np.concatenate([X, np.full_like(X[:1], grid.extents[1])], axis=0)
+    mask = None
+    if angle:
+        corners = np.stack([F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]])
+        mask = corners.max(axis=0) - corners.min(axis=0) > np.pi
+    return {lv: marching_squares(F, X, Y, lv, mask) for lv in levels}
+
+
+@pytest.mark.parametrize("angle", [False, True])
+@pytest.mark.parametrize("grid", [
+    make_grid(POLAR, (1e-3, 0.6), 48, 96),
+    make_grid("rectangle", (0.0, 1.3, -0.5, 0.5), 40, 32),
+], ids=["polar", "rectangle"])
+def test_level_curves_match_node_array_construction(grid, angle):
+    """The nodes formed from the grid's axes and the pairwise corner
+    max/min give the polylines of the node arrays, bit for bit."""
+    X, Y = grid.nodes_xy()
+    F = np.arctan2(Y - 0.1, X - 0.2) if angle else np.sin(5 * X) * Y
+    levels = np.linspace(-0.99 * np.pi, 0.99 * np.pi, 13) if angle \
+        else np.linspace(F.min(), F.max(), 11)[1:-1]
+    got = level_curves(grid, F, levels, angle=angle)
+    want = _level_curves_from_node_arrays(grid, F, levels, angle=angle)
+    assert list(got) == list(want)
+    assert sum(len(ps) for ps in got.values()) >= len(levels) // 2
+    for lv in levels:
+        assert len(got[lv]) == len(want[lv])
+        assert all(np.array_equal(a, b) for a, b in zip(got[lv], want[lv]))

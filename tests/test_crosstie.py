@@ -5,7 +5,8 @@ import pytest
 
 from nematic_walls.characteristics import check_foliation
 from nematic_walls.core import Params
-from nematic_walls.crosstie import (build_crosstie, crosstie_energy_per_length,
+from nematic_walls.crosstie import (_quarter_eval_batch, build_crosstie,
+                                    crosstie_energy_per_length,
                                     crosstie_field_sample, find_crossing,
                                     region1_seed_offset, region2_theta_star,
                                     region2_theta_star_residual,
@@ -27,6 +28,12 @@ class TestPeriodEquation:
             assert 0.0 < t < 1.0
             assert abs(float(period_equation_residual(t, lh))) < 1e-12
             assert ttilde_closed_form_check(t, lh) < 1e-10
+
+    def test_decreases_strictly_in_L_over_H(self):
+        """T~ falls toward sqrt(2) - 1 as L/H grows; the residual's first
+        term, formed without cancellation, keeps it falling up to 3e4."""
+        t = [solve_Ttilde(lh) for lh in np.geomspace(1e-2, 3e4, 60)]
+        assert all(b < a for a, b in zip(t, t[1:]))
 
     def test_caption_values(self):
         assert solve_Ttilde(1.0) / 2 == pytest.approx(0.3, abs=0.02)
@@ -128,13 +135,14 @@ def test_wrong_theta_star_fails_the_build(monkeypatch):
 
 
 # crosstie_energy_per_length at its default rule, recorded with repr from
-# the construction that solved region II's terminal angle five times per
-# evaluation; one solve per node array must give the same floats exactly
+# the construction that solves region II's terminal angle once per node
+# array, with the Gauss-Legendre rule of `quadrature.gauss_legendre` and
+# T~ from the cancellation-free period equation
 RECORDED_E0_PER_LENGTH = {
-    1.0: 0.9715722202228105,
-    1.2195: 1.0683670539500556,
-    1.3: 1.0991311456421042,
-    2.0: 1.3026329278791111,
+    1.0: 0.9715722202215549,
+    1.2195: 1.0683670539455903,
+    1.3: 1.0991311456421047,
+    2.0: 1.3026329278717457,
 }
 
 
@@ -329,3 +337,54 @@ def test_theta_continuous_v_jumps_across_gamma():
     # sqrt(d) scaling: quadrupling d roughly doubles the angle gap
     assert diffs[1] < 3.0 * diffs[0]
     assert diffs[0] < 0.05
+
+
+def _cell_points(sol):
+    """A 96 x 129 node lattice of the period cell (the construct
+    benchmark's), then points on its edges, its seams x = 0, T, 2T and
+    y = 0 (both signs of zero), and a period away."""
+    T, H = sol.T, sol.H
+    X, Y = np.meshgrid(np.arange(96) * (2 * T / 96),
+                       -H + np.arange(129) * (2 * H / 128), indexing="ij")
+    s = np.linspace(0.1, 0.9, 5)
+    x = np.concatenate([X.ravel(), 0 * s, T + 0 * s, 2 * T + 0 * s,
+                        2 * T * s, 2 * T * s, 2 * T * s - 2 * T,
+                        2 * T * s + 4 * T, T * s])
+    y = np.concatenate([Y.ravel(), H * s, -H * s, H * s, 0.0 * s,
+                        -0.0 * s, H * s, -H * s, H + 0 * s])
+    return x, y
+
+
+def test_sample_folds_as_float_sign_arrays(sol):
+    """The fold by boolean masks, undone in place, gives the bits of the
+    fold by float sign arrays and np.where copies."""
+    T, H = sol.T, sol.H
+    x, y = _cell_points(sol)
+    x = np.mod(x, 2 * T)
+    f1, f2 = np.where(y < 0, -1.0, 1.0), np.where(x > T, -1.0, 1.0)
+    theta, v = _quarter_eval_batch(sol, np.where(x > T, 2 * T - x, x),
+                                   np.minimum(np.abs(y), H))
+    expected = (np.cos(theta) * f1, np.sin(theta) * f2, v * f1 * f2)
+    got = crosstie_field_sample(sol, *_cell_points(sol))
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sample_solves_theta_star_on_its_points_only(sol, monkeypatch):
+    """theta* of region II's last arc, seeded at the vortex, is solved once
+    per build, to the floats a scalar solve gives; a sample call solves
+    theta* only at its points' feet."""
+    from nematic_walls import crosstie
+    assert sol.theta_star_end == region2_theta_star(sol.t1_star, sol.alpha,
+                                                    sol.L)
+    sizes = []
+
+    def counted(s2, alpha, L):
+        sizes.append(np.size(s2))
+        return region2_theta_star(s2, alpha, L)
+
+    monkeypatch.setattr(crosstie, "region2_theta_star", counted)
+    x, y = _cell_points(sol)
+    u1, _, _ = crosstie_field_sample(sol, x, y)
+    assert np.isfinite(u1).all()
+    assert len(sizes) == 1 and sizes[0] < x.size

@@ -1,12 +1,14 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from nematic_walls.characteristics import check_foliation
-from nematic_walls.core import Params, make_grid, sample_analytic
+from nematic_walls.core import (POLAR, Params, disc_inner_cutoff, make_grid,
+                                sample_analytic)
 from nematic_walls.disc import (_octant_eval_batch, build_deg_minus_one,
                                 deg_minus_one_sample, hedgehog_energy,
                                 hedgehog_solution, region2_v0, region3_v0,
@@ -280,3 +282,60 @@ def test_built_solution_is_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _fold_points():
+    """The construct benchmark's 129 x 256 disc grid, then points on the
+    axes (both signs of zero) and on both diagonals."""
+    grid = make_grid(POLAR, (disc_inner_cutoff(R), R * (1 - 1e-12)), 128, 256)
+    X, Y = grid.nodes_xy()
+    r = np.linspace(0.05, 0.55, 5)
+    d = r / math.sqrt(2.0)
+    x = np.concatenate([X.ravel(), r, -r, 0.0 * r, -0.0 * r, d, -d, d, -d])
+    y = np.concatenate([Y.ravel(), 0.0 * r, -0.0 * r, r, -r, d, d, -d, -d])
+    return x, y
+
+
+def test_sample_folds_as_float_sign_arrays(sol):
+    """The fold by boolean masks, undone in place, gives the bits of the
+    fold by float sign arrays and np.where copies."""
+    x, y = _fold_points()
+    sx, sy = np.where(y < 0, -1.0, 1.0), np.where(x < 0, -1.0, 1.0)
+    ax, ay = np.abs(x), np.abs(y)
+    diag = ay > ax
+    u1o, u2o, vo = _octant_eval_batch(sol, np.where(diag, ay, ax),
+                                      np.where(diag, ax, ay))
+    expected = (np.where(diag, -u2o, u1o) * sy, np.where(diag, -u1o, u2o) * sx,
+                np.where(diag, -vo, vo))
+    for got, want in zip(deg_minus_one_sample(sol, x, y), expected):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sample_peak_memory_per_point():
+    """Sampling the construct benchmark's 129 x 256 grid holds at most 13.0
+    float64 values per point at its tracemalloc peak (12.39 measured at L
+    = 0.1, the benchmark's worst L; 22.8 with float sign arrays and
+    8192-point root solves)."""
+    grid = make_grid(POLAR, (disc_inner_cutoff(R), R * (1 - 1e-12)), 128, 256)
+    X, Y = grid.nodes_xy()
+    built = build_deg_minus_one(R, 0.1)
+    deg_minus_one_sample(built, X[:1], Y[:1])
+    tracemalloc.start()
+    try:
+        deg_minus_one_sample(built, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * X.size) <= 13.0
+
+
+def test_sample_solves_no_seam_constant(sol, monkeypatch):
+    """Region III's terminal arc, the seam the sampler tests points against,
+    is solved once per build, to the floats a per-call solve gives."""
+    from nematic_walls import disc
+    mu0 = math.sin(float(disc._region3_phi(sol.s0, L)))
+    assert sol.mu0 == mu0
+    assert sol.v_end == float(disc.region3_seed_of_mu(mu0, L)[3])
+    monkeypatch.setattr(disc, "_region3_phi", None)
+    u1, _, _ = deg_minus_one_sample(sol, *_fold_points())
+    assert np.isfinite(u1).all()

@@ -216,6 +216,28 @@ def test_arc_root_inverts_a_family_with_straight_arcs(x0, k, th0, frac):
     assert np.abs(got_v - k * q).max() <= 1e-12
 
 
+def test_arc_root_scalar_end_is_the_broadcast_end(monkeypatch):
+    """A bracket end shared by every point, passed as a scalar, gives the
+    bits of the same end passed as a full array, over several blocks, and
+    a single point comes back as a scalar."""
+    def seed(q):
+        q = np.asarray(q, dtype=float)
+        return q, np.zeros_like(q), 0.25 * np.pi + q, -1.0 - q
+
+    monkeypatch.setattr(rootfind, "ARC_BLOCK", 64)
+    rng = np.random.default_rng(4)
+    q = rng.uniform(0.1, 0.9, 300)
+    from nematic_walls.characteristics import arc_xy
+    x, y, _ = arc_xy(*seed(q), 0.3)
+    want = rootfind.arc_root(seed, np.zeros_like(q), np.ones_like(q), x, y)
+    for lo, hi in ((0.0, np.ones_like(q)), (np.zeros_like(q), 1.0),
+                   (0.0, 1.0)):
+        got = rootfind.arc_root(seed, lo, hi, x, y)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    th, v = rootfind.arc_root(seed, 0.0, 1.0, x[0], y[0])
+    assert np.shape(th) == () and (th, v) == (want[0][0], want[1][0])
+
+
 @pytest.mark.parametrize("lh", [0.6, 1.0, 1.2195, 2.0, 2.8])
 def test_crosstie_region2_seed_inverts_theta_star(lh):
     """The closed-form seed in beta = theta* returns the foot alpha s of
