@@ -342,7 +342,7 @@ def run_annulus(cfg: RunConfig) -> int:
 
 def run_rect_1d(cfg: RunConfig) -> int:
     from . import rect1d
-    from .energy import eval_E_eps_1d
+    from .energy import eval_E_eps
     out = _outdir(cfg)
     p = cfg.params()
     M = rect1d.solve_M(cfg.L, cfg.H, cfg.a)
@@ -358,7 +358,7 @@ def run_rect_1d(cfg: RunConfig) -> int:
         for eps in _eps_ladder(cfg.eps_ladder):
             n = max(int(40 * cfg.H / eps), 2001)
             rp = rect1d.recovery_profile_1d(eps, cfg.L, cfg.H, cfg.a, n)
-            eb = eval_E_eps_1d(rp, p.with_(eps=eps))
+            eb = eval_E_eps(rp, p.with_(eps=eps))
             rows.append((eps, eb.total, E0, eb.total - E0))
         table_to_csv(rows, out / "eps_convergence.csv", "eps,E_eps,E0,gap")
     return 0

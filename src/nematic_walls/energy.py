@@ -4,9 +4,11 @@ The evaluators here:
 
 * eval_E_eps: the eps-level energy of a sampled field on a rectangle or
   polar grid (gradient, potential and divergence terms), via the grid's
-  `grid_stencils`.  The gradient-flow right-hand side is the exact
-  gradient of this discrete energy; `node_divergence` takes its cell
-  divergence to the nodes.
+  `grid_stencils`.  It is the one discrete E_eps: a y-only (1D) field is
+  an x-independent field on the unit-length x-periodic cell, whose energy
+  is the energy per length.  The gradient-flow right-hand side is the
+  exact gradient of this discrete energy; `node_divergence` takes its
+  cell divergence to the nodes.
 * eval_E0_piecewise: the limiting wall-energy functional on an assembled
   piecewise critical field.  Bulk divergence is integrated per family in
   characteristic coordinates: a composite Gauss-Legendre rule in s over
@@ -17,7 +19,7 @@ The evaluators here:
   (which give each arc's t*) and s +- ds stacked.  Walls are
   cubic-jump line integrals over the stored jump segments, with the traces
   at the quadrature nodes from each segment's trace_fn.
-* eval_E0_1d / eval_E_eps_1d: the y-only energies on the rectangle.
+* eval_E0_1d: the limiting energy of a y-only profile on the rectangle.
 * wall_balance: the natural condition of a wall, L [div u] =
   4 (u.nu) |u.tau|, in signed form on a jump segment's vertex traces and
   divergences (which it derives from its trace_fn and div_fn).  It is the
@@ -28,8 +30,8 @@ The evaluators here:
   family; the wall balance is `wall_balance` on every segment, and the
   wall stationarity uses the same vertex data.
 
-Wall cost appears in two equivalent forms, |u+ - u-|^3 / 6 and
-(4/3) (1 - (u.nu)^2)^(3/2); both are exposed for cross-checking.
+A wall costs |u+ - u-|^3 / 6 per length (`wall_energy`), which for unit
+traces with equal normal components is (4/3) (1 - (u.nu)^2)^(3/2).
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ from .core import (RECTANGLE, EnergyBreakdown, Field2D, Grid2D, JumpSegment,
                    Params)
 from .quadrature import composite_nodes, gauss_legendre
 
-TRACE_UNIT_TOL = 1e-8
-TRACE_NORMAL_TOL = 1e-8
-
 # bulk-transport residual: a lattice of RESIDUAL_NS arcs per family by
 # RESIDUAL_NT points per arc, central differences along the arc over
 # RESIDUAL_FD_STEP
@@ -60,72 +59,29 @@ RESIDUAL_NT = 12
 RESIDUAL_FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class WallIntegrand:
-    """The two equivalent per-point wall cost forms."""
-
-    jump_cube: float     # |u+ - u-|^3 / 6
-    normal_form: float   # (4/3) (1 - (u.nu)^2)^(3/2)
-
-    @classmethod
-    def from_traces(cls, trace_plus, trace_minus, normal) -> "WallIntegrand":
-        up = np.asarray(trace_plus, dtype=float)
-        um = np.asarray(trace_minus, dtype=float)
-        nu = np.asarray(normal, dtype=float)
-        jump = up - um
-        jc = float(np.linalg.norm(jump) ** 3) / 6.0
-        un = float(np.dot(up, nu))
-        nf = (4.0 / 3.0) * max(1.0 - un * un, 0.0) ** 1.5
-        return cls(jump_cube=jc, normal_form=nf)
-
-
-def wall_cost_density(trace_plus, trace_minus, normal=None) -> float:
-    """(1/6) |u+ - u-|^3 for a pair of unit traces.
-
-    When a normal is supplied, the traces must share their normal component
-    to within 1e-8 (the admissibility condition for jump sets).
-    """
-    up = np.asarray(trace_plus, dtype=float)
-    um = np.asarray(trace_minus, dtype=float)
-    for name, v in (("trace_plus", up), ("trace_minus", um)):
-        if abs(np.linalg.norm(v) - 1.0) > TRACE_UNIT_TOL:
-            raise ValueError(f"{name} is not a unit vector")
-    if normal is not None:
-        nu = np.asarray(normal, dtype=float)
-        mismatch = abs(float(np.dot(up - um, nu)))
-        if mismatch > TRACE_NORMAL_TOL:
-            raise ValueError(
-                f"normal components of the traces differ by {mismatch:.3e}"
-            )
-    return float(np.linalg.norm(up - um) ** 3) / 6.0
-
-
 # --- wall line integrals ----------------------------------------------------
-
-def wall_nodes(seg: JumpSegment, order: int):
-    """Gauss-Legendre nodes along the polyline, segment by segment.
-
-    Returns (arcs, weights, lam): the nodes' arclengths and weights (the
-    weights carry the arclength measure), flat, and the (order,) node
-    fractions in (0, 1) shared by every segment.
-    """
-    gl_x, gl_w = gauss_legendre(order)
-    seg_len = seg.segment_lengths
-    arc0 = seg.arclengths[:-1]
-    lam = 0.5 * (gl_x + 1.0)
-    weights = (seg_len[:, None] * (0.5 * gl_w)[None, :]).ravel()
-    arcs = (arc0[:, None] + seg_len[:, None] * lam[None, :]).ravel()
-    return arcs, weights, lam
-
 
 # Gauss-Legendre nodes per polyline segment of a wall's line integral
 WALL_ORDER = 8
 
 
+def wall_nodes(seg: JumpSegment):
+    """WALL_ORDER Gauss-Legendre nodes along the polyline, segment by
+    segment: (arcs, weights), the nodes' arclengths and weights (the
+    weights carry the arclength measure), flat."""
+    gl_x, gl_w = gauss_legendre(WALL_ORDER)
+    seg_len = seg.segment_lengths
+    arc0 = seg.arclengths[:-1]
+    lam = 0.5 * (gl_x + 1.0)
+    weights = (seg_len[:, None] * (0.5 * gl_w)[None, :]).ravel()
+    arcs = (arc0[:, None] + seg_len[:, None] * lam[None, :]).ravel()
+    return arcs, weights
+
+
 def wall_energy(seg: JumpSegment) -> float:
     """Line integral of (1/6)|u+ - u-|^3 over one jump segment, the traces
     from one seg.trace_fn call at its `wall_nodes`."""
-    arcs, weights, _ = wall_nodes(seg, WALL_ORDER)
+    arcs, weights = wall_nodes(seg)
     up, um = (np.asarray(u, dtype=float) for u in seg.trace_fn(arcs))
     jump = np.linalg.norm(up - um, axis=1)
     return float(np.dot(weights, jump ** 3)) / 6.0
@@ -244,57 +200,7 @@ def node_divergence(field: Field2D) -> np.ndarray:
     return g.periodic_first(0.25 * (pairs[:, :-1] + pairs[:, 1:]))
 
 
-# --- one-dimensional energies ------------------------------------------------
-
-@dataclass
-class GridProfile1D:
-    """y-sampled competitor (u1, u2) on [-H, H]."""
-
-    ys: np.ndarray
-    values: np.ndarray  # (n, 2)
-
-    def __post_init__(self):
-        self.ys = np.asarray(self.ys, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.ys.shape[0], 2):
-            raise ValueError("values must be (n, 2)")
-
-
-BC_TOL_1D = 1e-12
-
-
-def eval_E_eps_1d(profile: GridProfile1D, params: Params) -> EnergyBreakdown:
-    """Trapezoid-rule eps-level energy of a sampled 1D profile.
-
-    The profile must satisfy the Dirichlet data (+-sqrt(1-a^2), a) at +-H
-    to within 1e-12.
-    """
-    ys, u = profile.ys, profile.values
-    a = params.a
-    s = math.sqrt(1.0 - a * a)
-    bc_err = max(
-        abs(u[0, 0] + s), abs(u[0, 1] - a),
-        abs(u[-1, 0] - s), abs(u[-1, 1] - a),
-        abs(ys[0] + params.H), abs(ys[-1] - params.H),
-    )
-    if bc_err > BC_TOL_1D:
-        raise ValueError(f"boundary data violated by {bc_err:.3e}")
-    dy = np.diff(ys)
-    du = np.diff(u, axis=0)
-    # midpoint rule on derivative terms (second order, like the 2D forms)
-    grad = float(np.sum((du[:, 0] ** 2 + du[:, 1] ** 2) / dy))
-    div = float(np.sum(du[:, 1] ** 2 / dy))
-    mod2 = u[:, 0] ** 2 + u[:, 1] ** 2
-    wtrap = np.zeros_like(ys)
-    wtrap[:-1] += 0.5 * dy
-    wtrap[1:] += 0.5 * dy
-    pot = float(np.sum(wtrap * (mod2 - 1.0) ** 2))
-    return EnergyBreakdown(
-        grad_term=0.5 * params.eps * grad,
-        potential_term=pot / (2.0 * params.eps),
-        bulk_div=0.5 * params.L * div,
-    )
-
+# --- the limiting 1D energy --------------------------------------------------
 
 def eval_E0_1d(profile, params: Params) -> EnergyBreakdown:
     """Exact limiting energy of a piecewise-linear-u2 profile.

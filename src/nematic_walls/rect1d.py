@@ -14,7 +14,9 @@ L/H = 2 both tie.
 The recovery profile replaces the u1 sign flip with a tanh heteroclinic of
 width eps inside an eps^(5/6) window, linearly interpolated to the sharp
 profile over a second eps^(5/6) band, which realizes the wall cost
-(4/3)(1 - M^2)^(3/2) in the eps-level energy as eps -> 0.
+(4/3)(1 - M^2)^(3/2) in the eps-level energy as eps -> 0.  It is a field
+on the unit-length x-periodic cell, constant in x, so the one eps-level
+energy, `energy.eval_E_eps`, gives its energy per length.
 
 The period equation of the cross-tie, whose root T~ = T/H sets the
 half-period of the periodic rectangle, is solved here too (`solve_Ttilde`),
@@ -30,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .energy import GridProfile1D
+from .core import RECTANGLE, Field2D, make_grid
 from .rootfind import BracketError, bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
@@ -127,8 +129,8 @@ def minimizer_profile(L: float, H: float, a: float) -> OneDProfile:
 
 
 def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
-                        M: Optional[float] = None) -> GridProfile1D:
-    """eps-level competitor built from the sharp minimizer.
+                        M: Optional[float] = None) -> Field2D:
+    """eps-level competitor built from the sharp minimizer, on n nodes in y.
 
     u2 is the tent unchanged; u1 follows sqrt(1 - u2^2) with the sign of
     the sharp profile outside |y| > 2 w, bridges through the heteroclinic
@@ -136,6 +138,11 @@ def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
     for |y| <= w, and interpolates linearly on w <= |y| <= 2 w, where
     w = eps^RECOVERY_WINDOW_POWER.  Pass M to override the optimal wall height
     (e.g. M = 0 isolates the pure wall cost).
+
+    The profile is returned x-independent on the unit-length x-periodic
+    cell [0, 1) x [-H, H] (4 node columns), so `energy.eval_E_eps` of it
+    is the eps-level energy per length; the Dirichlet data
+    (+-sqrt(1 - a^2), a) hold exactly on the end lines y = -+H.
     """
     if n < int(20.0 * H / eps):
         raise ValueError(f"under-resolved: need n >= {int(20 * H / eps)} points")
@@ -164,7 +171,9 @@ def recovery_profile_1d(eps: float, L: float, H: float, a: float, n: int,
     u1[0] = -math.sqrt(1.0 - a * a)
     u1[-1] = math.sqrt(1.0 - a * a)
     u2[0] = u2[-1] = a
-    return GridProfile1D(ys=ys, values=np.stack([u1, u2], axis=-1))
+    grid = make_grid(RECTANGLE, (0.0, 1.0, -H, H), 4, n - 1)
+    profile = np.stack([u1, u2], axis=-1)
+    return Field2D(grid, np.tile(profile, (grid.n1, 1, 1)))
 
 
 # --- the cross-tie's period equation (see `crosstie`) ------------------------
@@ -183,16 +192,19 @@ def period_equation_residual(t_tilde, l_over_h: float):
 def solve_Ttilde(l_over_h: float) -> float:
     """Scaled half-period T/H solving the tangency relation.
 
-    The root lies in (sqrt(2)-1, 1) for every positive L/H.
+    The root lies in (sqrt(2)-1, 1) for every positive L/H.  (L/H)^2
+    overflows above L/H ~ 1e154, far outside the bracket, and that L/H
+    raises the same BracketError, with no overflow warning.
     """
     if l_over_h <= 0:
         raise ValueError("L/H > 0 required")
     try:
-        return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
-                              1.0 - 1e-14, args=(l_over_h,))
+        with np.errstate(over="ignore"):
+            return bracketed_root(period_equation_residual, SQRT2M1 + 1e-14,
+                                  1.0 - 1e-14, args=(l_over_h,))
     except BracketError as exc:
-        raise BracketError(f"L/H = {l_over_h!r} lies outside the range the "
-                           f"tangency relation brackets: {exc}") from None
+        raise BracketError(f"L/H = {float(l_over_h)!r} lies outside the range "
+                           f"the tangency relation brackets: {exc}") from None
 
 
 def cell_ttilde(L: float, H: float) -> float:

@@ -18,8 +18,7 @@ from scipy.optimize import minimize
 
 from nematic_walls.core import (Field2D, Params, disc_inner_cutoff, make_grid,
                                 sample_analytic)
-from nematic_walls.energy import (eval_E0_piecewise, eval_E_eps,
-                                  eval_E_eps_1d, eval_E0_1d)
+from nematic_walls.energy import eval_E0_piecewise, eval_E_eps, eval_E0_1d
 from nematic_walls import annulus as ann
 from nematic_walls import crosstie as ct
 from nematic_walls import disc
@@ -107,7 +106,7 @@ def test_criterion_04_recovery_profile_convergence():
     for eps in (1e-2, 5e-3, 2.5e-3):
         prof = rect1d.recovery_profile_1d(eps, ratio, 1.0, 0.0,
                                           int(40 / eps))
-        eb = eval_E_eps_1d(prof, Params(L=ratio, H=1.0, a=0.0, eps=eps))
+        eb = eval_E_eps(prof, Params(L=ratio, H=1.0, a=0.0, eps=eps))
         gaps.append(eb.total - E0)
     monotone = gaps[0] > gaps[1] > gaps[2] > 0
     final_rel = gaps[-1] / E0

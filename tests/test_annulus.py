@@ -9,9 +9,9 @@ from nematic_walls.annulus import (EIGHT_PI_THIRDS, _assemble_field,
                                    radial_p, rho_squared_for_a,
                                    small_L_interior_bound, solve_annulus,
                                    solve_interior_wall)
-from nematic_walls.core import Params
+from nematic_walls.core import JumpSegment, Params
 from nematic_walls.energy import (criticality_residuals, eval_E0_piecewise,
-                                  wall_cost_density)
+                                  wall_energy)
 
 R = 2.0
 
@@ -52,10 +52,23 @@ class TestClosedFormEnergy:
                 (8 / 3) * math.pi * rho, abs=1e-12)
 
     def test_outer_boundary_wall_cost(self):
-        # u = -e_theta against g = +e_theta along r = R: antipodal jump
-        density = wall_cost_density((0.0, 1.0), (0.0, -1.0), (1.0, 0.0))
-        assert density * 2 * math.pi * R == pytest.approx(8 * math.pi * R / 3,
-                                                          abs=1e-12)
+        # u = -e_theta against g = +e_theta along r = R: an antipodal jump
+        # of cost 4/3 per length, on a polyline whose length_scale gives
+        # each chord its arc
+        n = 64
+        th = np.linspace(0.0, 2 * math.pi, n + 1)
+        e_r = np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+        def traces(s):
+            e_theta = np.stack([-np.sin(s / R), np.cos(s / R)], axis=-1)
+            return -e_theta, e_theta
+
+        seg = JumpSegment(polyline=R * e_r, normals=e_r, trace_fn=traces,
+                          length_scale=np.full(n, (math.pi / n)
+                                               / math.sin(math.pi / n)),
+                          boundary=True)
+        assert wall_energy(seg) == pytest.approx(8 * math.pi * R / 3,
+                                                 abs=1e-12)
 
     def test_matches_generic_quadrature(self):
         rng = np.random.default_rng(3)

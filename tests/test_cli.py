@@ -186,6 +186,8 @@ _TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
     (_FLOW + ["--domain", "disc", "--R", "5e-4"], None,
      "invalid extents (0.001, 0.0005)"),
     (["crosstie", "--L", "1", "--H", "1e300"], None, _BRACKET),
+    (["crosstie", "--L", "1e300", "--H", "1"], None,
+     "L/H = 1e+300 lies outside the range the tangency relation brackets"),
     (_FLOW + ["--init", "construction", "--L", "1", "--H", "1e300"], None,
      _BRACKET),
     (_FLOW + ["--domain", "rect", "--T", "-0.5", "--max-time", "0.01"],
@@ -195,8 +197,8 @@ _TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
     (["crosstie", "--H", "1e-300", "--L", "1e-300", "--nx", "8", "--ny",
       "8"], None, _TINY_H),
 ], ids=["disc-H", "crosstie-R", "disc-R-cutoff", "flow-disc-R-cutoff",
-        "crosstie-LH", "flow-construction-LH", "flow-T", "sweep-tiny-H",
-        "crosstie-tiny-H"])
+        "crosstie-LH", "crosstie-LH-overflow", "flow-construction-LH",
+        "flow-T", "sweep-tiny-H", "crosstie-tiny-H"])
 def test_constructor_rules_exit_2(tmp_path, capsys, argv, config, reason):
     """A value that the run's own constructors (Params, the grid,
     cell_ttilde) reject exits 2 with one reason before any run."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nematic_walls.energy import criticality_residuals, wall_balance
 from nematic_walls.quadrature import integrate
 from nematic_walls.rect1d import (min_energy_1d, period_equation_residual,
                                   solve_Ttilde, ttilde_closed_form_check)
+from nematic_walls.rootfind import BracketError
 from oracles import family_area
 
 
@@ -34,6 +36,15 @@ class TestPeriodEquation:
         term, formed without cancellation, keeps it falling up to 3e4."""
         t = [solve_Ttilde(lh) for lh in np.geomspace(1e-2, 3e4, 60)]
         assert all(b < a for a, b in zip(t, t[1:]))
+
+    def test_out_of_range_names_a_float_without_warning(self):
+        """An array element far above the bracket is named as a plain
+        float, and (L/H)^2 overflowing on the way raises no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketError,
+                               match=r"^L/H = 1e\+300 lies outside the range"):
+                solve_Ttilde(np.float64(1e300))
 
     def test_caption_values(self):
         assert solve_Ttilde(1.0) / 2 == pytest.approx(0.3, abs=0.02)

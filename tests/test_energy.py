@@ -6,57 +6,71 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nematic_walls import annulus, characteristics, crosstie, disc
-from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, Field2D,
-                                JumpSegment, Params, make_grid,
-                                sample_analytic)
+from nematic_walls.core import (NORMAL_JUMP_TOL, UNIT_TOL, JumpSegment,
+                                Params, make_grid, sample_analytic)
 from nematic_walls.disc import hedgehog_solution
-from nematic_walls.energy import (GridProfile1D, WallIntegrand,
-                                  _bulk_transport_residual,
+from nematic_walls.energy import (_bulk_transport_residual,
                                   criticality_residuals, eval_E0_1d,
-                                  eval_E0_piecewise, eval_E_eps, eval_E_eps_1d,
-                                  family_bulk_integral, wall_cost_density,
+                                  eval_E0_piecewise, eval_E_eps,
+                                  family_bulk_integral, wall_energy,
                                   wall_nodes)
 from nematic_walls.quadrature import composite_nodes
 from nematic_walls.rect1d import OneDProfile, recovery_profile_1d
 
 
+def _straight_wall(trace_plus, trace_minus, normal):
+    """A unit-length straight JumpSegment along normal turned by +pi/2,
+    with constant traces."""
+    nu = np.asarray(normal, dtype=float)
+    tau = np.array([-nu[1], nu[0]])
+    traces = [np.asarray(u, dtype=float) for u in (trace_plus, trace_minus)]
+    return JumpSegment(polyline=[np.zeros(2), tau], normals=[nu, nu],
+                       trace_fn=lambda s: [np.broadcast_to(u, (len(s), 2))
+                                           for u in traces])
+
+
 class TestWallCostDensity:
+    """The cost per length of a straight wall with constant traces,
+    (1/6)|u+ - u-|^3, as `wall_energy` integrates it; JumpSegment
+    rejects the inadmissible trace pairs."""
+
     def test_antipodal(self):
-        assert wall_cost_density((1, 0), (-1, 0)) == pytest.approx(4 / 3, abs=0)
+        seg = _straight_wall((1, 0), (-1, 0), (0, 1))
+        assert wall_energy(seg) == pytest.approx(4 / 3, abs=0)
 
     def test_right_angle_example(self):
         # the jump (1,-1) must be tangential, so the admissible normal for
         # this trace pair is (1,1)/sqrt(2); the value (1/6) sqrt(2)^3 is
         # normal-independent
         nu = (1 / math.sqrt(2), 1 / math.sqrt(2))
-        val = wall_cost_density((1, 0), (0, 1), nu)
-        assert val == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
+        seg = _straight_wall((1, 0), (0, 1), nu)
+        assert wall_energy(seg) == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
 
     def test_equal_traces(self):
-        assert wall_cost_density((0, 1), (0, 1)) == 0.0
+        assert wall_energy(_straight_wall((0, 1), (0, 1), (1, 0))) == 0.0
 
     def test_normal_mismatch_rejected(self):
         with pytest.raises(ValueError, match="normal"):
-            wall_cost_density((1, 0), (0, 1), (1, 0))
+            _straight_wall((1, 0), (0, 1), (1, 0))
 
     def test_nonunit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
-            wall_cost_density((1.1, 0), (-1, 0))
+            _straight_wall((1.1, 0), (-1, 0), (0, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(phi=st.floats(0, 2 * math.pi), c=st.floats(-0.999, 0.999),
        sgn=st.sampled_from([-1.0, 1.0]))
 def test_wall_form_equivalence(phi, c, sgn):
-    """(1/6)|u+ - u-|^3 equals (4/3)(1-(u.nu)^2)^(3/2) for every admissible
-    trace pair (random rotations of the normal, random normal component)."""
+    """(1/6)|u+ - u-|^3, integrated by `wall_energy` over a unit-length
+    wall, equals (4/3)(1-(u.nu)^2)^(3/2) for every admissible trace pair
+    (random rotations of the normal, random normal component)."""
     nu = np.array([math.cos(phi), math.sin(phi)])
     tau = np.array([-nu[1], nu[0]])
     tcomp = sgn * math.sqrt(1 - c * c)
-    up = c * nu + tcomp * tau
-    um = c * nu - tcomp * tau
-    wi = WallIntegrand.from_traces(up, um, nu)
-    assert wi.jump_cube == pytest.approx(wi.normal_form, abs=1e-12)
+    seg = _straight_wall(c * nu + tcomp * tau, c * nu - tcomp * tau, nu)
+    assert wall_energy(seg) == pytest.approx((4 / 3) * (1 - c * c) ** 1.5,
+                                             abs=1e-12)
 
 
 class TestEvalEEps:
@@ -83,16 +97,13 @@ class TestEvalEEps:
         assert errs[1] < errs[0] / 3.5  # second order
 
     def test_tanh_wall_recovers_four_thirds(self):
-        # pure wall profile extended in x: total per unit length = 4/3 + O(eps)
+        # pure wall profile on the unit-length cell: total = 4/3 + O(eps)
         eps = 2e-3
-        H, T = 1.0, 0.05
-        prof = recovery_profile_1d(eps, 1e-15 + 1e-16, H, 0.0, int(40 * H / eps), M=0.0)
-        g = make_grid("rectangle", (-T, T, -H, H), 4, len(prof.ys) - 1)
-        vals = np.broadcast_to(prof.values[None, :, :], (*g.shape, 2)).copy()
-        f = Field2D(g, vals)
+        H = 1.0
+        f = recovery_profile_1d(eps, 1e-15 + 1e-16, H, 0.0, int(40 * H / eps),
+                                M=0.0)
         eb = eval_E_eps(f, Params(L=1e-15, eps=eps))
-        per_len = eb.total / (2 * T)
-        assert per_len == pytest.approx(4 / 3, rel=0.01)
+        assert eb.total == pytest.approx(4 / 3, rel=0.01)
 
     def test_grid_convergence_second_order(self):
         eps = 0.02
@@ -100,7 +111,7 @@ class TestEvalEEps:
         vals = []
         for n in (2000, 4000, 8000):
             prof = recovery_profile_1d(eps, 1.0, 1.0, 0.0, n)
-            vals.append(eval_E_eps_1d(prof, p).total)
+            vals.append(eval_E_eps(prof, p).total)
         # Richardson: consecutive differences shrink ~4x
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
@@ -108,12 +119,6 @@ class TestEvalEEps:
 
 
 class TestEval1D:
-    def test_bc_violation_rejected(self):
-        ys = np.linspace(-1, 1, 101)
-        vals = np.stack([np.ones_like(ys), np.zeros_like(ys)], axis=-1)
-        with pytest.raises(ValueError, match="boundary"):
-            eval_E_eps_1d(GridProfile1D(ys, vals), Params(a=0.0, H=1.0))
-
     def test_minimizer_energy_exact(self):
         from nematic_walls.rect1d import min_energy_1d, minimizer_profile
         p = Params(L=1.0, H=1.0, a=0.0)
@@ -463,7 +468,7 @@ def test_trace_fn_at_wall_quadrature_nodes(kind):
     unit vectors whose normal components agree to NORMAL_JUMP_TOL.
     JumpSegment.validate checks the vertex traces only."""
     for seg, normal in _walls(kind):
-        arcs, _, _ = wall_nodes(seg, 8)
+        arcs, _ = wall_nodes(seg)
         up, um = seg.trace_fn(arcs)
         assert up.shape == um.shape == (arcs.size, 2)
         if normal is None:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nematic_walls.core import Params
-from nematic_walls.energy import eval_E0_1d, eval_E_eps_1d
+from nematic_walls.core import RECTANGLE, Params
+from nematic_walls.energy import eval_E0_1d, eval_E_eps
 from nematic_walls.rect1d import (min_energy_1d, minimizer_profile,
                                   recovery_profile_1d, solve_M,
                                   wall_height_objective)
+from oracles import energy_1d
 
 
 class TestSolveM:
@@ -94,7 +95,7 @@ class TestRecoveryProfile:
         gaps = []
         for eps in (1e-2, 5e-3, 2.5e-3):
             prof = recovery_profile_1d(eps, L, H, 0.0, int(40 * H / eps))
-            eb = eval_E_eps_1d(prof, Params(L=L, H=H, a=0.0, eps=eps))
+            eb = eval_E_eps(prof, Params(L=L, H=H, a=0.0, eps=eps))
             gaps.append(eb.total - E0)
         assert gaps[0] > gaps[1] > gaps[2] > 0
         # the proof's construction carries an O(eps) overhead with constant
@@ -106,14 +107,32 @@ class TestRecoveryProfile:
         # heteroclinic cost (4/3)(1 - u2(0)^2)^(3/2) = 4/3
         eps = 1e-3
         prof = recovery_profile_1d(eps, 1e-12, 1.0, 0.0, 40000, M=0.0)
-        eb = eval_E_eps_1d(prof, Params(L=1e-12, eps=eps, H=1.0, a=0.0))
+        eb = eval_E_eps(prof, Params(L=1e-12, eps=eps, H=1.0, a=0.0))
         assert eb.total == pytest.approx(4 / 3, rel=0.01)
 
     def test_boundary_conditions_exact(self):
-        prof = recovery_profile_1d(1e-2, 1.0, 1.0, 0.3, 4000)
+        # the Dirichlet lines y = -+H, in every node column
+        u = recovery_profile_1d(1e-2, 1.0, 1.0, 0.3, 4000).values
         s = math.sqrt(1 - 0.09)
-        assert prof.values[0, 0] == -s and prof.values[-1, 0] == s
-        assert prof.values[0, 1] == 0.3 and prof.values[-1, 1] == 0.3
+        assert np.all(u[:, 0, 0] == -s) and np.all(u[:, -1, 0] == s)
+        assert np.all(u[:, [0, -1], 1] == 0.3)
+
+    @pytest.mark.parametrize("eps, L, a, n, M", [
+        (1e-2, 1.0, 0.0, 4000, None),
+        (5e-3, 1.0, 0.3, 8000, None),
+        (2e-3, 1e-15, 0.0, 20000, 0.0),
+    ], ids=["a0", "a0.3", "pure-wall"])
+    def test_energy_matches_1d_oracle(self, eps, L, a, n, M):
+        """eval_E_eps of the x-independent field on the unit-length cell is
+        the 1D midpoint/trapezoid energy per length of its profile."""
+        H = 1.0
+        f = recovery_profile_1d(eps, L, H, a, n, M=M)
+        g = f.grid
+        assert g.kind == RECTANGLE and g.extents == (0.0, 1.0, -H, H)
+        assert np.all(f.values == f.values[:1])
+        p = Params(L=L, H=H, a=a, eps=eps)
+        ref = energy_1d(np.linspace(-H, H, n), f.values[0], p).total
+        assert eval_E_eps(f, p).total == pytest.approx(ref, rel=1e-14, abs=0)
 
     def test_under_resolution_rejected(self):
         with pytest.raises(ValueError, match="under-resolved"):
