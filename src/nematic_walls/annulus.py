@@ -30,6 +30,7 @@ import numpy as np
 
 from .characteristics import CharacteristicFamily, PiecewiseCriticalField
 from .core import EnergyBreakdown, JumpSegment
+from .energy import wall_balance
 from .rootfind import bracketed_root, scan_brackets
 
 EIGHT_PI_THIRDS = 8.0 * math.pi / 3.0
@@ -282,9 +283,8 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
 
     Scans g_{R,L} on (1, 2R^2/(1+R^2)) with 4096 points, solves all
     brackets at once, keeps roots with a in (0, 1/2], and returns the
-    lowest-energy one; wall-balance and stationarity residuals are checked
-    to 1e-10.
-    """
+    lowest-energy one.  Its wall's `energy.wall_balance` and the
+    closed-form stationarity residual are checked to 1e-10."""
     if R <= 1.0 or L <= 0.0:
         raise ValueError("R > 1 and L > 0 required")
     z_hi = 2.0 * R * R / (1.0 + R * R)
@@ -310,9 +310,8 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
     if best is None:
         return None
     eb, rho, a = best
-    nbc = abs(2.0 * a * L * rho * (1.0 / (rho * rho - 1.0)
-                                   + 1.0 / (R * R - rho * rho))
-              - 4.0 * a * math.sqrt(1.0 - a * a))
+    field = _assemble_field(rho, a, R)
+    nbc = wall_balance(field.jumps[0], L)
     jump = abs(4.0 * a * a * rho * rho / (R * R - rho * rho) ** 2
                - 4.0 * a * a * rho * rho / (rho * rho - 1.0) ** 2
                + (8.0 / (3.0 * L * rho)) * math.sqrt(1.0 - a * a)
@@ -320,7 +319,6 @@ def solve_interior_wall(R: float, L: float) -> Optional[AnnulusRadialSolution]:
     if max(nbc, jump) > 1e-10:
         raise RuntimeError(f"criticality residuals too large: nbc={nbc:.3e}, "
                            f"jump={jump:.3e}")
-    field = _assemble_field(rho, a, R)
     return AnnulusRadialSolution(R=R, L=L, rho=rho, a=a, wall_at_boundary=False,
                                  energy=eb, field=field,
                                  nbc_residual=nbc, jump_residual=jump)

@@ -9,7 +9,10 @@ seed) reproduce bit-identical outputs.
 `_bc`) instead of restating their rules, so what they reject exits 2
 before the run writes anything, not 1 from inside it.
 
-Each runner imports the modules it uses itself, before it builds any large
+The four constructions share one runner: each states only its build, its
+E0 rule and its own energy.json keys (`_CONSTRUCTIONS`), and a flow from
+a construction starts from the same builders.  Each runner (and each
+builder) imports the modules it uses itself, before it builds any large
 array, so a subcommand loads only its own part of the package.  `contours`,
 which runners call last, is imported here, so that its import (and
 compilation, where no bytecode cache is written) never runs while a
@@ -186,9 +189,9 @@ def _grid(cfg: RunConfig) -> Optional[Grid2D]:
     """The one grid of a subcommand that samples a field; None for the
     others.  The rectangle is the cell (0, 2T) x (-H, H), with the
     cross-tie's own T for `crosstie` and for a flow's T = 0; disc grids
-    run from the inner cutoff to R (the degree -1 sampler's to just inside
-    R); the annulus is 1 < r < R.  ValueError names an unknown domain, a
-    T < 0, or what `solve_Ttilde` and `Grid2D` reject."""
+    run from the inner cutoff to R (the hedgehog's R is 1); the annulus is
+    1 < r < R.  ValueError names an unknown domain, a T < 0, or what
+    `solve_Ttilde` and `Grid2D` reject."""
     sub, R = cfg.subcommand, cfg.R
     flow = sub in ("gradflow", "energy-eval")
     if flow and cfg.domain not in ("rect", "disc", "annulus"):
@@ -203,9 +206,7 @@ def _grid(cfg: RunConfig) -> Optional[Grid2D]:
         extents = (1.0, R)
     elif sub == "disc-hedgehog":
         extents = (disc_inner_cutoff(1.0), 1.0)
-    elif sub == "disc-deg-minus-one":
-        extents = (disc_inner_cutoff(R), R * (1 - 1e-12))
-    elif flow or sub == "disc-tangential":
+    elif flow or sub in ("disc-tangential", "disc-deg-minus-one"):
         extents = (disc_inner_cutoff(R), R)
     else:
         return None
@@ -235,11 +236,6 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True, default=float))
-
-
-def _write_report(out: Path, name: str, breakdown, params: Params,
-                  extra: Optional[dict] = None) -> None:
-    _write_json(out / name, {**breakdown.as_dict(params), **(extra or {})})
 
 
 def _write_level_curves(out: Path, grid: Grid2D, v: np.ndarray,
@@ -276,46 +272,65 @@ def _sampled_field(grid: Grid2D, sample, out: Optional[Path] = None,
     return field
 
 
+# --- constructions ---------------------------------------------------------------
+#
+# Each builds its critical point from cfg and returns the field, the Params
+# its E0 is evaluated with, its E0 rule (`eval_E0_piecewise` keywords), and
+# its own energy.json keys as a function of the E0 breakdown.
+
+def _tangential(cfg: RunConfig):
+    from .disc import tangential_solution
+    return tangential_solution(cfg.R), cfg.params(), {}, lambda eb: {}
+
+
+def _hedgehog(cfg: RunConfig):
+    from .disc import hedgehog_energy, hedgehog_solution
+    closed = hedgehog_energy(cfg.L)
+    return (hedgehog_solution(+1), cfg.params(), {"s_panels": 32, "order": 16},
+            lambda eb: {"closed_form": closed,
+                        "quadrature_error": abs(eb.total - closed)})
+
+
+def _deg_minus_one(cfg: RunConfig):
+    from . import disc
+    sol = disc.build_deg_minus_one(cfg.R, cfg.L)
+    return (sol.field, cfg.params(), {"s_panels": 48},
+            lambda eb: {"natural_bc_residual": sol.wall_balance, "s0": sol.s0})
+
+
+def _crosstie(cfg: RunConfig):
+    from . import crosstie
+    sol = crosstie.build_crosstie(cfg.L, cfg.H)
+    return sol.field, cfg.params().with_(T=sol.T), {}, lambda eb: {
+        "T_tilde": sol.T_tilde, "T": sol.T, "alpha": sol.alpha,
+        "t1_star": sol.t1_star, "energy_per_length": eb.total / (2 * sol.T),
+        "tangency_mismatch": sol.tangency_mismatch,
+        "wall_residual": sol.wall_balance,
+    }
+
+
+# subcommand: (builder, whether it writes level curves)
+_CONSTRUCTIONS = {
+    "disc-tangential": (_tangential, False),
+    "disc-hedgehog": (_hedgehog, False),
+    "disc-deg-minus-one": (_deg_minus_one, True),
+    "crosstie": (_crosstie, True),
+}
+
+
 # --- subcommand runners ---------------------------------------------------------
 
-def run_disc_tangential(cfg: RunConfig) -> int:
-    from . import disc as disc_mod
+def run_construction(cfg: RunConfig) -> int:
+    """energy.json (E0 by the construction's rule, with its own keys) and
+    the field sampled on the run's grid, with level curves where it has
+    them."""
     from .energy import eval_E0_piecewise
     out = _outdir(cfg)
-    p = cfg.params()
-    sol = disc_mod.tangential_solution(cfg.R)
-    eb = eval_E0_piecewise(sol, p)
-    _write_report(out, "energy.json", eb, p)
-    _sampled_field(_grid(cfg), sol.sample, out)
-    return 0
-
-
-def run_disc_hedgehog(cfg: RunConfig) -> int:
-    from . import disc as disc_mod
-    from .energy import eval_E0_piecewise
-    out = _outdir(cfg)
-    p = cfg.params()
-    sol = disc_mod.hedgehog_solution(+1)
-    closed = disc_mod.hedgehog_energy(cfg.L)
-    eb = eval_E0_piecewise(sol, p, s_panels=32, order=16)
-    _write_report(out, "energy.json", eb, p,
-                  extra={"closed_form": closed,
-                         "quadrature_error": abs(eb.total - closed)})
-    _sampled_field(_grid(cfg), sol.sample, out)
-    return 0
-
-
-def run_disc_deg_minus_one(cfg: RunConfig) -> int:
-    from . import disc as disc_mod
-    from .energy import eval_E0_piecewise
-    out = _outdir(cfg)
-    p = cfg.params()
-    sol = disc_mod.build_deg_minus_one(cfg.R, cfg.L)
-    eb = eval_E0_piecewise(sol.field, p, s_panels=48)
-    _write_report(out, "energy.json", eb, p,
-                  extra={"natural_bc_residual": sol.wall_balance,
-                         "s0": sol.s0})
-    _sampled_field(_grid(cfg), sol.field.sample, out, levels=True)
+    build, levels = _CONSTRUCTIONS[cfg.subcommand]
+    field, p, rule, extra = build(cfg)
+    eb = eval_E0_piecewise(field, p, **rule)
+    _write_json(out / "energy.json", {**eb.as_dict(p), **extra(eb)})
+    _sampled_field(_grid(cfg), field.sample, out, levels)
     return 0
 
 
@@ -364,23 +379,6 @@ def run_rect_1d(cfg: RunConfig) -> int:
     return 0
 
 
-def run_crosstie(cfg: RunConfig) -> int:
-    from . import crosstie as crosstie_mod
-    from .energy import eval_E0_piecewise
-    out = _outdir(cfg)
-    sol = crosstie_mod.build_crosstie(cfg.L, cfg.H)
-    p = cfg.params().with_(T=sol.T)
-    eb = eval_E0_piecewise(sol.field, p)
-    _write_report(out, "energy.json", eb, p, extra={
-        "T_tilde": sol.T_tilde, "T": sol.T, "alpha": sol.alpha,
-        "t1_star": sol.t1_star, "energy_per_length": eb.total / (2 * sol.T),
-        "tangency_mismatch": sol.tangency_mismatch,
-        "wall_residual": sol.wall_balance,
-    })
-    _sampled_field(_grid(cfg), sol.field.sample, out, levels=True)
-    return 0
-
-
 def run_crosstie_sweep(cfg: RunConfig) -> int:
     from . import crosstie as crosstie_mod
     out = _outdir(cfg)
@@ -401,19 +399,10 @@ def run_gradflow(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     grid, bc = _grid(cfg), _bc(cfg)
-    if cfg.init == "construction" and cfg.domain == "rect":
-        from .crosstie import build_crosstie
-        init = _sampled_field(grid, build_crosstie(cfg.L, cfg.H).field.sample)
-    elif cfg.init == "construction":
-        from .disc import build_deg_minus_one
-        sample = build_deg_minus_one(cfg.R, cfg.L).field.sample
-
-        def inside(X, Y):
-            # the outer ring, pulled just inside the disc the sampler covers
-            scale = np.minimum(1.0, cfg.R * (1 - 1e-12) / np.hypot(X, Y))
-            return sample(X * scale, Y * scale)
-
-        init = _sampled_field(grid, inside)
+    if cfg.init == "construction":
+        # the cross-tie on the rectangle, the degree -1 field on the disc
+        build = _crosstie if cfg.domain == "rect" else _deg_minus_one
+        init = _sampled_field(grid, build(cfg)[0].sample)
     else:
         init = gf.random_unit_field(grid, bc, seed=cfg.seed)
 
@@ -438,17 +427,14 @@ def run_energy_eval(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     p = cfg.params()
     eb = eval_E_eps(field_from_csv(_grid(cfg), cfg.field_csv), p)
-    _write_report(out, "energy.json", eb, p)
+    _write_json(out / "energy.json", eb.as_dict(p))
     return 0
 
 
 _RUNNERS = {
-    "disc-tangential": run_disc_tangential,
-    "disc-hedgehog": run_disc_hedgehog,
-    "disc-deg-minus-one": run_disc_deg_minus_one,
+    **{name: run_construction for name in _CONSTRUCTIONS},
     "annulus": run_annulus,
     "rect-1d": run_rect_1d,
-    "crosstie": run_crosstie,
     "crosstie-sweep": run_crosstie_sweep,
     "gradflow": run_gradflow,
     "energy-eval": run_energy_eval,

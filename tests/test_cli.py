@@ -182,7 +182,7 @@ _TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
     (["disc-tangential"], {"H": -1}, "H > 0 violated"),
     (["crosstie"], {"R": -2}, "R > 0 violated"),
     (["disc-deg-minus-one", "--R", "1e-3"], None,
-     "invalid extents (0.001, 0.000999999999999)"),
+     "invalid extents (0.001, 0.001)"),
     (_FLOW + ["--domain", "disc", "--R", "5e-4"], None,
      "invalid extents (0.001, 0.0005)"),
     (["crosstie", "--L", "1", "--H", "1e300"], None, _BRACKET),
@@ -295,6 +295,42 @@ def test_energy_eval_roundtrip(tmp_path):
     assert data["potential"] < 1e-20
     assert data["bulk_div"] < 1e-20
     assert data["grad"] > 0
+    # the degree -1 construction samples the disc grid every disc run
+    # uses, out to r = R, so energy-eval reads its field.csv back; its
+    # outer ring is the data (x/R, -y/R)
+    for R in ("0.6", "2", "3.7"):
+        grid = ["--R", R, "--nx", "24", "--ny", "48"]
+        out1, out2 = tmp_path / f"d{R}", tmp_path / f"e{R}"
+        assert main(["disc-deg-minus-one", "--L", "0.5", *grid,
+                     "--out", str(out1)]) == 0
+        assert main(["energy-eval", "--field-csv", str(out1 / "field.csv"),
+                     "--domain", "disc", "--L", "0.5", "--eps", "0.05",
+                     *grid, "--out", str(out2)]) == 0, R
+        x, y, u1, u2 = np.loadtxt(out1 / "field.csv", delimiter=",",
+                                  skiprows=1).reshape(25, 48, 4)[-1].T
+        assert np.abs(u1 - x / float(R)).max() <= 1e-15, R
+        assert np.abs(u2 + y / float(R)).max() <= 1e-15, R
+
+
+_BREAKDOWN_KEYS = {"bulk_div", "grad", "params", "potential", "total",
+                   "wall_boundary", "wall_interior"}
+
+
+@pytest.mark.parametrize("argv, own_keys", [
+    (["disc-tangential"], set()),
+    (["disc-hedgehog"], {"closed_form", "quadrature_error"}),
+    (["disc-deg-minus-one"], {"natural_bc_residual", "s0"}),
+    (["crosstie"], {"T", "T_tilde", "alpha", "energy_per_length", "t1_star",
+                    "tangency_mismatch", "wall_residual"}),
+], ids=["disc-tangential", "disc-hedgehog", "disc-deg-minus-one",
+        "crosstie"])
+def test_construction_report_keys(tmp_path, argv, own_keys):
+    """Each construction's energy.json holds the E0 breakdown and exactly
+    its own keys."""
+    assert main(argv + ["--nx", "8", "--ny", "16", "--out",
+                        str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "energy.json").read_text())
+    assert set(data) == _BREAKDOWN_KEYS | own_keys
 
 
 def test_energy_eval_rejects_a_field_off_its_grid(tmp_path, capsys):

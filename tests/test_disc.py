@@ -287,7 +287,7 @@ def test_built_solution_is_freed_without_the_cyclic_collector():
 def _fold_points():
     """The construct benchmark's 129 x 256 disc grid, then points on the
     axes (both signs of zero) and on both diagonals."""
-    grid = make_grid(POLAR, (disc_inner_cutoff(R), R * (1 - 1e-12)), 128, 256)
+    grid = make_grid(POLAR, (disc_inner_cutoff(R), R), 128, 256)
     X, Y = grid.nodes_xy()
     r = np.linspace(0.05, 0.55, 5)
     d = r / math.sqrt(2.0)
@@ -313,10 +313,10 @@ def test_sample_folds_as_float_sign_arrays(sol):
 
 def test_sample_peak_memory_per_point():
     """Sampling the construct benchmark's 129 x 256 grid holds at most 13.0
-    float64 values per point at its tracemalloc peak (12.39 measured at L
+    float64 values per point at its tracemalloc peak (12.40 measured at L
     = 0.1, the benchmark's worst L; 22.8 with float sign arrays and
     8192-point root solves)."""
-    grid = make_grid(POLAR, (disc_inner_cutoff(R), R * (1 - 1e-12)), 128, 256)
+    grid = make_grid(POLAR, (disc_inner_cutoff(R), R), 128, 256)
     X, Y = grid.nodes_xy()
     built = build_deg_minus_one(R, 0.1)
     deg_minus_one_sample(built, X[:1], Y[:1])

@@ -98,3 +98,25 @@ def test_rows_dropped_and_shared_row_perturbed(ladder, tmp_path):
     text = ladder.report([record])
     assert f"{n_rows} rows against {n_rows - 1}" in text
     assert "    p: max abs" in text
+
+
+def test_rows_that_differ_are_counted(ladder, tmp_path):
+    """A column with one large and one small difference reports two
+    differing rows, one of them within a decade of the largest."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    ladder.run(a, LADDER[1:], SRC)
+    ladder.run(b, LADDER[1:], SRC)
+    path = b / "annulus" / "profiles.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("q")
+    for row, rel in ((5, 1e-12), (9, 1e-3)):
+        cells = lines[row].split(",")
+        cells[col] = repr(float(cells[col]) * (1 + rel))
+        lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+    (record,) = ladder.compare(a, b)
+    n_rows = len(lines) - 1
+    assert record["rows"] == {"q": (2, 1, n_rows)}
+    assert (f"in 2 of {n_rows} rows (1 within a decade of the max)"
+            in ladder.report([record]))

@@ -13,8 +13,10 @@ this script runs the ladder of any checkout.
 
 `compare` names every file that differs between A and B, or exists in one
 only.  For a CSV file it gives, per column that differs, the largest
-absolute and relative difference (over the leading rows both files hold,
-with a note, when their row counts differ); for a JSON file, per key
+absolute and relative difference, how many rows differ and how many of
+those by at least a tenth of that largest absolute difference (over the
+leading rows both files hold, with a note, when their row counts differ);
+for a JSON file, per key
 (nested keys joined with '/').  `out` and `field_csv` in config.json are
 masked, as they name where a run wrote or read.  The exit status is 0 when
 nothing differs and 1 otherwise.
@@ -168,29 +170,29 @@ def _diff(a: float, b: float) -> Tuple[float, float]:
     return d, d / max(abs(a), abs(b))
 
 
-def _worst(diffs: Dict[str, Tuple[float, float]], key: str,
-           d: Tuple[float, float]) -> None:
-    old = diffs.get(key, (0.0, 0.0))
-    diffs[key] = (max(old[0], d[0]), max(old[1], d[1]))
-
-
-def _csv_diffs(a: Path, b: Path) -> Tuple[Dict[str, Tuple[float, float]],
-                                          str]:
+def _csv_diffs(a: Path, b: Path):
     """Per differing column, the largest (absolute, relative) difference
-    over the leading rows both files hold, and a note when the headers or
-    row counts differ."""
+    and (rows that differ, those within a decade of the largest absolute
+    difference, rows compared), over the leading rows both files hold;
+    and a note when the headers or row counts differ."""
     ra = list(csv.reader(io.StringIO(a.read_text())))
     rb = list(csv.reader(io.StringIO(b.read_text())))
     if not ra or not rb or ra[0] != rb[0]:
-        return {}, "headers differ"
+        return {}, {}, "headers differ"
     note = "" if len(ra) == len(rb) \
         else f"{len(ra) - 1} rows against {len(rb) - 1}"
-    header, diffs = ra[0], {}
+    per_col: Dict[str, List[Tuple[float, float]]] = {}
     for row_a, row_b in zip(ra[1:], rb[1:]):
-        for col, x, y in zip(header, row_a, row_b):
+        for col, x, y in zip(ra[0], row_a, row_b):
             if x != y:
-                _worst(diffs, col, _diff(float(x), float(y)))
-    return diffs, note
+                per_col.setdefault(col, []).append(_diff(float(x), float(y)))
+    diffs, rows = {}, {}
+    shared = min(len(ra), len(rb)) - 1
+    for col, ds in per_col.items():
+        diffs[col] = (max(d[0] for d in ds), max(d[1] for d in ds))
+        near = sum(d[0] >= diffs[col][0] / 10 for d in ds)
+        rows[col] = (len(ds), near, shared)
+    return diffs, rows, note
 
 
 def _flatten(obj, prefix: str = "") -> Dict[str, object]:
@@ -224,22 +226,25 @@ def _json_diffs(a: Path, b: Path, masked: Sequence[str] = ()):
 
 
 def compare(a, b) -> List[dict]:
-    """One record per file that differs: {"path", "note", "diffs"}, with
-    diffs {column or key: (max absolute, max relative difference)}.  A
-    column or key whose text differs while its values are equal (-0
-    against 0, say) is listed with differences of 0."""
+    """One record per file that differs: {"path", "note", "diffs",
+    "rows"}, with diffs {column or key: (max absolute, max relative
+    difference)} and, for a CSV file, rows {column: (rows that differ,
+    those within a decade of the max absolute difference, rows
+    compared)}.  A column or key whose text differs while its values
+    are equal (-0 against 0, say) is listed with differences of 0."""
     fa, fb = _artifacts(Path(a)), _artifacts(Path(b))
     records = []
     for rel in sorted(set(fa) | set(fb)):
         if rel not in fb or rel not in fa:
-            records.append({"path": rel, "diffs": {},
+            records.append({"path": rel, "diffs": {}, "rows": {},
                             "note": f"only in {'A' if rel in fa else 'B'}"})
             continue
         pa, pb = fa[rel], fb[rel]
         if pa.read_bytes() == pb.read_bytes():
             continue
+        rows = {}
         if rel.endswith(".csv"):
-            diffs, note = _csv_diffs(pa, pb)
+            diffs, rows, note = _csv_diffs(pa, pb)
         elif rel.endswith(".json"):
             masked = MASKED_CONFIG_KEYS if pa.name == "config.json" else ()
             diffs, note = _json_diffs(pa, pb, masked), ""
@@ -247,7 +252,8 @@ def compare(a, b) -> List[dict]:
                 continue  # only the masked paths differ
         else:
             diffs, note = {}, "bytes differ"
-        records.append({"path": rel, "diffs": diffs, "note": note})
+        records.append({"path": rel, "diffs": diffs, "rows": rows,
+                        "note": note})
     return records
 
 
@@ -258,7 +264,10 @@ def report(records: List[dict]) -> str:
     for r in records:
         lines.append(f"{r['path']}" + (f": {r['note']}" if r["note"] else ""))
         for key, (ab, rel) in r["diffs"].items():
-            lines.append(f"    {key}: max abs {ab:.3e}, max rel {rel:.3e}")
+            rows = r["rows"].get(key)
+            lines.append(f"    {key}: max abs {ab:.3e}, max rel {rel:.3e}"
+                         + (f", in {rows[0]} of {rows[2]} rows ({rows[1]} "
+                            f"within a decade of the max)" if rows else ""))
         if not r["diffs"] and not r["note"]:
             lines.append("    bytes differ, values equal")
     return "\n".join(lines)
