@@ -180,6 +180,14 @@ class CharacteristicFamily:
         x, y, theta = arc_xy(x0, y0, th0, v0, ts)
         return x, y, theta, v0
 
+    def scaled(self, k: float) -> "CharacteristicFamily":
+        """The family under x -> k x in the same s: feet, t* times k, v0/k."""
+        def seed(s):
+            x0, y0, th0, v0, ts = self.seed(s)
+            return k * x0, k * y0, th0, v0 / k, k * ts
+
+        return CharacteristicFamily(seed=seed, s_range=self.s_range)
+
 
 def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):
     """det d(x,y)/d(s,t) = (dp/ds) . u along arcs, from the seed (theta0,

@@ -280,7 +280,7 @@ def _sampled_field(grid: Grid2D, sample, out: Optional[Path] = None,
 
 def _tangential(cfg: RunConfig):
     from .disc import tangential_solution
-    return tangential_solution(cfg.R), cfg.params(), {}, lambda eb: {}
+    return tangential_solution(), cfg.params(), {}, lambda eb: {}
 
 
 def _hedgehog(cfg: RunConfig):
@@ -383,7 +383,7 @@ def run_crosstie_sweep(cfg: RunConfig) -> int:
     from . import crosstie as crosstie_mod
     out = _outdir(cfg)
     rows = []
-    L0, L1 = crosstie_mod.find_crossing(H=cfg.H, l_lo=cfg.lmin, l_hi=cfg.lmax,
+    L0, L1 = crosstie_mod.find_crossing(l_lo=cfg.lmin, l_hi=cfg.lmax,
                                         step=cfg.step, samples=rows)
     table_to_csv(rows, out / "sweep.csv", "L_over_H,E_crosstie,E_1d,gap")
     _write_json(out / "crossing.json", {"L0": L0, "L1": L1, "step": cfg.step})

@@ -10,14 +10,14 @@ the tangency relation
 which makes the terminal characteristics of families I and III meet
 tangentially at the (T, 0) vortex (solved by `rect1d.solve_Ttilde`).  The
 energy per unit length depends on L/H only; compared against the
-one-dimensional minimum it is lower exactly on an interval
-(L0, L1) ~ (1.27, 2.14).
+one-dimensional minimum it is lower exactly on (L0, L1) = (1.2195, 2.1333)
+(ROADMAP items 7 and 10 hold what is known of the reported ~ (1.27, 2.14)).
 
-Family conventions (arcs marched along u^perp, stored v = physical
-divergence, negative throughout the quarter cell):
+Built at H = 1 (L below is L/H, as in every helper below `build_crosstie`);
+families (arcs marched along u^perp, stored v = div u, negative here):
 
-  I   point-seeded at the (T,0) vortex, angle 2 atan((T-s)/H), curvature
-      -1/R(s) with R(s) = (T-s)/2 + H^2/(2(T-s)); arcs end on the top edge.
+  I   point-seeded at the (T,0) vortex, angle 2 atan(T-s), curvature
+      -1/R(s) with R(s) = (T-s)/2 + 1/(2(T-s)); arcs end on the top edge.
   III seeded on the bottom wall at angle pi/2 - asin(w)/2 per
       sin(2 theta) = w = (-1 + sqrt(1+2 lambda))/lambda, lambda = 2 s^2/L^2,
       curvature -w/L; arcs end on the left wall.
@@ -105,20 +105,20 @@ def region2_theta_star(s2, alpha: float, L: float):
     return float(beta) if beta.ndim == 0 else beta
 
 
-def region2_seed_of_theta_star(beta, alpha: float, L: float, H: float):
+def region2_seed_of_theta_star(beta, alpha: float, L: float):
     """Region II's seed (x0, y0, theta0, v0) in its terminal angle beta.
 
     theta*'s equation is linear in sin^2(alpha s/2): with k = L alpha it
     gives sin(alpha s/2) = m = sin(beta/2) sqrt(k/(k - sin 2 beta)), so the
-    foot ((1 - cos alpha s)/alpha, H - sin(alpha s)/alpha) = (2 m^2/alpha,
-    H - 2 m sqrt(1 - m^2)/alpha), theta0 = alpha s = 2 asin(m) and v0 =
+    foot ((1 - cos alpha s)/alpha, 1 - sin(alpha s)/alpha) = (2 m^2/alpha,
+    1 - 2 m sqrt(1 - m^2)/alpha), theta0 = alpha s = 2 asin(m) and v0 =
     -sin(2 beta)/L are closed-form in beta.  Inverts `region2_theta_star`
     to roundoff.
     """
     beta = np.asarray(beta, dtype=float)
     k = L * alpha
     m = np.sin(0.5 * beta) * np.sqrt(k / (k - np.sin(2.0 * beta)))
-    return (2.0 * m * m / alpha, H - 2.0 * m * np.sqrt(1.0 - m * m) / alpha,
+    return (2.0 * m * m / alpha, 1.0 - 2.0 * m * np.sqrt(1.0 - m * m) / alpha,
             2.0 * np.arcsin(m), -np.sin(2.0 * beta) / L)
 
 
@@ -161,46 +161,46 @@ class CrossTieSolution:
 
 
 def build_crosstie(L: float, H: float) -> CrossTieSolution:
-    """Assemble the three families and both walls on the quarter cell."""
+    """Assemble the three families and both walls on the quarter cell at
+    H = 1 and L/H, scaled to H on return (walls: H times knots, v/H)."""
     if L <= 0 or H <= 0:
         raise ValueError("L, H > 0 required")
-    t_tilde = cell_ttilde(L, H)
-    T = H * t_tilde
-    alpha = 2.0 * T / (T * T + H * H)
-    t1_star = 2.0 * math.atan2(T, H) / alpha
+    lam, T = L / H, cell_ttilde(L, H)
+    alpha = 2.0 * T / (T * T + 1.0)
+    t1_star = 2.0 * math.atan2(T, 1.0) / alpha
 
     # region I: point seed at the vortex (T, 0); arcs of radius R(s)
     # turning by theta0 reach the top edge
     def seed1(s):
         s = np.asarray(s, dtype=float)
         d = T - s
-        theta0 = 2.0 * np.arctan2(d, H)
-        v0 = -2.0 * d / (d * d + H * H)
+        theta0 = 2.0 * np.arctan2(d, 1.0)
+        v0 = -2.0 * d / (d * d + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            R = 0.5 * d + H * H / (2.0 * np.where(d > 0, d, 1.0))
+            R = 0.5 * d + 1.0 / (2.0 * np.where(d > 0, d, 1.0))
         return (np.full_like(s, T), np.zeros_like(s), theta0, v0,
-                np.where(d > 1e-300, R * theta0, H))
+                np.where(d > 1e-300, R * theta0, 1.0))
 
     fam1 = CharacteristicFamily(seed=seed1, s_range=(0.0, T))
 
     # region III: bottom wall to left wall
-    fam3 = CharacteristicFamily(seed=lambda s: region3_seed(s, L),
+    fam3 = CharacteristicFamily(seed=lambda s: region3_seed(s, lam),
                                 s_range=(0.0, T))
 
     # region II: seeded on Gamma (family I's terminal arc); its theta*
     # gives the divergence and the terminal parameter
     def seed2_of(s, th_star):
-        v = -np.sin(2.0 * th_star) / L
+        v = -np.sin(2.0 * th_star) / lam
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (th_star - alpha * s) / np.where(v != 0.0, v, 1.0)
         # s -> 0: theta* ~ alpha s (1 - s/L), v ~ -2 alpha s / L: t* -> s/2
         return ((1.0 - np.cos(alpha * s)) / alpha,
-                H - np.sin(alpha * s) / alpha, alpha * s, v,
+                1.0 - np.sin(alpha * s) / alpha, alpha * s, v,
                 np.where(v != 0.0, t, 0.5 * s))
 
     def seed2(s):
         s = np.asarray(s, dtype=float)
-        return seed2_of(s, region2_theta_star(s, alpha, L))
+        return seed2_of(s, region2_theta_star(s, alpha, lam))
 
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star))
 
@@ -208,25 +208,27 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     # (y < T) and II (y > T) on the left wall
     n_w = 1024
     xs = np.linspace(0.0, T, n_w)
-    _, _, thb, v3, _ = region3_seed(xs, L)
-    wall_bottom = mirror_wall(np.stack([xs, np.zeros_like(xs)], axis=-1), xs,
-                              thb, v3, [0.0, -1.0])
+    _, _, thb, v3, _ = region3_seed(xs, lam)
+    xw = H * xs
+    wall_bottom = mirror_wall(np.stack([xw, np.zeros_like(xw)], axis=-1), xw,
+                              thb, v3 / H, [0.0, -1.0])
 
     _, y3, th3, v3a = fam3.arrival(np.linspace(0.0, T, n_w // 2 + 1))
     # region II's arrivals from one theta* solve, whose last node, the
     # vortex, gives the sampler's bracket end
     s2 = np.linspace(1e-9 * T, t1_star, n_w // 2 + 1)
-    beta2 = region2_theta_star(s2, alpha, L)
+    beta2 = region2_theta_star(s2, alpha, lam)
     x0, y0, th0, v2a, ts = seed2_of(s2, beta2)
     _, y2, th2 = arc_xy(x0, y0, th0, v2a, ts)
-    yw = np.concatenate([y3, y2])
+    yw = H * np.concatenate([y3, y2])
     wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
                             np.concatenate([th3, th2]),
-                            np.concatenate([v3a, v2a]), [-1.0, 0.0])
+                            np.concatenate([v3a, v2a]) / H, [-1.0, 0.0])
     balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
 
-    sol = CrossTieSolution(L=L, H=H, T_tilde=t_tilde, T=T,
-                           alpha=alpha, t1_star=t1_star,
+    fam1, fam2, fam3 = (f.scaled(H) for f in (fam1, fam2, fam3))
+    sol = CrossTieSolution(L=L, H=H, T_tilde=T, T=H * T,
+                           alpha=alpha / H, t1_star=H * t1_star,
                            theta_star_end=float(beta2[-1]),
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
@@ -247,12 +249,12 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
         raise RuntimeError(f"wall balance {balance:.3e} exceeds 1e-8")
     # the wall balance holds on region II whatever theta* is (v is defined
     # from it), so theta*'s own equation is checked on the left-wall nodes
-    res = region2_theta_star_residual(s2, th2, alpha, L)
+    res = region2_theta_star_residual(s2, th2, alpha, lam)
     if res > 1e-8:
         raise RuntimeError(f"region-II theta* residual {res:.3e} exceeds 1e-8")
     # terminal region III characteristic must arrive at (0, T)
     if abs(float(y3[-1]) - T) > 1e-8 * max(T, 1.0):
-        raise RuntimeError(f"terminal arrival y = {y3[-1]} != T = {T}")
+        raise RuntimeError(f"terminal arrival y/H = {y3[-1]} != T/H = {T}")
     return sol
 
 
@@ -264,7 +266,7 @@ def crosstie_energy_per_length(sol: CrossTieSolution, *,
     return eb.total / (2.0 * sol.T)
 
 
-def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
+def find_crossing(l_lo: float = 0.5, l_hi: float = 3.0,
                   step: float = 0.01, s_panels: int = 128, order: int = 4,
                   refine_tol: float = 1e-6,
                   samples: Optional[list] = None
@@ -278,7 +280,7 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
     a list it receives one (L/H, E_crosstie, E_1d, gap) row per grid point.
     """
     def sample(lh: float):
-        sol = build_crosstie(lh * H, H)
+        sol = build_crosstie(lh, 1.0)
         e2 = crosstie_energy_per_length(sol, s_panels=s_panels, order=order)
         e1 = rect1d.min_energy_1d(lh, 1.0, 0.0)
         return lh, e2, e1, e2 - e1
@@ -309,23 +311,23 @@ def find_crossing(H: float = 1.0, l_lo: float = 0.5, l_hi: float = 3.0,
 
 # --- pointwise evaluation on the period cell ----------------------------------
 
-def region1_seed_offset(x, y, T: float, H: float):
+def region1_seed_offset(x, y, T: float):
     """d = T - s of the region-I arc through each point with x <= T.
 
     The arc seeded at s leaves the vortex (T, 0) on the circle of centre
-    (T + (H^2 - d^2)/(2d), H).  With X = x - T and Q = X^2 + (y-H)^2 - H^2,
-    its circle residual times d is X d^2 + Q d - H^2 X, whose positive root
-    is taken in the form free of cancellation: (Q + r)/(-2X) for Q >= 0 and
-    2 H^2 |X|/(r - Q) for Q < 0, with r = sqrt(Q^2 + 4 H^2 X^2).  Points on
-    x = T, the vortex (T, 0) included, get d = 0 exactly.
+    (T + (1 - d^2)/(2d), 1).  With X = x - T and Q = X^2 + (y-1)^2 - 1, its
+    circle residual times d is X d^2 + Q d - X, whose positive root is
+    taken in the form free of cancellation: (Q + r)/(-2X) for Q >= 0 and
+    2 |X|/(r - Q) for Q < 0, with r = sqrt(Q^2 + 4 X^2).  Points on x = T,
+    the vortex (T, 0) included, get d = 0 exactly.
     """
     X = np.asarray(x, dtype=float) - T
     y = np.asarray(y, dtype=float)
-    Q = X * X + y * (y - 2.0 * H)
-    r = np.hypot(Q, 2.0 * H * X)
+    Q = X * X + y * (y - 2.0)
+    r = np.hypot(Q, 2.0 * X)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(Q >= 0.0, (Q + r) / (-2.0 * X),
-                     2.0 * H * H * np.abs(X) / (r - Q))
+                     2.0 * np.abs(X) / (r - Q))
     return np.where(X == 0.0, 0.0, d)
 
 
@@ -347,25 +349,27 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     bracket end gets its residual with the sign the region requires, or 0
     where it rounds to the other sign, and a 0 end is the root.
     """
-    L, H, T, alpha = sol.L, sol.H, sol.T, sol.alpha
+    L, T = sol.L / sol.H, sol.T_tilde
+    alpha = 2.0 * T / (T * T + 1.0)  # the build's, to the bit
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     theta = np.empty(x.shape)
     v = np.empty(x.shape)
 
     # region I: the arc through the vortex with seed offset d <= T
-    d = region1_seed_offset(x, y, T, H)
+    d = region1_seed_offset(x, y, T)
     mI = d <= T
     xi, yi, d = x[mI], y[mI], d[mI]
     # direction to the arc's centre, scaled by 2d > 0
-    theta[mI] = np.arctan2(2.0 * d * (H - yi), H * H - d * (2.0 * (xi - T) + d))
-    v[mI] = -2.0 * d / (d * d + H * H)
+    theta[mI] = np.arctan2(2.0 * d * (1.0 - yi), 1.0 - d * (2.0 * (xi - T) + d))
+    v[mI] = -2.0 * d / (d * d + 1.0)
 
     # regions II and III meet on one arc: region III's terminal arc,
     # seeded at s = T, is region II's last arc.  Its residual is <= 0
     # outside its circle, in region III; the region test is that residual,
     # as region III's upper bracket end evaluates it
-    m3 = ~mI & (arc_residual(sol.region3.seed, T, x, y) <= 0.0)
+    seed3 = lambda s: region3_seed(s, L)
+    m3 = ~mI & (arc_residual(seed3, T, x, y) <= 0.0)
     left = m3 & (x == 0.0)
     if left.any():
         _, _, th0, v[left], _ = region3_seed(y[left], L)
@@ -374,7 +378,7 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     if inner.any():
         x3, y3 = x[inner], y[inner]
         theta[inner], v[inner] = arc_root(
-            sol.region3.seed, np.minimum(x3 + y3, T), T, x3, y3, (1, -1))
+            seed3, np.minimum(x3 + y3, T), T, x3, y3, (1, -1))
 
     # region II: p's foot sigma on Gamma; the arc through p is seeded
     # beyond it, up to the vortex.  Region II's own residual of the shared
@@ -382,9 +386,9 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     m2 = ~mI & ~m3
     if m2.any():
         x2, y2 = x[m2], y[m2]
-        sigma = np.arctan2(H - y2, 1.0 / alpha - x2) / alpha
+        sigma = np.arctan2(1.0 - y2, 1.0 / alpha - x2) / alpha
         theta[m2], v[m2] = arc_root(
-            lambda b: region2_seed_of_theta_star(b, alpha, L, H),
+            lambda b: region2_seed_of_theta_star(b, alpha, L),
             region2_theta_star(sigma, alpha, L), sol.theta_star_end, x2, y2,
             (-1, 1))
     return theta, v
@@ -393,8 +397,9 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
 def crosstie_field_sample(sol: CrossTieSolution, x, y):
     """Vectorized (u1, u2, v) on the period cell via quarter-cell
     reflections: u1 flips across y = 0, u2 flips across x = T (both flip
-    the divergence sign); x is reduced modulo the period 2T.  The
-    reflections are kept as boolean masks and undone in place."""
+    the divergence sign); x is reduced modulo the period 2T.  The folded
+    point over H is evaluated in the unit cell, and v is divided by H.
+    The reflections are kept as boolean masks and undone in place."""
     T, H = sol.T, sol.H
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -405,8 +410,11 @@ def crosstie_field_sample(sol: CrossTieSolution, x, y):
     flip2 = x > T
     y = np.minimum(np.abs(y), H)
     np.subtract(2.0 * T, x, out=x, where=flip2)
+    x /= H
+    y /= H
     theta, v = _quarter_eval_batch(sol, x, y)
     del x, y
+    v /= H
     u1 = np.cos(theta)
     u2 = np.sin(theta, out=theta)
     np.negative(u1, out=u1, where=flip1)

@@ -9,14 +9,14 @@ energy machinery applies:
   divergence identically 2; the characteristics are the circles of radius
   1/2 internally tangent to the boundary (+ sign, seeded on the boundary)
   or emanating from the origin (- sign).
-* degree -1 data (x/R, -y/R): built on one octant {0 <= psi <= pi/4} with
-  a diagonal wall on y = x and extended to the disc by reflections.  Three
-  families: I (arcs of radius R from the x-axis to the boundary), III
-  (arcs from the x-axis to the wall, curvature solving
-  (1 - s v)^2 = 1 + sqrt(1 - L^2 v^2)), and II (arcs seeded tangentially
-  on the terminal region-I characteristic, curvature solving
-  A(s)^2 = 1 + sqrt(1 - L^2 v^2) with
-  A(s) = sqrt(2) [(R v + 1) sin(s/R + pi/4) - R v]).
+* degree -1 data (x/R, -y/R): built at R = 1 (L below stands for L/R, and
+  the helpers below work there) on one octant {0 <= psi <= pi/4} with a
+  diagonal wall on y = x, and extended to the disc by reflections.  Three
+  families: I (arcs of radius 1 from the x-axis to the boundary), III (arcs
+  from the x-axis to the wall, curvature solving (1 - s v)^2 = 1 +
+  sqrt(1 - L^2 v^2)), and II (arcs seeded tangentially on the terminal
+  region-I characteristic, curvature solving A(s)^2 = 1 + sqrt(1 - L^2 v^2)
+  with A(s) = sqrt(2) [(v + 1) sin(s + pi/4) - v]).
 
 Angles in the octant lie in [-pi/4, 0].  The diagonal is a
 `characteristics.mirror_wall` through the arrivals of III and II, which
@@ -54,15 +54,13 @@ def _polar_radius(x, y, what: str):
     return x, y, r
 
 
-def tangential_solution(R: float) -> PiecewiseCriticalField:
-    """u = e_theta: divergence-free, no walls, zero limiting energy."""
-    if R <= 0:
-        raise ValueError("R > 0 required")
-
+def tangential_solution() -> PiecewiseCriticalField:
+    """u = e_theta on the unit disc: divergence-free, no walls, zero
+    limiting energy at every radius; its sampler holds at every point."""
     def seed(s):
         s = np.asarray(s, dtype=float)
-        return (R * np.cos(s), R * np.sin(s), s + 0.5 * np.pi,
-                np.zeros_like(s), np.full_like(s, R))
+        return (np.cos(s), np.sin(s), s + 0.5 * np.pi, np.zeros_like(s),
+                np.ones_like(s))
 
     fam = CharacteristicFamily(seed=seed, s_range=(0.0, 2.0 * np.pi))
 
@@ -140,25 +138,21 @@ def region3_seed_of_mu(mu, L: float):
     return (L * mu / ((1.0 + np.sqrt(1.0 + mu)) * c), z, z, -c / L)
 
 
-def region2_A(s, v0, R: float):
-    return SQRT2 * ((R * v0 + 1.0) * np.sin(s / R + 0.25 * np.pi) - R * v0)
-
-
-def region2_v0(s, R: float, L: float):
+def region2_v0(s, L: float):
     """Curvature of the wedge family seeded on the terminal region-I arc.
 
-    Root of 2[(Rp+1) sin(s/R + pi/4) - Rp]^2 - sqrt(1-L^2 p^2) - 1 on
-    (-min(1/R, 1/L), 0); endpoint signs are asserted.  At the corner
-    s = pi R / 4 the root collapses to v = 0.
+    Root of 2[(p+1) sin(s + pi/4) - p]^2 - sqrt(1-L^2 p^2) - 1 on
+    (-min(1, 1/L), 0); endpoint signs are asserted.  At the corner
+    s = pi / 4 the root collapses to v = 0.
     """
     s_arr = np.asarray(s, dtype=float)
-    q = min(1.0 / R, 1.0 / L)
+    q = min(1.0, 1.0 / L)
 
     def F(p, sinf):
-        A = SQRT2 * ((R * p + 1.0) * sinf - R * p)
+        A = SQRT2 * ((p + 1.0) * sinf - p)
         return A * A - np.sqrt(np.maximum(1.0 - (L * p) ** 2, 0.0)) - 1.0
 
-    sinf = np.sin(s_arr / R + 0.25 * np.pi)
+    sinf = np.sin(s_arr + 0.25 * np.pi)
     f0 = F(0.0, sinf)
     fq = F(-q, sinf)
     at_corner = f0 >= -1e-15
@@ -173,21 +167,21 @@ def region2_v0(s, R: float, L: float):
     return float(out) if out.ndim == 0 else out
 
 
-def region2_seed_of_v(p, R: float, L: float):
+def region2_seed_of_v(p, L: float):
     """Region II's seed (x0, y0, theta0, v0) in its curvature p.
 
     `region2_v0`'s equation solved for s: with q = sqrt(1 - L^2 p^2) and
-    A = sqrt((1 + q)/2), 1 - sin(s/R + pi/4) = delta = L^2 p^2 / (2 (1 + A)
-    (1 + q) (1 + R p)), so phi = s/R + pi/4 = pi/2 - 2 asin(sqrt(delta/2))
-    and the foot (sqrt2 R - R cos(s/R), R sin(s/R)) on the terminal
-    region-I arc is (R/sqrt2) (1 + delta - cos phi, 1 - delta - cos phi).
+    A = sqrt((1 + q)/2), 1 - sin(s + pi/4) = delta = L^2 p^2 / (2 (1 + A)
+    (1 + q) (1 + p)), so phi = s + pi/4 = pi/2 - 2 asin(sqrt(delta/2))
+    and the foot (sqrt2 - cos(s), sin(s)) on the terminal region-I arc is
+    (1/sqrt2) (1 + delta - cos phi, 1 - delta - cos phi).
     """
     p = np.asarray(p, dtype=float)
     q = np.sqrt((1.0 - L * p) * (1.0 + L * p))
     A = np.sqrt(0.5 * (1.0 + q))
-    delta = (L * p) ** 2 / (2.0 * (1.0 + A) * (1.0 + q) * (1.0 + R * p))
+    delta = (L * p) ** 2 / (2.0 * (1.0 + A) * (1.0 + q) * (1.0 + p))
     cos_phi = np.sqrt(delta * (2.0 - delta))
-    k = R / SQRT2
+    k = 1.0 / SQRT2
     return (k * (1.0 + delta - cos_phi), k * (1.0 - delta - cos_phi),
             2.0 * np.arcsin(np.sqrt(0.5 * delta)) - 0.25 * np.pi, p)
 
@@ -211,8 +205,8 @@ class DegMinusOneSolution:
     field: PiecewiseCriticalField
     # energy.wall_balance of the diagonal, which the build checks
     wall_balance: float
-    # mu = sin(phi) and curvature of region III's terminal arc, seeded at
-    # s0, which region II's first arc continues: the sampler's seam
+    # mu = sin(phi) and unit-disc curvature R v of region III's terminal
+    # arc, which region II's first arc continues: the sampler's seam
     mu0: float
     v_end: float
 
@@ -223,26 +217,26 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     Seeds are evaluated exactly (vectorized root solves) rather than
     sampled and interpolated; the wall polyline carries about n_wall
     vertices, the arrivals of regions III and II, with `mirror_wall`'s
-    monotone-cubic traces between them.
+    monotone-cubic traces between them.  Built at R = 1, scaled to R.
     """
     if R <= 0 or L <= 0:
         raise ValueError("R, L > 0 required")
-    s0 = (SQRT2 - 1.0) * R
+    lam, s0 = L / R, SQRT2 - 1.0
 
-    # region I: arcs of radius R from (s, 0), s in [s0, R], to the boundary
+    # region I: arcs of radius 1 from (s, 0), s in [s0, 1], to the boundary
     def seed1(s):
         s = np.asarray(s, dtype=float)
         z = np.zeros_like(s)
-        return (s, z, z, np.full_like(s, -1.0 / R),
-                R * np.arccos(np.clip((s + R) / (2.0 * R), -1.0, 1.0)))
+        return (s, z, z, np.full_like(s, -1.0),
+                np.arccos(np.clip((s + 1.0) / 2.0, -1.0, 1.0)))
 
-    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, R))
+    fam1 = CharacteristicFamily(seed=seed1, s_range=(s0, 1.0))
 
     # region III: arcs from (s, 0), s in [0, s0], to the wall; one
     # curvature solve gives the arc and its terminal angle
     def seed3(s):
         s = np.asarray(s, dtype=float)
-        v = region3_v0(s, L)
+        v = region3_v0(s, lam)
         th = _theta_star_from_cosminussin(1.0 - s * v)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(v != 0.0, th / v, 0.0)
@@ -250,41 +244,42 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
 
     fam3 = CharacteristicFamily(seed=seed3, s_range=(0.0, s0))
 
-    # region II: seeds on the terminal region-I arc, arclength s in [0, pi R/4]
+    # region II: seeds on the terminal region-I arc, arclength s in [0, pi/4]
     def seed2(s):
         s = np.asarray(s, dtype=float)
-        v = region2_v0(s, R, L)
-        th = _theta_star_from_cosminussin(region2_A(s, v, R))
+        v = region2_v0(s, lam)
+        th = _theta_star_from_cosminussin(
+            SQRT2 * ((v + 1.0) * np.sin(s + 0.25 * np.pi) - v))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(v != 0.0, (th + s / R) / v, 0.0)
-        return (SQRT2 * R - R * np.cos(s / R), R * np.sin(s / R), -s / R, v,
-                np.maximum(t, 0.0))
+            t = np.where(v != 0.0, (th + s) / v, 0.0)
+        return SQRT2 - np.cos(s), np.sin(s), -s, v, np.maximum(t, 0.0)
 
-    s2_max = 0.25 * math.pi * R
+    s2_max = 0.25 * math.pi
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, s2_max))
 
     # wall: the arrivals of III then II, parametrized by arclength
     x3, _, th3, v3 = fam3.arrival(np.linspace(0.0, s0, n_wall // 2 + 1))
     x2, _, th2, v2 = fam2.arrival(np.linspace(0.0, s2_max,
                                               n_wall // 2 + 1)[1:])
-    xw = np.concatenate([x3, x2])
+    xw = R * np.concatenate([x3, x2])
     # the diagonal's wall rule: the reflection across y = x, which flips v
     jump = mirror_wall(np.stack([xw, xw], axis=-1), SQRT2 * xw,
-                       np.concatenate([th3, th2]), np.concatenate([v3, v2]),
+                       np.concatenate([th3, th2]),
+                       np.concatenate([v3, v2]) / R,
                        np.array([-1.0, 1.0]) / SQRT2)
     balance = wall_balance(jump, L)
 
-    mu0 = math.sin(float(_region3_phi(s0, L)))
-    sol = DegMinusOneSolution(R=R, L=L, s0=s0, region1=fam1, region2=fam2,
-                              region3=fam3, field=None,
-                              wall_balance=balance, mu0=mu0,
-                              v_end=float(region3_seed_of_mu(mu0, L)[3]))
+    mu0 = math.sin(float(_region3_phi(s0, lam)))
+    sol = DegMinusOneSolution(R=R, L=L, s0=R * s0, region1=fam1.scaled(R),
+                              region2=fam2.scaled(R), region3=fam3.scaled(R),
+                              field=None, wall_balance=balance, mu0=mu0,
+                              v_end=float(region3_seed_of_mu(mu0, lam)[3]))
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
     # solution alive until the cyclic collector runs
     cell = replace(sol)
     sol.field = PiecewiseCriticalField(
-        families=[fam1, fam2, fam3], jumps=[jump],
+        families=[sol.region1, sol.region2, sol.region3], jumps=[jump],
         sample=lambda x, y: deg_minus_one_sample(cell, x, y),
         symmetry_copies=8, wall_multiplier=4.0)
 
@@ -294,9 +289,9 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
 
 
 def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
-    """(u1, u2, v) arrays for points in the octant 0 <= y <= x, r <= R.
+    """(u1, u2, v) arrays for points in the octant 0 <= y <= x, r <= 1.
 
-    Region I (arcs of radius R centred on the x-axis, seeded at s >= s0)
+    Region I (arcs of radius 1 centred on the x-axis, seeded at s >= s0)
     is closed-form.  The other two families are inverted by
     `rootfind.arc_root` on a bracket known from the point: region III in
     mu = sin(phi), from the arc whose angle at the point is -pi/4 to the
@@ -307,21 +302,21 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     region requires, or 0 where it rounds to the other sign, and a 0 end
     is the root.
     """
-    R, L, s0, mu0 = sol.R, sol.L, sol.s0, sol.mu0
+    L, mu0 = sol.L / sol.R, sol.mu0
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x * x + y * y > R * R * (1 + 1e-10)):
+    if np.any(x * x + y * y > 1.0 + 1e-10):
         raise ValueError("point outside the disc")
     theta = np.empty(x.shape)
     v = np.empty(x.shape)
 
-    # region I: the circle of radius R through the point, centred on the
-    # x-axis at sI + R
-    sI = x - R + np.sqrt(np.maximum(R * R - y * y, 0.0))
-    m1 = sI >= s0
+    # region I: the circle of radius 1 through the point, centred on the
+    # x-axis at sI + 1
+    sI = x - 1.0 + np.sqrt(np.maximum(1.0 - y * y, 0.0))
+    m1 = sI >= SQRT2 - 1.0
     del sI
-    theta[m1] = -np.arcsin(np.clip(y[m1] / R, -1.0, 1.0))
-    v[m1] = -1.0 / R
+    theta[m1] = -np.arcsin(np.clip(y[m1], -1.0, 1.0))
+    v[m1] = -1.0
 
     # region III: outside the circle of its terminal arc, which region
     # II's first arc continues.  That arc's residual is < 0 outside its
@@ -341,9 +336,9 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     m2 = ~m1 & ~m3
     if m2.any():
         x2, y2 = x[m2], y[m2]
-        sigma = R * np.arctan2(y2, SQRT2 * R - x2)
-        theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, R, L),
-                                    sol.v_end, region2_v0(sigma, R, L), x2, y2,
+        sigma = np.arctan2(y2, SQRT2 - x2)
+        theta[m2], v[m2] = arc_root(lambda p: region2_seed_of_v(p, L),
+                                    sol.v_end, region2_v0(sigma, L), x2, y2,
                                     (1, -1))
     return np.cos(theta), np.sin(theta, out=theta), v
 
@@ -354,7 +349,8 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     Axis reflections mirror u and preserve v; the diagonal reflection uses
     the wall rule u -> (2 nu x nu - I) u and flips the sign of v.  Points
     exactly on a diagonal get the trace of the octant side they round into.
-    The reflections are kept as boolean masks and undone in place.
+    The folded point over R is evaluated in the unit disc, and v is divided
+    by R.  The reflections are kept as boolean masks and undone in place.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -368,8 +364,11 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     xo = np.maximum(x, y)
     yo = np.minimum(x, y, out=y)
     del x, y
+    xo /= sol.R
+    yo /= sol.R
     u1, u2, v = _octant_eval_batch(sol, xo, yo)
     del xo, yo
+    v /= sol.R
     # diagonal rule: (u1, u2) -> (-u2, -u1), v -> -v
     u1[diag], u2[diag] = -u2[diag], -u1[diag]
     np.negative(v, out=v, where=diag)

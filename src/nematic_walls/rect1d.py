@@ -37,8 +37,8 @@ from .rootfind import BracketError, bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
-# the lengths whose squares are normal floats: the cross-tie's
-# construction forms L^2, H^2 and T^2 + H^2
+# lengths whose squares are normal floats: E0 on the H-scaled cross-tie
+# forms v0^2 ~ 1/H^2, and its wall fit divides by knot spacings ~ H
 CELL_LENGTHS = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 

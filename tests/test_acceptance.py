@@ -53,7 +53,7 @@ def test_criterion_01_hedgehog_energy():
 
 def test_criterion_02_tangential_zero_energy():
     t0 = time.time()
-    eb = eval_E0_piecewise(disc.tangential_solution(1.0), Params(L=1.0))
+    eb = eval_E0_piecewise(disc.tangential_solution(), Params(L=1.0))
     exact_zero = eb.total == 0.0
 
     eps = 0.01
@@ -172,7 +172,7 @@ def test_criterion_07_crosstie_invariants():
 @pytest.fixture(scope="module")
 def crossing():
     t0 = time.time()
-    L0, L1 = ct.find_crossing(H=1.0, l_lo=0.5, l_hi=3.0, step=0.01,
+    L0, L1 = ct.find_crossing(l_lo=0.5, l_hi=3.0, step=0.01,
                               s_panels=128, order=4)
     return L0, L1, time.time() - t0
 
@@ -214,14 +214,14 @@ def test_criterion_09_degree_minus_one():
     t0 = time.time()
     R, L = 0.6, 0.5
     sol = disc.build_deg_minus_one(R, L)
-    _, _, _, v0, _ = sol.region1.seed(np.linspace(sol.s0, R, 64))
+    _, _, _, v0, _ = sol.region1.seed(np.linspace(*sol.region1.s_range, 64))
     region1_const = bool(np.all(v0 == -1.0 / R))
     lim = abs(disc.region3_v0(1e-4, L) + 1.0 / L)
     nbc = sol.wall_balance
     s3 = np.linspace(1e-5, sol.s0, 512)
     mono3 = bool(np.all(np.diff(disc.region3_v0(s3, L)) > 0))
     s2 = np.linspace(1e-5, math.pi * R / 4 * (1 - 1e-6), 512)
-    mono2 = bool(np.all(np.diff(disc.region2_v0(s2, R, L)) > 0))
+    mono2 = bool(np.all(np.diff(disc.region2_v0(s2 / R, L / R)) > 0))
     Es = []
     for Lval in np.linspace(0.1, 0.7, 7):
         s = disc.build_deg_minus_one(R, Lval, n_wall=256)

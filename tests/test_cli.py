@@ -360,6 +360,24 @@ def test_crosstie_artifacts(tmp_path):
     assert (out / "divergence_contours.csv").exists()
 
 
+@pytest.mark.parametrize("argv, unit_argv, key", [
+    (["crosstie", "--L", "1.2e-6", "--H", "1e-6"],
+     ["crosstie", "--L", "1.2", "--H", "1"], "energy_per_length"),
+    (["disc-tangential", "--R", "1e300"], ["disc-tangential", "--R", "1"],
+     "total"),
+], ids=["crosstie-H1e-6", "disc-tangential-R1e300"])
+def test_energy_per_length_is_the_unit_scale_one(tmp_path, argv, unit_argv,
+                                                  key):
+    """A construction far from unit scale writes the energy per length (for
+    the tangential disc, the zero E0) of its unit-scale twin."""
+    values = []
+    for name, args in (("scaled", argv), ("unit", unit_argv)):
+        out = tmp_path / name
+        assert main(args + ["--nx", "8", "--ny", "8", "--out", str(out)]) == 0
+        values.append(json.loads((out / "energy.json").read_text())[key])
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0)
+
+
 def test_crosstie_below_the_single_root_threshold(tmp_path):
     """Below L/H = 0.5426 some region-III circles pass near the vortex
     (T, 0) twice; the sampler still inverts every grid point."""

@@ -217,7 +217,7 @@ class TestEnergy:
         assert gap_high > 0
 
     def test_find_crossing_coarse(self):
-        L0, L1 = find_crossing(H=1.0, l_lo=1.1, l_hi=2.3, step=0.1,
+        L0, L1 = find_crossing(l_lo=1.1, l_hi=2.3, step=0.1,
                                s_panels=48, order=4,
                                refine_tol=1e-4)
         assert L0 is not None and L1 is not None
@@ -296,7 +296,7 @@ class TestFieldSample:
             ss = np.full(9, s.T - d)
             tt = np.linspace(0.1, 0.9, 9) * fam.seed(ss)[4]
             x, y, th, v = fam.point(ss, tt)
-            back = s.T - region1_seed_offset(x, y, s.T, s.H)
+            back = s.T - region1_seed_offset(x, y, s.T)
             assert np.abs(back - ss).max() <= 1e-12
             u1, u2, vv = crosstie_field_sample(s, x, y)
             assert np.abs(u1 - np.cos(th)).max() <= 1e-12
@@ -304,7 +304,7 @@ class TestFieldSample:
             assert np.abs(vv - v).max() <= 1e-12
         y = np.concatenate([[0.0, 1.0], np.linspace(0.05, 0.95, 19)]) * s.H
         x = np.full_like(y, s.T)
-        assert np.all(region1_seed_offset(x, y, s.T, s.H) == 0.0)
+        assert np.all(region1_seed_offset(x, y, s.T) == 0.0)
         u1, u2, vv = crosstie_field_sample(s, x, y)
         assert np.all(u1 == 1.0) and np.all(u2 == 0.0) and np.all(vv == 0.0)
 

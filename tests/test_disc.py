@@ -27,11 +27,11 @@ def sol():
 
 class TestTangential:
     def test_zero_energy_exact(self):
-        eb = eval_E0_piecewise(tangential_solution(1.0), Params(L=1.0))
+        eb = eval_E0_piecewise(tangential_solution(), Params(L=1.0))
         assert eb.total == 0.0
 
     def test_characteristics_are_radii(self):
-        fam = tangential_solution(2.0).families[0]
+        fam = tangential_solution().families[0].scaled(2.0)
         x, y, th, v = fam.point(np.asarray(0.3), np.asarray(1.0))
         # marching inward along the radius through angle 0.3
         assert np.all(v == 0.0)
@@ -39,7 +39,7 @@ class TestTangential:
         assert math.atan2(float(y), float(x)) == pytest.approx(0.3, abs=1e-14)
 
     def test_transport_residual_zero(self):
-        rep = criticality_residuals(tangential_solution(1.0), Params(L=1.0))
+        rep = criticality_residuals(tangential_solution(), Params(L=1.0))
         assert rep.bulk_transport == 0.0
 
 
@@ -110,7 +110,7 @@ class TestRegionSolvers:
             assert F0 == pytest.approx(-2 * math.cos(arg) ** 2, abs=1e-12)
             assert F0 < 0
         # the solver asserts the bracket signs internally
-        region2_v0(np.array([0.05, 0.2, 0.4]), R, L)
+        region2_v0(np.array([0.05, 0.2, 0.4]) / R, L / R)
 
     def test_region2_scan_oracle(self):
         s = 0.2
@@ -120,7 +120,7 @@ class TestRegionSolvers:
         A = math.sqrt(2) * ((R * ps + 1) * sinf - R * ps)
         F = A * A - np.sqrt(np.maximum(1 - (L * ps) ** 2, 0)) - 1
         k = np.nonzero(np.sign(F[:-1]) != np.sign(F[1:]))[0][0]
-        root = region2_v0(s, R, L)
+        root = region2_v0(s / R, L / R) / R
         assert abs(root - ps[k]) < 1e-5
         Aroot = math.sqrt(2) * ((R * root + 1) * sinf - R * root)
         assert abs(Aroot ** 2 - math.sqrt(1 - (L * root) ** 2) - 1) < 1e-10
@@ -130,7 +130,7 @@ class TestRegionSolvers:
         v3 = region3_v0(s3, L)
         assert np.all(np.diff(v3) > 0)
         s2 = np.linspace(1e-4, math.pi * R / 4 * (1 - 1e-6), 512)
-        v2 = region2_v0(s2, R, L)
+        v2 = region2_v0(s2 / R, L / R)
         assert np.all(np.diff(v2) > 0)
 
 
@@ -142,8 +142,8 @@ class TestConstruction:
         # arcs of curvature -1/R centred on the x-axis
         fam = sol.region1
         s = 0.45
-        ts = float(fam.seed(s)[4])
-        x, y, _, v = fam.point(np.full(9, s), np.linspace(0, ts, 9))
+        ts = float(fam.seed(s / R)[4])
+        x, y, _, v = fam.point(np.full(9, s / R), np.linspace(0, ts, 9))
         assert np.all(v == -1 / R)
         cx = s + R
         assert np.abs(np.hypot(x - cx, y) - R).max() < 1e-12
@@ -204,9 +204,9 @@ class TestConstruction:
             quad += family_bulk_integral(fam, s_panels=48, order=6)
         r = np.sqrt(np.random.default_rng(0).uniform(0, R * R, 200000))
         phi = np.random.default_rng(1).uniform(0, math.pi / 4, 200000)
-        _, _, vmc = _octant_eval_batch(sol, r * np.cos(phi) * (1 - 1e-12),
-                                       np.minimum(r * np.sin(phi),
-                                                  r * np.cos(phi)) * (1 - 1e-12))
+        _, _, vmc = deg_minus_one_sample(sol, r * np.cos(phi) * (1 - 1e-12),
+                                         np.minimum(r * np.sin(phi),
+                                                    r * np.cos(phi)) * (1 - 1e-12))
         mc = float(np.mean(vmc ** 2)) * math.pi * R * R / 8
         assert quad == pytest.approx(mc, rel=5e-3)
 
@@ -265,7 +265,7 @@ class TestFieldEval:
             x, y, th, v = fam.point(ss, tt)
             ok = (y >= 1e-9) & (y <= x * (1 - 1e-12)) \
                 & (x ** 2 + y ** 2 <= R * R * (1 - 1e-10))
-            u1, u2, vv = _octant_eval_batch(sol, x[ok], y[ok])
+            u1, u2, vv = deg_minus_one_sample(sol, x[ok], y[ok])
             assert np.abs(vv - v[ok]).max() < 1e-8
 
 
@@ -303,10 +303,10 @@ def test_sample_folds_as_float_sign_arrays(sol):
     sx, sy = np.where(y < 0, -1.0, 1.0), np.where(x < 0, -1.0, 1.0)
     ax, ay = np.abs(x), np.abs(y)
     diag = ay > ax
-    u1o, u2o, vo = _octant_eval_batch(sol, np.where(diag, ay, ax),
-                                      np.where(diag, ax, ay))
+    u1o, u2o, vo = _octant_eval_batch(sol, np.where(diag, ay, ax) / R,
+                                      np.where(diag, ax, ay) / R)
     expected = (np.where(diag, -u2o, u1o) * sy, np.where(diag, -u1o, u2o) * sx,
-                np.where(diag, -vo, vo))
+                np.where(diag, -vo, vo) / R)
     for got, want in zip(deg_minus_one_sample(sol, x, y), expected):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -333,9 +333,9 @@ def test_sample_solves_no_seam_constant(sol, monkeypatch):
     """Region III's terminal arc, the seam the sampler tests points against,
     is solved once per build, to the floats a per-call solve gives."""
     from nematic_walls import disc
-    mu0 = math.sin(float(disc._region3_phi(sol.s0, L)))
+    mu0 = math.sin(float(disc._region3_phi(math.sqrt(2.0) - 1.0, L / R)))
     assert sol.mu0 == mu0
-    assert sol.v_end == float(disc.region3_seed_of_mu(mu0, L)[3])
+    assert sol.v_end == float(disc.region3_seed_of_mu(mu0, L / R)[3])
     monkeypatch.setattr(disc, "_region3_phi", None)
     u1, _, _ = deg_minus_one_sample(sol, *_fold_points())
     assert np.isfinite(u1).all()

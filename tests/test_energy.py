@@ -286,7 +286,7 @@ def test_hedgehog_E0_matches_finite_difference_reference(sign):
 
 
 def test_tangential_E0_matches_finite_difference_reference():
-    field = disc.tangential_solution(1.0)
+    field = disc.tangential_solution()
     eb = eval_E0_piecewise(field, Params(L=2.0))
     assert eb.total == reference_E0(field, Params(L=2.0))[0] == 0.0
 
@@ -307,7 +307,7 @@ def _construction(kind, value):
                 Params(L=value, R=0.6), dict(s_panels=48, order=8))
     if kind == "hedgehog":
         return hedgehog_solution(value), Params(L=2.0), {}
-    return disc.tangential_solution(value), Params(L=2.0), {}
+    return disc.tangential_solution(), Params(L=2.0), {}
 
 
 @pytest.mark.parametrize("kind, value", CONSTRUCTIONS)
@@ -323,6 +323,27 @@ def test_E0_matches_grid_quadrature(kind, value):
     total = bulk + eb.wall_interior + eb.wall_boundary
     assert abs(eb.bulk_div - bulk) <= 1e-13 * abs(bulk)
     assert abs(eb.total - total) <= 1e-13 * abs(total)
+
+
+@pytest.mark.parametrize("kind, ratio",
+                         [("crosstie", lh) for lh in (0.6, 1.2195, 2.0)]
+                         + [("deg_minus_one", lr) for lr in (1 / 6, 5 / 6)])
+def test_E0_depends_on_the_ratio_alone(kind, ratio):
+    """x -> k x maps a construction at length scale 1 onto one at scale k,
+    with E0 times k: the cross-tie's energy per length at height H = k and
+    the degree -1 E0/R at radius R = k, with L = ratio k, equal their
+    values at k = 1 to 1e-12 relative from k = 1e-6 to 1e3."""
+    def per_scale(k):
+        if kind == "crosstie":
+            sol = crosstie.build_crosstie(ratio * k, k)
+            return crosstie.crosstie_energy_per_length(sol)
+        sol = disc.build_deg_minus_one(k, ratio * k)
+        return eval_E0_piecewise(sol.field, Params(L=ratio * k, R=k),
+                                 s_panels=48).total / k
+
+    unit = per_scale(1.0)
+    for k in (1e-6, 1e-3, 1e3):
+        assert per_scale(k) == pytest.approx(unit, rel=1e-12, abs=0), k
 
 
 @pytest.mark.parametrize("kind, value",
@@ -496,7 +517,7 @@ def _lattice(kind):
     elif kind == "annulus_boundary":
         field, r = annulus.boundary_wall_solution(2.0, 1.0).field, (1.0, 2.0)
     elif kind == "tangential":
-        field, r = disc.tangential_solution(1.0), (0.05, 1.0)
+        field, r = disc.tangential_solution(), (0.05, 1.0)
     else:
         field, r = hedgehog_solution(+1), (0.05, 1.0)
     rr, phi = np.meshgrid(np.linspace(*r, 5), np.linspace(0.1, 6.0, 4))
@@ -515,7 +536,7 @@ def test_sample_returns_unit_directors_of_the_input_shape(kind):
     assert np.abs(np.hypot(u1, u2) - 1.0).max() <= 1e-14
 
 
-@pytest.mark.parametrize("field", [disc.tangential_solution(1.0),
+@pytest.mark.parametrize("field", [disc.tangential_solution(),
                                    hedgehog_solution(+1),
                                    hedgehog_solution(-1)])
 def test_sample_rejects_the_origin(field):

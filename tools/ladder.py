@@ -59,6 +59,13 @@ LADDER: List[Tuple[str, List[str]]] = [
        ["crosstie", "--H", "1", "--L", lh, "--nx", "96", "--ny", "128"])
       for lh in ("1.0", "1.125", "1.25", "1.375", "1.5", "1.625", "1.75",
                  "1.875", "2.0")],
+    # a cross-tie off unit scale by a factor that is not a power of two, so
+    # that mapping its unit build rounds; the degree -1 disc's unit build
+    ("crosstie/H0.37-L0.45",
+     ["crosstie", "--H", "0.37", "--L", "0.45", "--nx", "96", "--ny", "128"]),
+    ("disc-deg-minus-one/R1-L0.5",
+     ["disc-deg-minus-one", "--R", "1", "--L", "0.5", "--nx", "128",
+      "--ny", "256"]),
     ("crosstie-sweep",
      ["crosstie-sweep", "--H", "1", "--lmin", "1.0", "--lmax", "2.2",
       "--step", "0.3"]),
