@@ -133,9 +133,12 @@ def region2_theta_star_residual(s2, theta_star, alpha: float, L: float):
 
 @dataclass
 class CrossTieSolution:
+    """The cell at height H; T_tilde, alpha_tilde and the seeds' s at H = 1."""
+
     L: float
     H: float
     T_tilde: float
+    alpha_tilde: float
     T: float
     alpha: float
     t1_star: float
@@ -161,8 +164,7 @@ class CrossTieSolution:
 
 
 def build_crosstie(L: float, H: float) -> CrossTieSolution:
-    """Assemble the three families and both walls on the quarter cell at
-    H = 1 and L/H, scaled to H on return (walls: H times knots, v/H)."""
+    """The quarter cell's families and walls, built at H = 1 from L/H."""
     if L <= 0 or H <= 0:
         raise ValueError("L, H > 0 required")
     lam, T = L / H, cell_ttilde(L, H)
@@ -204,15 +206,9 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
 
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star))
 
-    # --- walls: region III's seeds on the bottom wall; the arrivals of III
-    # (y < T) and II (y > T) on the left wall
+    # --- walls: the arrivals of III (y < T) and II (y > T) on the left
+    # wall; region III's seeds, scaled with the families, on the bottom wall
     n_w = 1024
-    xs = np.linspace(0.0, T, n_w)
-    _, _, thb, v3, _ = region3_seed(xs, lam)
-    xw = H * xs
-    wall_bottom = mirror_wall(np.stack([xw, np.zeros_like(xw)], axis=-1), xw,
-                              thb, v3 / H, [0.0, -1.0])
-
     _, y3, th3, v3a = fam3.arrival(np.linspace(0.0, T, n_w // 2 + 1))
     # region II's arrivals from one theta* solve, whose last node, the
     # vortex, gives the sampler's bracket end
@@ -224,10 +220,13 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
                             np.concatenate([th3, th2]),
                             np.concatenate([v3a, v2a]) / H, [-1.0, 0.0])
-    balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
 
     fam1, fam2, fam3 = (f.scaled(H) for f in (fam1, fam2, fam3))
-    sol = CrossTieSolution(L=L, H=H, T_tilde=T, T=H * T,
+    xw, _, thb, v3, _ = fam3.seed(np.linspace(0.0, T, n_w))
+    wall_bottom = mirror_wall(np.stack([xw, np.zeros_like(xw)], axis=-1), xw,
+                              thb, v3, [0.0, -1.0])
+    balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
+    sol = CrossTieSolution(L=L, H=H, T_tilde=T, alpha_tilde=alpha, T=H * T,
                            alpha=alpha / H, t1_star=H * t1_star,
                            theta_star_end=float(beta2[-1]),
                            region1=fam1, region2=fam2, region3=fam3,
@@ -253,7 +252,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     if res > 1e-8:
         raise RuntimeError(f"region-II theta* residual {res:.3e} exceeds 1e-8")
     # terminal region III characteristic must arrive at (0, T)
-    if abs(float(y3[-1]) - T) > 1e-8 * max(T, 1.0):
+    if abs(float(y3[-1]) - T) > 1e-8:
         raise RuntimeError(f"terminal arrival y/H = {y3[-1]} != T/H = {T}")
     return sol
 
@@ -349,8 +348,7 @@ def _quarter_eval_batch(sol: CrossTieSolution, x, y):
     bracket end gets its residual with the sign the region requires, or 0
     where it rounds to the other sign, and a 0 end is the root.
     """
-    L, T = sol.L / sol.H, sol.T_tilde
-    alpha = 2.0 * T / (T * T + 1.0)  # the build's, to the bit
+    L, T, alpha = sol.L / sol.H, sol.T_tilde, sol.alpha_tilde
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     theta = np.empty(x.shape)
@@ -398,8 +396,8 @@ def crosstie_field_sample(sol: CrossTieSolution, x, y):
     """Vectorized (u1, u2, v) on the period cell via quarter-cell
     reflections: u1 flips across y = 0, u2 flips across x = T (both flip
     the divergence sign); x is reduced modulo the period 2T.  The folded
-    point over H is evaluated in the unit cell, and v is divided by H.
-    The reflections are kept as boolean masks and undone in place."""
+    point over H is evaluated at H = 1, then v is divided by H; the
+    reflections are boolean masks, undone in place."""
     T, H = sol.T, sol.H
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))
@@ -410,8 +408,10 @@ def crosstie_field_sample(sol: CrossTieSolution, x, y):
     flip2 = x > T
     y = np.minimum(np.abs(y), H)
     np.subtract(2.0 * T, x, out=x, where=flip2)
+    vortex_line = x == T  # T/H may round off T~; x < T maps below it
     x /= H
     y /= H
+    x[vortex_line] = sol.T_tilde
     theta, v = _quarter_eval_batch(sol, x, y)
     del x, y
     v /= H

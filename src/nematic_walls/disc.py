@@ -194,7 +194,8 @@ def _theta_star_from_cosminussin(val):
 
 @dataclass
 class DegMinusOneSolution:
-    """Octant construction of the degree -1 critical point."""
+    """Octant construction of the degree -1 critical point at radius R; the
+    families' seed parameter s, mu0 and v_end are the unit disc's."""
 
     R: float
     L: float
@@ -205,8 +206,8 @@ class DegMinusOneSolution:
     field: PiecewiseCriticalField
     # energy.wall_balance of the diagonal, which the build checks
     wall_balance: float
-    # mu = sin(phi) and unit-disc curvature R v of region III's terminal
-    # arc, which region II's first arc continues: the sampler's seam
+    # mu = sin(phi) and curvature of region III's terminal arc, which
+    # region II's first arc continues: the sampler's seam
     mu0: float
     v_end: float
 
@@ -264,8 +265,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     xw = R * np.concatenate([x3, x2])
     # the diagonal's wall rule: the reflection across y = x, which flips v
     jump = mirror_wall(np.stack([xw, xw], axis=-1), SQRT2 * xw,
-                       np.concatenate([th3, th2]),
-                       np.concatenate([v3, v2]) / R,
+                       np.concatenate([th3, th2]), np.concatenate([v3, v2]) / R,
                        np.array([-1.0, 1.0]) / SQRT2)
     balance = wall_balance(jump, L)
 
@@ -313,7 +313,7 @@ def _octant_eval_batch(sol: DegMinusOneSolution, x, y):
     # region I: the circle of radius 1 through the point, centred on the
     # x-axis at sI + 1
     sI = x - 1.0 + np.sqrt(np.maximum(1.0 - y * y, 0.0))
-    m1 = sI >= SQRT2 - 1.0
+    m1 = sI >= sol.region1.s_range[0]
     del sI
     theta[m1] = -np.arcsin(np.clip(y[m1], -1.0, 1.0))
     v[m1] = -1.0
@@ -349,8 +349,8 @@ def deg_minus_one_sample(sol: DegMinusOneSolution, x, y):
     Axis reflections mirror u and preserve v; the diagonal reflection uses
     the wall rule u -> (2 nu x nu - I) u and flips the sign of v.  Points
     exactly on a diagonal get the trace of the octant side they round into.
-    The folded point over R is evaluated in the unit disc, and v is divided
-    by R.  The reflections are kept as boolean masks and undone in place.
+    The folded point over R is evaluated at R = 1, then v is divided by R;
+    the reflections are boolean masks, undone in place.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(y, dtype=float))

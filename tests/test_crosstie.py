@@ -284,19 +284,22 @@ class TestFieldSample:
         assert np.abs(u1 - 1.0).max() < 1e-3
         assert np.abs(u2).max() < 1e-3
 
-    @pytest.mark.parametrize("lh", [1.0, 1.25, 2.0])
-    def test_roundtrip_region1_near_vortex_line(self, lh):
+    @pytest.mark.parametrize("lh, H", [(1.0, 1.0), (1.25, 1.0), (2.0, 1.0),
+                                       (0.6, 0.37)],
+                             ids=["1.0", "1.25", "2.0", "0.6-H0.37"])
+    def test_roundtrip_region1_near_vortex_line(self, lh, H):
         """Arcs seeded d = T - s from x = T, mapped forward and back: the
         seed offset, u and v come back to roundoff down to d = 1e-10, and
         the line x = T itself, the vortex (T, 0) and (T, H) included, is
-        the arc s = T."""
-        s = build_crosstie(lh, 1.0)
+        the arc s = T.  At H = 0.37, T/H rounds off the unit cell's T~
+        (the family's s and `region1_seed_offset` are the unit cell's)."""
+        s = build_crosstie(lh * H, H)
         fam = s.region1
         for d in 10.0 ** -np.arange(2, 11):
-            ss = np.full(9, s.T - d)
+            ss = np.full(9, s.T_tilde - d)
             tt = np.linspace(0.1, 0.9, 9) * fam.seed(ss)[4]
             x, y, th, v = fam.point(ss, tt)
-            back = s.T - region1_seed_offset(x, y, s.T)
+            back = s.T_tilde - region1_seed_offset(x / H, y / H, s.T_tilde)
             assert np.abs(back - ss).max() <= 1e-12
             u1, u2, vv = crosstie_field_sample(s, x, y)
             assert np.abs(u1 - np.cos(th)).max() <= 1e-12
@@ -304,7 +307,8 @@ class TestFieldSample:
             assert np.abs(vv - v).max() <= 1e-12
         y = np.concatenate([[0.0, 1.0], np.linspace(0.05, 0.95, 19)]) * s.H
         x = np.full_like(y, s.T)
-        assert np.all(region1_seed_offset(x, y, s.T) == 0.0)
+        assert np.all(region1_seed_offset(np.full_like(y, s.T_tilde), y / H,
+                                          s.T_tilde) == 0.0)
         u1, u2, vv = crosstie_field_sample(s, x, y)
         assert np.all(u1 == 1.0) and np.all(u2 == 0.0) and np.all(vv == 0.0)
 

@@ -257,7 +257,7 @@ def test_deg_minus_one_seeds_invert_their_curvatures(L):
     """The closed-form seeds of regions III (in mu = sin phi) and II (in
     v) return the seed parameter s of `region3_v0`'s and `region2_v0`'s
     roots to 8e-13 R and 3.7e-12 R."""
-    R = 1.0
+    R = 0.6
     s0 = (math.sqrt(2.0) - 1.0) * R
     s3 = np.linspace(0.0, s0, 513)
     mu = np.sin(disc._region3_phi(s3, L))
@@ -265,10 +265,11 @@ def test_deg_minus_one_seeds_invert_their_curvatures(L):
     assert np.max(np.abs(x0 - s3)) <= 8e-13 * R
     assert np.max(np.abs(v0 - disc.region3_v0(s3, L))) <= 1e-13 / L
     s2 = np.linspace(0.0, 0.25 * math.pi * R, 513)
-    x0, y0, th0, _ = disc.region2_seed_of_v(disc.region2_v0(s2, L), L)
+    x0, y0, th0, _ = disc.region2_seed_of_v(disc.region2_v0(s2 / R, L / R),
+                                            L / R)
     assert np.max(np.abs(th0 + s2 / R)) <= 3.7e-12  # theta0 = -s/R
-    assert np.max(np.hypot(x0 - (math.sqrt(2.0) * R - R * np.cos(s2 / R)),
-                           y0 - R * np.sin(s2 / R))) <= 3.7e-12 * R
+    assert np.max(np.hypot(R * x0 - (math.sqrt(2.0) * R - R * np.cos(s2 / R)),
+                           R * y0 - R * np.sin(s2 / R))) <= 3.7e-12 * R
 
 
 def _lattice(fam, taus, n=24):
@@ -301,10 +302,10 @@ def test_deg_minus_one_sampler_lattice_roundtrip(L):
     """At points on every degree -1 family's arcs, the sampler returns the
     arc's angle and curvature: 5e-11 on the arcs' bulk, 2e-9 within
     tau < 0.05 of the seam they are seeded on."""
-    sol = disc.build_deg_minus_one(1.0, L / 0.6)
+    sol = disc.build_deg_minus_one(0.6, L)
 
     def sample(x, y):
-        u1, u2, v = disc._octant_eval_batch(sol, x, y)
+        u1, u2, v = disc.deg_minus_one_sample(sol, x, y)
         return np.arctan2(u2, u1), v
 
     for fam in (sol.region1, sol.region2, sol.region3):
@@ -420,5 +421,5 @@ def test_deg_minus_one_sampler_at_its_seams(L):
     s_end, _, _, v_end = (float(z) for z in disc.region3_seed_of_mu(mu0, L))
     for circle in ((sol.s0 + R, 0.0, R), (s_end - 1 / v_end, 0.0, -1 / v_end)):
         x, y = _off_seam(*_arc_band(*circle, inside, rng), R)
-        u1, u2, _ = disc._octant_eval_batch(sol, x / R, y / R)
+        u1, u2, _ = disc.deg_minus_one_sample(sol, x, y)
         _assert_continuous(np.arctan2(u2, u1))
