@@ -8,9 +8,9 @@ lines when v = 0).  Every construction in this package is a small number of
 one-parameter families of such arcs plus an explicit jump set.
 
 Convention: arcs are marched along +u^perp, so the parameter t is arclength,
-d theta/dt = v0 and the stored v0 is the physical divergence carried by the
-arc.  Positions have one formula, `arc_xy`, in the cancellation-free sinc
-form, which is exact in the straight-line limit v0 -> 0.
+d theta/dt = v0 and the stored v0 is the divergence carried by the arc.
+Positions have one formula, `arc_xy`, in the cancellation-free sinc form,
+which is exact in the straight-line limit v0 -> 0.
 
 A family is one function, its seed: s -> (x0, y0, theta0, v0, t*), the
 arc's foot, angle and divergence there, and its terminal parameter.  What
@@ -179,14 +179,6 @@ class CharacteristicFamily:
         x0, y0, th0, v0, ts = self.seed(np.asarray(s, dtype=float))
         x, y, theta = arc_xy(x0, y0, th0, v0, ts)
         return x, y, theta, v0
-
-    def scaled(self, k: float) -> "CharacteristicFamily":
-        """The family under x -> k x in the same s: feet, t* times k, v0/k."""
-        def seed(s):
-            x0, y0, th0, v0, ts = self.seed(s)
-            return k * x0, k * y0, th0, v0 / k, k * ts
-
-        return CharacteristicFamily(seed=seed, s_range=self.s_range)
 
 
 def arc_jacobian(theta0, v0, x0_s, y0_s, theta0_s, v0_s, t):
@@ -364,9 +356,10 @@ class PiecewiseCriticalField:
     """Critical point of the wall-energy functional: characteristic families
     plus an explicit jump set.
 
-    sample: vectorized (x, y) -> (u1, u2, v) arrays of the broadcast shape
-    of x and y, the one pointwise evaluation of the field; the disc and
-    annulus samplers raise ValueError off their domains.
+    families and jumps are the unit-scale build; the field is its image
+    under x -> scale x.  sample: vectorized (x, y) -> (u1, u2, v) arrays of
+    the broadcast shape of x and y, the one pointwise evaluation of the
+    field; the disc and annulus samplers raise ValueError off their domains.
     """
 
     families: List[CharacteristicFamily]
@@ -374,3 +367,4 @@ class PiecewiseCriticalField:
     sample: Callable
     symmetry_copies: int = 1  # bulk integral multiplier (reflection copies)
     wall_multiplier: float = 1.0
+    scale: float = 1.0

@@ -30,7 +30,7 @@ region III's seeds, the left wall through the arrivals of III (y < T) and
 II (y > T), which `CharacteristicFamily.arrival` reads off their seeds.
 Their traces satisfy L v + sin(2 theta) = 0, which is
 `energy.wall_balance` (its value is twice |L v + sin 2 theta|); the build
-checks it once and stores it as `wall_balance`.
+checks it once, at L/H, and stores it as `wall_balance`.
 """
 
 from __future__ import annotations
@@ -133,15 +133,13 @@ def region2_theta_star_residual(s2, theta_star, alpha: float, L: float):
 
 @dataclass
 class CrossTieSolution:
-    """The cell at height H; T_tilde, alpha_tilde and the seeds' s at H = 1."""
+    """The cell at height H as its H = 1 build (T_tilde, alpha_tilde, the
+    families, the walls) and its field, whose scale is H."""
 
     L: float
     H: float
     T_tilde: float
     alpha_tilde: float
-    T: float
-    alpha: float
-    t1_star: float
     # theta* of region II's last arc, seeded at the vortex (s = t1*): the
     # sampler's bracket end
     theta_star_end: float
@@ -154,12 +152,17 @@ class CrossTieSolution:
     # energy.wall_balance of the two walls, which the build checks
     wall_balance: float
 
+    # the cell's T, alpha and t1* at height H
+    T = property(lambda self: self.H * self.T_tilde)
+    alpha = property(lambda self: self.alpha_tilde / self.H)
+    t1_star = property(lambda self: self.H * self.region2.s_range[1])
+
     @property
     def tangency_mismatch(self) -> float:
         """Angle gap at (T, 0) between the terminal arcs of families I and
         III (what the period equation enforces)."""
-        theta_e = self.alpha * self.t1_star
-        theta_b = float(region3_seed(self.T, self.L)[2])
+        theta_e = self.alpha_tilde * self.region2.s_range[1]
+        theta_b = float(region3_seed(self.T_tilde, self.L / self.H)[2])
         return abs(theta_e - theta_b)
 
 
@@ -207,7 +210,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     fam2 = CharacteristicFamily(seed=seed2, s_range=(0.0, t1_star))
 
     # --- walls: the arrivals of III (y < T) and II (y > T) on the left
-    # wall; region III's seeds, scaled with the families, on the bottom wall
+    # wall; region III's seeds on the bottom wall
     n_w = 1024
     _, y3, th3, v3a = fam3.arrival(np.linspace(0.0, T, n_w // 2 + 1))
     # region II's arrivals from one theta* solve, whose last node, the
@@ -216,18 +219,15 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     beta2 = region2_theta_star(s2, alpha, lam)
     x0, y0, th0, v2a, ts = seed2_of(s2, beta2)
     _, y2, th2 = arc_xy(x0, y0, th0, v2a, ts)
-    yw = H * np.concatenate([y3, y2])
+    yw = np.concatenate([y3, y2])
     wall_left = mirror_wall(np.stack([np.zeros_like(yw), yw], axis=-1), yw,
                             np.concatenate([th3, th2]),
-                            np.concatenate([v3a, v2a]) / H, [-1.0, 0.0])
-
-    fam1, fam2, fam3 = (f.scaled(H) for f in (fam1, fam2, fam3))
+                            np.concatenate([v3a, v2a]), [-1.0, 0.0])
     xw, _, thb, v3, _ = fam3.seed(np.linspace(0.0, T, n_w))
     wall_bottom = mirror_wall(np.stack([xw, np.zeros_like(xw)], axis=-1), xw,
                               thb, v3, [0.0, -1.0])
-    balance = max(wall_balance(w, L) for w in (wall_bottom, wall_left))
-    sol = CrossTieSolution(L=L, H=H, T_tilde=T, alpha_tilde=alpha, T=H * T,
-                           alpha=alpha / H, t1_star=H * t1_star,
+    balance = max(wall_balance(w, lam) for w in (wall_bottom, wall_left))
+    sol = CrossTieSolution(L=L, H=H, T_tilde=T, alpha_tilde=alpha,
                            theta_star_end=float(beta2[-1]),
                            region1=fam1, region2=fam2, region3=fam3,
                            wall_left=wall_left, wall_bottom=wall_bottom,
@@ -239,7 +239,7 @@ def build_crosstie(L: float, H: float) -> CrossTieSolution:
     sol.field = PiecewiseCriticalField(
         families=[fam1, fam2, fam3], jumps=[wall_left, wall_bottom],
         sample=lambda x, y: crosstie_field_sample(cell, x, y),
-        symmetry_copies=4, wall_multiplier=2.0)
+        symmetry_copies=4, wall_multiplier=2.0, scale=H)
 
     if sol.tangency_mismatch > 1e-9:
         raise RuntimeError(f"tangency mismatch {sol.tangency_mismatch:.3e} "

@@ -23,7 +23,8 @@ Angles in the octant lie in [-pi/4, 0].  The diagonal is a
 `CharacteristicFamily.arrival` reads off their seeds; its
 traces satisfy L v + cos(2 theta) = 0, the form `energy.wall_balance`
 takes under the diagonal's reflection (its value is twice |L v + cos 2
-theta|).  The build checks it once and stores it as `wall_balance`.
+theta|).  The build checks it once, at L/R, and stores it as
+`wall_balance`.
 """
 
 from __future__ import annotations
@@ -194,12 +195,12 @@ def _theta_star_from_cosminussin(val):
 
 @dataclass
 class DegMinusOneSolution:
-    """Octant construction of the degree -1 critical point at radius R; the
-    families' seed parameter s, mu0 and v_end are the unit disc's."""
+    """Octant construction of the degree -1 critical point at radius R as
+    its R = 1 build (the families, mu0, v_end) and its field, whose scale
+    is R; s0 is the disc's at R."""
 
     R: float
     L: float
-    s0: float
     region1: CharacteristicFamily
     region2: CharacteristicFamily
     region3: CharacteristicFamily
@@ -211,6 +212,8 @@ class DegMinusOneSolution:
     mu0: float
     v_end: float
 
+    s0 = property(lambda self: self.R * self.region1.s_range[0])
+
 
 def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSolution:
     """Assemble the three families and the diagonal wall on one octant.
@@ -218,7 +221,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     Seeds are evaluated exactly (vectorized root solves) rather than
     sampled and interpolated; the wall polyline carries about n_wall
     vertices, the arrivals of regions III and II, with `mirror_wall`'s
-    monotone-cubic traces between them.  Built at R = 1, scaled to R.
+    monotone-cubic traces between them.  Built at R = 1.
     """
     if R <= 0 or L <= 0:
         raise ValueError("R, L > 0 required")
@@ -262,17 +265,17 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     x3, _, th3, v3 = fam3.arrival(np.linspace(0.0, s0, n_wall // 2 + 1))
     x2, _, th2, v2 = fam2.arrival(np.linspace(0.0, s2_max,
                                               n_wall // 2 + 1)[1:])
-    xw = R * np.concatenate([x3, x2])
+    xw = np.concatenate([x3, x2])
     # the diagonal's wall rule: the reflection across y = x, which flips v
     jump = mirror_wall(np.stack([xw, xw], axis=-1), SQRT2 * xw,
-                       np.concatenate([th3, th2]), np.concatenate([v3, v2]) / R,
+                       np.concatenate([th3, th2]), np.concatenate([v3, v2]),
                        np.array([-1.0, 1.0]) / SQRT2)
-    balance = wall_balance(jump, L)
+    balance = wall_balance(jump, lam)
 
     mu0 = math.sin(float(_region3_phi(s0, lam)))
-    sol = DegMinusOneSolution(R=R, L=L, s0=R * s0, region1=fam1.scaled(R),
-                              region2=fam2.scaled(R), region3=fam3.scaled(R),
-                              field=None, wall_balance=balance, mu0=mu0,
+    sol = DegMinusOneSolution(R=R, L=L, region1=fam1, region2=fam2,
+                              region3=fam3, field=None, wall_balance=balance,
+                              mu0=mu0,
                               v_end=float(region3_seed_of_mu(mu0, lam)[3]))
     # the sampler holds a copy of sol without the field: sol -> field ->
     # sampler -> sol would be a reference cycle, which keeps every
@@ -281,7 +284,7 @@ def build_deg_minus_one(R: float, L: float, n_wall: int = 1024) -> DegMinusOneSo
     sol.field = PiecewiseCriticalField(
         families=[sol.region1, sol.region2, sol.region3], jumps=[jump],
         sample=lambda x, y: deg_minus_one_sample(cell, x, y),
-        symmetry_copies=8, wall_multiplier=4.0)
+        symmetry_copies=8, wall_multiplier=4.0, scale=R)
 
     if balance > 1e-8:
         raise RuntimeError(f"wall balance {balance:.3e} exceeds 1e-8")

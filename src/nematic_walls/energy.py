@@ -18,7 +18,7 @@ The evaluators here:
   is no t-rule.  The seed is evaluated once per family, on the s-nodes
   (which give each arc's t*) and s +- ds stacked.  Walls are
   cubic-jump line integrals over the stored jump segments, with the traces
-  at the quadrature nodes from each segment's trace_fn.
+  at the quadrature nodes from each segment's trace_fn, times field.scale.
 * eval_E0_1d: the limiting energy of a y-only profile on the rectangle.
 * wall_balance: the natural condition of a wall, L [div u] =
   4 (u.nu) |u.tau|, in signed form on a jump segment's vertex traces and
@@ -114,8 +114,10 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
     """Limiting energy of an assembled critical field.
 
     bulk = (L/2) * symmetry_copies * sum_f integral v0^2 |J|
-    walls = wall_multiplier * cubic jump integrals (interior), plus the
-    boundary term for segments flagged boundary (trace_minus = g there).
+    walls = scale * wall_multiplier * cubic jump integrals (interior), plus
+    the boundary term for segments flagged boundary (trace_minus = g there).
+    On the unit build, the bulk keeps its value under x -> scale x, L ->
+    scale L, and the walls' lengths are times scale.
     """
     bulk = 0.0
     for fam in field.families:
@@ -125,7 +127,7 @@ def eval_E0_piecewise(field: PiecewiseCriticalField, params: Params, *,
     wall_int = 0.0
     wall_bdy = 0.0
     for seg in field.jumps:  # each validated when it was built
-        w = wall_energy(seg) * field.wall_multiplier
+        w = wall_energy(seg) * field.wall_multiplier * field.scale
         if seg.boundary:
             wall_bdy += w
         else:
@@ -238,7 +240,8 @@ def eval_E0_1d(profile, params: Params) -> EnergyBreakdown:
 
 @dataclass
 class CriticalityReport:
-    """Sup-norm residuals of the free-boundary criticality conditions.
+    """Sup-norm residuals of the free-boundary criticality conditions of
+    a field's unit build, at L / scale (lengths in units of the scale).
 
     bulk_transport : u^perp . grad(div u) on family interiors
     wall_balance   : `wall_balance` on interior jumps
@@ -293,9 +296,9 @@ def _seg_geometry(seg: JumpSegment):
 def _bulk_transport_residual(field: PiecewiseCriticalField):
     """sup |u^perp . grad v| over a RESIDUAL_NS x RESIDUAL_NT lattice of
     each family: v differenced along the arc, between p +- h u^perp with h
-    = RESIDUAL_FD_STEP, from one field.sample call per family.  None when
-    no family has a lattice."""
-    h = RESIDUAL_FD_STEP
+    = RESIDUAL_FD_STEP, from one field.sample call per family (at the
+    scaled points, v times the scale).  None when no family has a lattice."""
+    h, k = RESIDUAL_FD_STEP, field.scale
     taus = np.linspace(0.15, 0.85, RESIDUAL_NT)
     worst = None
     for fam in field.families:
@@ -309,9 +312,9 @@ def _bulk_transport_residual(field: PiecewiseCriticalField):
         x, y, theta, _ = fam.point(np.repeat(ss, taus.size),
                                    np.outer(ts, taus).ravel())
         dx, dy = -h * np.sin(theta), h * np.cos(theta)
-        _, _, v = field.sample(np.concatenate([x + dx, x - dx]),
-                               np.concatenate([y + dy, y - dy]))
-        vp, vm = np.split(np.asarray(v, dtype=float), 2)
+        _, _, v = field.sample(k * np.concatenate([x + dx, x - dx]),
+                               k * np.concatenate([y + dy, y - dy]))
+        vp, vm = np.split(k * np.asarray(v, dtype=float), 2)
         m = float(np.abs(vp - vm).max()) / (2 * h)
         worst = m if worst is None else max(worst, m)
     return worst
@@ -324,10 +327,11 @@ def _max(a: Optional[float], b: float) -> float:
 def criticality_residuals(field: PiecewiseCriticalField,
                           params: Params) -> CriticalityReport:
     rep = CriticalityReport(bulk_transport=_bulk_transport_residual(field))
+    L = params.L / field.scale
     for seg in field.jumps:
         if seg.div_plus is None:
             continue
-        balance = wall_balance(seg, params.L)
+        balance = wall_balance(seg, L)
         if seg.boundary:
             rep.boundary_balance = _max(rep.boundary_balance, balance)
             continue
@@ -341,7 +345,7 @@ def criticality_residuals(field: PiecewiseCriticalField,
         dsum = np.gradient(dplus + dminus, arcs)
         tj = np.einsum("ik,ik->i", seg.trace_plus - seg.trace_minus, tau)
         lhs = dplus ** 2 - dminus ** 2 + dsum * tj
-        rhs = (8.0 * kappa / (3.0 * params.L)) * root * (1.0 + 2.0 * un ** 2)
+        rhs = (8.0 * kappa / (3.0 * L)) * root * (1.0 + 2.0 * un ** 2)
         # one-sided endpoint tangents pollute the curvature two vertices in
         inner = slice(2, -2) if len(arcs) > 4 else slice(None)
         rep.wall_stationarity = _max(rep.wall_stationarity,

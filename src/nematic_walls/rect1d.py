@@ -37,9 +37,9 @@ from .rootfind import BracketError, bracketed_root
 
 RECOVERY_WINDOW_POWER = 5.0 / 6.0
 SQRT2M1 = math.sqrt(2.0) - 1.0
-# lengths whose squares are normal floats: E0 on the H-scaled cross-tie
-# forms v0^2 ~ 1/H^2, and its wall fit divides by knot spacings ~ H
-CELL_LENGTHS = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+# lengths L and H at which the cross-tie's divergence, up to 1/min(L, H),
+# and its extent 2H and E0, of order L and H, stay finite when summed
+CELL_LENGTHS = (16.0 / sys.float_info.max, sys.float_info.max / 16.0)
 
 
 @dataclass
@@ -216,15 +216,6 @@ def cell_ttilde(L: float, H: float) -> float:
     for name, length in (("H", H), ("L", L)):
         if not lo <= length <= hi:
             raise ValueError(f"{name} = {length!r} lies outside "
-                             f"[{lo:.4g}, {hi:.4g}], the lengths whose "
-                             "squares the cross-tie's construction forms")
+                             f"[{lo:.4g}, {hi:.4g}], where the cross-tie's "
+                             "divergence and extent stay finite")
     return t_tilde
-
-
-def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:
-    """|L/T - 2/sqrt(Lambda)| for the solved half-period, with
-    zeta = 2x(x^2-1)/(x^2+1)^2, Lambda = (1-2 zeta)/zeta^2, x = H/T."""
-    x = 1.0 / t_tilde
-    zeta = 2.0 * x * (x * x - 1.0) / (x * x + 1.0) ** 2
-    lam = (1.0 - 2.0 * zeta) / (zeta * zeta)
-    return abs(l_over_h / t_tilde - 2.0 / math.sqrt(lam))

@@ -1,6 +1,8 @@
 """Reference quantities the tests check constructions against, with no
 caller in the package."""
 
+import math
+
 import numpy as np
 
 from nematic_walls.characteristics import CharacteristicFamily
@@ -31,3 +33,12 @@ def energy_1d(ys: np.ndarray, u: np.ndarray,
     return EnergyBreakdown(grad_term=0.5 * params.eps * grad,
                            potential_term=pot / (2.0 * params.eps),
                            bulk_div=0.5 * params.L * div)
+
+
+def ttilde_closed_form_check(t_tilde: float, l_over_h: float) -> float:
+    """|L/T - 2/sqrt(Lambda)| for the solved half-period, with
+    zeta = 2x(x^2-1)/(x^2+1)^2, Lambda = (1-2 zeta)/zeta^2, x = H/T."""
+    x = 1.0 / t_tilde
+    zeta = 2.0 * x * (x * x - 1.0) / (x * x + 1.0) ** 2
+    lam = (1.0 - 2.0 * zeta) / (zeta * zeta)
+    return abs(l_over_h / t_tilde - 2.0 / math.sqrt(lam))

@@ -69,3 +69,43 @@ def test_report_names_each_metric(ab):
 def test_single_pair_quartiles(ab):
     (row,) = ab.summarize([({"run_s": 1.0}, {"run_s": 0.5})], METRICS)
     assert row["parent"] == (1.0, 1.0, 1.0) and row["won"] == 1
+
+
+BOUNDED = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "unit": "1/s", "better": "higher",
+            "bound": 0.05}]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (0.37, "within bound"), (0.38, "regression"), (0.20, "within bound")])
+def test_regression_against_the_bound(ab, change, verdict):
+    """The change's median is a regression when it is worse than the
+    parent's by more than the bound, a fraction of the parent's median:
+    0.38 s against 0.30 s is 27 % worse, over the 25 % bound."""
+    pairs = [({"run_s": 0.30}, {"run_s": change}) for _ in range(5)]
+    (row,) = ab.summarize(pairs, BOUNDED)
+    assert row["regression"] == verdict
+    assert ab.report([row]).endswith(f"; {verdict}")
+
+
+def test_regression_higher_is_better(ab):
+    """For a higher-is-better metric, falling by more than the bound is the
+    regression, and rising is not."""
+    for change, verdict in ((9.4, "regression"), (9.6, "within bound"),
+                            (12.0, "within bound")):
+        pairs = [({"ops_per_s": 10.0}, {"ops_per_s": change})] * 5
+        (row,) = ab.summarize(pairs, BOUNDED)
+        assert row["regression"] == verdict, change
+
+
+def test_regression_unresolved_when_the_parent_spreads_wider(ab):
+    """Parent runs whose quartiles lie further apart than the bound leave
+    the verdict unresolved, even where the change's median is far worse;
+    a metric without a bound gets no verdict."""
+    pairs = [({"run_s": 0.2 + 0.05 * k}, {"run_s": 1.0}) for k in range(5)]
+    (row,) = ab.summarize(pairs, BOUNDED)
+    assert row["parent"] == pytest.approx((0.25, 0.3, 0.35))
+    assert row["regression"] == "unresolved"
+    (row,) = ab.summarize(pairs, METRICS)
+    assert row["regression"] is None
+    assert ab.report([row]).endswith("lost 5")

@@ -25,6 +25,7 @@ from nematic_walls import disc
 from nematic_walls import rect1d
 from nematic_walls import gradflow as gf
 from nematic_walls.characteristics import check_foliation
+from oracles import ttilde_closed_form_check
 
 
 def report(num, ok, desc, detail=""):
@@ -134,7 +135,7 @@ def test_criterion_06_period_equation():
     for lh in rng.uniform(0.1, 5.0, 100):
         t = ct.solve_Ttilde(lh)
         worst_res = max(worst_res, abs(float(rect1d.period_equation_residual(t, lh))))
-        worst_cf = max(worst_cf, rect1d.ttilde_closed_form_check(t, lh))
+        worst_cf = max(worst_cf, ttilde_closed_form_check(t, lh))
     t1 = ct.solve_Ttilde(1.0) / 2
     t3 = ct.solve_Ttilde(3.0) / 2
     elapsed = time.time() - t0
@@ -215,7 +216,8 @@ def test_criterion_09_degree_minus_one():
     R, L = 0.6, 0.5
     sol = disc.build_deg_minus_one(R, L)
     _, _, _, v0, _ = sol.region1.seed(np.linspace(*sol.region1.s_range, 64))
-    region1_const = bool(np.all(v0 == -1.0 / R))
+    # the unit disc's family: its divergence over the field's scale R
+    region1_const = bool(np.all(v0 / sol.field.scale == -1.0 / R))
     lim = abs(disc.region3_v0(1e-4, L) + 1.0 / L)
     nbc = sol.wall_balance
     s3 = np.linspace(1e-5, sol.s0, 512)

@@ -175,7 +175,7 @@ def test_malformed_values_exit_2(tmp_path, capsys, argv, reason):
 
 _BRACKET = ("L/H = 1e-300 lies outside the range the tangency relation "
             "brackets")
-_TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
+_TINY_H = "H = 1e-310 lies outside [8.9e-308, 1.124e+307]"
 
 
 @pytest.mark.parametrize("argv, config, reason", [
@@ -192,9 +192,9 @@ _TINY_H = "H = 1e-300 lies outside [1.492e-154, 1.341e+154]"
      _BRACKET),
     (_FLOW + ["--domain", "rect", "--T", "-0.5", "--max-time", "0.01"],
      None, "T >= 0 violated"),
-    (["crosstie-sweep", "--H", "1e-300", "--lmin", "1.0", "--lmax", "1.3",
+    (["crosstie-sweep", "--H", "1e-310", "--lmin", "1.0", "--lmax", "1.3",
       "--step", "0.3"], None, _TINY_H),
-    (["crosstie", "--H", "1e-300", "--L", "1e-300", "--nx", "8", "--ny",
+    (["crosstie", "--H", "1e-310", "--L", "1e-310", "--nx", "8", "--ny",
       "8"], None, _TINY_H),
 ], ids=["disc-H", "crosstie-R", "disc-R-cutoff", "flow-disc-R-cutoff",
         "crosstie-LH", "crosstie-LH-overflow", "flow-construction-LH",
@@ -376,6 +376,24 @@ def test_energy_per_length_is_the_unit_scale_one(tmp_path, argv, unit_argv,
         assert main(args + ["--nx", "8", "--ny", "8", "--out", str(out)]) == 0
         values.append(json.loads((out / "energy.json").read_text())[key])
     assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["crosstie", "--H", "1e-120", "--L", "1.2e-120"],
+    ["crosstie", "--H", "1e110", "--L", "1.2e110"],
+    ["disc-deg-minus-one", "--R", "1e110", "--L", "5e109"],
+    ["disc-deg-minus-one", "--R", "1e100", "--L", "5e99"],
+], ids=["crosstie-H1e-120", "crosstie-H1e110", "disc-R1e110", "disc-R1e100"])
+def test_extreme_scales_write_finite_energy(tmp_path, argv):
+    """A construction far from unit scale exits 0, and every number in its
+    energy.json is finite: E0 is the scale times the unit build's, and the
+    wall balance is the unit build's."""
+    assert main(argv + ["--nx", "8", "--ny", "8", "--out",
+                        str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "energy.json").read_text())
+    numbers = [v for v in (*data.values(), *data["params"].values())
+               if isinstance(v, float)]
+    assert len(numbers) > 8 and all(map(math.isfinite, numbers)), data
 
 
 def test_crosstie_below_the_single_root_threshold(tmp_path):

@@ -17,9 +17,9 @@ from nematic_walls.crosstie import (_quarter_eval_batch, build_crosstie,
 from nematic_walls.energy import criticality_residuals, wall_balance
 from nematic_walls.quadrature import integrate
 from nematic_walls.rect1d import (min_energy_1d, period_equation_residual,
-                                  solve_Ttilde, ttilde_closed_form_check)
+                                  solve_Ttilde)
 from nematic_walls.rootfind import BracketError
-from oracles import family_area
+from oracles import family_area, ttilde_closed_form_check
 
 
 class TestPeriodEquation:
@@ -292,13 +292,15 @@ class TestFieldSample:
         seed offset, u and v come back to roundoff down to d = 1e-10, and
         the line x = T itself, the vortex (T, 0) and (T, H) included, is
         the arc s = T.  At H = 0.37, T/H rounds off the unit cell's T~
-        (the family's s and `region1_seed_offset` are the unit cell's)."""
+        (the family and `region1_seed_offset` are the unit cell's; the
+        family's points are mapped by the field's scale H)."""
         s = build_crosstie(lh * H, H)
-        fam = s.region1
+        fam, k = s.region1, s.field.scale  # the H = 1 cell's family
         for d in 10.0 ** -np.arange(2, 11):
             ss = np.full(9, s.T_tilde - d)
             tt = np.linspace(0.1, 0.9, 9) * fam.seed(ss)[4]
             x, y, th, v = fam.point(ss, tt)
+            x, y, v = k * x, k * y, v / k
             back = s.T_tilde - region1_seed_offset(x / H, y / H, s.T_tilde)
             assert np.abs(back - ss).max() <= 1e-12
             u1, u2, vv = crosstie_field_sample(s, x, y)

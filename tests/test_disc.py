@@ -31,11 +31,11 @@ class TestTangential:
         assert eb.total == 0.0
 
     def test_characteristics_are_radii(self):
-        fam = tangential_solution().families[0].scaled(2.0)
-        x, y, th, v = fam.point(np.asarray(0.3), np.asarray(1.0))
+        fam = tangential_solution().families[0]
+        x, y, th, v = fam.point(np.asarray(0.3), np.asarray(0.5))
         # marching inward along the radius through angle 0.3
         assert np.all(v == 0.0)
-        assert math.hypot(float(x), float(y)) == pytest.approx(1.0, abs=1e-14)
+        assert math.hypot(float(x), float(y)) == pytest.approx(0.5, abs=1e-14)
         assert math.atan2(float(y), float(x)) == pytest.approx(0.3, abs=1e-14)
 
     def test_transport_residual_zero(self):
@@ -139,12 +139,14 @@ class TestConstruction:
         assert sol.s0 == pytest.approx((math.sqrt(2) - 1) * R, abs=0)
 
     def test_region1_arcs_radius_R(self, sol):
-        # arcs of curvature -1/R centred on the x-axis
-        fam = sol.region1
+        # arcs of curvature -1/R centred on the x-axis; the family is the
+        # unit disc's, mapped by the field's scale R
+        fam, k = sol.region1, sol.field.scale
         s = 0.45
         ts = float(fam.seed(s / R)[4])
         x, y, _, v = fam.point(np.full(9, s / R), np.linspace(0, ts, 9))
-        assert np.all(v == -1 / R)
+        x, y = k * x, k * y
+        assert np.all(v / k == -1 / R)
         cx = s + R
         assert np.abs(np.hypot(x - cx, y) - R).max() < 1e-12
 
@@ -185,6 +187,7 @@ class TestConstruction:
     def test_octant_area(self, sol):
         total = sum(family_area(f, s_panels=32)
                     for f in (sol.region1, sol.region2, sol.region3))
+        total *= sol.field.scale ** 2
         assert total == pytest.approx(math.pi * R * R / 8, abs=2e-6)
 
     def test_energy_increasing_in_L(self):
@@ -263,6 +266,8 @@ class TestFieldEval:
                              s_hi - 1e-3 * (s_hi - s_lo), 200)
             tt = rng.uniform(0.1, 0.9, 200) * np.maximum(fam.seed(ss)[4], 0)
             x, y, th, v = fam.point(ss, tt)
+            k = sol.field.scale
+            x, y, v = k * x, k * y, v / k
             ok = (y >= 1e-9) & (y <= x * (1 - 1e-12)) \
                 & (x ** 2 + y ** 2 <= R * R * (1 - 1e-10))
             u1, u2, vv = deg_minus_one_sample(sol, x[ok], y[ok])

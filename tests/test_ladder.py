@@ -120,3 +120,21 @@ def test_rows_that_differ_are_counted(ladder, tmp_path):
     assert record["rows"] == {"q": (2, 1, n_rows)}
     assert (f"in 2 of {n_rows} rows (1 within a decade of the max)"
             in ladder.report([record]))
+
+
+def test_non_finite_values_are_reported_on_equal_bytes(ladder, tmp_path):
+    """A NaN in a JSON key and an infinity in a CSV column are named even
+    where both sides hold the same bytes, and compare exits 1."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        (d / "run").mkdir(parents=True)
+        (d / "run" / "energy.json").write_text(
+            '{"total": NaN, "params": {"L": 1.0}}')
+        (d / "run" / "table.csv").write_text("x,y\n1.0,2.0\n3.0,-inf\n")
+    records = ladder.compare(a, b)
+    assert [(r["path"], r["note"], r["nonfinite"]) for r in records] == [
+        ("run/energy.json", "same bytes", ["total"]),
+        ("run/table.csv", "same bytes", ["y"])]
+    text = ladder.report(records)
+    assert "run/energy.json: same bytes\n    non-finite values in total" in text
+    assert ladder.main(["compare", str(a), str(b)]) == 1

@@ -303,10 +303,11 @@ def test_deg_minus_one_sampler_lattice_roundtrip(L):
     arc's angle and curvature: 5e-11 on the arcs' bulk, 2e-9 within
     tau < 0.05 of the seam they are seeded on."""
     sol = disc.build_deg_minus_one(0.6, L)
+    k = sol.field.scale  # the families are the unit disc's
 
     def sample(x, y):
-        u1, u2, v = disc.deg_minus_one_sample(sol, x, y)
-        return np.arctan2(u2, u1), v
+        u1, u2, v = disc.deg_minus_one_sample(sol, k * x, k * y)
+        return np.arctan2(u2, u1), k * v
 
     for fam in (sol.region1, sol.region2, sol.region3):
         _assert_samples_arc(sample, fam, lambda tol: tol)

@@ -13,8 +13,13 @@ in odd ones.  Prints every run's metrics, then per end-to-end metric of
 BENCHMARK.json each side's median and quartiles, the pairs the change won
 (ties count for neither side), and whether that is a gain by the rule the
 benchmark's claims follow: won in at least nine tenths of the pairs, with
-the medians further apart than the parent's quartiles.  The exit status is
-0 when every run was correct with no failed operation, 1 otherwise.
+the medians further apart than the parent's quartiles.  For a metric with
+a bound (a fraction of the parent's median) it also gives the verdict of
+the no-regression rule: "unresolved" when the parent's quartiles lie
+further apart than the bound, else "regression" when the change's median
+is worse than the parent's by more than the bound, else "within bound".
+The exit status is 0 when every run was correct with no failed operation,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -68,11 +73,25 @@ def quartiles(xs: Sequence[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
+def regression(parent: Tuple[float, float, float], change_median: float,
+               sign: float, bound: float) -> str:
+    """The no-regression verdict on the parent's quartiles and the change's
+    median, sign 1 where lower is better and -1 where higher is."""
+    limit = bound * abs(parent[1])
+    if parent[2] - parent[0] > limit:
+        return "unresolved"
+    if sign * (change_median - parent[1]) > limit:
+        return "regression"
+    return "within bound"
+
+
 def summarize(pairs: Sequence[Tuple[dict, dict]],
               metrics: Sequence[dict]) -> List[dict]:
-    """Per metric ({name, unit, better}) of the pairs' (parent, change)
-    metric values {name: value}: each side's quartiles, the pairs the
-    change won and lost, and whether that is a gain."""
+    """Per metric ({name, unit, better} and an optional bound) of the
+    pairs' (parent, change) metric values {name: value}: each side's
+    quartiles, the pairs the change won and lost, whether that is a gain,
+    and the `regression` verdict where the metric has a bound (else
+    None)."""
     rows = []
     for m in metrics:
         name, sign = m["name"], (1.0 if m["better"] == "lower" else -1.0)
@@ -86,9 +105,11 @@ def summarize(pairs: Sequence[Tuple[dict, dict]],
         lost = sum(sign * (c - p) > 0 for p, c in got)
         gain = (won >= WIN_SHARE * len(got)
                 and sign * (par[1] - chg[1]) > par[2] - par[0])
+        verdict = regression(par, chg[1], sign, m["bound"]) \
+            if "bound" in m else None
         rows.append({"name": name, "unit": m["unit"], "pairs": len(got),
                      "parent": par, "change": chg, "won": won, "lost": lost,
-                     "gain": gain})
+                     "gain": gain, "regression": verdict})
     return rows
 
 
@@ -101,7 +122,8 @@ def report(rows: Sequence[dict]) -> str:
             f"{p3:.5g}], change {c2:.5g} [{c1:.5g}, {c3:.5g}], "
             f"{(c2 - p2) / p2:+.2%}; change won {r['won']} of "
             f"{r['pairs']} pairs, lost {r['lost']}"
-            + ("; gain" if r["gain"] else ""))
+            + ("; gain" if r["gain"] else "")
+            + (f"; {r['regression']}" if r["regression"] else ""))
     return "\n".join(lines)
 
 

@@ -18,8 +18,10 @@ those by at least a tenth of that largest absolute difference (over the
 leading rows both files hold, with a note, when their row counts differ);
 for a JSON file, per key
 (nested keys joined with '/').  `out` and `field_csv` in config.json are
-masked, as they name where a run wrote or read.  The exit status is 0 when
-nothing differs and 1 otherwise.
+masked, as they name where a run wrote or read.  It also names every CSV
+column and JSON key that holds a NaN or an infinity in A or B, whether or
+not the two files differ, since equal non-finite values show nothing.  The
+exit status is 0 when nothing is reported and 1 otherwise.
 
 Artifact bytes depend on the numpy build, so no hashes are kept in the
 repository: compare a parent and a change run on one machine.
@@ -66,6 +68,16 @@ LADDER: List[Tuple[str, List[str]]] = [
     ("disc-deg-minus-one/R1-L0.5",
      ["disc-deg-minus-one", "--R", "1", "--L", "0.5", "--nx", "128",
       "--ny", "256"]),
+    # both constructions far from unit scale
+    ("crosstie/H1e-120",
+     ["crosstie", "--H", "1e-120", "--L", "1.2e-120", "--nx", "8",
+      "--ny", "8"]),
+    ("crosstie/H1e110",
+     ["crosstie", "--H", "1e110", "--L", "1.2e110", "--nx", "8", "--ny",
+      "8"]),
+    ("disc-deg-minus-one/R1e110",
+     ["disc-deg-minus-one", "--R", "1e110", "--L", "5e109", "--nx", "8",
+      "--ny", "8"]),
     ("crosstie-sweep",
      ["crosstie-sweep", "--H", "1", "--lmin", "1.0", "--lmax", "2.2",
       "--step", "0.3"]),
@@ -202,6 +214,24 @@ def _csv_diffs(a: Path, b: Path):
     return diffs, rows, note
 
 
+def _nonfinite(path: Path) -> List[str]:
+    """The CSV columns or JSON keys of path that hold a NaN or an
+    infinity."""
+    if path.suffix == ".json":
+        values = _flatten(json.loads(path.read_text())).items()
+    else:
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        values = ((col, x) for row in rows[1:] for col, x in zip(rows[0], row))
+    bad = set()
+    for key, x in values:
+        try:
+            if not math.isfinite(float(x)):
+                bad.add(key)
+        except (TypeError, ValueError):
+            pass  # not a number
+    return sorted(bad)
+
+
 def _flatten(obj, prefix: str = "") -> Dict[str, object]:
     if isinstance(obj, dict):
         items = obj.items()
@@ -233,21 +263,29 @@ def _json_diffs(a: Path, b: Path, masked: Sequence[str] = ()):
 
 
 def compare(a, b) -> List[dict]:
-    """One record per file that differs: {"path", "note", "diffs",
-    "rows"}, with diffs {column or key: (max absolute, max relative
-    difference)} and, for a CSV file, rows {column: (rows that differ,
-    those within a decade of the max absolute difference, rows
-    compared)}.  A column or key whose text differs while its values
-    are equal (-0 against 0, say) is listed with differences of 0."""
+    """One record per file that differs or holds a non-finite value:
+    {"path", "note", "diffs", "rows", "nonfinite"}, with diffs {column or
+    key: (max absolute, max relative difference)}, for a CSV file rows
+    {column: (rows that differ, those within a decade of the max absolute
+    difference, rows compared)}, and nonfinite the CSV columns or JSON keys
+    holding a NaN or an infinity in either file.  A column or key whose
+    text differs while its values are equal (-0 against 0, say) is listed
+    with differences of 0."""
     fa, fb = _artifacts(Path(a)), _artifacts(Path(b))
     records = []
     for rel in sorted(set(fa) | set(fb)):
         if rel not in fb or rel not in fa:
             records.append({"path": rel, "diffs": {}, "rows": {},
-                            "note": f"only in {'A' if rel in fa else 'B'}"})
+                            "note": f"only in {'A' if rel in fa else 'B'}",
+                            "nonfinite": []})
             continue
         pa, pb = fa[rel], fb[rel]
+        nonfinite = sorted(set(_nonfinite(pa)) | set(_nonfinite(pb))) \
+            if pa.suffix in (".csv", ".json") else []
         if pa.read_bytes() == pb.read_bytes():
+            if nonfinite:
+                records.append({"path": rel, "diffs": {}, "rows": {},
+                                "note": "same bytes", "nonfinite": nonfinite})
             continue
         rows = {}
         if rel.endswith(".csv"):
@@ -255,12 +293,12 @@ def compare(a, b) -> List[dict]:
         elif rel.endswith(".json"):
             masked = MASKED_CONFIG_KEYS if pa.name == "config.json" else ()
             diffs, note = _json_diffs(pa, pb, masked), ""
-            if not diffs and masked:
+            if not diffs and masked and not nonfinite:
                 continue  # only the masked paths differ
         else:
             diffs, note = {}, "bytes differ"
         records.append({"path": rel, "diffs": diffs, "rows": rows,
-                        "note": note})
+                        "note": note, "nonfinite": nonfinite})
     return records
 
 
@@ -275,6 +313,9 @@ def report(records: List[dict]) -> str:
             lines.append(f"    {key}: max abs {ab:.3e}, max rel {rel:.3e}"
                          + (f", in {rows[0]} of {rows[2]} rows ({rows[1]} "
                             f"within a decade of the max)" if rows else ""))
+        if r["nonfinite"]:
+            lines.append("    non-finite values in "
+                         + ", ".join(r["nonfinite"]))
         if not r["diffs"] and not r["note"]:
             lines.append("    bytes differ, values equal")
     return "\n".join(lines)
